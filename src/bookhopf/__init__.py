@@ -28,8 +28,8 @@ from .axioms import (
     negative_control_matches,
     run_all,
 )
-from .cyclotomic import Cyclotomic, cyc_one, cyc_zero, root_power
-from .hopf import BookAlgebra, is_odd_prime
+from .cyclotomic import Cyclotomic, cyc_one, cyc_zero, is_odd_prime, root_power
+from .hopf import BookAlgebra
 from .mpi import (
     Character,
     Classification,

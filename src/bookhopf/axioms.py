@@ -136,12 +136,18 @@ class _Recorder:
 
     def finish(self, mode):
         elapsed = round((perf_counter() - self.t0) * 1000.0, 3)
-        status = "pass" if not self.violations else "fail"
+        # a check that examined nothing has shown nothing: never a pass
+        status = "pass" if self.checked and not self.violations else "fail"
         return AxiomResult(self.axiom, status, self.violations, elapsed, self.checked, mode)
 
 
 def _plan(domain, sample_size, exhaustive, limit):
-    """Return ("exhaustive", None) or ("sampled", n) for a domain of given size."""
+    """Return ("exhaustive", None) or ("sampled", n) for a domain of given size.
+
+    Raises ValueError for a sample size below 1, which would check nothing.
+    """
+    if sample_size < 1:
+        raise ValueError(f"sample size must be at least 1, got {sample_size}")
     if exhaustive or domain <= limit or sample_size >= domain:
         return "exhaustive", None
     return f"sampled(n={sample_size})", sample_size
@@ -276,9 +282,10 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
     # Unpack the memoized coproducts once.  Coefficients are interned to small
     # ids and encoded as single base-2^40 integers (_pack_vec), so the inner
     # accumulation is plain int addition; products with the q^e factor are
-    # memoized per (id, id, e).  Per basis monomial we keep two views of the
-    # same terms: left rows carry the four per-term constants of the
-    # commutation exponent, right rows just the raw exponents.
+    # memoized per (id, id, e) under the key (id1 * n_ids + id2) * p + e,
+    # which is injective for every p.  Per basis monomial we keep two views of
+    # the same terms: left rows carry the four per-term constants of the
+    # commutation exponent, right rows the raw exponents and id2 * p.
     intern = {}
     left_rows = []
     right_rows = []
@@ -299,15 +306,16 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
                 (u.a + s * u.c) % p, (s * u.a) % p,
                 (v.a + s * v.c) % p, (s * v.a) % p,
             ))
-            right.append((u.b, u.c, u.a, v.b, v.c, v.a, vid))
+            right.append((u.b, u.c, u.a, v.b, v.c, v.a, vid, vid * p))
         left_rows.append(left)
         right_rows.append(right)
+    stride = len(coeff_of) * p
     prod_memo = {}
 
     def packed_delta(i, scale_e):
         scale = powers[scale_e]
         out = {}
-        for (ub, uc, ua, vb, vc, va, vid) in right_rows[i]:
+        for (ub, uc, ua, vb, vc, va, vid, _) in right_rows[i]:
             packed = _pack_vec(coeff_of[vid] * scale, p)
             out[(ub * p + uc) * p + ua + ((vb * p + vc) * p + va) * _BIG] = packed
         return out
@@ -319,8 +327,8 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
         acc = {}
         row2 = right_rows[i2]
         for (ub, uc, ua, vb, vc, va, vid1, a1, a2, a3, a4) in left_rows[i1]:
-            base = vid1 << 17
-            for (wb, wc, wa, zb, zc, za, vid2) in row2:
+            base = vid1 * stride
+            for (wb, wc, wa, zb, zc, za, vid2, vid2p) in row2:
                 bb = ub + wb
                 if bb >= p:
                     continue
@@ -334,7 +342,7 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
                 if cc2 >= p:
                     continue
                 e = (wb * a1 - wc * a2 + zb * a3 - zc * a4) % p
-                mkey = base | (vid2 << 3) | e
+                mkey = base + vid2p + e
                 coeff = prod_memo.get(mkey)
                 if coeff is None:
                     coeff = prod_memo[mkey] = _pack_vec(

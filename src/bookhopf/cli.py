@@ -17,7 +17,8 @@ import json
 import sys
 
 from .axioms import DEFAULT_SAMPLE_SIZE, DEFAULT_SEED, negative_control_matches, run_all
-from .hopf import BookAlgebra, is_odd_prime
+from .cyclotomic import is_odd_prime
+from .hopf import BookAlgebra
 from .mpi import ConsistencyError, classify
 
 
@@ -47,7 +48,7 @@ def _build_parser():
                 "--sample-size",
                 type=int,
                 default=DEFAULT_SAMPLE_SIZE,
-                help="draws per sampled check (domains at most this size run exhaustively)",
+                help="draws per sampled check, at least 1 (domains at most this size run exhaustively)",
             )
             sp.add_argument(
                 "--exhaustive",

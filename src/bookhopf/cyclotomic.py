@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-__all__ = ["Cyclotomic", "root_power", "cyc_zero", "cyc_one"]
+__all__ = ["Cyclotomic", "root_power", "cyc_zero", "cyc_one", "is_odd_prime"]
 
 
 def _build(p, num, den, power):
@@ -353,17 +353,21 @@ class Cyclotomic:
 # -- module-level helpers ------------------------------------------------------
 
 
+def is_odd_prime(p):
+    """Whether p is an int that is an odd prime (trial division)."""
+    if not isinstance(p, int) or p < 3 or p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
 def _check_p(p):
     """Reject any order for which reduction mod Phi_p would be wrong."""
-    ok = isinstance(p, int) and p >= 3 and p % 2 == 1
-    if ok:
-        d = 3
-        while d * d <= p:
-            if p % d == 0:
-                ok = False
-                break
-            d += 2
-    if not ok:
+    if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime >= 3, got {p!r}")
 
 

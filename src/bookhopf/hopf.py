@@ -27,21 +27,10 @@ so racing first computations are harmless.
 
 from __future__ import annotations
 
-from .cyclotomic import Cyclotomic, cyc_zero, root_power
+from .cyclotomic import Cyclotomic, cyc_zero, is_odd_prime, root_power
 from .pbw import ONE, Element, Monomial, Tensor2, Tensor3
 
-__all__ = ["BookAlgebra", "is_odd_prime"]
-
-
-def is_odd_prime(p):
-    if not isinstance(p, int) or p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+__all__ = ["BookAlgebra"]
 
 
 class BookAlgebra:

@@ -23,7 +23,7 @@ point of the computation, so neither side is ever silently preferred.
 
 from .cyclotomic import Cyclotomic, cyc_one, cyc_zero, root_power
 from .hopf import BookAlgebra
-from .pbw import Element, Monomial, Tensor2
+from .pbw import Element, Monomial, Tensor2, mono_mul_exp
 
 
 class ConsistencyError(RuntimeError):
@@ -67,10 +67,12 @@ class Character:
 
     Any character must kill x and y (the commutation relation g x = q x g
     forces (1 - q) beta(g) beta(x) = 0 with beta(g) invertible, likewise for
-    y), so it is determined by its value on g, a p-th root of unity.  The
-    constructor re-checks each defining relation under this assignment;
+    y), so it is determined by its value on g, a p-th root of unity.  Every
+    value on a basis monomial is therefore 0 or a power of q, and
+    :meth:`exponent` is the one place that says which.  The constructor
+    re-checks each defining relation under this assignment;
     ``enumerate_characters`` additionally verifies full multiplicativity on
-    every basis pair.
+    every basis pair, comparing q-exponents.
     """
 
     __slots__ = ("algebra", "j", "on_g")
@@ -82,12 +84,17 @@ class Character:
         self.on_g = root_power(p, self.j)
         self._verify_relations()
 
+    def exponent(self, mono):
+        """k with beta(x^b y^c g^a) = q^k, i.e. j*a mod p when b = c = 0; None for 0."""
+        if mono.b or mono.c:
+            return None
+        return (self.j * mono.a) % self.algebra.p
+
     def __call__(self, h):
         """Evaluate the character on a Monomial or an Element."""
         if isinstance(h, Monomial):
-            if h.b or h.c:
-                return cyc_zero(self.algebra.p)
-            return root_power(self.algebra.p, (self.j * h.a) % self.algebra.p)
+            e = self.exponent(h)
+            return cyc_zero(self.algebra.p) if e is None else root_power(self.algebra.p, e)
         total = cyc_zero(self.algebra.p)
         for mono, coeff in h.terms.items():
             total = total + coeff * self(mono)
@@ -118,22 +125,52 @@ def enumerate_group_likes(algebra):
 
 
 def enumerate_characters(algebra):
-    """The p characters beta_j, each verified multiplicative on all basis pairs."""
+    """The p characters beta_j, each verified multiplicative on all basis pairs.
+
+    Every value of a character on a basis monomial is 0 or a power of q, and
+    m1 m2 is q^e m12 or 0, so beta_j(m1 m2) = beta_j(m1) beta_j(m2) is an
+    identity between q-exponents mod p, with None standing for 0.  For each
+    of the p^6 basis pairs the closed-form product is computed once, and the
+    identity is checked for all p characters together as a comparison of two
+    exponent vectors indexed by j: beta_j(q^e m12) is the exponent of
+    beta_j(m12) plus e, and beta_j(m1) beta_j(m2) the sum of two exponents.
+    Both sides come from tables built in this call from ``Character.exponent``.
+    """
     p, s = algebra.p, algebra.s
     basis = algebra.basis()
-    characters = []
-    elements = [Element.monomial(p, s, m) for m in basis]
-    for j in range(p):
-        beta = Character(algebra, j)
-        values = [beta(m) for m in basis]
-        for m1, e1, v1 in zip(basis, elements, values):
-            for m2, e2, v2 in zip(basis, elements, values):
-                if beta(e1 * e2) != v1 * v2:
-                    raise ConsistencyError(
-                        f"beta_{j} not multiplicative at "
-                        f"m1={m1.render()}, m2={m2.render()}"
-                    )
-        characters.append(beta)
+    characters = [Character(algebra, j) for j in range(p)]
+    # A value vector holds the exponents of beta_0(m), ..., beta_(p-1)(m).
+    # Basis monomials have p + 1 distinct ones; vid[m] numbers them.
+    interned = {}
+    vid = {
+        m: interned.setdefault(tuple(beta.exponent(m) for beta in characters), len(interned))
+        for m in basis
+    }
+    vectors = list(interned)
+    # products[u][v]: beta_j(m1) beta_j(m2) for value vectors u and v
+    products = [
+        [
+            tuple(None if k1 is None or k2 is None else (k1 + k2) % p for k1, k2 in zip(u, v))
+            for v in vectors
+        ]
+        for u in vectors
+    ]
+    # scaled[v][e]: beta_j(q^e m) for m with value vector v
+    scaled = [[tuple(None if k is None else (k + e) % p for k in v) for e in range(p)] for v in vectors]
+    zero = (None,) * p
+    column = [(m, vid[m]) for m in basis]
+    for m1, vid1 in column:
+        row = products[vid1]
+        for m2, vid2 in column:
+            prod = mono_mul_exp(m1, m2, p, s)
+            lhs = zero if prod is None else scaled[vid[prod[1]]][prod[0]]
+            rhs = row[vid2]
+            if lhs != rhs:
+                j = next(j for j in range(p) if lhs[j] != rhs[j])
+                raise ConsistencyError(
+                    f"beta_{j} not multiplicative at "
+                    f"m1={m1.render()}, m2={m2.render()}"
+                )
     return characters
 
 

@@ -1,12 +1,14 @@
 """The Hopf-axiom checkers: pass cases, the s = 0 negative control, reports."""
 
 import json
+import random
 
 import pytest
 
 from bookhopf import (
     AxiomReport,
     BookAlgebra,
+    Element,
     Monomial,
     check_antipode_law,
     check_associativity,
@@ -87,6 +89,59 @@ def test_large_domain_samples_deterministically():
 def test_exhaustive_override_flag():
     report = check_counit_law(BookAlgebra(3, 1), exhaustive=True)
     assert report.result("counit").mode == "exhaustive"
+
+
+@pytest.mark.parametrize("check", [check_associativity, check_bialgebra_compat])
+@pytest.mark.parametrize("sample_size", [0, -5])
+def test_sample_size_below_one_is_rejected(check, sample_size):
+    with pytest.raises(ValueError, match="sample size"):
+        check(BookAlgebra(3, 1), sample_size=sample_size)
+
+
+@pytest.mark.parametrize(
+    "p,s,sample_size",
+    [(3, 1, 1_000_000), (3, 0, 1_000_000), (7, 3, 50)],
+)
+def test_a_pass_always_checked_something(p, s, sample_size):
+    report = run_all(BookAlgebra(p, s, permissive=s == 0), sample_size=sample_size)
+    assert any(r.passed for r in report.results)
+    for r in report.results:
+        assert r.checked > 0
+        if r.passed:
+            assert not r.violations
+
+
+def test_a_check_that_examined_nothing_fails():
+    from bookhopf.axioms import _Recorder
+
+    result = _Recorder("associativity").finish("exhaustive")
+    assert result.checked == 0 and not result.violations
+    assert result.status == "fail"
+
+
+# -- bialgebra fast path against plain Tensor2 arithmetic ----------------------
+
+
+@pytest.mark.parametrize("p,s,draws", [(7, 3, 40), (7, 0, 40), (11, 3, 25), (11, 10, 25)])
+def test_bialgebra_check_matches_tensor_arithmetic(p, s, draws):
+    A = BookAlgebra(p, s, permissive=s == 0)
+    seed = 1000 * p + s
+    result = check_bialgebra_compat(A, seed=seed, sample_size=draws).result("bialgebra")
+    assert result.mode == f"sampled(n={draws})"
+    basis = A.basis()
+    rng = random.Random(seed)  # replays the check's own draws
+    pairs = [(basis[rng.randrange(len(basis))], basis[rng.randrange(len(basis))]) for _ in range(draws)]
+    expected = []
+    for m1, m2 in pairs:
+        e1, e2 = Element.monomial(p, s, m1), Element.monomial(p, s, m2)
+        if A.coproduct(e1 * e2) != A.coproduct(e1) * A.coproduct(e2):
+            expected.append(f"Delta: m1={m1.render()}, m2={m2.render()}")
+        if A.counit(e1 * e2) != A.counit(e1) * A.counit(e2):
+            expected.append(f"epsilon: m1={m1.render()}, m2={m2.render()}")
+    assert [v.at for v in result.violations] == expected
+    assert result.passed == (not expected)
+    if s == 0:
+        assert expected  # the negative control exercises the failing branch too
 
 
 # -- negative control (s = 0) ---------------------------------------------------------

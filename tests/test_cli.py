@@ -87,6 +87,14 @@ def test_verify_sampling_flags_accepted():
     assert modes == {"exhaustive"}  # every H(3, s) domain is tiny
 
 
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_verify_rejects_sample_size_below_one(size, capsys):
+    code, text = run_cli(["verify", "--p", "7", "--s", "3", "--sample-size", size])
+    assert code == 2
+    assert text == ""
+    assert "error: sample size must be at least 1" in capsys.readouterr().err
+
+
 def test_verify_is_deterministic():
     argv = ["verify", "--p", "3", "--s", "2"]
     assert strip_elapsed(run_json(argv)[1]) == strip_elapsed(run_json(argv)[1])

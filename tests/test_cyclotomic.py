@@ -1,5 +1,6 @@
 """Exact arithmetic in Q(zeta_p): field axioms, inverses, rendering."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -188,3 +189,38 @@ def test_parse_frozen_strings():
         Cyclotomic.parse(5, "totally not a scalar")
     with pytest.raises(ValueError):
         Cyclotomic.parse(5, "q +")
+
+
+# -- cross-check against sympy ---------------------------------------------------------
+
+
+def _random_scalar(rng, p):
+    """A seeded scalar: general, a rational times a power of q, or rational."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Cyclotomic(p, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(p - 1)])
+    scale = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+    return root_power(p, rng.randrange(p) if kind == 1 else 0) * scale
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_mul_and_inv_match_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    phi = sympy.cyclotomic_poly(p, t)
+
+    def to_sympy(z):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * t ** e for e, c in enumerate(z.coeffs)),
+            sympy.Integer(0),
+        )
+
+    def reduce(expr):
+        return sympy.Poly(sympy.rem(sympy.expand(expr), phi, t), t)
+
+    rng = random.Random(p)
+    for _ in range(40):
+        a, b = _random_scalar(rng, p), _random_scalar(rng, p)
+        assert reduce(to_sympy(a) * to_sympy(b)) == sympy.Poly(to_sympy(a * b), t)
+        if a:
+            assert reduce(to_sympy(a) * to_sympy(a.inv())) == sympy.Poly(1, t)

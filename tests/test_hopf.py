@@ -23,6 +23,13 @@ def test_is_odd_prime():
     assert not is_odd_prime(2)
     assert not is_odd_prime(121)
     assert is_odd_prime(97)
+    assert not is_odd_prime(7.0)
+
+
+def test_one_primality_test():
+    import bookhopf.cyclotomic
+
+    assert is_odd_prime is bookhopf.cyclotomic.is_odd_prime
 
 
 # -- construction ---------------------------------------------------------

@@ -68,6 +68,60 @@ def test_character_evaluates_linearly():
     assert value == 3 * root_power(5, 2)
 
 
+def test_character_exponent_matches_value():
+    A = BookAlgebra(5, 2)
+    for beta in enumerate_characters(A):
+        for m in A.basis():
+            e = beta.exponent(m)
+            assert beta(m) == (cyc_zero(5) if e is None else root_power(5, e))
+
+
+def element_route_multiplicative(A):
+    """The j for which beta_j(e1 e2) = beta_j(m1) beta_j(m2) on all basis pairs.
+
+    The reference route: Element products and Cyclotomic values throughout.
+    """
+    p, s = A.p, A.s
+    basis = A.basis()
+    elements = [Element.monomial(p, s, m) for m in basis]
+    products = [[e1 * e2 for e2 in elements] for e1 in elements]
+    found = []
+    for j in range(p):
+        beta = Character(A, j)
+        values = [beta(m) for m in basis]
+        if all(
+            beta(products[i1][i2]) == v1 * v2
+            for i1, v1 in enumerate(values)
+            for i2, v2 in enumerate(values)
+        ):
+            found.append(j)
+    return found
+
+
+@pytest.mark.parametrize("p,s", [(p, s) for p in (3, 5) for s in range(p)])
+def test_enumerate_characters_agrees_with_element_route(p, s):
+    A = BookAlgebra(p, s, permissive=s == 0)
+    assert [beta.j for beta in enumerate_characters(A)] == element_route_multiplicative(A)
+
+
+def test_enumerate_characters_catches_one_wrong_product(monkeypatch):
+    import bookhopf.mpi as mpi
+
+    A = BookAlgebra(5, 2)
+    honest = mpi.mono_mul_exp
+    bad_pair = (Monomial(0, 0, 2), Monomial(0, 0, 3))  # g^2 * g^3 = g^0, exponent 0
+
+    def doctored(m1, m2, p, s):
+        prod = honest(m1, m2, p, s)
+        if (m1, m2) == bad_pair:
+            return (prod[0] + 1) % p, prod[1]
+        return prod
+
+    monkeypatch.setattr(mpi, "mono_mul_exp", doctored)
+    with pytest.raises(ConsistencyError, match=r"^beta_0 not multiplicative at m1=g\^2, m2=g\^3$"):
+        enumerate_characters(A)
+
+
 # -- convolution inverse ---------------------------------------------------------
 
 
