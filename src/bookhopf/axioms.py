@@ -9,6 +9,15 @@ Checks over basis pairs/triples run exhaustively when the domain is small
 (pairs: up to 25 000, i.e. p <= 5; triples: up to 2 000 000, i.e. p <= 5) or
 when the requested sample size covers the whole domain; otherwise they draw
 seeded uniform samples, so reports are deterministic given (p, s, seed).
+
+The two checks over pairs and triples run on integers.  Associativity reads
+both sides off the algebra's basis-index product table.  Multiplicativity of
+Delta packs the Delta table into big integers, p lanes per value, so that
+one int product covers a term of Delta(m1) against the matching term of all
+p rows Delta(x^b y^c g^a), a = 0..p-1; ``check_bialgebra_compat`` states
+why that is exact.  The slow routes through ``Element`` and ``Tensor2``
+stay in the tests as references.
+
 Everything here is pure computation over immutable values; checks can safely
 run concurrently on the same algebra instance.
 """
@@ -19,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from .cyclotomic import cyc_zero, root_power
+from .cyclotomic import Cyclotomic, cyc_zero, root_power
 from .pbw import Element, Monomial, Tensor2, Tensor3, mono_mul_exp
 
 __all__ = [
@@ -158,48 +167,49 @@ def _render_scaled_mono(p, s, e, mono):
 
 
 def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=False):
-    """(m1 m2) m3 = m1 (m2 m3) over basis triples, via the closed-form product."""
+    """(m1 m2) m3 = m1 (m2 m3) over basis triples, read off the product table."""
     A = algebra
     p, s = A.p, A.s
     basis = A.basis()
     n = len(basis)
     rec = _Recorder("associativity")
     mode, draws = _plan(n ** 3, sample_size, exhaustive, TRIPLE_EXHAUSTIVE_LIMIT)
+    table = A.product_table()
 
-    def both_sides(m1, m2, m3):
-        left = mono_mul_exp(m1, m2, p, s)
-        if left is not None:
-            e12, m12 = left
-            left = mono_mul_exp(m12, m3, p, s)
-            if left is not None:
-                left = ((e12 + left[0]) % p, left[1])
-        right = mono_mul_exp(m2, m3, p, s)
-        if right is not None:
-            e23, m23 = right
-            right = mono_mul_exp(m1, m23, p, s)
-            if right is not None:
-                right = ((e23 + right[0]) % p, right[1])
-        return left, right
+    def render(code):
+        return "0" if code < 0 else _render_scaled_mono(p, s, code % p, basis[code // p])
 
-    def examine(m1, m2, m3):
+    def examine(i1, i2, i3):
+        # codes are t * p + e for q^e basis[t], so d - d % p + (c + d) % p
+        # is the code of q^(e_c + e_d) basis[t_d]
         rec.checked += 1
-        left, right = both_sides(m1, m2, m3)
+        left = right = -1
+        c = table[i1 * n + i2]
+        if c >= 0:
+            d = table[c // p * n + i3]
+            if d >= 0:
+                left = d - d % p + (c + d) % p
+        c = table[i2 * n + i3]
+        if c >= 0:
+            d = table[i1 * n + c // p]
+            if d >= 0:
+                right = d - d % p + (c + d) % p
         if left != right:
             rec.hit(
-                f"m1={m1.render()}, m2={m2.render()}, m3={m3.render()}",
-                "0" if left is None else _render_scaled_mono(p, s, *left),
-                "0" if right is None else _render_scaled_mono(p, s, *right),
+                f"m1={basis[i1].render()}, m2={basis[i2].render()}, m3={basis[i3].render()}",
+                render(left),
+                render(right),
             )
 
     if draws is None:
-        for m1 in basis:
-            for m2 in basis:
-                for m3 in basis:
-                    examine(m1, m2, m3)
+        for i1 in range(n):
+            for i2 in range(n):
+                for i3 in range(n):
+                    examine(i1, i2, i3)
     else:
         rng = random.Random(seed)
         for _ in range(draws):
-            examine(basis[rng.randrange(n)], basis[rng.randrange(n)], basis[rng.randrange(n)])
+            examine(rng.randrange(n), rng.randrange(n), rng.randrange(n))
     return AxiomReport([rec.finish(mode)])
 
 
@@ -262,12 +272,52 @@ def _acc(acc, key, coeff):
 
 
 def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=False):
-    """Delta and eps are algebra maps: checked on basis pairs.
+    """Delta and eps are algebra maps: checked on basis pairs (m1, m2).
 
-    The inner loop runs over every term pair of the memoized coproducts, so it
-    is written against packed integer keys with interned coefficient values
-    (coefficient products memoized); this changes nothing about what is
-    verified, only how fast the exhaustive p = 7 sweep finishes.
+    Delta(m1 m2) = Delta(m1) Delta(m2) is checked with exact integer
+    arithmetic, for all p monomials m2 = x^b2 y^c2 g^a2, a2 = 0..p-1, at
+    once.  Why that is exact:
+
+    - *a2 does not enter the twist.*  By the closed-form product,
+      (u (x) v)(w (x) z) = q^e (uw (x) vz) with e depending on the x/y
+      exponents of w and z but not on their g-exponents, and the exponent of
+      m1 m2 does not depend on a2 either.  The terms of the p rows
+      Delta(x^b2 y^c2 g^a2) are grouped by (wb, wc, zb, zc, wa - a2,
+      za - a2) mod p; one group term meets a term of Delta(m1) with the same
+      q^e in every row, and its output monomials differ from row to row only
+      by g^a2 on both legs.  No shape of Delta is assumed: a row with a wrong
+      coefficient, g-exponent or term lands in its own lane or group.
+    - *The non-negative lift.*  A structure constant c = sum c_i q^i of
+      Z[zeta_p] (i < p-1, as ``Cyclotomic`` stores it) is lifted to the group
+      ring Z[C_p] = Z[X]/(X^p - 1) as sum (c_i - m) X^i, with digit 0 at
+      X^(p-1) and m the least digit, which adds -m (1 + X + ... + X^(p-1)),
+      0 in Z[zeta_p].  Every digit is then >= 0.
+    - *Lanes.*  A packed value holds p lanes of 2p digits of ``width`` bits;
+      lane a2 of a group term holds its coefficient in row a2.  The lifted
+      coefficient of a Delta(m1) term, times X^e (rotated mod X^p - 1), has
+      p digits, so one int product of it with a group term is the p lane
+      products at once, each of at most 2p - 1 digits, with no carry between
+      digits or lanes as long as every digit stays below 2^width.
+    - *The width bound.*  A lane of an accumulated value is a sum of
+      products of lifted coefficients, one per term pair of Delta(m1) and one
+      row.  Each product has digit sum S(c1) S(c2), where S is the digit sum
+      of a lift, so no digit of the lane, folded or not, exceeds R^2, where R
+      is the largest sum of S over one row of Delta.  ``width`` is derived
+      from R^2 and the table, asserted before the sweep, and is not a setting.
+    - *The fold.*  Adding digit i + p onto digit i reduces mod X^p - 1.  Two
+      values of Z[C_p] are equal in Z[zeta_p] iff their difference is a
+      multiple of 1 + X + ... + X^(p-1), i.e. iff every digit of the folded
+      difference is the same.  With a bias of 2^(width-1) per digit the
+      difference stays digit-wise non-negative, and one compare checks all
+      lanes of an output key.
+
+    The expected side Delta(m1 m2) is read off the product table and the
+    Delta rows, packed the same way and memoized per product monomial
+    x^B y^C g^a (p^3 entries at most).  The exhaustive sweep runs in basis
+    order; a sampled run executes the same group for each drawn pair and
+    reads that pair's lane, with the same draws as a per-pair check.
+    Failing lanes are unpacked from the accumulator as they are found and
+    rendered through ``Tensor2``, up to MAX_VIOLATIONS_RENDERED.
     """
     A = algebra
     p, s = A.p, A.s
@@ -275,165 +325,213 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
     n = len(basis)
     rec = _Recorder("bialgebra")
     mode, draws = _plan(n * n, sample_size, exhaustive, PAIR_EXHAUSTIVE_LIMIT)
+    table = A.product_table()
+    lanes = _Lanes(A)
     one = root_power(p, 0)
     zero = cyc_zero(p)
-    powers = tuple(root_power(p, e) for e in range(p))
+    memo = {}  # index t of x^B y^C g^a -> biased packed Delta(x^B y^C g^(a + a2)) in lane a2
 
-    # Unpack the memoized coproducts once.  Coefficients are interned to small
-    # ids and encoded as single base-2^40 integers (_pack_vec), so the inner
-    # accumulation is plain int addition; products with the q^e factor are
-    # memoized per (id, id, e) under the key (id1 * n_ids + id2) * p + e,
-    # which is injective for every p.  Per basis monomial we keep two views of
-    # the same terms: left rows carry the four per-term constants of the
-    # commutation exponent, right rows the raw exponents and id2 * p.
-    intern = {}
-    left_rows = []
-    right_rows = []
-    coeff_of = []
-    for m in basis:
-        left = []
-        right = []
-        for (u, v), coeff in A.coproduct_monomial(m).terms.items():
-            key = (coeff.num, coeff.den)
-            vid = intern.get(key)
-            if vid is None:
-                vid = intern[key] = len(coeff_of)
-                coeff_of.append(coeff)
-            # moving the right factor's x/y letters past this term's g legs:
-            # e = wb*A1 - wc*A2 + zb*A3 - zc*A4 (mod p)
-            left.append((
-                u.b, u.c, u.a, v.b, v.c, v.a, vid,
-                (u.a + s * u.c) % p, (s * u.a) % p,
-                (v.a + s * v.c) % p, (s * v.a) % p,
-            ))
-            right.append((u.b, u.c, u.a, v.b, v.c, v.a, vid, vid * p))
-        left_rows.append(left)
-        right_rows.append(right)
-    stride = len(coeff_of) * p
-    prod_memo = {}
+    def report(i1, i2, kind, acc, e12):
+        if len(rec.violations) >= MAX_VIOLATIONS_RENDERED:
+            return
+        m1, m2 = basis[i1], basis[i2]
+        code = table[i1 * n + i2]
+        if kind == "Delta":
+            lhs = Tensor2.zero(p, s) if code < 0 else A.coproduct_monomial(basis[code // p]).scale(
+                root_power(p, code % p)
+            )
+            rhs = Tensor2._raw(p, s, lanes.unpack(acc, i2 % p, e12))
+        else:
+            lhs = zero if code < 0 or code // p >= p else root_power(p, code % p)
+            eps1 = one if (m1.b == 0 and m1.c == 0) else zero
+            eps2 = one if (m2.b == 0 and m2.c == 0) else zero
+            rhs = eps1 * eps2
+        rec.hit(f"{kind}: m1={m1.render()}, m2={m2.render()}", lhs.render(), rhs.render())
 
-    def packed_delta(i, scale_e):
-        scale = powers[scale_e]
-        out = {}
-        for (ub, uc, ua, vb, vc, va, vid, _) in right_rows[i]:
-            packed = _pack_vec(coeff_of[vid] * scale, p)
-            out[(ub * p + uc) * p + ua + ((vb * p + vc) * p + va) * _BIG] = packed
-        return out
-
-    def examine(i1, i2):
-        rec.checked += 1
+    def run_group(i1, left, bc2, lanes_wanted):
+        """Check m1 = basis[i1] against x^b2 y^c2 g^a2 for a2 in lanes_wanted."""
         m1 = basis[i1]
-        m2 = basis[i2]
-        acc = {}
-        row2 = right_rows[i2]
-        for (ub, uc, ua, vb, vc, va, vid1, a1, a2, a3, a4) in left_rows[i1]:
-            base = vid1 * stride
-            for (wb, wc, wa, zb, zc, za, vid2, vid2p) in row2:
-                bb = ub + wb
-                if bb >= p:
-                    continue
-                cc = uc + wc
-                if cc >= p:
-                    continue
-                bb2 = vb + zb
-                if bb2 >= p:
-                    continue
-                cc2 = vc + zc
-                if cc2 >= p:
-                    continue
-                e = (wb * a1 - wc * a2 + zb * a3 - zc * a4) % p
-                mkey = base + vid2p + e
-                coeff = prod_memo.get(mkey)
-                if coeff is None:
-                    coeff = prod_memo[mkey] = _pack_vec(
-                        coeff_of[vid1] * coeff_of[vid2] * powers[e], p
-                    )
-                key = (bb * p + cc) * p + (ua + wa) % p + ((bb2 * p + cc2) * p + (va + za) % p) * _BIG
-                prev = acc.get(key)
-                tot = coeff if prev is None else prev + coeff
-                if tot:
-                    acc[key] = tot
-                elif prev is not None:
-                    del acc[key]
-        prod = mono_mul_exp(m1, m2, p, s)
-        if prod is None:
-            expected = {}
+        code = table[i1 * n + bc2 * p]  # m1 x^b2 y^c2 = q^e12 basis[t12], or 0
+        if code < 0:
+            e12, eps12, expected = 0, None, {}
         else:
-            e, m12 = prod
-            expected = packed_delta((m12.b * p + m12.c) * p + m12.a, e)
-        if acc != expected:
-            rec.hit(
-                f"Delta: m1={m1.render()}, m2={m2.render()}",
-                _render_packed2(p, s, expected),
-                _render_packed2(p, s, acc),
-            )
-        # eps part
-        eps1 = one if (m1.b == 0 and m1.c == 0) else zero
-        eps2 = one if (m2.b == 0 and m2.c == 0) else zero
-        if prod is None:
-            eps12 = zero
-        else:
-            e, m12 = prod
-            eps12 = powers[e] if (m12.b == 0 and m12.c == 0) else zero
-        if eps12 != eps1 * eps2:
-            rec.hit(
-                f"epsilon: m1={m1.render()}, m2={m2.render()}",
-                eps12.render(),
-                (eps1 * eps2).render(),
-            )
+            e12, t12 = code % p, code // p
+            eps12 = e12 if t12 < p else None
+            expected = memo.get(t12)
+            if expected is None:
+                expected = memo[t12] = lanes.expected(t12)
+        acc, bad = lanes.group(left, bc2, e12, expected)
+        # eps(m1 m2) = q^eps12 (None for 0); eps(m1) eps(m2) = 1 iff both are powers of g
+        eps_ok = eps12 == (0 if bc2 == 0 and m1.b == m1.c == 0 else None)
+        for a2 in lanes_wanted:
+            if bad >> a2 * lanes.lane_bits & lanes.lane_mask:
+                report(i1, bc2 * p + a2, "Delta", acc, e12)
+            if not eps_ok:
+                report(i1, bc2 * p + a2, "epsilon", acc, e12)
 
     if draws is None:
+        every_lane = range(p)
         for i1 in range(n):
-            for i2 in range(n):
-                examine(i1, i2)
+            left = lanes.left(i1)
+            for bc2 in range(p * p):
+                run_group(i1, left, bc2, every_lane)
+        rec.checked = n * n
     else:
         rng = random.Random(seed)
         for _ in range(draws):
-            examine(rng.randrange(n), rng.randrange(n))
+            i1, i2 = rng.randrange(n), rng.randrange(n)
+            rec.checked += 1
+            run_group(i1, lanes.left(i1), i2 // p, (i2 % p,))
     return AxiomReport([rec.finish(mode)])
 
 
-_BIG = 1 << 20  # packs two monomial indices into one int key
-_BASE = 1 << 40  # digit width for packed coefficient vectors
-
-
-def _pack_vec(coeff, p):
-    """Encode an integer coefficient vector as one int, digits base 2^40.
-
-    The encoding n = sum(v[i] * _BASE**i) is injective while every component
-    stays below _BASE/2 in absolute value; sums reached in the bialgebra check
-    are bounded by p^4 * max|structure constant|^2, far under that.  Addition
-    of packed values is then exact componentwise addition, and zero packs to 0.
-    """
+def _lift(coeff, p):
+    """Non-negative digits d_0..d_(p-1) with coeff = sum d_i q^i (see check_bialgebra_compat)."""
     assert coeff.den == 1, "structure constants are integral"
-    n = 0
-    for v in reversed(coeff.num):
-        n = n * _BASE + v
-    return n
+    digits = coeff.num + (0,)
+    low = min(digits)
+    return tuple(d - low for d in digits)
 
 
-def _unpack_vec(n, p):
-    value = cyc_zero(p)
-    for i in range(p - 1):
-        n, digit = divmod(n, _BASE)
-        if digit >= _BASE // 2:
-            digit -= _BASE
-            n += 1
-        if digit:
-            value = value + digit * root_power(p, i)
-    return value
+class _Lanes:
+    """The packed Delta table of check_bialgebra_compat for one algebra.
 
+    Digit i of lane a of a packed value occupies ``width`` bits at bit
+    a * lane_bits + i * width.  An output key encodes the pair
+    x^bb y^cc g^ga (x) x^bb2 y^cc2 g^gz as
+    (bb p + cc) p^4 + ga p^3 + (bb2 p + cc2) p + gz, with the g-exponents of
+    lane a2 stored minus a2.
+    """
 
-def _unpack_mono(code, p):
-    return Monomial(code // (p * p), (code // p) % p, code % p)
+    def __init__(self, algebra):
+        p = self.p = algebra.p
+        self.s = algebra.s
+        self.rows = [algebra.coproduct_monomial(m).terms for m in algebra.basis()]
+        self.digits = {}
+        root = 0
+        for row in self.rows:
+            total = 0
+            for coeff in row.values():
+                digits = self.digits.get(coeff)
+                if digits is None:
+                    digits = self.digits[coeff] = _lift(coeff, p)
+                total += sum(digits)
+            root = max(root, total)
+        self.bound = root * root  # no accumulated digit exceeds this
+        width = self.width = self.bound.bit_length() + 1
+        assert root <= self.bound < 1 << (width - 1), "digits must stay below 2^(width-1)"
+        self.lane_bits = 2 * p * width
+        self.lane_mask = (1 << self.lane_bits) - 1
+        self.packed = {c: self._pack(d) for c, d in self.digits.items()}
+        digit_mask = (1 << width) - 1
+        lane_ones = sum(1 << a * self.lane_bits for a in range(p))
+        self.rep = sum(1 << i * width for i in range(p))
+        self.low = lane_ones * digit_mask  # digit 0 of every lane
+        self.fold_mask = lane_ones * self.rep * digit_mask  # digits 0..p-1 of every lane
+        self.bias = lane_ones * self.rep << (width - 1)
+        self.groups = [self._group(bc) for bc in range(p * p)]
 
+    def _pack(self, digits):
+        return sum(d << i * self.width for i, d in enumerate(digits))
 
-def _render_packed2(p, s, packed):
-    terms = {
-        (_unpack_mono(code % _BIG, p), _unpack_mono(code // _BIG, p)): _unpack_vec(coeff, p)
-        for code, coeff in packed.items()
-    }
-    return Tensor2._raw(p, s, terms).render()
+    def _key(self, bb, cc, ga, bb2, cc2, gz):
+        p = self.p
+        return ((bb * p + cc) * p + ga) * p ** 3 + (bb2 * p + cc2) * p + gz
+
+    def _rows_by_lane(self, bc, a):
+        """(term key with g-exponents minus a2, coefficient packed into lane a2) over the
+        rows bc*p + (a + a2) mod p, a2 = 0..p-1."""
+        p = self.p
+        for a2 in range(p):
+            for (w, z), coeff in self.rows[bc * p + (a + a2) % p].items():
+                key = (w.b, w.c, (w.a - a2) % p, z.b, z.c, (z.a - a2) % p)
+                yield key, self.packed[coeff] << a2 * self.lane_bits
+
+    def _group(self, bc2):
+        """Terms of the p rows x^b2 y^c2 g^a2, grouped across lanes a2."""
+        grouped = {}
+        for key, packed in self._rows_by_lane(bc2, 0):
+            grouped[key] = grouped.get(key, 0) + packed
+        return [
+            (wb, wc, zb, zc, da, dz, self._key(wb, wc, 0, zb, zc, 0), packed)
+            for (wb, wc, da, zb, zc, dz), packed in grouped.items()
+        ]
+
+    def expected(self, t):
+        """Biased packed Delta(x^B y^C g^(a + a2)) in lane a2, for t the index of x^B y^C g^a."""
+        out = {}
+        for key, packed in self._rows_by_lane(t // self.p, t % self.p):
+            key = self._key(*key)
+            out[key] = out.get(key, 0) + packed
+        return {key: self.bias - packed for key, packed in out.items()}
+
+    def left(self, i1):
+        """The terms of Delta(basis[i1]), with q^e-rotated lifts and twist constants."""
+        p, s = self.p, self.s
+        p3 = p ** 3
+        out = []
+        for (u, v), coeff in self.rows[i1].items():
+            digits = self.digits[coeff]
+            rotated = tuple(self._pack(digits[-e:] + digits[:-e]) for e in range(p))
+            out.append((
+                p - u.b, p - u.c, p - v.b, p - v.c,
+                self._key(u.b, u.c, 0, v.b, v.c, 0),
+                tuple((u.a + d) % p * p3 for d in range(p)),
+                tuple((v.a + d) % p for d in range(p)),
+                # e = wb*k1 - wc*k2 + zb*k3 - zc*k4 (mod p), the closed-form twist
+                (u.a + s * u.c) % p, s * u.a % p, (v.a + s * v.c) % p, s * v.a % p,
+                rotated,
+            ))
+        return out
+
+    def group(self, left, bc2, e12, expected):
+        """Accumulate Delta(m1) times group bc2 and compare with ``expected``.
+
+        Returns the accumulator and a value that is non-zero in exactly the
+        lanes where Delta(m1) Delta(m2) differs from Delta(m1 m2).  The
+        products are taken at q^(e - e12), so the accumulator is q^-e12 times
+        Delta(m1) Delta(m2) and compares with the unscaled Delta rows.
+        """
+        p = self.p
+        acc = {}
+        get = acc.get
+        for rb, rc, rb2, rc2, lkey, gu, gv, k1, k2, k3, k4, rotated in left:
+            for wb, wc, zb, zc, da, dz, rkey, packed in self.groups[bc2]:
+                if wb >= rb or wc >= rc or zb >= rb2 or zc >= rc2:
+                    continue
+                key = lkey + rkey + gu[da] + gv[dz]
+                acc[key] = get(key, 0) + rotated[(wb * k1 - wc * k2 + zb * k3 - zc * k4 - e12) % p] * packed
+        half, fold_mask, low, rep, bias = p * self.width, self.fold_mask, self.low, self.rep, self.bias
+        rest = dict(expected)
+        bad = 0
+        for key, v in acc.items():
+            d = (v & fold_mask) + (v >> half & fold_mask) + rest.pop(key, bias)
+            bad |= d ^ (d & low) * rep
+        for d in rest.values():
+            bad |= d ^ (d & low) * rep
+        return acc, bad
+
+    def unpack(self, acc, a2, e12):
+        """Lane a2 of an accumulator as Tensor2 terms, times q^e12."""
+        p, width = self.p, self.width
+        digit_mask = (1 << width) - 1
+        p3 = p ** 3
+        terms = {}
+        for key, v in acc.items():
+            lane = v >> a2 * self.lane_bits & self.lane_mask
+            nums = [0] * p
+            for i in range(2 * p):
+                nums[(i + e12) % p] += lane >> i * width & digit_mask
+            coeff = Cyclotomic(p, nums)
+            if coeff:
+                hi, lo = divmod(key, p3)
+                bc, ga = divmod(hi, p)
+                bc2, gz = divmod(lo, p)
+                terms[(
+                    Monomial(bc // p, bc % p, (ga + a2) % p),
+                    Monomial(bc2 // p, bc2 % p, (gz + a2) % p),
+                )] = coeff
+        return terms
 
 
 def check_antipode_law(algebra, **_ignored):

@@ -7,9 +7,12 @@ Three subcommands share a small option surface:
     bookhopf classify --p P (--s S | --all-s) [--permissive] [--format text|json]
     bookhopf table    --p P [--format text|json]
 
-Exit codes: 0 = all checks pass / classification consistent, 1 = an axiom
-violation or a brute-force/closed-form disagreement, 2 = usage error.  The
-text and JSON renderings of a run carry the same data.
+P is an odd prime of at most MAX_P = 13: the checks grow like p^6, so a
+larger p is a usage error rather than a run without end (the library itself
+takes any odd prime).  Exit codes: 0 = all checks pass / classification
+consistent, 1 = an axiom violation or a brute-force/closed-form
+disagreement, 2 = usage error.  The text and JSON renderings of a run carry
+the same data.
 """
 
 import argparse
@@ -21,6 +24,8 @@ from .cyclotomic import is_odd_prime
 from .hopf import BookAlgebra
 from .mpi import ConsistencyError, classify
 
+MAX_P = 13
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -30,7 +35,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, with_s, with_sampling):
-        sp.add_argument("--p", type=int, required=True, help="odd prime p")
+        sp.add_argument("--p", type=int, required=True, help=f"odd prime p, at most {MAX_P}")
         if with_s:
             group = sp.add_mutually_exclusive_group(required=True)
             group.add_argument("--s", type=int, help="twist parameter s, 0 <= s < p")
@@ -68,6 +73,8 @@ def _build_parser():
 def _check_p(p):
     if not is_odd_prime(p):
         raise ValueError(f"p must be prime and odd; got {p}")
+    if p > MAX_P:
+        raise ValueError(f"p must be at most {MAX_P}; got {p} (the checks grow like p^6)")
 
 
 def _s_values(args):

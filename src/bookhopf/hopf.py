@@ -21,14 +21,15 @@ anyway so that the failure can be exhibited by the axiom checker.
 Structure maps are extended from the generators: Delta and eps as algebra
 maps over the PBW normal form, S as an anti-algebra map
 (S(x^b y^c g^a) = S(g)^a S(y)^c S(x)^b).  Images of basis monomials are
-memoized per instance; the fill is idempotent (pure values, insertion only),
-so racing first computations are harmless.
+memoized per instance, and the basis-index product table is built on first
+use; every fill is idempotent (pure values, insertion only), so racing first
+computations are harmless.
 """
 
 from __future__ import annotations
 
 from .cyclotomic import Cyclotomic, cyc_zero, is_odd_prime, root_power
-from .pbw import ONE, Element, Monomial, Tensor2, Tensor3
+from .pbw import ONE, Element, Monomial, Tensor2, Tensor3, mono_mul_exp
 
 __all__ = ["BookAlgebra"]
 
@@ -78,6 +79,7 @@ class BookAlgebra:
         self._s2_mono = {}
         self._delta2_mono = {}
         self._basis = None
+        self._products = None
 
     # -- basis ----------------------------------------------------------------
 
@@ -93,6 +95,37 @@ class BookAlgebra:
                 Monomial(b, c, a) for b in range(p) for c in range(p) for a in range(p)
             )
         return self._basis
+
+    def product_table(self):
+        """Closed-form products of all basis pairs by basis index, built on first use.
+
+        With n = p^3 and indices in :meth:`basis` order, entry ``i * n + j``
+        is ``t * p + e`` when basis[i] basis[j] = q^e basis[t], and -1 when
+        the product is 0.  The table holds p^6 32-bit integers (0.5 MB at
+        p = 7, 7 MB at p = 11), so nothing builds it until a check asks for
+        it; entries stay below p^4, which fits for every p < 215, and no
+        larger table would fit in memory.  The q-exponent of m1 x^b y^c g^a
+        does not depend on a, so one closed-form product fills the p entries
+        for a = 0..p-1.
+        """
+        if self._products is None:
+            from array import array  # here, so that runs without the table never load it
+
+            p, s = self.p, self.s
+            zero = [-1] * p
+            table = array("i")
+            for m1 in self.basis():
+                for b in range(p):
+                    for c in range(p):
+                        r = mono_mul_exp(m1, Monomial(b, c, 0), p, s)
+                        if r is None:
+                            table.extend(zero)
+                        else:
+                            e, m = r
+                            first = (m.b * p + m.c) * p
+                            table.extend([(first + (m.a + a) % p) * p + e for a in range(p)])
+            self._products = table
+        return self._products
 
     def monomial_element(self, mono, coeff=1):
         return Element.monomial(self.p, self.s, mono, coeff)

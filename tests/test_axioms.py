@@ -8,8 +8,10 @@ import pytest
 from bookhopf import (
     AxiomReport,
     BookAlgebra,
+    Cyclotomic,
     Element,
     Monomial,
+    Tensor2,
     check_antipode_law,
     check_associativity,
     check_bialgebra_compat,
@@ -19,6 +21,8 @@ from bookhopf import (
     negative_control_matches,
     run_all,
 )
+from bookhopf.axioms import _Lanes
+from bookhopf.pbw import ONE
 
 AXIOMS = [
     "associativity",
@@ -119,10 +123,31 @@ def test_a_check_that_examined_nothing_fails():
     assert result.status == "fail"
 
 
-# -- bialgebra fast path against plain Tensor2 arithmetic ----------------------
+# -- bialgebra lane kernel against plain Tensor2 arithmetic ----------------------
 
 
-@pytest.mark.parametrize("p,s,draws", [(7, 3, 40), (7, 0, 40), (11, 3, 25), (11, 10, 25)])
+def tensor_violations(A, pairs):
+    """The bialgebra violations that plain Element/Tensor2 arithmetic finds, in order."""
+    p, s = A.p, A.s
+    out = []
+    for m1, m2 in pairs:
+        e1, e2 = Element.monomial(p, s, m1), Element.monomial(p, s, m2)
+        lhs, rhs = A.coproduct(e1 * e2), A.coproduct(e1) * A.coproduct(e2)
+        if lhs != rhs:
+            out.append((f"Delta: m1={m1.render()}, m2={m2.render()}", lhs.render(), rhs.render()))
+        lhs, rhs = A.counit(e1 * e2), A.counit(e1) * A.counit(e2)
+        if lhs != rhs:
+            out.append((f"epsilon: m1={m1.render()}, m2={m2.render()}", lhs.render(), rhs.render()))
+    return out
+
+
+def found(result):
+    return [(v.at, v.lhs, v.rhs) for v in result.violations]
+
+
+@pytest.mark.parametrize(
+    "p,s,draws", [(7, 3, 40), (7, 0, 40), (11, 3, 25), (11, 10, 25), (13, 5, 4)]
+)
 def test_bialgebra_check_matches_tensor_arithmetic(p, s, draws):
     A = BookAlgebra(p, s, permissive=s == 0)
     seed = 1000 * p + s
@@ -131,17 +156,65 @@ def test_bialgebra_check_matches_tensor_arithmetic(p, s, draws):
     basis = A.basis()
     rng = random.Random(seed)  # replays the check's own draws
     pairs = [(basis[rng.randrange(len(basis))], basis[rng.randrange(len(basis))]) for _ in range(draws)]
-    expected = []
-    for m1, m2 in pairs:
-        e1, e2 = Element.monomial(p, s, m1), Element.monomial(p, s, m2)
-        if A.coproduct(e1 * e2) != A.coproduct(e1) * A.coproduct(e2):
-            expected.append(f"Delta: m1={m1.render()}, m2={m2.render()}")
-        if A.counit(e1 * e2) != A.counit(e1) * A.counit(e2):
-            expected.append(f"epsilon: m1={m1.render()}, m2={m2.render()}")
-    assert [v.at for v in result.violations] == expected
+    expected = tensor_violations(A, pairs)
+    assert found(result) == expected
     assert result.passed == (not expected)
     if s == 0:
         assert expected  # the negative control exercises the failing branch too
+
+
+def doctor(A, how):
+    """Replace the Delta row of x y g^2 (lane 2 of its group) by a wrong one."""
+    p, s = A.p, A.s
+    mono = Monomial(1, 1, 2)
+    terms = dict(A.coproduct_monomial(mono).terms)
+    (u, v), coeff = sorted(terms.items())[1]
+    if how == "digit":  # one coefficient digit off by one
+        terms[(u, v)] = coeff + A.q
+    elif how == "g-exponent":  # one leg of one term moved to another power of g
+        del terms[(u, v)]
+        terms[(u, Monomial(v.b, v.c, (v.a + 1) % p))] = coeff
+    else:  # one term too many
+        assert (ONE, ONE) not in terms
+        terms[(ONE, ONE)] = A.q
+    A._delta_mono[mono] = Tensor2(p, s, terms)
+    return mono
+
+
+@pytest.mark.parametrize("how", ["digit", "g-exponent", "extra term"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_bialgebra_lane_kernel_flags_a_doctored_row(p, how):
+    A = BookAlgebra(p, 2)
+    mono = doctor(A, how)
+    result = check_bialgebra_compat(A).result("bialgebra")
+    assert result.mode == "exhaustive"
+    basis = A.basis()
+    expected = tensor_violations(A, [(m1, m2) for m1 in basis for m2 in basis])
+    assert expected and found(result) == expected
+    assert any(f"m2={mono.render()}" in at for at, _, _ in expected)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_lane_digit_width_bound(p):
+    """The lift is exact and non-negative, and no accumulated digit reaches 2^(width-1)."""
+    A = BookAlgebra(p, p - 2)
+    lanes = _Lanes(A)
+    sums = []
+    for row in lanes.rows:
+        for coeff in row.values():
+            digits = lanes.digits[coeff]
+            assert len(digits) == p and min(digits) >= 0
+            assert Cyclotomic(p, digits) == coeff
+        sums.append(sum(sum(lanes.digits[c]) for c in row.values()))
+    assert lanes.bound == max(sums) ** 2 < 1 << (lanes.width - 1)
+    assert lanes.width <= 32  # keeps the packed products small up to p = 13
+    # the heaviest Delta(m1) against the heaviest group stays under the bound
+    i1 = sums.index(max(sums))
+    bc2 = max(range(p * p), key=lambda bc: sum(sums[bc * p:(bc + 1) * p]))
+    acc, _ = lanes.group(lanes.left(i1), bc2, 0, {})
+    digit_mask = (1 << lanes.width) - 1
+    top = max(v >> k * lanes.width & digit_mask for v in acc.values() for k in range(2 * p * p))
+    assert 0 < top <= lanes.bound
 
 
 # -- negative control (s = 0) ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from io import StringIO
 
 import pytest
 
-from bookhopf import cli
+from bookhopf import BookAlgebra, Monomial, Tensor2, cli
 
 
 def run_cli(argv):
@@ -93,6 +94,27 @@ def test_verify_rejects_sample_size_below_one(size, capsys):
     assert code == 2
     assert text == ""
     assert "error: sample size must be at least 1" in capsys.readouterr().err
+
+
+# sha256 of the JSON output with every elapsed_ms stripped, frozen so that
+# the order and rendering of checks and violations cannot drift
+PINNED_VERIFY_OUTPUT = [
+    (["verify", "--p", "5", "--s", "0", "--permissive"], 3751,
+     "8429359e9f81167fd6578f0c29286478deb4cf63980d179c64a9dbc2bb3a0f24"),
+    (["verify", "--p", "7", "--s", "3", "--seed", "7"], 0,
+     "6a925a8c46caee5bb9906f8526da4566e3f4e09d78ed1a2d710c775a2d9ba053"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,violations,digest", PINNED_VERIFY_OUTPUT, ids=["p5-s0-permissive", "p7-s3-seed7"]
+)
+def test_verify_output_is_pinned(argv, violations, digest):
+    code, payload = run_json(argv)
+    assert code == 0
+    assert sum(len(r["violations"]) for run in payload["runs"] for r in run["axioms"]) == violations
+    text = json.dumps(strip_elapsed(payload), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_verify_is_deterministic():
@@ -187,6 +209,28 @@ def test_s_choice_is_required():
     with pytest.raises(SystemExit) as exc:
         cli.main(["classify", "--p", "3"], out=StringIO())
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("p", [17, 101])
+@pytest.mark.parametrize("argv", [["verify", "--s", "1"], ["classify", "--all-s"], ["table"]])
+def test_p_above_13_is_rejected(argv, p, capsys):
+    code, text = run_cli([argv[0], "--p", str(p), *argv[1:]])
+    assert code == 2
+    assert text == ""
+    assert f"error: p must be at most 13; got {p}" in capsys.readouterr().err
+
+
+def test_the_library_takes_p_above_the_cli_range():
+    A = BookAlgebra(17, 3)
+    assert A.coproduct_monomial(Monomial(1, 0, 2)) == Tensor2(
+        17, 3, {(Monomial(0, 0, 2), Monomial(1, 0, 2)): 1, (Monomial(1, 0, 2), Monomial(0, 0, 3)): 1}
+    )
+
+
+def test_help_states_the_range_of_p(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"], out=StringIO())
+    assert "odd prime p, at most 13" in capsys.readouterr().out
 
 
 def test_out_of_range_s_rejected(capsys):

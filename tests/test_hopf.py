@@ -1,6 +1,7 @@
 """Structure maps of H(p, s): coproduct, counit, antipode, iterates."""
 
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from bookhopf import (
     cyc_one,
     cyc_zero,
     is_odd_prime,
+    mono_mul_exp,
     root_power,
 )
 from oracles import gaussian_binomial
@@ -265,3 +267,32 @@ def test_structure_maps_are_pure():
     second = A.coproduct_monomial(m)
     assert first == second and first is second  # memoized
     assert A.antipode_monomial(m) is A.antipode_monomial(m)
+
+
+# -- the basis-index product table ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "p,s,draws",
+    [(3, 1, None), (3, 0, None), (5, 2, None), (7, 3, None), (11, 4, 20_000), (13, 6, 20_000)],
+)
+def test_product_table_matches_closed_form(p, s, draws):
+    A = BookAlgebra(p, s, permissive=s == 0)
+    assert A._products is None  # built on first use, never in __init__
+    table = A.product_table()
+    assert A.product_table() is table
+    basis = A.basis()
+    n = len(basis)
+    assert len(table) == n * n
+    if draws is None:
+        pairs = itertools.product(range(n), repeat=2)
+    else:
+        rng = random.Random(p * s)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(draws)]
+    for i, j in pairs:
+        r = mono_mul_exp(basis[i], basis[j], p, s)
+        code = table[i * n + j]
+        if r is None:
+            assert code == -1
+        else:
+            assert code >= 0 and (code % p, basis[code // p]) == r
