@@ -315,7 +315,8 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
     Delta rows, packed the same way and memoized per product monomial
     x^B y^C g^a (p^3 entries at most).  The exhaustive sweep runs in basis
     order; a sampled run executes the same group for each drawn pair and
-    reads that pair's lane, with the same draws as a per-pair check.
+    reads that pair's lane, with the same draws as a per-pair check and the
+    prepared terms of Delta(m1) kept per m1.
     Failing lanes are unpacked from the accumulator as they are found and
     rendered through ``Tensor2``, up to MAX_VIOLATIONS_RENDERED.
     """
@@ -378,10 +379,14 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
         rec.checked = n * n
     else:
         rng = random.Random(seed)
+        lefts = {}
         for _ in range(draws):
             i1, i2 = rng.randrange(n), rng.randrange(n)
             rec.checked += 1
-            run_group(i1, lanes.left(i1), i2 // p, (i2 % p,))
+            left = lefts.get(i1)
+            if left is None:
+                left = lefts[i1] = lanes.left(i1)
+            run_group(i1, left, i2 // p, (i2 % p,))
     return AxiomReport([rec.finish(mode)])
 
 
@@ -422,7 +427,10 @@ class _Lanes:
         assert root <= self.bound < 1 << (width - 1), "digits must stay below 2^(width-1)"
         self.lane_bits = 2 * p * width
         self.lane_mask = (1 << self.lane_bits) - 1
-        self.packed = {c: self._pack(d) for c, d in self.digits.items()}
+        # rotated[c][e] is the lift of c times X^e mod X^p - 1, packed into lane 0
+        self.rotated = {
+            c: tuple(self._pack(d[-e:] + d[:-e]) for e in range(p)) for c, d in self.digits.items()
+        }
         digit_mask = (1 << width) - 1
         lane_ones = sum(1 << a * self.lane_bits for a in range(p))
         self.rep = sum(1 << i * width for i in range(p))
@@ -430,6 +438,10 @@ class _Lanes:
         self.fold_mask = lane_ones * self.rep * digit_mask  # digits 0..p-1 of every lane
         self.bias = lane_ones * self.rep << (width - 1)
         self.groups = [self._group(bc) for bc in range(p * p)]
+        # g_shift[a][d] = (a + d) % p is the g-exponent of an output leg;
+        # g_key moves it to the left leg's place in an output key
+        self.g_shift = [tuple((a + d) % p for d in range(p)) for a in range(p)]
+        self.g_key = [tuple(g * p ** 3 for g in shift) for shift in self.g_shift]
 
     def _pack(self, digits):
         return sum(d << i * self.width for i, d in enumerate(digits))
@@ -445,7 +457,7 @@ class _Lanes:
         for a2 in range(p):
             for (w, z), coeff in self.rows[bc * p + (a + a2) % p].items():
                 key = (w.b, w.c, (w.a - a2) % p, z.b, z.c, (z.a - a2) % p)
-                yield key, self.packed[coeff] << a2 * self.lane_bits
+                yield key, self.rotated[coeff][0] << a2 * self.lane_bits
 
     def _group(self, bc2):
         """Terms of the p rows x^b2 y^c2 g^a2, grouped across lanes a2."""
@@ -468,19 +480,16 @@ class _Lanes:
     def left(self, i1):
         """The terms of Delta(basis[i1]), with q^e-rotated lifts and twist constants."""
         p, s = self.p, self.s
-        p3 = p ** 3
         out = []
         for (u, v), coeff in self.rows[i1].items():
-            digits = self.digits[coeff]
-            rotated = tuple(self._pack(digits[-e:] + digits[:-e]) for e in range(p))
             out.append((
                 p - u.b, p - u.c, p - v.b, p - v.c,
                 self._key(u.b, u.c, 0, v.b, v.c, 0),
-                tuple((u.a + d) % p * p3 for d in range(p)),
-                tuple((v.a + d) % p for d in range(p)),
+                self.g_key[u.a],
+                self.g_shift[v.a],
                 # e = wb*k1 - wc*k2 + zb*k3 - zc*k4 (mod p), the closed-form twist
                 (u.a + s * u.c) % p, s * u.a % p, (v.a + s * v.c) % p, s * v.a % p,
-                rotated,
+                self.rotated[coeff],
             ))
         return out
 

@@ -7,9 +7,11 @@ Three subcommands share a small option surface:
     bookhopf classify --p P (--s S | --all-s) [--permissive] [--format text|json]
     bookhopf table    --p P [--format text|json]
 
-P is an odd prime of at most MAX_P = 13: the checks grow like p^6, so a
-larger p is a usage error rather than a run without end (the library itself
-takes any odd prime).  Exit codes: 0 = all checks pass / classification
+P is an odd prime of at most MAX_P = 13 (the library itself takes any odd
+prime).  The checks grow like p^6, so a larger p is a usage error.  The
+bound limits the input size, not the run time: at p = 11 or 13 a default
+sampled ``verify`` still runs for half an hour or more per s, and a smaller
+--sample-size shortens it.  Exit codes: 0 = all checks pass / classification
 consistent, 1 = an axiom violation or a brute-force/closed-form
 disagreement, 2 = usage error.  The text and JSON renderings of a run carry
 the same data.

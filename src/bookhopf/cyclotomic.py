@@ -75,18 +75,13 @@ class Cyclotomic:
 
     def __init__(self, p, coeffs=()):
         _check_p(p)
-        coeffs = list(coeffs)
-        nums = [0] * p
+        fracs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         den = 1
-        if all(type(c) is int for c in coeffs):  # no Fraction needed, e.g. for unpacked lanes
-            for e, c in enumerate(coeffs):
-                nums[e % p] += c
-        else:
-            fracs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-            for f in fracs:
-                den = lcm(den, f.denominator)
-            for e, f in enumerate(fracs):
-                nums[e % p] += f.numerator * (den // f.denominator)
+        for f in fracs:
+            den = lcm(den, f.denominator)
+        nums = [0] * p
+        for e, f in enumerate(fracs):
+            nums[e % p] += f.numerator * (den // f.denominator)
         self.num, self.den, self._power = _normalize(p, nums, den)
         self.p = p
 

@@ -28,6 +28,8 @@ computations are harmless.
 
 from __future__ import annotations
 
+from array import array
+
 from .cyclotomic import Cyclotomic, cyc_zero, is_odd_prime, root_power
 from .pbw import ONE, Element, Monomial, Tensor2, Tensor3, mono_mul_exp
 
@@ -109,8 +111,6 @@ class BookAlgebra:
         for a = 0..p-1.
         """
         if self._products is None:
-            from array import array  # here, so that runs without the table never load it
-
             p, s = self.p, self.s
             zero = [-1] * p
             table = array("i")
