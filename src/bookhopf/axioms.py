@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from .cyclotomic import Cyclotomic, cyc_zero, root_power
-from .pbw import Element, Monomial, Tensor2, Tensor3, mono_mul_exp
+from .pbw import Element, Monomial, Tensor2, Tensor3, accumulate, mono_mul_exp
 
 __all__ = [
     "Violation",
@@ -221,18 +221,11 @@ def check_coassociativity(algebra, **_ignored):
     for mono in A.basis():
         rec.checked += 1
         lhs = A.delta2_monomial(mono)
-        acc = {}
-        for (m1, m2), c in A.coproduct_monomial(mono).terms.items():
-            for (u, v), d in A.coproduct_monomial(m2).terms.items():
-                key = (m1, u, v)
-                coeff = c * d
-                prev = acc.get(key)
-                tot = coeff if prev is None else prev + coeff
-                if tot:
-                    acc[key] = tot
-                elif prev is not None:
-                    del acc[key]
-        rhs = Tensor3._raw(p, s, acc)
+        rhs = Tensor3._raw(p, s, accumulate(
+            ((m1, u, v), c * d)
+            for (m1, m2), c in A.coproduct_monomial(mono).terms.items()
+            for (u, v), d in A.coproduct_monomial(m2).terms.items()
+        ))
         if lhs != rhs:
             rec.hit(f"m={mono.render()}", lhs.render(), rhs.render())
     return AxiomReport([rec.finish("exhaustive")])
@@ -245,13 +238,10 @@ def check_counit_law(algebra, **_ignored):
     rec = _Recorder("counit")
     for mono in A.basis():
         rec.checked += 1
-        left = {}
-        right = {}
-        for (m1, m2), c in A.coproduct_monomial(mono).terms.items():
-            if m1.b == 0 and m1.c == 0:  # eps(g^a) = 1
-                _acc(left, m2, c)
-            if m2.b == 0 and m2.c == 0:
-                _acc(right, m1, c)
+        delta = A.coproduct_monomial(mono).terms.items()
+        # eps(g^a) = 1, and eps vanishes on every other basis monomial
+        left = accumulate((m2, c) for (m1, m2), c in delta if m1.b == 0 and m1.c == 0)
+        right = accumulate((m1, c) for (m1, m2), c in delta if m2.b == 0 and m2.c == 0)
         expected = Element.monomial(p, s, mono)
         lhs_el = Element._raw(p, s, left)
         rhs_el = Element._raw(p, s, right)
@@ -260,15 +250,6 @@ def check_counit_law(algebra, **_ignored):
         if rhs_el != expected:
             rec.hit(f"m={mono.render()} (eps on right leg)", rhs_el.render(), expected.render())
     return AxiomReport([rec.finish("exhaustive")])
-
-
-def _acc(acc, key, coeff):
-    prev = acc.get(key)
-    tot = coeff if prev is None else prev + coeff
-    if tot:
-        acc[key] = tot
-    elif prev is not None:
-        del acc[key]
 
 
 def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=False):
@@ -550,17 +531,19 @@ def check_antipode_law(algebra, **_ignored):
     rec = _Recorder("antipode")
     for mono in A.basis():
         rec.checked += 1
-        left = {}
-        right = {}
-        for (m1, m2), c in A.coproduct_monomial(mono).terms.items():
-            for sm, sc in A.antipode_monomial(m1).terms.items():
-                r = mono_mul_exp(sm, m2, p, s)
-                if r is not None:
-                    _acc(left, r[1], c * sc * root_power(p, r[0]))
-            for sm, sc in A.antipode_monomial(m2).terms.items():
-                r = mono_mul_exp(m1, sm, p, s)
-                if r is not None:
-                    _acc(right, r[1], c * sc * root_power(p, r[0]))
+        delta = A.coproduct_monomial(mono).terms.items()
+        left = accumulate(
+            (r[1], c * sc * root_power(p, r[0]))
+            for (m1, m2), c in delta
+            for sm, sc in A.antipode_monomial(m1).terms.items()
+            if (r := mono_mul_exp(sm, m2, p, s)) is not None
+        )
+        right = accumulate(
+            (r[1], c * sc * root_power(p, r[0]))
+            for (m1, m2), c in delta
+            for sm, sc in A.antipode_monomial(m2).terms.items()
+            if (r := mono_mul_exp(m1, sm, p, s)) is not None
+        )
         eps = A.counit_monomial(mono)
         expected = {Monomial(0, 0, 0): eps} if eps else {}
         lhs_el = Element._raw(p, s, left)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from array import array
 
 from .cyclotomic import Cyclotomic, cyc_zero, is_odd_prime, root_power
-from .pbw import ONE, Element, Monomial, Tensor2, Tensor3, mono_mul_exp
+from .pbw import ONE, Element, Monomial, Tensor2, Tensor3, accumulate, mono_mul_exp
 
 __all__ = ["BookAlgebra"]
 
@@ -39,7 +39,7 @@ __all__ = ["BookAlgebra"]
 class BookAlgebra:
     """A concrete H(p, s) with exact structure maps over Q(zeta_p)."""
 
-    def __init__(self, p, s, permissive=False, debug_checks=False):
+    def __init__(self, p, s, permissive=False):
         if not is_odd_prime(p):
             raise ValueError(f"p must be an odd prime, got {p!r}")
         if not isinstance(s, int) or not 0 <= s < p:
@@ -53,7 +53,6 @@ class BookAlgebra:
         self.p = p
         self.s = s
         self.permissive = permissive
-        self.debug_checks = debug_checks
         self.q = root_power(p, 1)
 
         self.one = Element.unit(p, s)
@@ -179,51 +178,20 @@ class BookAlgebra:
         """(Delta (x) id) Delta on a basis monomial, memoized."""
         t = self._delta2_mono.get(mono)
         if t is None:
-            acc = {}
-            for (m1, m2), c in self.coproduct_monomial(mono).terms.items():
-                for (u, v), d in self.coproduct_monomial(m1).terms.items():
-                    key = (u, v, m2)
-                    coeff = c * d
-                    prev = acc.get(key)
-                    tot = coeff if prev is None else prev + coeff
-                    if tot:
-                        acc[key] = tot
-                    elif prev is not None:
-                        del acc[key]
-            t = Tensor3._raw(self.p, self.s, acc)
-            if self.debug_checks:
-                other = {}
-                for (m1, m2), c in self.coproduct_monomial(mono).terms.items():
-                    for (u, v), d in self.coproduct_monomial(m2).terms.items():
-                        key = (m1, u, v)
-                        coeff = c * d
-                        prev = other.get(key)
-                        tot = coeff if prev is None else prev + coeff
-                        if tot:
-                            other[key] = tot
-                        elif prev is not None:
-                            del other[key]
-                if other != acc:
-                    raise AssertionError(
-                        f"coassociativity breach at {mono.render()} (debug check)"
-                    )
+            t = Tensor3._raw(self.p, self.s, accumulate(
+                ((u, v, m2), c * d)
+                for (m1, m2), c in self.coproduct_monomial(mono).terms.items()
+                for (u, v), d in self.coproduct_monomial(m1).terms.items()
+            ))
             self._delta2_mono[mono] = t
         return t
 
     # -- linear extensions ---------------------------------------------------------
 
     def _extend(self, h, image, result_cls):
-        acc = {}
-        for mono, c in h.terms.items():
-            for key, d in image(mono).terms.items():
-                coeff = c * d
-                prev = acc.get(key)
-                tot = coeff if prev is None else prev + coeff
-                if tot:
-                    acc[key] = tot
-                elif prev is not None:
-                    del acc[key]
-        return result_cls._raw(self.p, self.s, acc)
+        return result_cls._raw(self.p, self.s, accumulate(
+            (key, c * d) for mono, c in h.terms.items() for key, d in image(mono).terms.items()
+        ))
 
     def _own(self, h):
         if not isinstance(h, Element):

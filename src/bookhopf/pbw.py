@@ -12,17 +12,20 @@ combination of monomials; ``Tensor2`` and ``Tensor3`` are the same thing over
 pairs and triples of monomials, multiplied leg by leg with no braiding.
 
 All values are immutable once constructed and never store zero coefficients,
-so equality is plain dictionary comparison.
+so equality is plain dictionary comparison.  Sums of (key, coefficient) pairs,
+here and in ``hopf`` and ``axioms``, all go through :func:`accumulate`, the one
+place that drops coefficients that cancel to zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .cyclotomic import Cyclotomic, cyc_zero, root_power
 
-__all__ = ["Monomial", "mono_mul", "mono_mul_exp", "Element", "Tensor2", "Tensor3"]
+__all__ = ["Monomial", "mono_mul", "mono_mul_exp", "accumulate", "Element", "Tensor2", "Tensor3"]
 
 
 class Monomial(NamedTuple):
@@ -81,6 +84,19 @@ def mono_mul(m1, m2, p, s):
     if r is None:
         return None
     return root_power(p, r[0]), r[1]
+
+
+def accumulate(pairs):
+    """Sum (key, coefficient) pairs into a dict that holds no zero coefficient."""
+    acc = {}
+    for key, coeff in pairs:
+        prev = acc.get(key)
+        tot = coeff if prev is None else prev + coeff
+        if tot:
+            acc[key] = tot
+        elif prev is not None:
+            del acc[key]
+    return acc
 
 
 def _check_monomial(m, p):
@@ -160,15 +176,7 @@ class _Sparse:
         other = self._compatible(other)
         if other is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for key, coeff in other.terms.items():
-            prev = acc.get(key)
-            tot = coeff if prev is None else prev + coeff
-            if tot:
-                acc[key] = tot
-            elif prev is not None:
-                del acc[key]
-        return self._raw(self.p, self.s, acc)
+        return self._raw(self.p, self.s, accumulate(chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self):
         return self._raw(self.p, self.s, {k: -v for k, v in self.terms.items()})
@@ -191,27 +199,22 @@ class _Sparse:
     def _mul_key(self, k1, k2):
         raise NotImplementedError
 
+    def _products(self, other):
+        """(key, coefficient) of each non-zero product of a term of self and one of other."""
+        p = self.p
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                r = self._mul_key(k1, k2)
+                if r is not None:
+                    yield r[1], c1 * c2 * root_power(p, r[0])
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
             return self.scale(other)
         other = self._compatible(other)
         if other is None:
             return NotImplemented
-        acc = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                r = self._mul_key(k1, k2)
-                if r is None:
-                    continue
-                e, key = r
-                coeff = c1 * c2 * root_power(self.p, e)
-                prev = acc.get(key)
-                tot = coeff if prev is None else prev + coeff
-                if tot:
-                    acc[key] = tot
-                elif prev is not None:
-                    del acc[key]
-        return self._raw(self.p, self.s, acc)
+        return self._raw(self.p, self.s, accumulate(self._products(other)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):

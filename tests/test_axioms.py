@@ -12,6 +12,7 @@ from bookhopf import (
     Element,
     Monomial,
     Tensor2,
+    Tensor3,
     check_antipode_law,
     check_associativity,
     check_bialgebra_compat,
@@ -215,6 +216,102 @@ def test_lane_digit_width_bound(p):
     digit_mask = (1 << lanes.width) - 1
     top = max(v >> k * lanes.width & digit_mask for v in acc.values() for k in range(2 * p * p))
     assert 0 < top <= lanes.bound
+
+
+# -- doctored Delta and S rows against plain Tensor3/Element arithmetic ---------------
+
+
+def coassociativity_reference(A):
+    """The coassociativity violations that plain Tensor3 arithmetic finds, in order."""
+    p, s = A.p, A.s
+    out = []
+    for m in A.basis():
+        lhs = rhs = Tensor3.zero(p, s)
+        for (m1, m2), c in A.coproduct_monomial(m).terms.items():
+            for (u, v), d in A.coproduct_monomial(m1).terms.items():
+                lhs = lhs + Tensor3.pure(p, s, u, v, m2, c * d)
+            for (u, v), d in A.coproduct_monomial(m2).terms.items():
+                rhs = rhs + Tensor3.pure(p, s, m1, u, v, c * d)
+        if lhs != rhs:
+            out.append((f"m={m.render()}", lhs.render(), rhs.render()))
+    return out
+
+
+def counit_reference(A):
+    """The counit violations that plain Element arithmetic finds, in order."""
+    p, s = A.p, A.s
+    out = []
+    for m in A.basis():
+        expected = A.monomial_element(m)
+        left = right = Element.zero(p, s)
+        for (m1, m2), c in A.coproduct_monomial(m).terms.items():
+            left = left + A.monomial_element(m2, c * A.counit_monomial(m1))
+            right = right + A.monomial_element(m1, c * A.counit_monomial(m2))
+        for leg, side in (("left", left), ("right", right)):
+            if side != expected:
+                out.append((f"m={m.render()} (eps on {leg} leg)", side.render(), expected.render()))
+    return out
+
+
+def antipode_reference(A):
+    """The antipode violations that plain Element arithmetic finds, in order."""
+    p, s = A.p, A.s
+    out = []
+    for m in A.basis():
+        expected = Element.unit(p, s).scale(A.counit_monomial(m))
+        left = right = Element.zero(p, s)
+        for (m1, m2), c in A.coproduct_monomial(m).terms.items():
+            left = left + (A.antipode_monomial(m1) * A.monomial_element(m2)).scale(c)
+            right = right + (A.monomial_element(m1) * A.antipode_monomial(m2)).scale(c)
+        for leg, side in (("left", left), ("right", right)):
+            if side != expected:
+                out.append((f"m={m.render()} (S on {leg} leg)", side.render(), expected.render()))
+    return out
+
+
+def doctor_row(A, row):
+    """Add 1 to the first or the last coefficient of the Delta row of x y g^2, or negate its S row.
+
+    The first term is g^2 (x) x y g^2 and the last x y g^2 (x) g^(2+1+s), so
+    the two Delta doctorings break the counit law on opposite legs.
+    """
+    mono = Monomial(1, 1, 2)
+    if row == "S":
+        A._antipode_mono[mono] = -A.antipode_monomial(mono)
+        return
+    terms = dict(A.coproduct_monomial(mono).terms)
+    key, coeff = (min if row == "Delta-first" else max)(terms.items())
+    terms[key] = coeff + 1
+    A._delta_mono[mono] = Tensor2(A.p, A.s, terms)
+
+
+DOCTORED_CHECKS = {  # axiom -> (check, plain-arithmetic reference)
+    "coassociativity": (check_coassociativity, coassociativity_reference),
+    "counit": (check_counit_law, counit_reference),
+    "antipode": (check_antipode_law, antipode_reference),
+}
+
+
+@pytest.mark.parametrize(
+    "row,axiom,count_at_p3",
+    [
+        (row, axiom, count)
+        for row in ("Delta-first", "Delta-last")
+        for axiom, count in [("coassociativity", 7), ("counit", 1), ("antipode", 2)]
+    ]
+    + [("S", "antipode", 8)],
+)
+@pytest.mark.parametrize("p", [3, 5])
+def test_doctored_row_fails_like_the_reference(p, row, axiom, count_at_p3):
+    check, reference = DOCTORED_CHECKS[axiom]
+    A = BookAlgebra(p, 1)
+    doctor_row(A, row)
+    (result,) = check(A).results
+    expected = reference(A)
+    assert expected and not result.passed
+    assert found(result) == expected
+    if p == 3:
+        assert len(expected) == count_at_p3
 
 
 # -- negative control (s = 0) ---------------------------------------------------------

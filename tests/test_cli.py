@@ -117,6 +117,23 @@ def test_verify_output_is_pinned(argv, violations, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# the same for classify and table at p = 7, whose S^2 sweep reads the Delta^2 table
+PINNED_CLASSIFY_OUTPUT = [
+    (["classify", "--p", "7", "--all-s"],
+     "3ff55548ae58fbf776970c16e8b78ede249e15eaad3cc8837dd437c1ce62fb3f"),
+    (["table", "--p", "7"],
+     "671913a73a4f45f527570c132560834d2a82729d5f9bf665b7e2b3dfdc2c0f08"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_CLASSIFY_OUTPUT, ids=["classify-p7", "table-p7"])
+def test_classify_output_is_pinned(argv, digest):
+    code, payload = run_json(argv)
+    assert code == 0
+    text = json.dumps(strip_elapsed(payload), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_verify_is_deterministic():
     argv = ["verify", "--p", "3", "--s", "2"]
     assert strip_elapsed(run_json(argv)[1]) == strip_elapsed(run_json(argv)[1])

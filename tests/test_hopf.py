@@ -251,12 +251,6 @@ def test_delta2_is_coassociative(p, s):
         assert left == right
 
 
-def test_debug_checks_mode():
-    A = BookAlgebra(3, 1, debug_checks=True)
-    for m in A.basis():
-        A.delta2_monomial(m)  # internally asserts both assembly orders agree
-
-
 # -- memoization hygiene ---------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from bookhopf import (
     mono_mul_exp,
     root_power,
 )
+from bookhopf.pbw import accumulate
 from oracles import normal_form, word_of
 
 ONE = Monomial(0, 0, 0)
@@ -143,6 +144,27 @@ def test_monomial_parse_round_trip_all_p5():
 
 
 # -- sparse elements ---------------------------------------------------------
+
+
+def test_accumulate_drops_exactly_the_cancelled_keys():
+    p = 5
+    q = root_power(p, 1)
+    assert accumulate([]) == {}
+    assert accumulate(iter(())) == {}
+    # "x" cancels to zero and is dropped; "y" cancels and comes back
+    acc = accumulate([("x", q), ("y", q), ("x", -q), ("y", -q), ("y", q * q), ("z", 1 + q)])
+    assert acc == {"y": q * q, "z": 1 + q}
+    assert accumulate([("x", 2), ("x", -2), ("x", 3)]) == {"x": 3}
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2))))
+def test_accumulate_matches_a_plain_sum(pairs):
+    acc = accumulate(pairs)
+    assert all(acc.values())  # no stored coefficient is zero
+    totals = {}
+    for key, coeff in pairs:
+        totals[key] = totals.get(key, 0) + coeff
+    assert acc == {key: tot for key, tot in totals.items() if tot}
 
 
 def test_element_linear_structure():
