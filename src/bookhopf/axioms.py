@@ -11,12 +11,13 @@ when the requested sample size covers the whole domain; otherwise they draw
 seeded uniform samples, so reports are deterministic given (p, s, seed).
 
 The two checks over pairs and triples run on integers.  Associativity reads
-both sides off the algebra's basis-index product table.  Multiplicativity of
-Delta packs the Delta table into big integers, p lanes per value, so that
-one int product covers a term of Delta(m1) against the matching term of all
-p rows Delta(x^b y^c g^a), a = 0..p-1; ``check_bialgebra_compat`` states
-why that is exact.  The slow routes through ``Element`` and ``Tensor2``
-stay in the tests as references.
+both sides off the algebra's basis-index product table, one tuple compare
+per pair (m1, m2) for all m3, or one draw per sampled triple.  The bialgebra
+check packs Delta into big integers, p lanes per value, so that one int
+product covers a term of Delta(m1) against the matching term of all p rows
+Delta(x^b y^c g^a), a = 0..p-1; ``check_bialgebra_compat`` states why that
+is exact.  The slow routes through ``Element`` and ``Tensor2`` stay in the
+tests as references.
 
 Everything here is pure computation over immutable values; checks can safely
 run concurrently on the same algebra instance.
@@ -26,6 +27,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from time import perf_counter
 
 from .cyclotomic import Cyclotomic, cyc_zero, root_power
@@ -162,12 +165,19 @@ def _plan(domain, sample_size, exhaustive, limit):
     return f"sampled(n={sample_size})", sample_size
 
 
-def _render_scaled_mono(p, s, e, mono):
-    return Element._raw(p, s, {mono: root_power(p, e)}).render()
-
-
 def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=False):
-    """(m1 m2) m3 = m1 (m2 m3) over basis triples, read off the product table."""
+    """(m1 m2) m3 = m1 (m2 m3) over basis triples, read off the product table.
+
+    Codes are t * p + e for q^e basis[t] and -1 for 0, as in the table.
+    ``shift[e]`` maps each code to the code of q^e times it and ends in -1,
+    so that index -1 (a zero product) stays -1.  The exhaustive sweep checks
+    all m3 at once: (m1 m2) m3 is row t12 of the table through shift[e12],
+    m1 (m2 m3) is row m2 through ``f``, built per m1 to map the code of
+    q^e basis[t] to that of m1 q^e basis[t], and one tuple compare covers
+    the row; a differing row is walked in m3 order to record violations.
+    A sampled run makes one uniform draw i1 n^2 + i2 n + i3 in [0, n^3) per
+    triple, by rejection on ``getrandbits`` as ``Random.randrange(n ** 3)`` does.
+    """
     A = algebra
     p, s = A.p, A.s
     basis = A.basis()
@@ -175,41 +185,43 @@ def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPL
     rec = _Recorder("associativity")
     mode, draws = _plan(n ** 3, sample_size, exhaustive, TRIPLE_EXHAUSTIVE_LIMIT)
     table = A.product_table()
+    shift = [tuple(c - c % p + (c + e) % p for c in range(n * p)) + (-1,) for e in range(p)]
 
     def render(code):
-        return "0" if code < 0 else _render_scaled_mono(p, s, code % p, basis[code // p])
+        return "0" if code < 0 else Element._raw(p, s, {basis[code // p]: root_power(p, code % p)}).render()
 
-    def examine(i1, i2, i3):
-        # codes are t * p + e for q^e basis[t], so d - d % p + (c + d) % p
-        # is the code of q^(e_c + e_d) basis[t_d]
-        rec.checked += 1
-        left = right = -1
-        c = table[i1 * n + i2]
-        if c >= 0:
-            d = table[c // p * n + i3]
-            if d >= 0:
-                left = d - d % p + (c + d) % p
-        c = table[i2 * n + i3]
-        if c >= 0:
-            d = table[i1 * n + c // p]
-            if d >= 0:
-                right = d - d % p + (c + d) % p
-        if left != right:
-            rec.hit(
-                f"m1={basis[i1].render()}, m2={basis[i2].render()}, m3={basis[i3].render()}",
-                render(left),
-                render(right),
-            )
+    def hit(i1, i2, i3, left, right):
+        at = f"m1={basis[i1].render()}, m2={basis[i2].render()}, m3={basis[i3].render()}"
+        rec.hit(at, render(left), render(right))
 
     if draws is None:
+        row = [itemgetter(*table[t * n:(t + 1) * n]) for t in range(n)]
+        zero = (-1,) * n
         for i1 in range(n):
+            f = tuple(chain.from_iterable(zip(*map(row[i1], shift)))) + (-1,)
             for i2 in range(n):
-                for i3 in range(n):
-                    examine(i1, i2, i3)
+                c = table[i1 * n + i2]
+                lhs = zero if c < 0 else row[c // p](shift[c % p])
+                rhs = row[i2](f)
+                if lhs != rhs:
+                    for i3 in range(n):
+                        if lhs[i3] != rhs[i3]:
+                            hit(i1, i2, i3, lhs[i3], rhs[i3])
+        rec.checked = n ** 3
     else:
-        rng = random.Random(seed)
+        n2, n3 = n * n, n ** 3
+        k = n3.bit_length()
+        getrandbits = random.Random(seed).getrandbits
         for _ in range(draws):
-            examine(rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            while (code := getrandbits(k)) >= n3:
+                pass
+            c = table[code // n]  # m1 m2
+            left = -1 if c < 0 else shift[c % p][table[c // p * n + code % n]]
+            c = table[code % n2]  # m2 m3
+            right = -1 if c < 0 else shift[c % p][table[code // n2 * n + c // p]]
+            if left != right:
+                hit(code // n2, code // n % n, code % n, left, right)
+        rec.checked = draws
     return AxiomReport([rec.finish(mode)])
 
 

@@ -68,3 +68,38 @@ def gaussian_binomial(n, k, p, base_exp=1):
     return gaussian_binomial(n - 1, k - 1, p, base_exp) + root_power(
         p, (base_exp * k) % p
     ) * gaussian_binomial(n - 1, k, p, base_exp)
+
+
+def associativity_violations(A, triples):
+    """The associativity violations (at, lhs, rhs) over index triples, one triple at a time.
+
+    Both sides are read off ``A.product_table()``, whose codes are t * p + e
+    for q^e basis[t] and -1 for 0, so d - d % p + (c + d) % p is the code of
+    q^(e_c + e_d) basis[t_d].  No row, shift or draw of ``check_associativity``
+    is shared, so the two routes can be compared on a doctored table.
+    """
+    p = A.p
+    basis = A.basis()
+    n = len(basis)
+    table = A.product_table()
+
+    def render(code):
+        return "0" if code < 0 else A.monomial_element(basis[code // p], root_power(p, code % p)).render()
+
+    out = []
+    for i1, i2, i3 in triples:
+        left = right = -1
+        c = table[i1 * n + i2]
+        if c >= 0:
+            d = table[c // p * n + i3]
+            if d >= 0:
+                left = d - d % p + (c + d) % p
+        c = table[i2 * n + i3]
+        if c >= 0:
+            d = table[i1 * n + c // p]
+            if d >= 0:
+                right = d - d % p + (c + d) % p
+        if left != right:
+            at = f"m1={basis[i1].render()}, m2={basis[i2].render()}, m3={basis[i3].render()}"
+            out.append((at, render(left), render(right)))
+    return out

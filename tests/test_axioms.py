@@ -1,7 +1,9 @@
 """The Hopf-axiom checkers: pass cases, the s = 0 negative control, reports."""
 
+import functools
 import json
 import random
+from array import array
 
 import pytest
 
@@ -22,8 +24,9 @@ from bookhopf import (
     negative_control_matches,
     run_all,
 )
-from bookhopf.axioms import _Lanes
+from bookhopf.axioms import MAX_VIOLATIONS_RENDERED, _Lanes
 from bookhopf.pbw import ONE
+from oracles import associativity_violations
 
 AXIOMS = [
     "associativity",
@@ -124,6 +127,84 @@ def test_a_check_that_examined_nothing_fails():
     assert result.status == "fail"
 
 
+# -- associativity row compare against the per-triple reference -------------------
+
+
+def doctor_product(A, how):
+    """Change the product-table entry of g * x = q x g to 0, to q^2 x g, or to q x g^2."""
+    p = A.p
+    basis = A.basis()
+    n = len(basis)
+    A.product_table()
+    at = basis.index(Monomial(0, 0, 1)) * n + basis.index(Monomial(1, 0, 0))
+    code = A._products[at]
+    if how == "zero":
+        A._products[at] = -1
+    elif how == "q-exponent":
+        A._products[at] = code - code % p + (code + 1) % p
+    else:  # the next monomial in basis order, same power of q
+        A._products[at] = (code + p) % (n * p)
+
+
+def all_triples(n):
+    return ((i1, i2, i3) for i1 in range(n) for i2 in range(n) for i3 in range(n))
+
+
+def replayed_triples(n, seed, draws):
+    """The triples a sampled associativity check visits: divmod of randrange(n^3) draws."""
+    rng = random.Random(seed)
+    return [
+        (code // (n * n), code // n % n, code % n)
+        for code in (rng.randrange(n ** 3) for _ in range(draws))
+    ]
+
+
+@pytest.mark.parametrize("how", ["zero", "q-exponent", "monomial"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_associativity_rows_flag_a_doctored_product_like_the_reference(p, how):
+    A = BookAlgebra(p, 2)
+    doctor_product(A, how)
+    result = check_associativity(A).result("associativity")
+    assert result.mode == "exhaustive" and result.checked == len(A.basis()) ** 3
+    expected = associativity_violations(A, all_triples(len(A.basis())))
+    assert expected and found(result) == expected
+
+
+@pytest.mark.parametrize("how", ["zero", "q-exponent", "monomial"])
+def test_sampled_associativity_flags_a_doctored_product_like_the_reference(how):
+    A = BookAlgebra(7, 3)
+    doctor_product(A, how)
+    seed, draws = 1, 300_000  # about 600 of the 40 M triples read the doctored entry
+    result = check_associativity(A, seed=seed, sample_size=draws).result("associativity")
+    assert result.mode == f"sampled(n={draws})" and result.checked == draws
+    expected = associativity_violations(A, replayed_triples(len(A.basis()), seed, draws))
+    assert expected and found(result) == expected
+
+
+@pytest.mark.parametrize("p", [3, 7, 11])
+def test_associativity_visits_every_triple_or_the_randrange_draws(p):
+    """On m1 m2 = basis[i1 - i2], every triple with i3 != 0 fails, so the violations spell out the triples."""
+    A = BookAlgebra(p, 1)
+    basis = A.basis()
+    n = len(basis)
+    A._products = array("i", [(i1 - i2) % n * p for i1 in range(n) for i2 in range(n)])
+    seed, draws = 3, 2000
+    result = check_associativity(A, seed=seed, sample_size=draws).result("associativity")
+    if result.mode == "exhaustive":  # p = 3: every triple, in basis order
+        assert p == 3 and result.checked == n ** 3
+        triples = list(all_triples(n))
+    else:  # the draws of randrange(n^3), which fix the sampled triples on every Python version
+        assert result.checked == draws
+        triples = replayed_triples(n, seed, draws)
+    expected = associativity_violations(A, triples)
+    assert [at for at, _, _ in expected] == [
+        f"m1={basis[i1].render()}, m2={basis[i2].render()}, m3={basis[i3].render()}"
+        for i1, i2, i3 in triples
+        if i3 != 0
+    ]
+    assert found(result) == expected[:MAX_VIOLATIONS_RENDERED]
+
+
 # -- bialgebra lane kernel against plain Tensor2 arithmetic ----------------------
 
 
@@ -182,6 +263,13 @@ def doctor(A, how):
     return mono
 
 
+@functools.lru_cache(maxsize=None)
+def healthy_tensor_violations(p, s):
+    """tensor_violations of the undoctored H(p, s), per basis pair, computed once."""
+    A = BookAlgebra(p, s)
+    return {(m1, m2): tensor_violations(A, [(m1, m2)]) for m1 in A.basis() for m2 in A.basis()}
+
+
 @pytest.mark.parametrize("how", ["digit", "g-exponent", "extra term"])
 @pytest.mark.parametrize("p", [3, 5])
 def test_bialgebra_lane_kernel_flags_a_doctored_row(p, how):
@@ -190,7 +278,15 @@ def test_bialgebra_lane_kernel_flags_a_doctored_row(p, how):
     result = check_bialgebra_compat(A).result("bialgebra")
     assert result.mode == "exhaustive"
     basis = A.basis()
-    expected = tensor_violations(A, [(m1, m2) for m1 in basis for m2 in basis])
+    healthy = healthy_tensor_violations(p, 2)
+
+    def reference(m1, m2):
+        # Delta(m1 m2) and Delta(m1) Delta(m2) read only the Delta rows of m1, m2 and m1 m2
+        if mono in (m1, m2) or mono in (Element.monomial(p, 2, m1) * Element.monomial(p, 2, m2)).terms:
+            return tensor_violations(A, [(m1, m2)])
+        return healthy[m1, m2]
+
+    expected = [v for m1 in basis for m2 in basis for v in reference(m1, m2)]
     assert expected and found(result) == expected
     assert any(f"m2={mono.render()}" in at for at, _, _ in expected)
 
