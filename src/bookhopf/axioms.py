@@ -15,9 +15,10 @@ both sides off the algebra's basis-index product table, one tuple compare
 per pair (m1, m2) for all m3, or one draw per sampled triple.  The bialgebra
 check packs Delta into big integers, p lanes per value, so that one int
 product covers a term of Delta(m1) against the matching term of all p rows
-Delta(x^b y^c g^a), a = 0..p-1; ``check_bialgebra_compat`` states why that
-is exact.  The slow routes through ``Element`` and ``Tensor2`` stay in the
-tests as references.
+Delta(x^b y^c g^a), a = 0..p-1, with the monomial products read off the same
+table; ``check_bialgebra_compat`` states why that is exact.  The antipode
+law reads its products there too.  The slow routes through ``Element`` and
+``Tensor2`` stay in the tests as references.
 
 Everything here is pure computation over immutable values; checks can safely
 run concurrently on the same algebra instance.
@@ -32,7 +33,7 @@ from operator import itemgetter
 from time import perf_counter
 
 from .cyclotomic import Cyclotomic, cyc_zero, root_power
-from .pbw import Element, Monomial, Tensor2, Tensor3, accumulate, mono_mul_exp
+from .pbw import Element, Monomial, Tensor2, Tensor3, accumulate
 
 __all__ = [
     "Violation",
@@ -271,15 +272,15 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
     arithmetic, for all p monomials m2 = x^b2 y^c2 g^a2, a2 = 0..p-1, at
     once.  Why that is exact:
 
-    - *a2 does not enter the twist.*  By the closed-form product,
-      (u (x) v)(w (x) z) = q^e (uw (x) vz) with e depending on the x/y
-      exponents of w and z but not on their g-exponents, and the exponent of
-      m1 m2 does not depend on a2 either.  The terms of the p rows
-      Delta(x^b2 y^c2 g^a2) are grouped by (wb, wc, zb, zc, wa - a2,
-      za - a2) mod p; one group term meets a term of Delta(m1) with the same
-      q^e in every row, and its output monomials differ from row to row only
-      by g^a2 on both legs.  No shape of Delta is assumed: a row with a wrong
-      coefficient, g-exponent or term lands in its own lane or group.
+    - *a2 does not enter the twist.*  The q-exponent of m x^b y^c g^a does
+      not depend on a, the fact the product table is built on.  So the
+      terms of the p rows Delta(x^b2 y^c2 g^a2), with both legs moved by
+      g^-a2, are grouped across rows; a group term w (x) z meets a term
+      u (x) v of Delta(m1) with the same q^e in every row, read off the
+      table rows of u and v, and its output monomials differ from row to row
+      only by g^a2 on both legs.  The same holds for m1 m2.  No shape of
+      Delta is assumed: a row with a wrong coefficient, g-exponent or term
+      lands in its own lane or group.
     - *The non-negative lift.*  A structure constant c = sum c_i q^i of
       Z[zeta_p] (i < p-1, as ``Cyclotomic`` stores it) is lifted to the group
       ring Z[C_p] = Z[X]/(X^p - 1) as sum (c_i - m) X^i, with digit 0 at
@@ -395,16 +396,16 @@ class _Lanes:
     """The packed Delta table of check_bialgebra_compat for one algebra.
 
     Digit i of lane a of a packed value occupies ``width`` bits at bit
-    a * lane_bits + i * width.  An output key encodes the pair
-    x^bb y^cc g^ga (x) x^bb2 y^cc2 g^gz as
-    (bb p + cc) p^4 + ga p^3 + (bb2 p + cc2) p + gz, with the g-exponents of
-    lane a2 stored minus a2.
+    a * lane_bits + i * width.  An output key t_u n + t_v stands for
+    basis[t_u] (x) basis[t_v] in lane 0; in lane a2 both legs carry g^a2 more.
     """
 
     def __init__(self, algebra):
         p = self.p = algebra.p
-        self.s = algebra.s
-        self.rows = [algebra.coproduct_monomial(m).terms for m in algebra.basis()]
+        self.basis = algebra.basis()
+        n = self.n = len(self.basis)
+        self.index = algebra.basis_index
+        self.rows = [algebra.coproduct_monomial(m).terms for m in self.basis]
         self.digits = {}
         root = 0
         for row in self.rows:
@@ -430,61 +431,48 @@ class _Lanes:
         self.low = lane_ones * digit_mask  # digit 0 of every lane
         self.fold_mask = lane_ones * self.rep * digit_mask  # digits 0..p-1 of every lane
         self.bias = lane_ones * self.rep << (width - 1)
+        # products[t] is row t of the product table; equal codes share one int,
+        # and code -1 (a zero product) indexes the last entry of ``codes``
+        table = algebra.product_table()
+        codes = [*range(n * p), -1]
+        self.products = [tuple(map(codes.__getitem__, table[t * n:(t + 1) * n])) for t in range(n)]
         self.groups = [self._group(bc) for bc in range(p * p)]
-        # g_shift[a][d] = (a + d) % p is the g-exponent of an output leg;
-        # g_key moves it to the left leg's place in an output key
-        self.g_shift = [tuple((a + d) % p for d in range(p)) for a in range(p)]
-        self.g_key = [tuple(g * p ** 3 for g in shift) for shift in self.g_shift]
 
     def _pack(self, digits):
         return sum(d << i * self.width for i, d in enumerate(digits))
 
-    def _key(self, bb, cc, ga, bb2, cc2, gz):
-        p = self.p
-        return ((bb * p + cc) * p + ga) * p ** 3 + (bb2 * p + cc2) * p + gz
-
     def _rows_by_lane(self, bc, a):
-        """(term key with g-exponents minus a2, coefficient packed into lane a2) over the
-        rows bc*p + (a + a2) mod p, a2 = 0..p-1."""
-        p = self.p
+        """(basis indices of the term's legs with g-exponents minus a2, coefficient packed
+        into lane a2) over the rows bc*p + (a + a2) mod p, a2 = 0..p-1."""
+        p, index = self.p, self.index
         for a2 in range(p):
             for (w, z), coeff in self.rows[bc * p + (a + a2) % p].items():
-                key = (w.b, w.c, (w.a - a2) % p, z.b, z.c, (z.a - a2) % p)
-                yield key, self.rotated[coeff][0] << a2 * self.lane_bits
+                w0, z0 = Monomial(w.b, w.c, (w.a - a2) % p), Monomial(z.b, z.c, (z.a - a2) % p)
+                yield (index(w0), index(z0)), self.rotated[coeff][0] << a2 * self.lane_bits
 
     def _group(self, bc2):
         """Terms of the p rows x^b2 y^c2 g^a2, grouped across lanes a2."""
         grouped = {}
         for key, packed in self._rows_by_lane(bc2, 0):
             grouped[key] = grouped.get(key, 0) + packed
-        return [
-            (wb, wc, zb, zc, da, dz, self._key(wb, wc, 0, zb, zc, 0), packed)
-            for (wb, wc, da, zb, zc, dz), packed in grouped.items()
-        ]
+        return [(w, z, packed) for (w, z), packed in grouped.items()]
 
     def expected(self, t):
         """Biased packed Delta(x^B y^C g^(a + a2)) in lane a2, for t the index of x^B y^C g^a."""
         out = {}
-        for key, packed in self._rows_by_lane(t // self.p, t % self.p):
-            key = self._key(*key)
+        for (w, z), packed in self._rows_by_lane(t // self.p, t % self.p):
+            key = w * self.n + z
             out[key] = out.get(key, 0) + packed
         return {key: self.bias - packed for key, packed in out.items()}
 
     def left(self, i1):
-        """The terms of Delta(basis[i1]), with q^e-rotated lifts and twist constants."""
-        p, s = self.p, self.s
-        out = []
-        for (u, v), coeff in self.rows[i1].items():
-            out.append((
-                p - u.b, p - u.c, p - v.b, p - v.c,
-                self._key(u.b, u.c, 0, v.b, v.c, 0),
-                self.g_key[u.a],
-                self.g_shift[v.a],
-                # e = wb*k1 - wc*k2 + zb*k3 - zc*k4 (mod p), the closed-form twist
-                (u.a + s * u.c) % p, s * u.a % p, (v.a + s * v.c) % p, s * v.a % p,
-                self.rotated[coeff],
-            ))
-        return out
+        """The terms of Delta(basis[i1]): the product-table rows of both legs, and the
+        q^e-rotated lifts of the coefficient."""
+        products, index = self.products, self.index
+        return [
+            (products[index(u)], products[index(v)], self.rotated[coeff])
+            for (u, v), coeff in self.rows[i1].items()
+        ]
 
     def group(self, left, bc2, e12, expected):
         """Accumulate Delta(m1) times group bc2 and compare with ``expected``.
@@ -494,15 +482,20 @@ class _Lanes:
         products are taken at q^(e - e12), so the accumulator is q^-e12 times
         Delta(m1) Delta(m2) and compares with the unscaled Delta rows.
         """
-        p = self.p
+        p, n = self.p, self.n
         acc = {}
         get = acc.get
-        for rb, rc, rb2, rc2, lkey, gu, gv, k1, k2, k3, k4, rotated in left:
-            for wb, wc, zb, zc, da, dz, rkey, packed in self.groups[bc2]:
-                if wb >= rb or wc >= rc or zb >= rb2 or zc >= rc2:
+        terms = self.groups[bc2]
+        for row_u, row_v, rotated in left:
+            for w, z, packed in terms:
+                cu = row_u[w]
+                if cu < 0:
                     continue
-                key = lkey + rkey + gu[da] + gv[dz]
-                acc[key] = get(key, 0) + rotated[(wb * k1 - wc * k2 + zb * k3 - zc * k4 - e12) % p] * packed
+                cv = row_v[z]
+                if cv < 0:
+                    continue
+                key = cu // p * n + cv // p
+                acc[key] = get(key, 0) + rotated[(cu + cv - e12) % p] * packed
         half, fold_mask, low, rep, bias = p * self.width, self.fold_mask, self.low, self.rep, self.bias
         rest = dict(expected)
         bad = 0
@@ -515,9 +508,8 @@ class _Lanes:
 
     def unpack(self, acc, a2, e12):
         """Lane a2 of an accumulator as Tensor2 terms, times q^e12."""
-        p, width = self.p, self.width
+        p, n, width, basis = self.p, self.n, self.width, self.basis
         digit_mask = (1 << width) - 1
-        p3 = p ** 3
         terms = {}
         for key, v in acc.items():
             lane = v >> a2 * self.lane_bits & self.lane_mask
@@ -526,35 +518,42 @@ class _Lanes:
                 nums[(i + e12) % p] += lane >> i * width & digit_mask
             coeff = Cyclotomic(p, nums)
             if coeff:
-                hi, lo = divmod(key, p3)
-                bc, ga = divmod(hi, p)
-                bc2, gz = divmod(lo, p)
-                terms[(
-                    Monomial(bc // p, bc % p, (ga + a2) % p),
-                    Monomial(bc2 // p, bc2 % p, (gz + a2) % p),
-                )] = coeff
+                u, z = basis[key // n], basis[key % n]
+                terms[(Monomial(u.b, u.c, (u.a + a2) % p), Monomial(z.b, z.c, (z.a + a2) % p))] = coeff
         return terms
 
 
 def check_antipode_law(algebra, **_ignored):
-    """m(S (x) id)Delta = eps(.)1 = m(id (x) S)Delta on every basis monomial."""
+    """m(S (x) id)Delta = eps(.)1 = m(id (x) S)Delta on every basis monomial.
+
+    The products S(m1) m2 and m1 S(m2) are read off the product table.
+    """
     A = algebra
     p, s = A.p, A.s
+    basis = A.basis()
+    n = len(basis)
+    table = A.product_table()
+    index = A.basis_index
+
+    def product(m, m2, coeff):  # coeff m m2 as (Monomial, coefficient), or None for 0
+        code = table[index(m) * n + index(m2)]
+        return None if code < 0 else (basis[code // p], coeff * root_power(p, code % p))
+
     rec = _Recorder("antipode")
-    for mono in A.basis():
+    for mono in basis:
         rec.checked += 1
         delta = A.coproduct_monomial(mono).terms.items()
         left = accumulate(
-            (r[1], c * sc * root_power(p, r[0]))
+            r
             for (m1, m2), c in delta
             for sm, sc in A.antipode_monomial(m1).terms.items()
-            if (r := mono_mul_exp(sm, m2, p, s)) is not None
+            if (r := product(sm, m2, c * sc)) is not None
         )
         right = accumulate(
-            (r[1], c * sc * root_power(p, r[0]))
+            r
             for (m1, m2), c in delta
             for sm, sc in A.antipode_monomial(m2).terms.items()
-            if (r := mono_mul_exp(m1, sm, p, s)) is not None
+            if (r := product(m1, sm, c * sc)) is not None
         )
         eps = A.counit_monomial(mono)
         expected = {Monomial(0, 0, 0): eps} if eps else {}

@@ -88,19 +88,6 @@ class Cyclotomic:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(p):
-        return cyc_zero(p)
-
-    @staticmethod
-    def one(p):
-        return root_power(p, 0)
-
-    @staticmethod
-    def root_power(p, j):
-        """zeta_p^j, reduced to the power basis (j may be any integer)."""
-        return root_power(p, j)
-
-    @staticmethod
     def from_rational(p, value):
         _check_p(p)
         f = Fraction(value)

@@ -97,17 +97,21 @@ class BookAlgebra:
             )
         return self._basis
 
+    def basis_index(self, mono):
+        """The index of a basis monomial in :meth:`basis`."""
+        return (mono.b * self.p + mono.c) * self.p + mono.a
+
     def product_table(self):
         """Closed-form products of all basis pairs by basis index, built on first use.
 
         With n = p^3 and indices in :meth:`basis` order, entry ``i * n + j``
         is ``t * p + e`` when basis[i] basis[j] = q^e basis[t], and -1 when
         the product is 0.  The table holds p^6 32-bit integers (0.5 MB at
-        p = 7, 7 MB at p = 11), so nothing builds it until a check asks for
-        it; entries stay below p^4, which fits for every p < 215, and no
-        larger table would fit in memory.  The q-exponent of m1 x^b y^c g^a
-        does not depend on a, so one closed-form product fills the p entries
-        for a = 0..p-1.
+        p = 7, 7 MB at p = 11), so nothing builds it until a check or
+        ``classify`` asks for it; entries stay below p^4, which fits for
+        every p < 215, and no larger table would fit in memory.  The
+        q-exponent of m1 x^b y^c g^a does not depend on a, so one closed-form
+        product fills the p entries for a = 0..p-1.
         """
         if self._products is None:
             p, s = self.p, self.s
@@ -121,7 +125,7 @@ class BookAlgebra:
                             table.extend(zero)
                         else:
                             e, m = r
-                            first = (m.b * p + m.c) * p
+                            first = self.basis_index(m) - m.a
                             table.extend([(first + (m.a + a) % p) * p + e for a in range(p)])
             self._products = table
         return self._products

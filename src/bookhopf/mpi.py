@@ -21,9 +21,11 @@ and any disagreement aborts the run: the agreement of the two routes is the
 point of the computation, so neither side is ever silently preferred.
 """
 
+from operator import itemgetter
+
 from .cyclotomic import Cyclotomic, cyc_one, cyc_zero, root_power
 from .hopf import BookAlgebra
-from .pbw import Element, Monomial, Tensor2, mono_mul_exp
+from .pbw import Element, Monomial, Tensor2
 
 
 class ConsistencyError(RuntimeError):
@@ -129,48 +131,38 @@ def enumerate_characters(algebra):
 
     Every value of a character on a basis monomial is 0 or a power of q, and
     m1 m2 is q^e m12 or 0, so beta_j(m1 m2) = beta_j(m1) beta_j(m2) is an
-    identity between q-exponents mod p, with None standing for 0.  For each
-    of the p^6 basis pairs the closed-form product is computed once, and the
-    identity is checked for all p characters together as a comparison of two
-    exponent vectors indexed by j: beta_j(q^e m12) is the exponent of
-    beta_j(m12) plus e, and beta_j(m1) beta_j(m2) the sum of two exponents.
-    Both sides come from tables built in this call from ``Character.exponent``.
+    identity between q-exponents mod p, with None standing for 0, checked
+    for all p characters together as a comparison of two exponent vectors
+    indexed by j.  As in the associativity check, one row of the product
+    table gives the vectors of beta_j(m1 m2) for every m2 at once, and it is
+    compared as one tuple with the row of beta_j(m1) beta_j(m2), built once
+    per vector of m1.  Both sides come from ``Character.exponent``.
     """
-    p, s = algebra.p, algebra.s
+    p = algebra.p
     basis = algebra.basis()
+    n = len(basis)
+    table = algebra.product_table()
     characters = [Character(algebra, j) for j in range(p)]
-    # A value vector holds the exponents of beta_0(m), ..., beta_(p-1)(m).
-    # Basis monomials have p + 1 distinct ones; vid[m] numbers them.
-    interned = {}
-    vid = {
-        m: interned.setdefault(tuple(beta.exponent(m) for beta in characters), len(interned))
-        for m in basis
-    }
-    vectors = list(interned)
-    # products[u][v]: beta_j(m1) beta_j(m2) for value vectors u and v
-    products = [
-        [
-            tuple(None if k1 is None or k2 is None else (k1 + k2) % p for k1, k2 in zip(u, v))
-            for v in vectors
-        ]
-        for u in vectors
-    ]
-    # scaled[v][e]: beta_j(q^e m) for m with value vector v
-    scaled = [[tuple(None if k is None else (k + e) % p for k in v) for e in range(p)] for v in vectors]
-    zero = (None,) * p
-    column = [(m, vid[m]) for m in basis]
-    for m1, vid1 in column:
-        row = products[vid1]
-        for m2, vid2 in column:
-            prod = mono_mul_exp(m1, m2, p, s)
-            lhs = zero if prod is None else scaled[vid[prod[1]]][prod[0]]
-            rhs = row[vid2]
-            if lhs != rhs:
-                j = next(j for j in range(p) if lhs[j] != rhs[j])
-                raise ConsistencyError(
-                    f"beta_{j} not multiplicative at "
-                    f"m1={m1.render()}, m2={m2.render()}"
-                )
+    vectors = [tuple(beta.exponent(m) for beta in characters) for m in basis]
+
+    def times(u, v):  # the vector of beta_j(m) beta_j(m') from those of m and m'
+        return tuple(None if k is None or l is None else (k + l) % p for k, l in zip(u, v))
+
+    # lhs_of[t * p + e] is the vector of q^e basis[t]; lhs_of[-1] that of 0
+    lhs_of = [times(v, (e,) * p) for v in vectors for e in range(p)] + [(None,) * p]
+    rows = {}
+    for i1, m1 in enumerate(basis):
+        u = vectors[i1]
+        if u not in rows:
+            rows[u] = tuple(times(u, v) for v in vectors)
+        lhs, rhs = itemgetter(*table[i1 * n:(i1 + 1) * n])(lhs_of), rows[u]
+        if lhs != rhs:
+            i2 = next(i2 for i2 in range(n) if lhs[i2] != rhs[i2])
+            j = next(j for j in range(p) if lhs[i2][j] != rhs[i2][j])
+            raise ConsistencyError(
+                f"beta_{j} not multiplicative at "
+                f"m1={m1.render()}, m2={basis[i2].render()}"
+            )
     return characters
 
 

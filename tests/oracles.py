@@ -4,7 +4,8 @@ The library multiplies PBW monomials through a closed-form exponent and
 builds coproducts by multiplying out generator images.  The oracles here
 recompute the same objects by more elementary means — one adjacent-letter
 swap at a time, or a textbook recurrence — so tests can compare two genuinely
-different routes to the same value.
+different routes to the same value.  ``doctor_product`` breaks one entry
+of the product table, so that the tests can show the fast checks notice.
 """
 
 from bookhopf import Monomial, cyc_one, cyc_zero, root_power
@@ -103,3 +104,23 @@ def associativity_violations(A, triples):
             at = f"m1={basis[i1].render()}, m2={basis[i2].render()}, m3={basis[i3].render()}"
             out.append((at, render(left), render(right)))
     return out
+
+
+def doctor_product(A, m1, m2, how):
+    """Change the product-table entry of m1 m2 to 0, to q times it, or to the next monomial.
+
+    ``how`` is "zero", "q-exponent" or "monomial"; the next monomial in basis
+    order keeps the power of q.
+    """
+    p = A.p
+    basis = A.basis()
+    n = len(basis)
+    A.product_table()
+    at = basis.index(m1) * n + basis.index(m2)
+    code = A._products[at]
+    if how == "zero":
+        A._products[at] = -1
+    elif how == "q-exponent":
+        A._products[at] = code - code % p + (code + 1) % p
+    else:
+        A._products[at] = (code + p) % (n * p)

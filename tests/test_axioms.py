@@ -26,7 +26,7 @@ from bookhopf import (
 )
 from bookhopf.axioms import MAX_VIOLATIONS_RENDERED, _Lanes
 from bookhopf.pbw import ONE
-from oracles import associativity_violations
+from oracles import associativity_violations, doctor_product
 
 AXIOMS = [
     "associativity",
@@ -130,22 +130,6 @@ def test_a_check_that_examined_nothing_fails():
 # -- associativity row compare against the per-triple reference -------------------
 
 
-def doctor_product(A, how):
-    """Change the product-table entry of g * x = q x g to 0, to q^2 x g, or to q x g^2."""
-    p = A.p
-    basis = A.basis()
-    n = len(basis)
-    A.product_table()
-    at = basis.index(Monomial(0, 0, 1)) * n + basis.index(Monomial(1, 0, 0))
-    code = A._products[at]
-    if how == "zero":
-        A._products[at] = -1
-    elif how == "q-exponent":
-        A._products[at] = code - code % p + (code + 1) % p
-    else:  # the next monomial in basis order, same power of q
-        A._products[at] = (code + p) % (n * p)
-
-
 def all_triples(n):
     return ((i1, i2, i3) for i1 in range(n) for i2 in range(n) for i3 in range(n))
 
@@ -163,7 +147,7 @@ def replayed_triples(n, seed, draws):
 @pytest.mark.parametrize("p", [3, 5])
 def test_associativity_rows_flag_a_doctored_product_like_the_reference(p, how):
     A = BookAlgebra(p, 2)
-    doctor_product(A, how)
+    doctor_product(A, Monomial(0, 0, 1), Monomial(1, 0, 0), how)  # g x = q x g
     result = check_associativity(A).result("associativity")
     assert result.mode == "exhaustive" and result.checked == len(A.basis()) ** 3
     expected = associativity_violations(A, all_triples(len(A.basis())))
@@ -173,7 +157,7 @@ def test_associativity_rows_flag_a_doctored_product_like_the_reference(p, how):
 @pytest.mark.parametrize("how", ["zero", "q-exponent", "monomial"])
 def test_sampled_associativity_flags_a_doctored_product_like_the_reference(how):
     A = BookAlgebra(7, 3)
-    doctor_product(A, how)
+    doctor_product(A, Monomial(0, 0, 1), Monomial(1, 0, 0), how)  # g x = q x g
     seed, draws = 1, 300_000  # about 600 of the 40 M triples read the doctored entry
     result = check_associativity(A, seed=seed, sample_size=draws).result("associativity")
     assert result.mode == f"sampled(n={draws})" and result.checked == draws
@@ -312,6 +296,29 @@ def test_lane_digit_width_bound(p):
     digit_mask = (1 << lanes.width) - 1
     top = max(v >> k * lanes.width & digit_mask for v in acc.values() for k in range(2 * p * p))
     assert 0 < top <= lanes.bound
+
+
+@pytest.mark.parametrize("p,s", [(3, 1), (5, 0), (5, 2), (7, 3), (11, 0), (11, 3), (13, 5)])
+def test_lane_output_keys_unpack_to_tensor_products(p, s):
+    """Every lane of an accumulator unpacks to Delta(m1) Delta(m2), legs and g-exponents included."""
+    A = BookAlgebra(p, s, permissive=s == 0)
+    lanes = _Lanes(A)
+    basis = A.basis()
+    n = len(basis)
+    table = A.product_table()
+    rng = random.Random(100 * p + s)
+    nonzero = 0
+    for _ in range(4):  # x-exponents stay below p, y-exponents may overflow
+        i1 = rng.randrange(n)
+        bc2 = rng.randrange(p - basis[i1].b) * p + rng.randrange(p)
+        code = table[i1 * n + bc2 * p]
+        e12 = code % p if code >= 0 else 0
+        acc, _ = lanes.group(lanes.left(i1), bc2, e12, {})
+        for a2 in range(p):
+            product = A.coproduct_monomial(basis[i1]) * A.coproduct_monomial(basis[bc2 * p + a2])
+            assert lanes.unpack(acc, a2, e12) == product.terms
+            nonzero += bool(product)
+    assert nonzero
 
 
 # -- doctored Delta and S rows against plain Tensor3/Element arithmetic ---------------

@@ -278,6 +278,7 @@ def test_product_table_matches_closed_form(p, s, draws):
     basis = A.basis()
     n = len(basis)
     assert len(table) == n * n
+    assert [A.basis_index(m) for m in basis] == list(range(n))
     if draws is None:
         pairs = itertools.product(range(n), repeat=2)
     else:

@@ -25,6 +25,7 @@ from bookhopf import (
     root_power,
     twist,
 )
+from oracles import doctor_product
 
 
 # -- enumeration ---------------------------------------------------------
@@ -104,21 +105,27 @@ def test_enumerate_characters_agrees_with_element_route(p, s):
     assert [beta.j for beta in enumerate_characters(A)] == element_route_multiplicative(A)
 
 
-def test_enumerate_characters_catches_one_wrong_product(monkeypatch):
-    import bookhopf.mpi as mpi
+G2, G3 = Monomial(0, 0, 2), Monomial(0, 0, 3)
 
+
+def test_enumerate_characters_catches_one_wrong_product():
     A = BookAlgebra(5, 2)
-    honest = mpi.mono_mul_exp
-    bad_pair = (Monomial(0, 0, 2), Monomial(0, 0, 3))  # g^2 * g^3 = g^0, exponent 0
-
-    def doctored(m1, m2, p, s):
-        prod = honest(m1, m2, p, s)
-        if (m1, m2) == bad_pair:
-            return (prod[0] + 1) % p, prod[1]
-        return prod
-
-    monkeypatch.setattr(mpi, "mono_mul_exp", doctored)
+    doctor_product(A, G2, G3, "q-exponent")  # g^2 g^3 = q: beta_0 gives q, not 1
     with pytest.raises(ConsistencyError, match=r"^beta_0 not multiplicative at m1=g\^2, m2=g\^3$"):
+        enumerate_characters(A)
+
+
+@pytest.mark.parametrize(
+    "how,j",
+    [
+        ("zero", 0),  # g^2 g^3 = 0: beta_0 gives 0, not 1
+        ("monomial", 1),  # g^2 g^3 = g: beta_0 still gives 1, beta_1 gives q, not 1
+    ],
+)
+def test_enumerate_characters_catches_a_zero_or_misplaced_product(how, j):
+    A = BookAlgebra(5, 2)
+    doctor_product(A, G2, G3, how)
+    with pytest.raises(ConsistencyError, match=rf"^beta_{j} not multiplicative at m1=g\^2, m2=g\^3$"):
         enumerate_characters(A)
 
 
