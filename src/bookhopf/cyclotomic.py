@@ -45,9 +45,6 @@ def _normalize(p, nums, den):
         nums = [v - top for v in nums[: p - 1]]
     else:
         nums = nums[: p - 1]
-    if den < 0:
-        den = -den
-        nums = [-v for v in nums]
     g = den
     for v in nums:
         if v:
@@ -196,7 +193,11 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inv(self):
-        """Multiplicative inverse via extended Euclid against Phi_p."""
+        """Multiplicative inverse c / (self * c), c = sigma_2(self) ... sigma_(p-1)(self).
+
+        sigma_k: zeta -> zeta^k permutes the coefficient list, and self * c, the
+        norm of self, is a nonzero rational.
+        """
         if not any(self.num):
             raise ZeroDivisionError("inverse of the zero cyclotomic scalar")
         p = self.p
@@ -205,17 +206,13 @@ class Cyclotomic:
         rational = self.as_rational()
         if rational is not None:
             return Cyclotomic.from_rational(p, 1 / rational)
-        phi = [Fraction(1)] * p
-        a = _poly_trim([Fraction(n, self.den) for n in self.num])
-        r0, r1 = phi, a
-        t0, t1 = [Fraction(0)], [Fraction(1)]
-        while r1:
-            quo, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(quo, t1))
-        # r0 is a nonzero constant: Phi_p is irreducible and deg(a) < deg(Phi_p)
-        c = r0[0]
-        return Cyclotomic(p, [t / c for t in t0])
+        c = root_power(p, 0)
+        for k in range(2, p):
+            nums = [0] * p
+            for e, v in enumerate(self.num):
+                nums[e * k % p] = v
+            c = c * _build(p, *_normalize(p, nums, self.den))
+        return c * (1 / (self * c).as_rational())
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -384,47 +381,3 @@ def cyc_zero(p):
 def cyc_one(p):
     return root_power(p, 0)
 
-
-# -- dense rational polynomial helpers for the extended Euclid ----------------
-
-
-def _poly_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    return _poly_trim(out)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, v in enumerate(a):
-        if v:
-            for j, w in enumerate(b):
-                out[i + j] += v * w
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    a = a[:]
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b):
-        factor = a[-1] * inv_lead
-        shift = len(a) - len(b)
-        quo[shift] = factor
-        for i, v in enumerate(b):
-            a[shift + i] -= factor * v
-        _poly_trim(a)
-        if not a:
-            break
-    return _poly_trim(quo), a

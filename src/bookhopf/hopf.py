@@ -20,10 +20,12 @@ anyway so that the failure can be exhibited by the axiom checker.
 
 Structure maps are extended from the generators: Delta and eps as algebra
 maps over the PBW normal form, S as an anti-algebra map
-(S(x^b y^c g^a) = S(g)^a S(y)^c S(x)^b).  Images of basis monomials are
-memoized per instance, and the basis-index product table is built on first
-use; every fill is idempotent (pure values, insertion only), so racing first
-computations are harmless.
+(S(x^b y^c g^a) = S(g)^a S(y)^c S(x)^b).  Images of basis monomials under
+Delta, S and S^2 are memoized per instance, as the checks and ``classify``
+read them many times.  Delta^2 is not: each reader reads every image once
+(the twist sums over (Delta (x) id) Delta from the Delta memo).  The
+basis-index product table is built on first use; every fill is idempotent
+(pure values, insertion only), so racing first computations are harmless.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ class BookAlgebra:
         self._delta_mono = {}
         self._antipode_mono = {}
         self._s2_mono = {}
-        self._delta2_mono = {}
         self._basis = None
         self._products = None
 
@@ -179,16 +180,12 @@ class BookAlgebra:
         return el
 
     def delta2_monomial(self, mono):
-        """(Delta (x) id) Delta on a basis monomial, memoized."""
-        t = self._delta2_mono.get(mono)
-        if t is None:
-            t = Tensor3._raw(self.p, self.s, accumulate(
-                ((u, v, m2), c * d)
-                for (m1, m2), c in self.coproduct_monomial(mono).terms.items()
-                for (u, v), d in self.coproduct_monomial(m1).terms.items()
-            ))
-            self._delta2_mono[mono] = t
-        return t
+        """(Delta (x) id) Delta on a basis monomial, built afresh on each call."""
+        return Tensor3._raw(self.p, self.s, accumulate(
+            ((u, v, m2), c * d)
+            for (m1, m2), c in self.coproduct_monomial(mono).terms.items()
+            for (u, v), d in self.coproduct_monomial(m1).terms.items()
+        ))
 
     # -- linear extensions ---------------------------------------------------------
 

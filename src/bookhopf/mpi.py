@@ -187,25 +187,31 @@ def check_convolution_inverse(algebra, beta):
 
 
 def _twist_monomial(algebra, l, beta, mono):
-    """The twist of one basis monomial, summed over the iterated coproduct."""
+    """The twist of one basis monomial, summed over (Delta (x) id) Delta.
+
+    Delta is read twice: u (x) h_3 in Delta(mono) is skipped when
+    beta(S h_3) = 0, before Delta(u) is read, and h_1 (x) h_2 in Delta(u)
+    when beta(h_1) = 0.
+    """
     A = algebra
     total = Element.zero(A.p, A.s)
-    for (m1, m2, m3), coeff in A.delta2_monomial(mono).terms.items():
-        v1 = beta(m1)
-        if not v1:
-            continue
+    for (u, m3), c in A.coproduct_monomial(mono).terms.items():
         v3 = beta(A.antipode_monomial(m3))
         if not v3:
             continue
-        conjugated = l.element * A.monomial_element(m2) * l.inverse
-        total = total + (coeff * v1 * v3) * conjugated
+        for (m1, m2), d in A.coproduct_monomial(u).terms.items():
+            v1 = beta(m1)
+            if not v1:
+                continue
+            conjugated = l.element * A.monomial_element(m2) * l.inverse
+            total = total + (c * d * v1 * v3) * conjugated
     return total
 
 
 def twist(algebra, l, beta, h):
     """T(h) = beta(h_1) l h_2 l^{-1} beta^{-1}(h_3), extended linearly.
 
-    beta^{-1} is evaluated as beta o S (see check_convolution_inverse).
+    beta^{-1} = beta o S (see check_convolution_inverse); Delta^2 is never built.
     """
     algebra._own(h)
     total = Element.zero(algebra.p, algebra.s)
@@ -250,15 +256,14 @@ def closed_form_predicate(p, s, i, j):
 class PairReport:
     """Brute-force verdict for one candidate pair (l = g^i, beta = beta_j)."""
 
-    __slots__ = ("i", "j", "implements_s2", "stable", "stability_value", "closed_form_agrees")
+    __slots__ = ("i", "j", "implements_s2", "stable", "stability_value")
 
-    def __init__(self, i, j, implements_s2, stable, stability_value, closed_form_agrees):
+    def __init__(self, i, j, implements_s2, stable, stability_value):
         self.i = i
         self.j = j
         self.implements_s2 = implements_s2
         self.stable = stable
         self.stability_value = stability_value
-        self.closed_form_agrees = closed_form_agrees
 
     @property
     def is_mpi(self):
@@ -281,7 +286,6 @@ class PairReport:
             payload["implements_s2"],
             payload["stable"],
             Cyclotomic.parse(p, payload["beta_l"]),
-            True,
         )
 
     def __eq__(self, other):
@@ -370,12 +374,11 @@ def classify(algebra):
                     f"beta(l) != q^(i*j) at (i={i}, j={j}): got {value.render()}"
                 )
             cf_implements, cf_stable = closed_form_predicate(p, s, i, j)
-            agrees = implements == cf_implements and (not implements or stable == cf_stable)
-            if not agrees:
+            if implements != cf_implements or (implements and stable != cf_stable):
                 raise ConsistencyError(
                     f"brute force disagrees with closed form at (i={i}, j={j}): "
                     f"brute (implements={implements}, stable={stable}) vs "
                     f"closed form (implements={cf_implements}, stable={cf_stable})"
                 )
-            reports.append(PairReport(i, j, implements, stable, value, agrees))
+            reports.append(PairReport(i, j, implements, stable, value))
     return Classification(p, s, reports)

@@ -3,12 +3,13 @@
 The library multiplies PBW monomials through a closed-form exponent and
 builds coproducts by multiplying out generator images.  The oracles here
 recompute the same objects by more elementary means — one adjacent-letter
-swap at a time, or a textbook recurrence — so tests can compare two genuinely
-different routes to the same value.  ``doctor_product`` breaks one entry
-of the product table, so that the tests can show the fast checks notice.
+swap at a time, a textbook recurrence, or the whole Delta^2 image — so tests
+can compare two genuinely different routes to the same value.
+``doctor_product`` breaks one entry of the product table, so that the tests
+can show the fast checks notice.
 """
 
-from bookhopf import Monomial, cyc_one, cyc_zero, root_power
+from bookhopf import Element, Monomial, cyc_one, cyc_zero, root_power
 
 _ORDER = {"x": 0, "y": 1, "g": 2}
 
@@ -124,3 +125,22 @@ def doctor_product(A, m1, m2, how):
         A._products[at] = code - code % p + (code + 1) % p
     else:
         A._products[at] = (code + p) % (n * p)
+
+
+def delta2_twist_monomial(A, l, beta, mono):
+    """The twist beta(h_1) l h_2 l^{-1} beta(S h_3) of one basis monomial, over Delta^2.
+
+    Sums over the terms of the finished ``A.delta2_monomial(mono)``, whereas
+    ``bookhopf.twist`` reads Delta twice and never builds Delta^2.
+    """
+    total = Element.zero(A.p, A.s)
+    for (m1, m2, m3), coeff in A.delta2_monomial(mono).terms.items():
+        v1 = beta(m1)
+        if not v1:
+            continue
+        v3 = beta(A.antipode_monomial(m3))
+        if not v3:
+            continue
+        conjugated = l.element * A.monomial_element(m2) * l.inverse
+        total = total + (coeff * v1 * v3) * conjugated
+    return total

@@ -117,16 +117,21 @@ def test_verify_output_is_pinned(argv, violations, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-# the same for classify and table at p = 7, whose S^2 sweep reads the Delta^2 table
+# the same for classify at p = 7 and the brute-force table at p = 7 and 11,
+# whose S^2 sweep sums the twist over (Delta (x) id) Delta on every basis monomial
 PINNED_CLASSIFY_OUTPUT = [
     (["classify", "--p", "7", "--all-s"],
      "3ff55548ae58fbf776970c16e8b78ede249e15eaad3cc8837dd437c1ce62fb3f"),
     (["table", "--p", "7"],
      "671913a73a4f45f527570c132560834d2a82729d5f9bf665b7e2b3dfdc2c0f08"),
+    (["table", "--p", "11"],
+     "41c7f5a204f1cb32cfd9dcc1f4949952712fd159220884c01a36634b1ed823da"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", PINNED_CLASSIFY_OUTPUT, ids=["classify-p7", "table-p7"])
+@pytest.mark.parametrize(
+    "argv,digest", PINNED_CLASSIFY_OUTPUT, ids=["classify-p7", "table-p7", "table-p11"]
+)
 def test_classify_output_is_pinned(argv, digest):
     code, payload = run_json(argv)
     assert code == 0
