@@ -33,7 +33,7 @@ from __future__ import annotations
 from array import array
 
 from .cyclotomic import Cyclotomic, cyc_zero, is_odd_prime, root_power
-from .pbw import ONE, Element, Monomial, Tensor2, Tensor3, accumulate, mono_mul_exp
+from .pbw import ONE, Element, Monomial, Tensor2, Tensor3, accumulate, basis_monomials, mono_mul_exp
 
 __all__ = ["BookAlgebra"]
 
@@ -92,10 +92,7 @@ class BookAlgebra:
     def basis(self):
         """All p^3 basis monomials, in the fixed (b, c, a) lexicographic order."""
         if self._basis is None:
-            p = self.p
-            self._basis = tuple(
-                Monomial(b, c, a) for b in range(p) for c in range(p) for a in range(p)
-            )
+            self._basis = basis_monomials(self.p)
         return self._basis
 
     def basis_index(self, mono):

@@ -21,6 +21,7 @@ and any disagreement aborts the run: the agreement of the two routes is the
 point of the computation, so neither side is ever silently preferred.
 """
 
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .cyclotomic import Cyclotomic, cyc_one, cyc_zero, root_power
@@ -253,17 +254,18 @@ def closed_form_predicate(p, s, i, j):
     return implements, stable
 
 
+@dataclass(frozen=True, slots=True)
 class PairReport:
-    """Brute-force verdict for one candidate pair (l = g^i, beta = beta_j)."""
+    """Brute-force verdict for one pair (g^i, beta_j); stable (beta(l) = 1) and is_mpi are computed."""
 
-    __slots__ = ("i", "j", "implements_s2", "stable", "stability_value")
+    i: int
+    j: int
+    implements_s2: bool
+    stability_value: Cyclotomic
 
-    def __init__(self, i, j, implements_s2, stable, stability_value):
-        self.i = i
-        self.j = j
-        self.implements_s2 = implements_s2
-        self.stable = stable
-        self.stability_value = stability_value
+    @property
+    def stable(self):
+        return self.stability_value == 1
 
     @property
     def is_mpi(self):
@@ -280,43 +282,35 @@ class PairReport:
 
     @classmethod
     def from_dict(cls, p, payload):
-        return cls(
+        out = cls(
             payload["i"],
             payload["j"],
             payload["implements_s2"],
-            payload["stable"],
             Cyclotomic.parse(p, payload["beta_l"]),
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, PairReport):
-            return NotImplemented
-        return (
-            self.i == other.i
-            and self.j == other.j
-            and self.implements_s2 == other.implements_s2
-            and self.stable == other.stable
-            and self.stability_value == other.stability_value
-        )
-
-    def __repr__(self):
-        return (
-            f"PairReport(i={self.i}, j={self.j}, implements_s2={self.implements_s2}, "
-            f"stable={self.stable}, beta_l={self.stability_value.render()!r})"
-        )
+        if out.stable != payload["stable"]:
+            raise ValueError(f"stable flag inconsistent with beta_l at (i={out.i}, j={out.j})")
+        return out
 
 
+@dataclass(frozen=True, slots=True)
 class Classification:
-    """All p^2 pair verdicts for one H(p, s), with the MPI and implements subsets."""
+    """All p^2 pair verdicts for one H(p, s); the MPI and implements subsets are computed."""
 
-    __slots__ = ("p", "s", "pairs", "mpi", "implements")
+    p: int
+    s: int
+    pairs: tuple
 
-    def __init__(self, p, s, pairs):
-        self.p = p
-        self.s = s
-        self.pairs = tuple(pairs)
-        self.mpi = tuple((r.i, r.j) for r in self.pairs if r.is_mpi)
-        self.implements = tuple((r.i, r.j) for r in self.pairs if r.implements_s2)
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", tuple(self.pairs))
+
+    @property
+    def mpi(self):
+        return tuple((r.i, r.j) for r in self.pairs if r.is_mpi)
+
+    @property
+    def implements(self):
+        return tuple((r.i, r.j) for r in self.pairs if r.implements_s2)
 
     def to_dict(self):
         return {
@@ -330,21 +324,12 @@ class Classification:
     @classmethod
     def from_dict(cls, payload):
         p = payload["p"]
-        pairs = [PairReport.from_dict(p, row) for row in payload["pairs"]]
-        out = cls(p, payload["s"], pairs)
+        out = cls(p, payload["s"], [PairReport.from_dict(p, row) for row in payload["pairs"]])
         if out.mpi != tuple((row["i"], row["j"]) for row in payload["mpi"]):
             raise ValueError("mpi subset inconsistent with pair flags")
         if out.implements != tuple((row["i"], row["j"]) for row in payload["implements"]):
             raise ValueError("implements subset inconsistent with pair flags")
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Classification):
-            return NotImplemented
-        return (self.p, self.s, self.pairs) == (other.p, other.s, other.pairs)
-
-    def __repr__(self):
-        return f"Classification(p={self.p}, s={self.s}, mpi={list(self.mpi)})"
 
 
 def classify(algebra):
@@ -380,5 +365,5 @@ def classify(algebra):
                     f"brute (implements={implements}, stable={stable}) vs "
                     f"closed form (implements={cf_implements}, stable={cf_stable})"
                 )
-            reports.append(PairReport(i, j, implements, stable, value))
+            reports.append(PairReport(i, j, implements, value))
     return Classification(p, s, reports)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .cyclotomic import Cyclotomic, cyc_zero, root_power
 
-__all__ = ["Monomial", "mono_mul", "mono_mul_exp", "accumulate", "Element", "Tensor2", "Tensor3"]
+__all__ = ["Monomial", "basis_monomials", "mono_mul", "mono_mul_exp", "accumulate", "Element", "Tensor2", "Tensor3"]
 
 
 class Monomial(NamedTuple):
@@ -64,6 +64,11 @@ class Monomial(NamedTuple):
 
 
 ONE = Monomial(0, 0, 0)
+
+
+def basis_monomials(p):
+    """All p^3 basis monomials x^b y^c g^a, in (b, c, a) lexicographic order."""
+    return tuple(Monomial(b, c, a) for b in range(p) for c in range(p) for a in range(p))
 
 
 def mono_mul_exp(m1, m2, p, s):

@@ -1,5 +1,6 @@
 """The Hopf-axiom checkers: pass cases, the s = 0 negative control, reports."""
 
+import dataclasses
 import functools
 import json
 import random
@@ -9,12 +10,14 @@ import pytest
 
 from bookhopf import (
     AxiomReport,
+    AxiomResult,
     BookAlgebra,
     Cyclotomic,
     Element,
     Monomial,
     Tensor2,
     Tensor3,
+    Violation,
     check_antipode_law,
     check_associativity,
     check_bialgebra_compat,
@@ -125,6 +128,25 @@ def test_a_check_that_examined_nothing_fails():
     result = _Recorder("associativity").finish("exhaustive")
     assert result.checked == 0 and not result.violations
     assert result.status == "fail"
+    with pytest.raises(ValueError, match="status"):
+        AxiomResult.from_dict({**result.to_dict(), "status": "pass"})
+
+
+def test_status_is_computed_from_checked_and_violations():
+    assert "status" not in [f.name for f in dataclasses.fields(AxiomResult)]
+    assert AxiomResult("counit", [], 0.0, 1, "exhaustive").status == "pass"
+    assert AxiomResult("counit", [], 0.0, 0, "exhaustive").status == "fail"
+    violation = Violation("counit", "m=x", "0", "x")
+    assert AxiomResult("counit", [violation], 0.0, 1, "exhaustive").status == "fail"
+
+
+@pytest.mark.parametrize("axiom", ["associativity", "bialgebra"])
+def test_axiom_result_from_dict_rejects_a_flipped_status(axiom):
+    payload = run_all(BookAlgebra(3, 0, permissive=True)).result(axiom).to_dict()
+    assert AxiomResult.from_dict(payload).to_dict() == payload
+    payload["status"] = {"pass": "fail", "fail": "pass"}[payload["status"]]
+    with pytest.raises(ValueError, match="status"):
+        AxiomResult.from_dict(payload)
 
 
 # -- associativity row compare against the per-triple reference -------------------
@@ -455,6 +477,62 @@ def test_negative_control_fails_exactly_as_predicted(p):
 def test_negative_control_matcher_rejects_healthy_report():
     report = run_all(BookAlgebra(3, 1))
     assert not negative_control_matches(report, 3)
+
+
+@functools.cache
+def negative_control_report(p, **options):
+    return run_all(BookAlgebra(p, 0, permissive=True), **options)
+
+
+def with_bialgebra_violations(report, edit):
+    """The report with the bialgebra violations replaced by ``edit`` of a copy of them."""
+    return AxiomReport([
+        dataclasses.replace(r, violations=edit(list(r.violations))) if r.axiom == "bialgebra" else r
+        for r in report.results
+    ])
+
+
+def swap_two(violations):
+    violations[1], violations[2] = violations[2], violations[1]
+    return violations
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda v: [], lambda v: v[:1], lambda v: v[:-1], swap_two],
+    ids=["emptied", "cut-to-one", "last-dropped", "swapped"],
+)
+@pytest.mark.parametrize("p", [3, 5])
+def test_negative_control_matcher_rejects_doctored_bialgebra_sites(p, edit):
+    report = negative_control_report(p)
+    assert negative_control_matches(report, p)
+    assert not negative_control_matches(with_bialgebra_violations(report, edit), p)
+
+
+@pytest.mark.parametrize("axiom", AXIOMS)
+def test_negative_control_matcher_rejects_a_report_missing_a_result(axiom):
+    report = negative_control_report(3)
+    partial = AxiomReport([r for r in report.results if r.axiom != axiom])
+    assert not negative_control_matches(partial, 3)
+
+
+def test_negative_control_matcher_accepts_the_capped_p7_report():
+    report = negative_control_report(7)
+    bialgebra = report.result("bialgebra")
+    assert bialgebra.mode == "exhaustive"
+    assert len(bialgebra.violations) == MAX_VIOLATIONS_RENDERED  # of 28 812 predicted sites
+    assert negative_control_matches(report, 7)
+    assert not negative_control_matches(with_bialgebra_violations(report, lambda v: v[:-1]), 7)
+
+
+def test_negative_control_matcher_accepts_a_sampled_p11_report():
+    report = negative_control_report(11, sample_size=300, seed=1)
+    bialgebra = report.result("bialgebra")
+    assert bialgebra.mode == "sampled(n=300)" and len(bialgebra.violations) == 72
+    assert negative_control_matches(report, 11)
+    # a sampled site must still be a predicted one: x^10 x^10 does not overflow in y
+    stray = Violation("bialgebra", "Delta: m1=x^10, m2=x^10", "0", "0")
+    assert not negative_control_matches(with_bialgebra_violations(report, lambda v: v + [stray]), 11)
 
 
 def test_violation_payload_shape():

@@ -1,7 +1,9 @@
 """Modular pairs in involution: enumeration, twist, classification, oracles."""
 
+import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 
@@ -13,6 +15,7 @@ from bookhopf import (
     Element,
     GroupLike,
     Monomial,
+    PairReport,
     Tensor2,
     check_convolution_inverse,
     classify,
@@ -109,9 +112,10 @@ def test_enumerate_characters_agrees_with_element_route(p, s):
 G2, G3 = Monomial(0, 0, 2), Monomial(0, 0, 3)
 
 
-def test_enumerate_characters_catches_one_wrong_product():
-    A = BookAlgebra(5, 2)
-    doctor_product(A, G2, G3, "q-exponent")  # g^2 g^3 = q: beta_0 gives q, not 1
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_enumerate_characters_catches_one_wrong_product(p):
+    A = BookAlgebra(p, 2)
+    doctor_product(A, G2, G3, "q-exponent")  # g^2 g^3 = q g^5: beta_0 gives q, not 1
     with pytest.raises(ConsistencyError, match=r"^beta_0 not multiplicative at m1=g\^2, m2=g\^3$"):
         enumerate_characters(A)
 
@@ -120,11 +124,12 @@ def test_enumerate_characters_catches_one_wrong_product():
     "how,j",
     [
         ("zero", 0),  # g^2 g^3 = 0: beta_0 gives 0, not 1
-        ("monomial", 1),  # g^2 g^3 = g: beta_0 still gives 1, beta_1 gives q, not 1
+        ("monomial", 1),  # g^2 g^3 = g^6 (g at p = 5): beta_0 still gives 1, beta_1 does not
     ],
 )
-def test_enumerate_characters_catches_a_zero_or_misplaced_product(how, j):
-    A = BookAlgebra(5, 2)
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_enumerate_characters_catches_a_zero_or_misplaced_product(p, how, j):
+    A = BookAlgebra(p, 2)
     doctor_product(A, G2, G3, how)
     with pytest.raises(ConsistencyError, match=rf"^beta_{j} not multiplicative at m1=g\^2, m2=g\^3$"):
         enumerate_characters(A)
@@ -192,14 +197,26 @@ def test_twist_is_algebra_automorphism(p, s):
             assert twist(A, l, beta, product) == images[m1] * images[m2]
 
 
-@pytest.mark.parametrize("p,s", [(p, s) for p in (3, 5) for s in range(p)])
+@pytest.mark.parametrize(
+    "p,s", [(p, s) for p in (3, 5) for s in range(p)] + [(7, 2), (11, 5), (13, 9)]
+)
 def test_twist_matches_the_delta2_route(p, s):
     A = BookAlgebra(p, s, permissive=s == 0)
-    for l in enumerate_group_likes(A):
-        for beta in enumerate_characters(A):
-            for m in A.basis():
-                got = twist(A, l, beta, A.monomial_element(m))
-                assert got == delta2_twist_monomial(A, l, beta, m), (l, beta, m)
+    if p <= 5:  # every pair on every basis monomial
+        pairs = [(l, beta) for l in enumerate_group_likes(A) for beta in enumerate_characters(A)]
+        monomials = A.basis()
+    else:  # the implementing pair and one seeded pair, on g, x, y and 8 seeded monomials
+        rng = random.Random(p)
+        i = (1 + s) * pow(2, -1, p) % p
+        pairs = [
+            (GroupLike(A, i), Character(A, i - 1)),
+            (GroupLike(A, rng.randrange(p)), Character(A, rng.randrange(p))),
+        ]
+        monomials = [Monomial(0, 0, 1), Monomial(1, 0, 0), Monomial(0, 1, 0), *rng.sample(A.basis(), 8)]
+    for l, beta in pairs:
+        for m in monomials:
+            got = twist(A, l, beta, A.monomial_element(m))
+            assert got == delta2_twist_monomial(A, l, beta, m), (l, beta, m)
 
 
 def test_twist_validates_element():
@@ -338,6 +355,35 @@ def test_classification_from_dict_rejects_inconsistent_subsets():
     payload["mpi"] = []
     with pytest.raises(ValueError):
         Classification.from_dict(payload)
+
+
+@pytest.mark.parametrize("row", [0, 3])  # (i=0, j=0) is stable, (i=1, j=0) is the MPI
+def test_pair_report_from_dict_rejects_a_flipped_stable_flag(row):
+    payload = classify(BookAlgebra(3, 1)).to_dict()["pairs"][row]
+    assert PairReport.from_dict(3, payload).stable
+    payload["stable"] = False
+    with pytest.raises(ValueError, match="stable"):
+        PairReport.from_dict(3, payload)
+
+
+def test_verdicts_are_computed_from_the_measured_fields():
+    c = classify(BookAlgebra(5, 2))
+    fields = {cls: [f.name for f in dataclasses.fields(cls)] for cls in (PairReport, Classification)}
+    assert fields[PairReport] == ["i", "j", "implements_s2", "stability_value"]
+    assert fields[Classification] == ["p", "s", "pairs"]
+    for name in ("stable", "is_mpi"):
+        assert isinstance(getattr(PairReport, name), property)
+    for name in ("mpi", "implements"):
+        assert isinstance(getattr(Classification, name), property)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.pairs[0].implements_s2 = True
+    # any iterable of pairs is accepted and the subsets follow from it
+    again = Classification(5, 2, (r for r in c.pairs))
+    assert again == c and again.implements == ((4, 3),) and again.mpi == ()
+    flipped = Classification(5, 2, [
+        dataclasses.replace(r, stability_value=cyc_one(5)) if r.implements_s2 else r for r in c.pairs
+    ])
+    assert flipped.mpi == ((4, 3),)
 
 
 def _doctor_delta_of_x(A):
