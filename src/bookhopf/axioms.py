@@ -8,7 +8,9 @@ rendered exactly, plus the offending basis data), and wall-clock timing.
 Checks over basis pairs/triples run exhaustively when the domain is small
 (pairs: up to 25 000, i.e. p <= 5; triples: up to 2 000 000, i.e. p <= 5) or
 when the requested sample size covers the whole domain; otherwise they draw
-seeded uniform samples, so reports are deterministic given (p, s, seed).
+seeded uniform samples, so reports are deterministic given (p, s, seed).  A
+sampled bialgebra run is the exhaustive sweep restricted to the drawn pairs,
+so it reports them in basis order and a pair drawn twice once.
 
 The two checks over pairs and triples run on integers.  Associativity reads
 both sides off the algebra's basis-index product table, one tuple compare
@@ -17,7 +19,8 @@ check packs Delta into big integers, p lanes per value, so that one int
 product covers a term of Delta(m1) against the matching term of all p rows
 Delta(x^b y^c g^a), a = 0..p-1, with the monomial products read off the same
 table; ``check_bialgebra_compat`` states why that is exact.  The antipode
-law reads its products there too.  The slow routes through ``Element`` and
+law reads its products there too, and every check reads eps off
+``BookAlgebra.counit_monomial``.  The slow routes through ``Element`` and
 ``Tensor2`` stay in the tests as references.
 
 Everything here is pure computation over immutable values; checks can safely
@@ -252,13 +255,13 @@ def check_counit_law(algebra, **_ignored):
     """(eps (x) id) Delta = id = (id (x) eps) Delta on every basis monomial."""
     A = algebra
     p, s = A.p, A.s
+    eps = A.counit_monomial
     rec = _Recorder("counit")
     for mono in A.basis():
         rec.checked += 1
         delta = A.coproduct_monomial(mono).terms.items()
-        # eps(g^a) = 1, and eps vanishes on every other basis monomial
-        left = accumulate((m2, c) for (m1, m2), c in delta if m1.b == 0 and m1.c == 0)
-        right = accumulate((m1, c) for (m1, m2), c in delta if m2.b == 0 and m2.c == 0)
+        left = accumulate((m2, c * e) for (m1, m2), c in delta if (e := eps(m1)))
+        right = accumulate((m1, c * e) for (m1, m2), c in delta if (e := eps(m2)))
         expected = Element.monomial(p, s, mono)
         lhs_el = Element._raw(p, s, left)
         rhs_el = Element._raw(p, s, right)
@@ -310,11 +313,18 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
       lanes of an output key.
 
     The expected side Delta(m1 m2) is read off the product table and the
-    Delta rows, packed the same way and memoized per product monomial
-    x^B y^C g^a (p^3 entries at most).  The exhaustive sweep runs in basis
-    order; a sampled run executes the same group for each drawn pair and
-    reads that pair's lane, with the same draws as a per-pair check and the
-    prepared terms of Delta(m1) kept per m1.
+    lane groups, packed the same way and memoized per product monomial
+    x^B y^C g^a (p^3 entries at most).  Both sides of eps(m1 m2) =
+    eps(m1) eps(m2) are read off ``counit_monomial``, one row over all m2
+    per m1, with one object per value so that equal rows compare by identity.
+
+    Both modes run one sweep in basis order over the groups (m1, x^b2 y^c2),
+    each with a mask of the lanes a2 it reads.  An exhaustive run reads every
+    lane of every group.  A sampled run first replays its draws, i1 then i2
+    from ``Random(seed)``, and sets bit i2 % p of group (i1, i2 // p); the
+    sweep then runs only the groups with a non-zero mask.  So a sampled run
+    never runs more groups than the exhaustive sweep, lists its violations in
+    basis order and a pair drawn twice once, and ``checked`` counts its draws.
     Failing lanes are unpacked from the accumulator as they are found and
     rendered through ``Tensor2``, up to MAX_VIOLATIONS_RENDERED.
     """
@@ -326,65 +336,59 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
     mode, draws = _plan(n * n, sample_size, exhaustive, PAIR_EXHAUSTIVE_LIMIT)
     table = A.product_table()
     lanes = _Lanes(A)
-    one = root_power(p, 0)
-    zero = cyc_zero(p)
-    memo = {}  # index t of x^B y^C g^a -> biased packed Delta(x^B y^C g^(a + a2)) in lane a2
+    groups = p * p  # per m1, one group per x^b2 y^c2
+    if draws is None:
+        masks = [(1 << p) - 1] * (n * groups)
+        rec.checked = n * n
+    else:
+        masks = [0] * (n * groups)  # i1 p^2 + i2 // p -> the lanes i2 % p drawn
+        rng = random.Random(seed)
+        for _ in range(draws):
+            i1, i2 = rng.randrange(n), rng.randrange(n)
+            masks[i1 * groups + i2 // p] |= 1 << i2 % p
+        rec.checked = draws
+    canon = {}
 
-    def report(i1, i2, kind, acc, e12):
-        if len(rec.violations) >= MAX_VIOLATIONS_RENDERED:
-            return
-        m1, m2 = basis[i1], basis[i2]
-        code = table[i1 * n + i2]
-        if kind == "Delta":
-            lhs = Tensor2.zero(p, s) if code < 0 else A.coproduct_monomial(basis[code // p]).scale(
-                root_power(p, code % p)
-            )
-            rhs = Tensor2._raw(p, s, lanes.unpack(acc, i2 % p, e12))
-        else:
-            lhs = zero if code < 0 or code // p >= p else root_power(p, code % p)
-            eps1 = one if (m1.b == 0 and m1.c == 0) else zero
-            eps2 = one if (m2.b == 0 and m2.c == 0) else zero
-            rhs = eps1 * eps2
-        rec.hit(f"{kind}: m1={m1.render()}, m2={m2.render()}", lhs.render(), rhs.render())
+    def value(c):  # one object per value, so that equal rows of eps values compare by identity
+        return canon.setdefault(c, c)
 
-    def run_group(i1, left, bc2, lanes_wanted):
-        """Check m1 = basis[i1] against x^b2 y^c2 g^a2 for a2 in lanes_wanted."""
-        m1 = basis[i1]
-        code = table[i1 * n + bc2 * p]  # m1 x^b2 y^c2 = q^e12 basis[t12], or 0
-        if code < 0:
-            e12, eps12, expected = 0, None, {}
-        else:
-            e12, t12 = code % p, code // p
-            eps12 = e12 if t12 < p else None
+    eps = [value(A.counit_monomial(m)) for m in basis]
+    # eps of q^e basis[t] at the product code t * p + e; code -1 (a zero product) reads the last entry
+    eps_of_code = [value(eps[c // p] * root_power(p, c % p)) for c in range(n * p)] + [value(cyc_zero(p))]
+    eps_rows = {e: tuple(value(e * f) for f in eps) for e in set(eps)}  # eps(m1) eps(m2) over all m2
+    memo = {-1: {}}  # t -> lanes.expected(t); a zero product (t = -1) expects no term
+
+    def report(kind, i1, i2, lhs, rhs):
+        rec.hit(f"{kind}: m1={basis[i1].render()}, m2={basis[i2].render()}", lhs.render(), rhs.render())
+
+    for i1 in range(n):
+        row_masks = masks[i1 * groups:(i1 + 1) * groups]
+        if not any(row_masks):
+            continue
+        left = lanes.left(i1)
+        eps_left = tuple(map(eps_of_code.__getitem__, table[i1 * n:(i1 + 1) * n]))  # eps(m1 m2)
+        eps_right = eps_rows[eps[i1]]
+        eps_ok = eps_left == eps_right
+        for bc2, mask in enumerate(row_masks):
+            if not mask:
+                continue
+            # m1 x^b2 y^c2 = q^e12 basis[t12], or 0 for t12 = -1, where any e12 serves
+            t12, e12 = divmod(table[i1 * n + bc2 * p], p)
             expected = memo.get(t12)
             if expected is None:
                 expected = memo[t12] = lanes.expected(t12)
-        acc, bad = lanes.group(left, bc2, e12, expected)
-        # eps(m1 m2) = q^eps12 (None for 0); eps(m1) eps(m2) = 1 iff both are powers of g
-        eps_ok = eps12 == (0 if bc2 == 0 and m1.b == m1.c == 0 else None)
-        for a2 in lanes_wanted:
-            if bad >> a2 * lanes.lane_bits & lanes.lane_mask:
-                report(i1, bc2 * p + a2, "Delta", acc, e12)
-            if not eps_ok:
-                report(i1, bc2 * p + a2, "epsilon", acc, e12)
-
-    if draws is None:
-        every_lane = range(p)
-        for i1 in range(n):
-            left = lanes.left(i1)
-            for bc2 in range(p * p):
-                run_group(i1, left, bc2, every_lane)
-        rec.checked = n * n
-    else:
-        rng = random.Random(seed)
-        lefts = {}
-        for _ in range(draws):
-            i1, i2 = rng.randrange(n), rng.randrange(n)
-            rec.checked += 1
-            left = lefts.get(i1)
-            if left is None:
-                left = lefts[i1] = lanes.left(i1)
-            run_group(i1, left, i2 // p, (i2 % p,))
+            acc, bad = lanes.group(left, bc2, e12, expected)
+            if eps_ok and not bad or len(rec.violations) >= MAX_VIOLATIONS_RENDERED:
+                continue
+            for i2 in range(bc2 * p, bc2 * p + p):
+                if not mask >> i2 % p & 1:
+                    continue
+                if bad >> i2 % p * lanes.lane_bits & lanes.lane_mask:
+                    t, e = divmod(table[i1 * n + i2], p)
+                    lhs = Tensor2.zero(p, s) if t < 0 else A.coproduct_monomial(basis[t]).scale(root_power(p, e))
+                    report("Delta", i1, i2, lhs, Tensor2._raw(p, s, lanes.unpack(acc, i2 % p, e12)))
+                if eps_left[i2] != eps_right[i2]:
+                    report("epsilon", i1, i2, eps_left[i2], eps_right[i2])
     return AxiomReport([rec.finish(mode)])
 
 
@@ -445,29 +449,26 @@ class _Lanes:
     def _pack(self, digits):
         return sum(d << i * self.width for i, d in enumerate(digits))
 
-    def _rows_by_lane(self, bc, a):
-        """(basis indices of the term's legs with g-exponents minus a2, coefficient packed
-        into lane a2) over the rows bc*p + (a + a2) mod p, a2 = 0..p-1."""
+    def _group(self, bc):
+        """Terms of the p rows x^b y^c g^a2, both legs moved by g^-a2, grouped across lanes a2."""
         p, index = self.p, self.index
-        for a2 in range(p):
-            for (w, z), coeff in self.rows[bc * p + (a + a2) % p].items():
-                w0, z0 = Monomial(w.b, w.c, (w.a - a2) % p), Monomial(z.b, z.c, (z.a - a2) % p)
-                yield (index(w0), index(z0)), self.rotated[coeff][0] << a2 * self.lane_bits
-
-    def _group(self, bc2):
-        """Terms of the p rows x^b2 y^c2 g^a2, grouped across lanes a2."""
         grouped = {}
-        for key, packed in self._rows_by_lane(bc2, 0):
-            grouped[key] = grouped.get(key, 0) + packed
+        for a2 in range(p):
+            for (w, z), coeff in self.rows[bc * p + a2].items():
+                key = index(w) - w.a + (w.a - a2) % p, index(z) - z.a + (z.a - a2) % p
+                grouped[key] = grouped.get(key, 0) + (self.rotated[coeff][0] << a2 * self.lane_bits)
         return [(w, z, packed) for (w, z), packed in grouped.items()]
 
     def expected(self, t):
-        """Biased packed Delta(x^B y^C g^(a + a2)) in lane a2, for t the index of x^B y^C g^a."""
-        out = {}
-        for (w, z), packed in self._rows_by_lane(t // self.p, t % self.p):
-            key = w * self.n + z
-            out[key] = out.get(key, 0) + packed
-        return {key: self.bias - packed for key, packed in out.items()}
+        """Biased packed Delta(x^B y^C g^(a + a2)) in lane a2, for t the index of x^B y^C g^a:
+        group t // p with both legs moved by g^a and lane a + a2 rotated down to lane a2."""
+        p, n, a = self.p, self.n, t % self.p
+        low, high = a * self.lane_bits, (p - a) * self.lane_bits
+        return {
+            (w - w % p + (w + a) % p) * n + z - z % p + (z + a) % p:
+                self.bias - (packed >> low | (packed & (1 << low) - 1) << high)
+            for w, z, packed in self.groups[t // p]
+        }
 
     def left(self, i1):
         """The terms of Delta(basis[i1]): the product-table rows of both legs, and the

@@ -204,8 +204,7 @@ class BookAlgebra:
     def counit(self, h):
         total = cyc_zero(self.p)
         for mono, c in self._own(h).terms.items():
-            if mono.b == 0 and mono.c == 0:
-                total = total + c
+            total = total + c * self.counit_monomial(mono)
         return total
 
     def antipode(self, h):

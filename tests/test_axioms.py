@@ -233,6 +233,12 @@ def found(result):
     return [(v.at, v.lhs, v.rhs) for v in result.violations]
 
 
+def replayed_pairs(n, seed, draws):
+    """The pairs (i1, i2) a sampled bialgebra check draws, in draw order."""
+    rng = random.Random(seed)
+    return [(rng.randrange(n), rng.randrange(n)) for _ in range(draws)]
+
+
 @pytest.mark.parametrize(
     "p,s,draws", [(7, 3, 40), (7, 0, 40), (11, 3, 25), (11, 10, 25), (13, 5, 4)]
 )
@@ -242,13 +248,45 @@ def test_bialgebra_check_matches_tensor_arithmetic(p, s, draws):
     result = check_bialgebra_compat(A, seed=seed, sample_size=draws).result("bialgebra")
     assert result.mode == f"sampled(n={draws})"
     basis = A.basis()
-    rng = random.Random(seed)  # replays the check's own draws
-    pairs = [(basis[rng.randrange(len(basis))], basis[rng.randrange(len(basis))]) for _ in range(draws)]
-    expected = tensor_violations(A, pairs)
+    pairs = [(basis[i1], basis[i2]) for i1, i2 in sorted(set(replayed_pairs(len(basis), seed, draws)))]
+    expected = tensor_violations(A, pairs)  # the distinct drawn pairs, in basis order
     assert found(result) == expected
     assert result.passed == (not expected)
     if s == 0:
         assert expected  # the negative control exercises the failing branch too
+
+
+@pytest.fixture
+def group_runs(monkeypatch):
+    """The calls of _Lanes.group, one per lane group run, as (left, bc2, e12, expected)."""
+    calls = []
+    group = _Lanes.group
+
+    def counted(self, *args):
+        calls.append(args)
+        return group(self, *args)
+
+    monkeypatch.setattr(_Lanes, "group", counted)
+    return calls
+
+
+def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs):
+    result = check_bialgebra_compat(BookAlgebra(7, 3)).result("bialgebra")
+    assert result.mode == "exhaustive" and result.checked == 343 ** 2
+    assert len(group_runs) == 343 * 7 ** 2 == 16_807
+
+
+def test_sampled_bialgebra_runs_each_drawn_lane_group_once(group_runs):
+    """Pairs drawn twice or sharing a group cost one group run; violations come in basis order."""
+    p, seed, draws = 7, 0, 2500
+    A = BookAlgebra(p, 0, permissive=True)
+    basis = A.basis()
+    result = check_bialgebra_compat(A, seed=seed, sample_size=draws).result("bialgebra")
+    assert result.mode == f"sampled(n={draws})" and result.checked == draws
+    drawn = replayed_pairs(len(basis), seed, draws)
+    assert len(group_runs) == len({(i1, i2 // p) for i1, i2 in drawn}) < len(set(drawn)) < draws
+    expected = tensor_violations(A, [(basis[i1], basis[i2]) for i1, i2 in sorted(set(drawn))])
+    assert expected and found(result) == expected
 
 
 def doctor(A, how):
@@ -437,6 +475,23 @@ def test_doctored_row_fails_like_the_reference(p, row, axiom, count_at_p3):
     assert found(result) == expected
     if p == 3:
         assert len(expected) == count_at_p3
+
+
+def test_a_doctored_counit_fails_like_the_reference():
+    """eps has one owner, counit_monomial: every check and BookAlgebra.counit read it."""
+    A = BookAlgebra(3, 1)
+    g = Monomial(0, 0, 1)
+    healthy = A.counit_monomial
+    A.counit_monomial = lambda m: A.q if m == g else healthy(m)
+    assert A.counit(A.g + A.one) == A.q + 1
+    result = check_counit_law(A).result("counit")
+    assert not result.passed and found(result) == counit_reference(A)
+    assert found(result)[0] == ("m=g (eps on left leg)", "q g", "g")
+    # eps(g g) = 1 but eps(g) eps(g) = q^2
+    bialgebra = check_bialgebra_compat(A).result("bialgebra")
+    pairs = [(m1, m2) for m1 in A.basis() for m2 in A.basis()]
+    assert not bialgebra.passed and found(bialgebra) == tensor_violations(A, pairs)
+    assert ("epsilon: m1=g, m2=g", "1", "-1 - q") in found(bialgebra)  # q^2 at p = 3
 
 
 # -- negative control (s = 0) ---------------------------------------------------------
