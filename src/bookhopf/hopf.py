@@ -18,11 +18,21 @@ characteristic zero (Delta(y)^p != 0), so H(p, 0) is not a bialgebra; the
 constructor refuses it unless ``permissive=True``, which builds the maps
 anyway so that the failure can be exhibited by the axiom checker.
 
-Structure maps are extended from the generators: Delta and eps as algebra
-maps over the PBW normal form, S as an anti-algebra map
-(S(x^b y^c g^a) = S(g)^a S(y)^c S(x)^b).  Images of basis monomials under
-Delta, S and S^2 are memoized per instance, as the checks and ``classify``
-read them many times.  Delta^2 is not: each reader reads every image once
+Delta and S of a basis monomial come from closed forms, as the product does
+(``pbw.mono_mul_exp``).  Delta(x) and Delta(y) are sums of two terms that
+q-commute (in base q and q^(-s^2)), so the q-binomial theorem expands
+Delta(x)^b Delta(y)^c Delta(g)^a, and S(g)^a S(y)^c S(x)^b is one monomial;
+moving g past x and y to normal order gives
+
+    Delta(x^b y^c g^a) = sum_{k<=b, l<=c} [b k]_q [c l]_{q^(-s^2)} q^(-s k (c-l))
+                         x^k y^l g^a (x) x^(b-k) y^(c-l) g^(a+k+s l)
+    S(x^b y^c g^a) = (-1)^(b+c) q^(s^2 c(c-1)/2 - b(b-1)/2 - a b + s a c) x^b y^c g^(-a-b-s c)
+
+Each q-binomial with n < p is non-zero, so no term vanishes.  The relations
+check and the bialgebra check on all pairs certify that Delta is a
+well-defined algebra map.  Images of basis monomials under Delta, S and S^2
+are memoized per instance, as the checks and ``classify`` read them many
+times.  Delta^2 is not: each reader reads every image once
 (the twist sums over (Delta (x) id) Delta from the Delta memo).  The
 basis-index product table is built on first use; every fill is idempotent
 (pure values, insertion only), so racing first computations are harmless.
@@ -32,10 +42,19 @@ from __future__ import annotations
 
 from array import array
 
-from .cyclotomic import Cyclotomic, cyc_zero, is_odd_prime, root_power
-from .pbw import ONE, Element, Monomial, Tensor2, Tensor3, accumulate, basis_monomials, mono_mul_exp
+from .cyclotomic import cyc_zero, is_odd_prime, root_power
+from .pbw import Element, Monomial, Tensor2, Tensor3, accumulate, basis_monomials, mono_mul_exp
 
 __all__ = ["BookAlgebra"]
+
+
+def _q_binomial_rows(p, base_exp):
+    """Rows n < p of [n k] in base q^base_exp: [n k] = [n-1 k-1] + q^(base_exp k) [n-1 k]."""
+    rows = [[root_power(p, 0)]]
+    for n in range(1, p):
+        prev = [cyc_zero(p), *rows[-1], cyc_zero(p)]
+        rows.append([prev[k] + root_power(p, base_exp * k) * prev[k + 1] for k in range(n + 1)])
+    return rows
 
 
 class BookAlgebra:
@@ -62,21 +81,10 @@ class BookAlgebra:
         self.x = Element.monomial(p, s, Monomial(1, 0, 0))
         self.y = Element.monomial(p, s, Monomial(0, 1, 0))
 
-        # generator images of the three structure maps
-        self._delta_gen = {
-            "x": Tensor2(p, s, {(ONE, Monomial(1, 0, 0)): 1, (Monomial(1, 0, 0), Monomial(0, 0, 1)): 1}),
-            "y": Tensor2(p, s, {(ONE, Monomial(0, 1, 0)): 1, (Monomial(0, 1, 0), Monomial(0, 0, s % p)): 1}),
-            "g": Tensor2(p, s, {(Monomial(0, 0, 1), Monomial(0, 0, 1)): 1}),
-        }
-        self._antipode_gen = {
-            "x": Element(p, s, {Monomial(1, 0, p - 1): -1}),
-            "y": Element(p, s, {Monomial(0, 1, (p - s) % p): -1}),
-            "g": Element(p, s, {Monomial(0, 0, p - 1): 1}),
-        }
-
-        # lazily grown generator-power tables and per-monomial caches
-        self._delta_pows = {k: [Tensor2.unit(p, s)] for k in ("x", "y", "g")}
-        self._antipode_pows = {k: [Element.unit(p, s)] for k in ("x", "y", "g")}
+        # rows n = 0..p-1 of the q-binomials in the two bases Delta reads
+        self._binomials_x = _q_binomial_rows(p, 1)
+        self._binomials_y = _q_binomial_rows(p, -s * s)
+        # per-monomial caches
         self._delta_mono = {}
         self._antipode_mono = {}
         self._s2_mono = {}
@@ -133,21 +141,18 @@ class BookAlgebra:
 
     # -- structure maps on basis monomials ---------------------------------------
 
-    def _gen_power(self, table, gen, images, k):
-        lst = table[gen]
-        while len(lst) <= k:
-            lst.append(lst[-1] * images[gen])
-        return lst[k]
-
     def coproduct_monomial(self, mono):
-        """Delta(x^b y^c g^a) = Delta(x)^b Delta(y)^c Delta(g)^a, memoized."""
+        """Delta(x^b y^c g^a) from the closed form in the module docstring, memoized."""
         t = self._delta_mono.get(mono)
         if t is None:
-            t = (
-                self._gen_power(self._delta_pows, "x", self._delta_gen, mono.b)
-                * self._gen_power(self._delta_pows, "y", self._delta_gen, mono.c)
-                * self._gen_power(self._delta_pows, "g", self._delta_gen, mono.a)
-            )
+            p, s = self.p, self.s
+            b, c, a = mono
+            t = Tensor2._raw(p, s, {
+                (Monomial(k, l, a), Monomial(b - k, c - l, (a + k + s * l) % p)):
+                    bx * by * root_power(p, -s * k * (c - l))
+                for k, bx in enumerate(self._binomials_x[b])
+                for l, by in enumerate(self._binomials_y[c])
+            })
             self._delta_mono[mono] = t
         return t
 
@@ -158,14 +163,15 @@ class BookAlgebra:
         return cyc_zero(self.p)
 
     def antipode_monomial(self, mono):
-        """S(x^b y^c g^a) = S(g)^a S(y)^c S(x)^b, memoized."""
+        """S(x^b y^c g^a) from the closed form in the module docstring, memoized."""
         el = self._antipode_mono.get(mono)
         if el is None:
-            el = (
-                self._gen_power(self._antipode_pows, "g", self._antipode_gen, mono.a)
-                * self._gen_power(self._antipode_pows, "y", self._antipode_gen, mono.c)
-                * self._gen_power(self._antipode_pows, "x", self._antipode_gen, mono.b)
-            )
+            p, s = self.p, self.s
+            b, c, a = mono
+            coeff = root_power(p, s * s * c * (c - 1) // 2 - b * (b - 1) // 2 - a * b + s * a * c)
+            if (b + c) % 2:
+                coeff = -coeff
+            el = Element._raw(p, s, {Monomial(b, c, (-a - b - s * c) % p): coeff})
             self._antipode_mono[mono] = el
         return el
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .cyclotomic import Cyclotomic, cyc_one, cyc_zero, root_power
-from .hopf import BookAlgebra
 from .pbw import Element, Monomial, Tensor2
 
 

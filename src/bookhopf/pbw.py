@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-from .cyclotomic import Cyclotomic, cyc_zero, root_power
+from .cyclotomic import Cyclotomic, root_power
 
 __all__ = ["Monomial", "basis_monomials", "mono_mul", "mono_mul_exp", "accumulate", "Element", "Tensor2", "Tensor3"]
 

@@ -1,15 +1,17 @@
 """Independent slow-route oracles used only by the tests.
 
 The library multiplies PBW monomials through a closed-form exponent and
-builds coproducts by multiplying out generator images.  The oracles here
-recompute the same objects by more elementary means — one adjacent-letter
-swap at a time, a textbook recurrence, or the whole Delta^2 image — so tests
-can compare two genuinely different routes to the same value.
+reads Delta and S of a basis monomial off closed forms (q-binomial sums and
+a single signed power of q).  The oracles here recompute the same objects by
+more elementary means — one adjacent-letter swap at a time, a textbook
+recurrence, the generator images of the paper multiplied out power by power,
+or the whole Delta^2 image — so tests can compare two genuinely different
+routes to the same value.
 ``doctor_product`` breaks one entry of the product table, so that the tests
 can show the fast checks notice.
 """
 
-from bookhopf import Element, Monomial, cyc_one, cyc_zero, root_power
+from bookhopf import Element, Monomial, Tensor2, cyc_one, cyc_zero, root_power
 
 _ORDER = {"x": 0, "y": 1, "g": 2}
 
@@ -70,6 +72,57 @@ def gaussian_binomial(n, k, p, base_exp=1):
     return gaussian_binomial(n - 1, k - 1, p, base_exp) + root_power(
         p, (base_exp * k) % p
     ) * gaussian_binomial(n - 1, k, p, base_exp)
+
+
+class _Powers:
+    """The powers u^0, u^1, ... of one value u, grown on demand."""
+
+    def __init__(self, unit, u):
+        self.u = u
+        self.row = [unit]
+
+    def __getitem__(self, k):
+        while len(self.row) <= k:
+            self.row.append(self.row[-1] * self.u)
+        return self.row[k]
+
+
+class GeneratorPowers:
+    """Delta and S of basis monomials of ``A`` from powers of the generator images.
+
+    The images are written out as in the paper:
+
+        Delta(g) = g (x) g,  Delta(x) = 1 (x) x + x (x) g,  Delta(y) = 1 (x) y + y (x) g^s
+        S(g) = g^-1,  S(x) = -x g^-1,  S(y) = -y g^-s
+
+    Delta(x^b y^c g^a) = Delta(x)^b Delta(y)^c Delta(g)^a and
+    S(x^b y^c g^a) = S(g)^a S(y)^c S(x)^b are multiplied out with ``Tensor2``
+    and ``Element`` products, the powers of each generator grown once.
+    """
+
+    def __init__(self, A):
+        p, s = A.p, A.s
+        one, x, y, g = Monomial(0, 0, 0), Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1)
+        delta_images = {
+            "x": Tensor2(p, s, {(one, x): 1, (x, g): 1}),
+            "y": Tensor2(p, s, {(one, y): 1, (y, Monomial(0, 0, s)): 1}),
+            "g": Tensor2(p, s, {(g, g): 1}),
+        }
+        antipode_images = {
+            "x": Element(p, s, {Monomial(1, 0, p - 1): -1}),
+            "y": Element(p, s, {Monomial(0, 1, -s % p): -1}),
+            "g": Element(p, s, {Monomial(0, 0, p - 1): 1}),
+        }
+        self.delta_powers = {k: _Powers(Tensor2.unit(p, s), u) for k, u in delta_images.items()}
+        self.antipode_powers = {k: _Powers(Element.unit(p, s), u) for k, u in antipode_images.items()}
+
+    def coproduct(self, mono):
+        d = self.delta_powers
+        return d["x"][mono.b] * d["y"][mono.c] * d["g"][mono.a]
+
+    def antipode(self, mono):
+        s = self.antipode_powers
+        return s["g"][mono.a] * s["y"][mono.c] * s["x"][mono.b]
 
 
 def associativity_violations(A, triples):

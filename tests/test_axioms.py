@@ -77,6 +77,20 @@ def test_relation_inventory():
     assert result.checked == 12  # six relations, once under Delta and once under S
 
 
+def test_relations_read_the_live_structure_maps():
+    A = BookAlgebra(5, 2)
+    one, x = Monomial(0, 0, 0), Monomial(1, 0, 0)
+    assert check_relations(A).passed
+    A._delta_mono[x] = Tensor2(5, 2, {(one, x): 1, (x, Monomial(0, 0, 2)): 1})
+    result = check_relations(A).result("relations")
+    assert [v.at for v in result.violations] == ["Delta: x y = q^-2 y x"]
+
+    A = BookAlgebra(5, 2)
+    A._antipode_mono[x] = Element(5, 2, {Monomial(1, 0, 3): -1})
+    result = check_relations(A).result("relations")
+    assert [v.at for v in result.violations] == ["S: x y = q^-2 y x"]
+
+
 # -- sampling control ---------------------------------------------------------
 
 

@@ -17,7 +17,7 @@ from bookhopf import (
     mono_mul_exp,
     root_power,
 )
-from oracles import gaussian_binomial
+from oracles import GeneratorPowers, gaussian_binomial
 
 
 def test_is_odd_prime():
@@ -108,9 +108,9 @@ def test_coproduct_x_squared_frozen():
     assert got.render() == "1 (x) x^2 + (1 + q) x (x) x g + x^2 (x) g^2"
 
 
-@pytest.mark.parametrize("p,s", [(3, 1), (5, 2), (7, 3)])
+@pytest.mark.parametrize("p,s", [(3, 1), (5, 2), (7, 3), (5, 0), (11, 3)])
 def test_coproduct_powers_match_gaussian_binomials(p, s):
-    A = BookAlgebra(p, s)
+    A = BookAlgebra(p, s, permissive=s == 0)
     for b in range(p):
         got = A.coproduct_monomial(Monomial(b, 0, 0))
         want = {
@@ -127,6 +127,27 @@ def test_coproduct_powers_match_gaussian_binomials(p, s):
             for k in range(c + 1)
         }
         assert got == Tensor2(p, s, want)
+
+
+@pytest.mark.parametrize(
+    "p,s,a_values",
+    [pytest.param(p, s, range(p), id=f"{p}-{s}-every-a") for p in (3, 5, 7) for s in range(p)]
+    + [
+        pytest.param(p, s, (0, 1, p - 1), id=f"{p}-{s}-a-in-0-1-{p - 1}")
+        for p in (11, 13)
+        for s in (0, 1, p - 1)
+    ],
+)
+def test_closed_forms_match_generator_powers(p, s, a_values):
+    # Delta and S of every basis monomial with g-exponent in a_values
+    A = BookAlgebra(p, s, permissive=s == 0)
+    reference = GeneratorPowers(A)
+    for a in a_values:
+        for b in range(p):
+            for c in range(p):
+                m = Monomial(b, c, a)
+                assert A.coproduct_monomial(m) == reference.coproduct(m), m
+                assert A.antipode_monomial(m) == reference.antipode(m), m
 
 
 def test_coproduct_is_algebra_map_p3():
