@@ -16,74 +16,25 @@ Everything is computed in exact arithmetic; no floats, no numerical error.
 """
 
 from .axioms import (
-    AxiomReport,
-    AxiomResult,
-    Violation,
-    check_antipode_law,
-    check_associativity,
-    check_bialgebra_compat,
-    check_coassociativity,
-    check_counit_law,
-    check_relations,
-    negative_control_matches,
-    run_all,
+    AxiomReport, AxiomResult, Violation, check_antipode_law, check_associativity, check_bialgebra_compat,
+    check_coassociativity, check_counit_law, check_relations, negative_control_matches, run_all,
 )
 from .cyclotomic import Cyclotomic, cyc_one, cyc_zero, is_odd_prime, root_power
 from .hopf import BookAlgebra
 from .mpi import (
-    Character,
-    Classification,
-    ConsistencyError,
-    GroupLike,
-    PairReport,
-    check_convolution_inverse,
-    classify,
-    closed_form_predicate,
-    enumerate_characters,
-    enumerate_group_likes,
-    implements_s_squared,
-    is_stable,
-    twist,
+    Character, Classification, ConsistencyError, GroupLike, PairReport, check_convolution_inverse, classify,
+    closed_form_predicate, enumerate_characters, enumerate_group_likes, implements_s_squared, is_stable, twist,
 )
 from .pbw import Element, Monomial, Tensor2, Tensor3, mono_mul, mono_mul_exp
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxiomReport",
-    "AxiomResult",
-    "BookAlgebra",
-    "Character",
-    "Classification",
-    "ConsistencyError",
-    "Cyclotomic",
-    "Element",
-    "GroupLike",
-    "Monomial",
-    "PairReport",
-    "Tensor2",
-    "Tensor3",
-    "Violation",
-    "check_antipode_law",
-    "check_associativity",
-    "check_bialgebra_compat",
-    "check_coassociativity",
-    "check_convolution_inverse",
-    "check_counit_law",
-    "check_relations",
-    "classify",
-    "closed_form_predicate",
-    "cyc_one",
-    "cyc_zero",
-    "enumerate_characters",
-    "enumerate_group_likes",
-    "implements_s_squared",
-    "is_odd_prime",
-    "is_stable",
-    "mono_mul",
-    "mono_mul_exp",
-    "negative_control_matches",
-    "root_power",
-    "run_all",
-    "twist",
+    "AxiomReport", "AxiomResult", "BookAlgebra", "Character", "Classification", "ConsistencyError",
+    "Cyclotomic", "Element", "GroupLike", "Monomial", "PairReport", "Tensor2", "Tensor3", "Violation",
+    "check_antipode_law", "check_associativity", "check_bialgebra_compat", "check_coassociativity",
+    "check_convolution_inverse", "check_counit_law", "check_relations", "classify", "closed_form_predicate",
+    "cyc_one", "cyc_zero", "enumerate_characters", "enumerate_group_likes", "implements_s_squared",
+    "is_odd_prime", "is_stable", "mono_mul", "mono_mul_exp", "negative_control_matches", "root_power",
+    "run_all", "twist",
 ]

@@ -13,48 +13,158 @@ where q = zeta_p, carrying the Hopf structure
     eps(g) = 1, eps(x) = eps(y) = 0
     S(g) = g^(-1), S(x) = -x g^(-1), S(y) = -y g^(-s)
 
-for 0 < s < p.  At s = 0 the coproduct fails to respect y^p = 0 in
-characteristic zero (Delta(y)^p != 0), so H(p, 0) is not a bialgebra; the
-constructor refuses it unless ``permissive=True``, which builds the maps
-anyway so that the failure can be exhibited by the axiom checker.
+for 0 < s < p.  At s = 0, Delta(y)^p != 0 in characteristic zero, so H(p, 0)
+is not a bialgebra; the constructor refuses it unless ``permissive=True``,
+which builds the maps anyway so that the axiom checker can exhibit the failure.
 
-Delta and S of a basis monomial come from closed forms, as the product does
-(``pbw.mono_mul_exp``).  Delta(x) and Delta(y) are sums of two terms that
-q-commute (in base q and q^(-s^2)), so the q-binomial theorem expands
-Delta(x)^b Delta(y)^c Delta(g)^a, and S(g)^a S(y)^c S(x)^b is one monomial;
-moving g past x and y to normal order gives
+Delta and S of a basis monomial come from closed forms.  Delta(x) and
+Delta(y) are sums of two terms that q-commute (in base q and q^(-s^2)), so
+the q-binomial theorem expands Delta(x)^b Delta(y)^c Delta(g)^a, and
+S(g)^a S(y)^c S(x)^b is one monomial; in normal order
 
     Delta(x^b y^c g^a) = sum_{k<=b, l<=c} [b k]_q [c l]_{q^(-s^2)} q^(-s k (c-l))
                          x^k y^l g^a (x) x^(b-k) y^(c-l) g^(a+k+s l)
     S(x^b y^c g^a) = (-1)^(b+c) q^(s^2 c(c-1)/2 - b(b-1)/2 - a b + s a c) x^b y^c g^(-a-b-s c)
 
-Each q-binomial with n < p is non-zero, so no term vanishes.  The relations
-check and the bialgebra check on all pairs certify that Delta is a
-well-defined algebra map.  Images of basis monomials under Delta, S and S^2
-are memoized per instance, as the checks and ``classify`` read them many
-times.  Delta^2 is not: each reader reads every image once
-(the twist sums over (Delta (x) id) Delta from the Delta memo).  The
-basis-index product table is built on first use; every fill is idempotent
-(pure values, insertion only), so racing first computations are harmless.
+No q-binomial with n < p vanishes.  The relations check and the bialgebra
+check on all pairs certify that Delta is a well-defined algebra map.
+
+Every check and ``classify`` read Delta, S and S^2 off one integer table,
+``BookAlgebra.structure_table``, filled from the closed forms on first use.
+Delta row i lists (left index, right index, packed coefficient) of
+Delta(basis[i]); S row i is (index, code) for S(basis[i]) = +-q^k
+basis[index], code k for +q^k and k + p for -q^k; S^2 rows compose S rows.
+Comparing packed sums is exact:
+
+- *Lift.*  A coefficient is held in Z[C_p] = Z[X]/(X^p - 1) as the min-digit
+  lift of its value in Z[zeta_p]: a representative minus its least digit
+  times 1 + X + ... + X^(p-1), which is 0 in Z[zeta_p].
+- *Packing.*  Digit i takes ``width`` bits at bit i * width, and each
+  coefficient is kept with its p rotations by q^e (X^e mod X^p - 1).  The
+  int product of two packed values is their product in Z[X], 2p - 1 digits,
+  with no carry while every digit stays below 2^width.
+- *Fold.*  Adding digit i + p onto digit i reduces mod X^p - 1.  Two values
+  of Z[C_p] are equal in Z[zeta_p] iff their difference is a multiple of
+  1 + X + ... + X^(p-1), i.e. iff all p digits of the folded difference are
+  equal; a bias of 2^(width-1) per digit keeps it non-negative (``differs``).
+- *Width.*  A lift's digit sum is its value at X = 1, so digit sums
+  multiply, and a unit +-q^k moves digits without changing their sum (its
+  sign picks the side it is summed on).  With R the largest digit sum of a
+  Delta row, a compared side sums products of one row's coefficients with
+  those of the rows of its legs, at most R^2 per digit, plus at most one
+  more row or unit, at most R.  ``width`` is derived from R^2 + R and
+  asserted before use.
+
+The views ``coproduct_monomial``, ``antipode_monomial`` and
+``s_squared_monomial`` decode a row and are memoized per instance.  Both
+tables are built on first use; fills are idempotent, so racing first
+computations are harmless.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import chain, product
+from math import comb
+from operator import add
 
-from .cyclotomic import cyc_zero, is_odd_prime, root_power
+from .cyclotomic import _build, _normalize, cyc_zero, is_odd_prime, root_power
 from .pbw import Element, Monomial, Tensor2, Tensor3, accumulate, basis_monomials, mono_mul_exp
 
-__all__ = ["BookAlgebra"]
+__all__ = ["BookAlgebra", "StructureTable"]
+
+
+def _rotated(digits, e):
+    """digits times X^e mod X^p - 1."""
+    e %= len(digits)
+    return digits[-e:] + digits[:-e]
+
+
+def _pack(digits, w):
+    return sum(d << i * w for i, d in enumerate(digits))
+
+
+def _digits(v, p, w):
+    """The p digits, w bits each, of a packed value of at most 2p digits, folded mod X^p - 1."""
+    v, mask = (v & (1 << p * w) - 1) + (v >> p * w), (1 << w) - 1
+    return tuple([v >> i & mask for i in range(0, p * w, w)])
+
+
+def lift(digits):
+    """The min-digit lift of the Z[zeta_p] value with these p digits (see the module docstring)."""
+    low = min(digits)
+    return tuple(d - low for d in digits)
 
 
 def _q_binomial_rows(p, base_exp):
-    """Rows n < p of [n k] in base q^base_exp: [n k] = [n-1 k-1] + q^(base_exp k) [n-1 k]."""
-    rows = [[root_power(p, 0)]]
+    """Rows n < p of [n k] in base q^base_exp as digits in Z[C_p]: [n k] = [n-1 k-1] + q^(base_exp k) [n-1 k]."""
+    zero = (0,) * p
+    rows = [[(1,) + zero[1:]]]
     for n in range(1, p):
-        prev = [cyc_zero(p), *rows[-1], cyc_zero(p)]
-        rows.append([prev[k] + root_power(p, base_exp * k) * prev[k + 1] for k in range(n + 1)])
+        prev = [zero, *rows[-1], zero]
+        rows.append([tuple(map(add, prev[k], _rotated(prev[k + 1], base_exp * k))) for k in range(n + 1)])
     return rows
+
+
+class StructureTable:
+    """Delta, S and S^2 of every basis monomial as integer rows (see the module docstring).
+
+    ``delta[i]`` lists (u, v, rotations), rotations[e] the packed lift of the
+    coefficient times q^e; ``antipode[i]`` and ``s_squared[i]`` are (index,
+    code).  ``root`` is R and ``bound`` is R^2.
+    """
+
+    def __init__(self, p, delta, antipode):
+        """``delta[i]`` lists (u, v, digits), any p digits of the coefficient in Z[C_p]."""
+        self.p = p
+        lifts = {d: lift(d) for d in {d for row in delta for _, _, d in row}}
+        weight = {d: sum(lifted) for d, lifted in lifts.items()}
+        self.root = max(sum(weight[d] for _, _, d in row) for row in delta)
+        self.bound = self.root ** 2
+        width = self.width = (self.bound + self.root).bit_length() + 1
+        assert self.bound + self.root < 1 << (width - 1), "digits must stay below 2^(width-1)"
+        self.digit_mask = (1 << width) - 1
+        self.rep = sum(1 << i * width for i in range(p))
+        self.fold_mask = self.rep * self.digit_mask
+        self.bias = self.rep << (width - 1)
+        top = p * width
+        rotations = {
+            d: tuple(v << e * width & (1 << top) - 1 | v >> top - e * width for e in range(p))
+            for d, v in ((d, self.pack(lifted)) for d, lifted in lifts.items())
+        }
+        self.delta = [[(u, v, rotations[d]) for u, v, d in row] for row in delta]
+        self.antipode = antipode
+        self.s_squared = [(antipode[t][0], (code + antipode[t][1]) % p + p * ((code >= p) != (antipode[t][1] >= p)))
+                          for t, code in antipode]
+
+    def pack(self, digits):
+        return _pack(digits, self.width)
+
+    def digits(self, v):
+        return _digits(v, self.p, self.width)
+
+    def decode(self, v, e=0):
+        """The value in Z[zeta_p] of a packed value times q^e."""
+        return _build(self.p, *_normalize(self.p, _rotated(self.digits(v), e), 1))
+
+    def decoded(self, legs, plus, minus=None):
+        """{legs(key): value} of the non-zero values of the packed sums ``plus`` minus ``minus``."""
+        return accumulate(chain(
+            ((legs(key), self.decode(v)) for key, v in plus.items()),
+            ((legs(key), -self.decode(v)) for key, v in (minus or {}).items()),
+        ))
+
+    def differs(self, lhs, rhs):
+        """Whether two sums {key: packed value} differ in Z[zeta_p] at some key; a missing key is 0."""
+        fold, half, bias, digit, rep = self.fold_mask, self.p * self.width, self.bias, self.digit_mask, self.rep
+
+        def bad(v, w):
+            d = (v & fold) + (v >> half & fold) + bias - (w & fold) - (w >> half & fold)
+            return d != (d & digit) * rep
+
+        get = rhs.get
+        return (any(v != (w := get(key, 0)) and bad(v, w) for key, v in lhs.items())
+                or any(key not in lhs and bad(0, w) for key, w in rhs.items()))
 
 
 class BookAlgebra:
@@ -81,15 +191,10 @@ class BookAlgebra:
         self.x = Element.monomial(p, s, Monomial(1, 0, 0))
         self.y = Element.monomial(p, s, Monomial(0, 1, 0))
 
-        # rows n = 0..p-1 of the q-binomials in the two bases Delta reads
-        self._binomials_x = _q_binomial_rows(p, 1)
-        self._binomials_y = _q_binomial_rows(p, -s * s)
-        # per-monomial caches
-        self._delta_mono = {}
-        self._antipode_mono = {}
-        self._s2_mono = {}
+        self._delta_mono, self._antipode_mono, self._s2_mono = {}, {}, {}  # views of structure-table rows
         self._basis = None
         self._products = None
+        self._table = None
 
     # -- basis ----------------------------------------------------------------
 
@@ -112,10 +217,8 @@ class BookAlgebra:
 
         With n = p^3 and indices in :meth:`basis` order, entry ``i * n + j``
         is ``t * p + e`` when basis[i] basis[j] = q^e basis[t], and -1 when
-        the product is 0.  The table holds p^6 32-bit integers (0.5 MB at
-        p = 7, 7 MB at p = 11), so nothing builds it until a check or
-        ``classify`` asks for it; entries stay below p^4, which fits for
-        every p < 215, and no larger table would fit in memory.  The
+        the product is 0.  It holds p^6 32-bit integers (0.5 MB at p = 7,
+        7 MB at p = 11), each below p^4, which fits for every p < 215.  The
         q-exponent of m1 x^b y^c g^a does not depend on a, so one closed-form
         product fills the p entries for a = 0..p-1.
         """
@@ -136,24 +239,42 @@ class BookAlgebra:
             self._products = table
         return self._products
 
+    def structure_table(self):
+        """Delta, S and S^2 of every basis monomial as a StructureTable, filled on first use.
+
+        The closed forms run in Z[C_p], packed ``w`` bits per digit: a digit of
+        [b k] [c l] is at most C(b, k) C(c, l), its digit sum, folded or not.
+        The p rows x^b y^c g^a share the product, which does not depend on a.
+        """
+        if self._table is None:
+            p, s = self.p, self.s
+            w = (comb(p - 1, (p - 1) // 2) ** 2).bit_length()
+            xs, ys = ([[_pack(ds, w) for ds in row] for row in _q_binomial_rows(p, e)] for e in (1, -s * s))
+            delta = []
+            for b, c in product(range(p), repeat=2):
+                terms = [(k, l, _rotated(_digits(bx * by, p, w), -s * k * (c - l)))
+                         for k, bx in enumerate(xs[b]) for l, by in enumerate(ys[c])]
+                delta += ([((k * p + l) * p + a, ((b - k) * p + c - l) * p + (a + k + s * l) % p, d)
+                           for k, l, d in terms] for a in range(p))
+            antipode = [((b * p + c) * p + (-a - b - s * c) % p,
+                         (s * s * c * (c - 1) // 2 - b * (b - 1) // 2 - a * b + s * a * c) % p + p * ((b + c) % 2))
+                        for b, c, a in self.basis()]
+            self._table = StructureTable(p, delta, antipode)
+        return self._table
+
     def monomial_element(self, mono, coeff=1):
         return Element.monomial(self.p, self.s, mono, coeff)
 
-    # -- structure maps on basis monomials ---------------------------------------
+    # -- structure maps on basis monomials: views of the structure table --------------
 
     def coproduct_monomial(self, mono):
-        """Delta(x^b y^c g^a) from the closed form in the module docstring, memoized."""
+        """Delta(x^b y^c g^a): its row of the structure table as a Tensor2, memoized."""
         t = self._delta_mono.get(mono)
         if t is None:
-            p, s = self.p, self.s
-            b, c, a = mono
-            t = Tensor2._raw(p, s, {
-                (Monomial(k, l, a), Monomial(b - k, c - l, (a + k + s * l) % p)):
-                    bx * by * root_power(p, -s * k * (c - l))
-                for k, bx in enumerate(self._binomials_x[b])
-                for l, by in enumerate(self._binomials_y[c])
-            })
-            self._delta_mono[mono] = t
+            table, basis = self.structure_table(), self.basis()
+            t = self._delta_mono[mono] = Tensor2._raw(self.p, self.s, accumulate(
+                ((basis[u], basis[v]), table.decode(r[0])) for u, v, r in table.delta[self.basis_index(mono)]
+            ))
         return t
 
     def counit_monomial(self, mono):
@@ -162,25 +283,21 @@ class BookAlgebra:
             return root_power(self.p, 0)
         return cyc_zero(self.p)
 
-    def antipode_monomial(self, mono):
-        """S(x^b y^c g^a) from the closed form in the module docstring, memoized."""
-        el = self._antipode_mono.get(mono)
+    def _unit_row(self, memo, rows, mono):
+        el = memo.get(mono)
         if el is None:
-            p, s = self.p, self.s
-            b, c, a = mono
-            coeff = root_power(p, s * s * c * (c - 1) // 2 - b * (b - 1) // 2 - a * b + s * a * c)
-            if (b + c) % 2:
-                coeff = -coeff
-            el = Element._raw(p, s, {Monomial(b, c, (-a - b - s * c) % p): coeff})
-            self._antipode_mono[mono] = el
+            t, code = rows[self.basis_index(mono)]
+            u = root_power(self.p, code)
+            el = memo[mono] = Element._raw(self.p, self.s, {self.basis()[t]: -u if code >= self.p else u})
         return el
 
+    def antipode_monomial(self, mono):
+        """S(x^b y^c g^a): its row of the structure table as an Element, memoized."""
+        return self._unit_row(self._antipode_mono, self.structure_table().antipode, mono)
+
     def s_squared_monomial(self, mono):
-        el = self._s2_mono.get(mono)
-        if el is None:
-            el = self.antipode(self.antipode_monomial(mono))
-            self._s2_mono[mono] = el
-        return el
+        """S^2(x^b y^c g^a): its row of the structure table as an Element, memoized."""
+        return self._unit_row(self._s2_mono, self.structure_table().s_squared, mono)
 
     def delta2_monomial(self, mono):
         """(Delta (x) id) Delta on a basis monomial, built afresh on each call."""
@@ -208,10 +325,7 @@ class BookAlgebra:
         return self._extend(self._own(h), self.coproduct_monomial, Tensor2)
 
     def counit(self, h):
-        total = cyc_zero(self.p)
-        for mono, c in self._own(h).terms.items():
-            total = total + c * self.counit_monomial(mono)
-        return total
+        return sum((c * self.counit_monomial(mono) for mono, c in self._own(h).terms.items()), cyc_zero(self.p))
 
     def antipode(self, h):
         return self._extend(self._own(h), self.antipode_monomial, Element)

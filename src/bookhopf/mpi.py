@@ -97,10 +97,7 @@ class Character:
         if isinstance(h, Monomial):
             e = self.exponent(h)
             return cyc_zero(self.algebra.p) if e is None else root_power(self.algebra.p, e)
-        total = cyc_zero(self.algebra.p)
-        for mono, coeff in h.terms.items():
-            total = total + coeff * self(mono)
-        return total
+        return sum((coeff * self(mono) for mono, coeff in h.terms.items()), cyc_zero(self.algebra.p))
 
     def _verify_relations(self):
         p, s, q = self.algebra.p, self.algebra.s, self.algebra.q
@@ -176,8 +173,7 @@ def check_convolution_inverse(algebra, beta):
     p = A.p
     for m in A.basis():
         eps = A.counit_monomial(m)
-        left = cyc_zero(p)
-        right = cyc_zero(p)
+        left = right = cyc_zero(p)
         for (m1, m2), coeff in A.coproduct_monomial(m).terms.items():
             left = left + coeff * beta(m1) * beta(A.antipode_monomial(m2))
             right = right + coeff * beta(A.antipode_monomial(m1)) * beta(m2)
@@ -186,26 +182,40 @@ def check_convolution_inverse(algebra, beta):
     return True
 
 
-def _twist_monomial(algebra, l, beta, mono):
-    """The twist of one basis monomial, summed over (Delta (x) id) Delta.
+def _twist_monomial(algebra, l, beta):
+    """The twist by (l, beta) of basis[i], as packed sums (plus, minus) by basis index.
 
-    Delta is read twice: u (x) h_3 in Delta(mono) is skipped when
-    beta(S h_3) = 0, before Delta(u) is read, and h_1 (x) h_2 in Delta(u)
-    when beta(h_1) = 0.
+    beta(h_1) l h_2 l^{-1} beta(S h_3) is summed over (Delta (x) id) Delta off
+    the structure table: u (x) h_3 in Delta(m) is skipped when beta(S h_3) = 0,
+    before Delta(u) is read, and h_1 (x) h_2 in Delta(u) when beta(h_1) = 0.
+    beta(S h_3) = +-q^k picks the side; g^i h_2 g^-i comes off the product table.
     """
     A = algebra
-    total = Element.zero(A.p, A.s)
-    for (u, m3), c in A.coproduct_monomial(mono).terms.items():
-        v3 = beta(A.antipode_monomial(m3))
-        if not v3:
-            continue
-        for (m1, m2), d in A.coproduct_monomial(u).terms.items():
-            v1 = beta(m1)
-            if not v1:
+    p, basis, products, table = A.p, A.basis(), A.product_table(), A.structure_table()
+    n, rows = len(basis), table.delta
+    beta_of = [beta.exponent(m) for m in basis]
+    beta_of_s = [  # beta(S basis[t]) as a unit code, or None for 0
+        None if (k := beta_of[t]) is None else code - code % p + (code + k) % p for t, code in table.antipode
+    ]
+    gi, g_inv = (A.basis_index(Monomial(0, 0, e % p)) for e in (l.i, -l.i))
+    conjugated = []  # the code of g^i basis[t] g^-i, -1 for 0
+    for t in range(n):
+        c = products[gi * n + t]
+        d = -1 if c < 0 else products[c // p * n + g_inv]
+        conjugated.append(-1 if d < 0 else d - d % p + (c + d) % p)
+
+    def monomial(i):
+        plus, minus = {}, {}
+        for u, m3, r in rows[i]:
+            if (v3 := beta_of_s[m3]) is None:
                 continue
-            conjugated = l.element * A.monomial_element(m2) * l.inverse
-            total = total + (c * d * v1 * v3) * conjugated
-    return total
+            side = minus if v3 >= p else plus
+            for m1, m2, r2 in rows[u]:
+                if (v1 := beta_of[m1]) is not None and (c := conjugated[m2]) >= 0:
+                    side[c // p] = side.get(c // p, 0) + r[(v3 + v1 + c) % p] * r2[0]
+        return plus, minus
+
+    return monomial
 
 
 def twist(algebra, l, beta, h):
@@ -213,10 +223,12 @@ def twist(algebra, l, beta, h):
 
     beta^{-1} = beta o S (see check_convolution_inverse); Delta^2 is never built.
     """
-    algebra._own(h)
-    total = Element.zero(algebra.p, algebra.s)
-    for mono, coeff in h.terms.items():
-        total = total + coeff * _twist_monomial(algebra, l, beta, mono)
+    A = algebra
+    table, monomial = A.structure_table(), _twist_monomial(A, l, beta)
+    total = Element.zero(A.p, A.s)
+    for mono, coeff in A._own(h).terms.items():
+        terms = table.decoded(A.basis().__getitem__, *monomial(A.basis_index(mono)))
+        total = total + Element._raw(A.p, A.s, terms).scale(coeff)
     return total
 
 
@@ -224,10 +236,16 @@ def implements_s_squared(algebra, l, beta):
     """Whether the twist by (l, beta) equals S^2 on every basis monomial.
 
     Full brute force: although both maps are algebra maps (so the generators
-    would suffice), every one of the p^3 monomials is compared.
+    would suffice), every one of the p^3 monomials is compared with its S^2
+    row +-q^k basis[t], added as X^k on the side opposite its sign.
     """
-    for mono in algebra.basis():
-        if _twist_monomial(algebra, l, beta, mono) != algebra.s_squared_monomial(mono):
+    p, table = algebra.p, algebra.structure_table()
+    monomial = _twist_monomial(algebra, l, beta)
+    for i, (t, code) in enumerate(table.s_squared):
+        plus, minus = monomial(i)
+        side = plus if code >= p else minus
+        side[t] = side.get(t, 0) + (1 << code % p * table.width)
+        if table.differs(plus, minus):
             return False
     return True
 

@@ -286,8 +286,7 @@ class Element(_Sparse):
 
     @classmethod
     def monomial(cls, p, s, mono, coeff=1):
-        el = cls(p, s, {mono: coeff})
-        return el
+        return cls(p, s, {mono: coeff})
 
     def _mul_key(self, k1, k2):
         return mono_mul_exp(k1, k2, self.p, self.s)

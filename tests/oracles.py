@@ -7,11 +7,13 @@ more elementary means — one adjacent-letter swap at a time, a textbook
 recurrence, the generator images of the paper multiplied out power by power,
 or the whole Delta^2 image — so tests can compare two genuinely different
 routes to the same value.
-``doctor_product`` breaks one entry of the product table, so that the tests
-can show the fast checks notice.
+``doctor_product`` breaks one entry of the product table, and
+``doctor_delta`` and ``negate_unit_row`` one row of the structure table, so
+that the tests can show the fast checks notice.
 """
 
-from bookhopf import Element, Monomial, Tensor2, cyc_one, cyc_zero, root_power
+from bookhopf import Cyclotomic, Element, Monomial, Tensor2, cyc_one, cyc_zero, root_power
+from bookhopf.hopf import StructureTable
 
 _ORDER = {"x": 0, "y": 1, "g": 2}
 
@@ -178,6 +180,38 @@ def doctor_product(A, m1, m2, how):
         A._products[at] = code - code % p + (code + 1) % p
     else:
         A._products[at] = (code + p) % (n * p)
+
+
+def delta_digit_rows(A):
+    """The Delta rows of ``A.structure_table()`` as (u, v, digits), the form StructureTable takes."""
+    table = A.structure_table()
+    return [[(u, v, tuple(table.digits(r[0]))) for u, v, r in row] for row in table.delta]
+
+
+def install_delta_rows(A, rows):
+    """Rebuild A's structure table from Delta rows (so that its width follows them), keeping S."""
+    A._table = StructureTable(A.p, rows, A.structure_table().antipode)
+    A._delta_mono.clear()
+
+
+def doctor_delta(A, mono, terms):
+    """Replace the Delta row of ``mono`` in the structure table by ``terms``, {(m1, m2): coefficient}."""
+    rows = delta_digit_rows(A)
+    rows[A.basis_index(mono)] = [
+        (A.basis_index(u), A.basis_index(v), (Cyclotomic(A.p, ()) + c).num + (0,))
+        for (u, v), c in terms.items()
+    ]
+    install_delta_rows(A, rows)
+
+
+def negate_unit_row(A, rows, mono):
+    """Negate the S or S^2 row (``rows`` is "antipode" or "s_squared") of ``mono`` in the structure table."""
+    table = A.structure_table()
+    i = A.basis_index(mono)
+    t, code = getattr(table, rows)[i]
+    getattr(table, rows)[i] = t, (code + A.p) % (2 * A.p)
+    A._antipode_mono.clear()
+    A._s2_mono.clear()
 
 
 def delta2_twist_monomial(A, l, beta, mono):

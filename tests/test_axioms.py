@@ -12,6 +12,7 @@ from bookhopf import (
     AxiomReport,
     AxiomResult,
     BookAlgebra,
+    ConsistencyError,
     Cyclotomic,
     Element,
     Monomial,
@@ -24,12 +25,23 @@ from bookhopf import (
     check_coassociativity,
     check_counit_law,
     check_relations,
+    classify,
+    cyc_one,
+    cyc_zero,
     negative_control_matches,
+    root_power,
     run_all,
 )
 from bookhopf.axioms import MAX_VIOLATIONS_RENDERED, _Lanes
 from bookhopf.pbw import ONE
-from oracles import associativity_violations, doctor_product
+from oracles import (
+    associativity_violations,
+    delta_digit_rows,
+    doctor_delta,
+    doctor_product,
+    install_delta_rows,
+    negate_unit_row,
+)
 
 AXIOMS = [
     "associativity",
@@ -81,12 +93,14 @@ def test_relations_read_the_live_structure_maps():
     A = BookAlgebra(5, 2)
     one, x = Monomial(0, 0, 0), Monomial(1, 0, 0)
     assert check_relations(A).passed
-    A._delta_mono[x] = Tensor2(5, 2, {(one, x): 1, (x, Monomial(0, 0, 2)): 1})
+    doctor_delta(A, x, {(one, x): 1, (x, Monomial(0, 0, 2)): 1})
     result = check_relations(A).result("relations")
     assert [v.at for v in result.violations] == ["Delta: x y = q^-2 y x"]
 
     A = BookAlgebra(5, 2)
-    A._antipode_mono[x] = Element(5, 2, {Monomial(1, 0, 3): -1})
+    assert check_relations(A).passed
+    A.structure_table().antipode[A.basis_index(x)] = A.basis_index(Monomial(1, 0, 3)), 5  # -x g^3: code k + p is -q^k
+    A._antipode_mono.clear()
     result = check_relations(A).result("relations")
     assert [v.at for v in result.violations] == ["S: x y = q^-2 y x"]
 
@@ -317,7 +331,7 @@ def doctor(A, how):
     else:  # one term too many
         assert (ONE, ONE) not in terms
         terms[(ONE, ONE)] = A.q
-    A._delta_mono[mono] = Tensor2(p, s, terms)
+    doctor_delta(A, mono, terms)
     return mono
 
 
@@ -349,27 +363,49 @@ def test_bialgebra_lane_kernel_flags_a_doctored_row(p, how):
     assert any(f"m2={mono.render()}" in at for at, _, _ in expected)
 
 
+def closed_form_coefficients(p, s):
+    """{(b, c, k, l): [b k]_q [c l]_(q^-s^2) q^(-s k (c-l))}, the Delta coefficients, by Cyclotomic arithmetic."""
+
+    def pascal(base_exp):
+        rows = [[cyc_one(p)]]
+        for n in range(1, p):
+            prev = [cyc_zero(p), *rows[-1], cyc_zero(p)]
+            rows.append([prev[k] + root_power(p, base_exp * k) * prev[k + 1] for k in range(n + 1)])
+        return rows
+
+    xs, ys = pascal(1), pascal(-s * s)
+    return {
+        (b, c, k, l): bx * by * root_power(p, -s * k * (c - l))
+        for b in range(p) for c in range(p)
+        for k, bx in enumerate(xs[b]) for l, by in enumerate(ys[c])
+    }
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_lane_digit_width_bound(p):
-    """The lift is exact and non-negative, and no accumulated digit reaches 2^(width-1)."""
+    """The table's lift is exact and non-negative, and no accumulated digit reaches 2^(width-1)."""
     A = BookAlgebra(p, p - 2)
+    table = A.structure_table()
     lanes = _Lanes(A)
+    basis = A.basis()
+    closed = closed_form_coefficients(p, p - 2)
     sums = []
-    for row in lanes.rows:
-        for coeff in row.values():
-            digits = lanes.digits[coeff]
-            assert len(digits) == p and min(digits) >= 0
-            assert Cyclotomic(p, digits) == coeff
-        sums.append(sum(sum(lanes.digits[c]) for c in row.values()))
-    assert lanes.bound == max(sums) ** 2 < 1 << (lanes.width - 1)
-    assert lanes.width <= 32  # keeps the packed products small up to p = 13
+    for (b, c, _), row in zip(basis, table.delta):
+        for u, _, rotations in row:
+            digits = table.digits(rotations[0])
+            assert len(digits) == p and min(digits) == 0
+            assert Cyclotomic(p, digits) == closed[b, c, basis[u].b, basis[u].c]
+        sums.append(sum(sum(table.digits(r[0])) for _, _, r in row))
+    assert table.root == max(sums)
+    assert table.bound == max(sums) ** 2 < 1 << (table.width - 1)
+    assert lanes.width == table.width <= 32  # keeps the packed products small up to p = 13
     # the heaviest Delta(m1) against the heaviest group stays under the bound
     i1 = sums.index(max(sums))
     bc2 = max(range(p * p), key=lambda bc: sum(sums[bc * p:(bc + 1) * p]))
     acc, _ = lanes.group(lanes.left(i1), bc2, 0, {})
     digit_mask = (1 << lanes.width) - 1
     top = max(v >> k * lanes.width & digit_mask for v in acc.values() for k in range(2 * p * p))
-    assert 0 < top <= lanes.bound
+    assert 0 < top <= table.bound
 
 
 @pytest.mark.parametrize("p,s", [(3, 1), (5, 0), (5, 2), (7, 3), (11, 0), (11, 3), (13, 5)])
@@ -398,11 +434,11 @@ def test_lane_output_keys_unpack_to_tensor_products(p, s):
 # -- doctored Delta and S rows against plain Tensor3/Element arithmetic ---------------
 
 
-def coassociativity_reference(A):
+def coassociativity_reference(A, monomials=None):
     """The coassociativity violations that plain Tensor3 arithmetic finds, in order."""
     p, s = A.p, A.s
     out = []
-    for m in A.basis():
+    for m in A.basis() if monomials is None else monomials:
         lhs = rhs = Tensor3.zero(p, s)
         for (m1, m2), c in A.coproduct_monomial(m).terms.items():
             for (u, v), d in A.coproduct_monomial(m1).terms.items():
@@ -430,11 +466,11 @@ def counit_reference(A):
     return out
 
 
-def antipode_reference(A):
+def antipode_reference(A, monomials=None):
     """The antipode violations that plain Element arithmetic finds, in order."""
     p, s = A.p, A.s
     out = []
-    for m in A.basis():
+    for m in A.basis() if monomials is None else monomials:
         expected = Element.unit(p, s).scale(A.counit_monomial(m))
         left = right = Element.zero(p, s)
         for (m1, m2), c in A.coproduct_monomial(m).terms.items():
@@ -454,12 +490,12 @@ def doctor_row(A, row):
     """
     mono = Monomial(1, 1, 2)
     if row == "S":
-        A._antipode_mono[mono] = -A.antipode_monomial(mono)
+        negate_unit_row(A, "antipode", mono)
         return
     terms = dict(A.coproduct_monomial(mono).terms)
     key, coeff = (min if row == "Delta-first" else max)(terms.items())
     terms[key] = coeff + 1
-    A._delta_mono[mono] = Tensor2(A.p, A.s, terms)
+    doctor_delta(A, mono, terms)
 
 
 DOCTORED_CHECKS = {  # axiom -> (check, plain-arithmetic reference)
@@ -489,6 +525,77 @@ def test_doctored_row_fails_like_the_reference(p, row, axiom, count_at_p3):
     assert found(result) == expected
     if p == 3:
         assert len(expected) == count_at_p3
+
+
+@pytest.mark.parametrize("how", ["one digit", "every digit"])
+def test_a_2_to_the_40_digit_widens_the_table(how):
+    """A digit of 2^40 widens ``width`` past 80 bits and fails like the reference, with no carry
+    to hide it; 2^40 on every digit is 2^40 (1 + q + ... + q^(p-1)) = 0, which the lift removes."""
+    A = BookAlgebra(3, 1)
+    healthy = A.structure_table().width
+    rows = delta_digit_rows(A)
+    i = A.basis_index(Monomial(1, 1, 2))
+    u, v, digits = rows[i][0]
+    big = 1 << 40
+    rows[i][0] = u, v, (digits[0] + big, *digits[1:]) if how == "one digit" else tuple(d + big for d in digits)
+    install_delta_rows(A, rows)
+    table = A.structure_table()
+    if how == "every digit":
+        assert table.width == healthy and run_all(A).passed
+        return
+    assert table.root > big and table.width > 80 > healthy
+    for check, reference in DOCTORED_CHECKS.values():
+        (result,) = check(A).results
+        assert not result.passed and found(result) == reference(A)
+    bialgebra = check_bialgebra_compat(A).result("bialgebra")
+    pairs = [(m1, m2) for m1 in A.basis() for m2 in A.basis()]
+    assert not bialgebra.passed and found(bialgebra) == tensor_violations(A, pairs)
+
+
+@pytest.mark.parametrize("row", ["Delta", "S", "both"])
+def test_one_doctored_table_row_is_seen_by_every_reader(row):
+    """Delta(x) with 2 x (x) g, and S(g) = -g^-1, are seen by every check that reads that row and by classify."""
+    A = BookAlgebra(5, 2)
+    x, g = Monomial(1, 0, 0), Monomial(0, 0, 1)
+    if row != "S":
+        doctor_delta(A, x, {(ONE, x): 1, (x, g): 2})
+    if row != "Delta":
+        negate_unit_row(A, "antipode", g)
+    readers = {"antipode"} | ({"coassociativity", "counit", "bialgebra"} if row != "S" else set())
+    for check in (check_coassociativity, check_counit_law, check_bialgebra_compat, check_antipode_law):
+        (result,) = check(A).results
+        assert result.passed == (result.axiom not in readers), result.axiom
+    with pytest.raises(ConsistencyError, match="brute force disagrees with closed form"):
+        classify(A)
+
+
+@pytest.mark.parametrize("s", [1, 10])
+def test_coassociativity_and_antipode_law_pass_at_p11(s):
+    A = BookAlgebra(11, s)
+    for check in (check_coassociativity, check_antipode_law):
+        (result,) = check(A).results
+        assert result.passed and result.checked == 11 ** 3 and result.mode == "exhaustive"
+
+
+def test_coassociativity_and_antipode_law_flag_one_doctored_row_at_p11():
+    """The coefficient of x^10 (x) g^10 in Delta(x^10) is off by one; few monomials read that row."""
+    A = BookAlgebra(11, 1)
+    mono = Monomial(10, 0, 0)
+    terms = dict(A.coproduct_monomial(mono).terms)
+    key = max(terms)
+    terms[key] = terms[key] + 1
+    doctor_delta(A, mono, terms)
+    basis, table = A.basis(), A.structure_table()
+    i = A.basis_index(mono)
+    readers = [m for m, row in zip(basis, table.delta) if m == mono or any(i in (u, v) for u, v, _ in row)]
+    (result,) = check_coassociativity(A).results
+    sites = [v.at for v in result.violations]
+    assert not result.passed and "m=x^10" in sites
+    assert set(sites) <= {f"m={m.render()}" for m in readers}
+    assert found(result)[sites.index("m=x^10")] == coassociativity_reference(A, [mono])[0]
+    # the antipode law reads the Delta row of m alone, so only m = x^10 fails
+    (result,) = check_antipode_law(A).results
+    assert found(result) == antipode_reference(A, [mono])
 
 
 def test_a_doctored_counit_fails_like_the_reference():

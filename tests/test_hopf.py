@@ -139,15 +139,34 @@ def test_coproduct_powers_match_gaussian_binomials(p, s):
     ],
 )
 def test_closed_forms_match_generator_powers(p, s, a_values):
-    # Delta and S of every basis monomial with g-exponent in a_values
+    # Delta, S and S^2 of every basis monomial with g-exponent in a_values: the
+    # views, and the integer rows of the structure table decoded through the fold
     A = BookAlgebra(p, s, permissive=s == 0)
     reference = GeneratorPowers(A)
+    table, basis = A.structure_table(), A.basis()
+
+    def unit_row(t, code):
+        return A.monomial_element(basis[t], (-1 if code >= p else 1) * root_power(p, code))
+
     for a in a_values:
         for b in range(p):
             for c in range(p):
                 m = Monomial(b, c, a)
-                assert A.coproduct_monomial(m) == reference.coproduct(m), m
-                assert A.antipode_monomial(m) == reference.antipode(m), m
+                i = A.basis_index(m)
+                delta, antipode = reference.coproduct(m), reference.antipode(m)
+                assert A.coproduct_monomial(m) == delta, m
+                assert A.antipode_monomial(m) == antipode, m
+                # rotation e, then a shift by j digits past digit p - 1, folded back and undone
+                decoded = Tensor2(p, s, {
+                    (basis[u], basis[v]): table.decode(r[e] << j * table.width, -(e + j) % p)
+                    for u, v, r in table.delta[i]
+                    for e, j in [((u + v) % p, (u * v + 1) % p)]
+                })
+                assert decoded == delta, m
+                assert unit_row(*table.antipode[i]) == antipode, m
+                (t, _), = antipode.terms.items()
+                s_squared = reference.antipode(t).scale(antipode.terms[t])
+                assert unit_row(*table.s_squared[i]) == s_squared == A.s_squared_monomial(m), m
 
 
 def test_coproduct_is_algebra_map_p3():

@@ -27,9 +27,10 @@ from bookhopf import (
     implements_s_squared,
     is_stable,
     root_power,
+    run_all,
     twist,
 )
-from oracles import delta2_twist_monomial, doctor_product
+from oracles import delta2_twist_monomial, doctor_delta, doctor_product, negate_unit_row
 
 
 # -- enumeration ---------------------------------------------------------
@@ -389,12 +390,11 @@ def test_verdicts_are_computed_from_the_measured_fields():
 def _doctor_delta_of_x(A):
     # the coefficient of x (x) g in Delta(x) becomes 2
     x, g = Monomial(1, 0, 0), Monomial(0, 0, 1)
-    A._delta_mono[x] = Tensor2(A.p, A.s, {(Monomial(0, 0, 0), x): 1, (x, g): 2})
+    doctor_delta(A, x, {(Monomial(0, 0, 0), x): 1, (x, g): 2})
 
 
 def _doctor_s_squared_of_x(A):
-    x = Monomial(1, 0, 0)
-    A._s2_mono[x] = -A.s_squared_monomial(x)
+    negate_unit_row(A, "s_squared", Monomial(1, 0, 0))
 
 
 @pytest.mark.parametrize("doctor", [_doctor_delta_of_x, _doctor_s_squared_of_x], ids=["delta", "s2"])
@@ -405,6 +405,18 @@ def test_classify_raises_when_brute_force_leaves_the_closed_form(doctor):
         ConsistencyError, match=r"brute force disagrees with closed form at \(i=4, j=3\)"
     ):
         classify(A)
+
+
+def test_checks_and_classify_read_the_structure_table_not_the_views():
+    """After a passing run_all and classify, the Cyclotomic views hold only generators and group-likes."""
+    A = BookAlgebra(7, 3)
+    assert run_all(A).passed
+    assert classify(A).implements == ((2, 1),)
+    generators = {Monomial(0, 0, 0), Monomial(1, 0, 0), Monomial(0, 1, 0)}
+    group_likes = {Monomial(0, 0, a) for a in range(7)}
+    assert set(A._delta_mono) <= generators | group_likes
+    assert set(A._antipode_mono) <= generators | {Monomial(0, 0, 1)}
+    assert not A._s2_mono
 
 
 def test_consistency_error_is_runtime_error():
