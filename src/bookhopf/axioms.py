@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from operator import itemgetter
+from operator import getitem, itemgetter
 from time import perf_counter
 
 from .cyclotomic import cyc_zero, root_power
@@ -304,20 +304,30 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
       Delta(m1) with those of one row, at most R^2 per digit, and the
       expected row adds at most R, so no digit carries into the next digit
       or lane; the fold and the biased difference run on all lanes at once.
+    - *One group run per g-orbit of m1.*  With wt(w) given by g w = q^wt(w) w g
+      in the product table, ``_Lanes.orbit`` checks three premises on the live
+      tables: P1, the Delta row of x^b y^c g^a is that of x^b y^c with both
+      legs moved by g^a and the same coefficients; P2, wt(w) + wt(z) =
+      wt(x^b y^c) for every term w (x) z of Delta(x^b y^c); P3, (u g) w =
+      q^wt(w) (u w) g for every basis pair, so (u g^a) w = q^(a wt(w)) (u w) g^a.
+      *Lemma:* then at m1 = h g^a1, h = x^b1 y^c1, Delta(m1) Delta(m2) and
+      Delta(m1 m2) are both q^(a1 wt(m2)) times their values at (h, m2) with
+      both legs moved by g^a1, so all m1 of an orbit fail in the same lanes.
+      If a premise fails, every m1 is its own orbit: the full sweep.
 
     The expected side Delta(m1 m2) is read off the product table and the
     lane groups, memoized per product monomial.  Both sides of eps(m1 m2) =
     eps(m1) eps(m2) are read off ``counit_monomial``, one row over all m2 per
     m1, with one object per value so that equal rows compare by identity.
 
-    Both modes run one sweep in basis order over the groups (m1, x^b2 y^c2),
-    each with a mask of the lanes a2 it reads: all of them when exhaustive.
-    A sampled run first replays its draws, i1 then i2 from ``Random(seed)``,
-    into bit i2 % p of group (i1, i2 // p), and the sweep skips groups with
-    mask 0; so it never runs more groups than the exhaustive sweep, lists
-    its violations in basis order and a pair drawn twice once, and
-    ``checked`` counts its draws.  Failing lanes are decoded and rendered
-    through ``Tensor2``, up to MAX_VIOLATIONS_RENDERED.
+    Both modes sweep the groups (m1, x^b2 y^c2) in basis order, each with a
+    mask of the lanes a2 it reads: all of them when exhaustive.  A sampled
+    run first replays its draws, i1 then i2 from ``Random(seed)``, into bit
+    i2 % p of group (i1, i2 // p); a group runs at the first m1 of its orbit
+    that drew a lane there, so it never runs more groups than the exhaustive
+    sweep, lists violations in basis order and a pair drawn twice once, and
+    ``checked`` counts its draws.  A failing lane is rendered, up to
+    MAX_VIOLATIONS_RENDERED, through ``Tensor2`` from m1's own group.
     """
     A = algebra
     p, s = A.p, A.s
@@ -349,10 +359,21 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
     eps_rows = {e: tuple(value(e * f) for f in eps) for e in set(eps)}  # eps(m1) eps(m2) over all m2
     memo = {-1: {}}  # t -> lanes.expected(t); a zero product (t = -1) expects no term
 
+    def run(i1, bc2, left):  # (accumulator, mask of the bad lanes, e12) of group (m1, x^b2 y^c2)
+        # m1 x^b2 y^c2 = q^e12 basis[t12], or 0 for t12 = -1, where any e12 serves
+        t12, e12 = divmod(table[i1 * n + bc2 * p], p)
+        expected = memo.get(t12)
+        if expected is None:
+            expected = memo[t12] = lanes.expected(t12)
+        return (*lanes.group(left, bc2, e12, expected), e12)
+
     def report(kind, i1, i2, lhs, rhs):
         rec.hit(f"{kind}: m1={basis[i1].render()}, m2={basis[i2].render()}", lhs.render(), rhs.render())
 
+    orbit = lanes.orbit()
     for i1 in range(n):
+        if i1 % orbit == 0:
+            carried = {}  # bc2 -> bad lanes of the first group (m1, x^b2 y^c2) run in the g-orbit of m1
         row_masks = masks[i1 * groups:(i1 + 1) * groups]
         if not any(row_masks):
             continue
@@ -363,18 +384,19 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
         for bc2, mask in enumerate(row_masks):
             if not mask:
                 continue
-            # m1 x^b2 y^c2 = q^e12 basis[t12], or 0 for t12 = -1, where any e12 serves
-            t12, e12 = divmod(table[i1 * n + bc2 * p], p)
-            expected = memo.get(t12)
-            if expected is None:
-                expected = memo[t12] = lanes.expected(t12)
-            acc, bad = lanes.group(left, bc2, e12, expected)
+            acc, bad = None, carried.get(bc2)
+            if bad is None:
+                acc, bad, e12 = run(i1, bc2, left)
+                carried[bc2] = bad
             if eps_ok and not bad or len(rec.violations) >= MAX_VIOLATIONS_RENDERED:
                 continue
+            if bad & mask and acc is None:  # render from m1's own group
+                acc, own, e12 = run(i1, bc2, left)
+                assert own == bad, "P1-P3 carry the bad lanes along the g-orbit"
             for i2 in range(bc2 * p, bc2 * p + p):
                 if not mask >> i2 % p & 1:
                     continue
-                if bad >> i2 % p * lanes.lane_bits & lanes.lane_mask:
+                if bad >> i2 % p & 1:
                     t, e = divmod(table[i1 * n + i2], p)
                     lhs = Tensor2.zero(p, s) if t < 0 else A.coproduct_monomial(basis[t]).scale(root_power(p, e))
                     report("Delta", i1, i2, lhs, Tensor2._raw(p, s, lanes.unpack(acc, i2 % p, e12)))
@@ -420,6 +442,20 @@ class _Lanes:
                 grouped[key] = grouped.get(key, 0) + (rotations[0] << a2 * self.lane_bits)
         return [(w, z, packed) for (w, z), packed in grouped.items()]
 
+    def orbit(self):
+        """p if P1-P3 of check_bialgebra_compat hold on the live tables, else 1: the size of a g-orbit of m1."""
+        p, n, rows, products = self.p, self.n, self.rows, self.products
+        moved = [[t - t % p + (t + a) % p for t in range(n)] for a in range(p)]  # moved[a][t]: basis[t] g^a
+        wt = [c % p for c in products[1]]  # g w = q^wt(w) w g, g = basis[1]
+        # after_g[k][c] is the code of q^(e+k) basis[t] g, for c that of q^e basis[t]; -1 (zero) reads -1
+        after_g = [tuple(moved[1][c // p] * p + (c + k) % p for c in range(n * p)) + (-1,) for k in range(p)]
+        columns = [after_g[k] for k in wt]
+        return p if (
+            all(rows[i] == [(moved[i % p][u], moved[i % p][v], r) for u, v, r in rows[i - i % p]] for i in range(n))
+            and not any((wt[u] + wt[v] - wt[i]) % p for i in range(0, n, p) for u, v, _ in rows[i])
+            and all(tuple(map(getitem, columns, products[u])) == products[moved[1][u]] for u in range(n))
+        ) else 1
+
     def expected(self, t):
         """Biased packed Delta(x^B y^C g^(a + a2)) in lane a2, for t the index of x^B y^C g^a:
         group t // p with both legs moved by g^a and lane a + a2 rotated down to lane a2."""
@@ -439,9 +475,9 @@ class _Lanes:
     def group(self, left, bc2, e12, expected):
         """Accumulate Delta(m1) times group bc2 and compare with ``expected``.
 
-        Returns the accumulator and a value that is non-zero in exactly the
-        lanes where Delta(m1) Delta(m2) differs from Delta(m1 m2).  The
-        products are taken at q^(e - e12), so the accumulator is q^-e12 times
+        Returns the accumulator and the mask of the lanes a2 (bit a2) where
+        Delta(m1) Delta(m2) differs from Delta(m1 m2).  The products are
+        taken at q^(e - e12), so the accumulator is q^-e12 times
         Delta(m1) Delta(m2) and compares with the unscaled Delta rows.
         """
         p, n = self.p, self.n
@@ -466,7 +502,7 @@ class _Lanes:
             bad |= d ^ (d & low) * rep
         for d in rest.values():
             bad |= d ^ (d & low) * rep
-        return acc, bad
+        return acc, sum(1 << a for a in range(p) if bad >> a * self.lane_bits & self.lane_mask)
 
     def unpack(self, acc, a2, e12):
         """Lane a2 of an accumulator as Tensor2 terms, times q^e12."""

@@ -117,6 +117,7 @@ class StructureTable:
     def __init__(self, p, delta, antipode):
         """``delta[i]`` lists (u, v, digits), any p digits of the coefficient in Z[C_p]."""
         self.p = p
+        self._decoded = {}  # (packed value, e mod p) -> decode(value, e)
         lifts = {d: lift(d) for d in {d for row in delta for _, _, d in row}}
         weight = {d: sum(lifted) for d, lifted in lifts.items()}
         self.root = max(sum(weight[d] for _, _, d in row) for row in delta)
@@ -144,8 +145,10 @@ class StructureTable:
         return _digits(v, self.p, self.width)
 
     def decode(self, v, e=0):
-        """The value in Z[zeta_p] of a packed value times q^e."""
-        return _build(self.p, *_normalize(self.p, _rotated(self.digits(v), e), 1))
+        """The value in Z[zeta_p] of a packed value times q^e, memoized: a Cyclotomic is immutable."""
+        if (c := self._decoded.get(key := (v, e % self.p))) is None:
+            c = self._decoded[key] = _build(self.p, *_normalize(self.p, _rotated(self.digits(v), e), 1))
+        return c
 
     def decoded(self, legs, plus, minus=None):
         """{legs(key): value} of the non-zero values of the packed sums ``plus`` minus ``minus``."""

@@ -299,22 +299,37 @@ def group_runs(monkeypatch):
 
 
 def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs):
+    """One run per g-orbit of m1 and x^b2 y^c2 on the live tables; every (m1, x^b2 y^c2) once on a doctored row."""
     result = check_bialgebra_compat(BookAlgebra(7, 3)).result("bialgebra")
     assert result.mode == "exhaustive" and result.checked == 343 ** 2
+    assert len(group_runs) == 7 ** 4 == 2_401
+    group_runs.clear()
+    A = BookAlgebra(7, 3)
+    doctor(A, "digit")  # breaks P1, so every m1 is its own orbit and no group is run twice to render
+    assert not check_bialgebra_compat(A).passed
     assert len(group_runs) == 343 * 7 ** 2 == 16_807
 
 
 def test_sampled_bialgebra_runs_each_drawn_lane_group_once(group_runs):
-    """Pairs drawn twice or sharing a group cost one group run; violations come in basis order."""
+    """A group runs once per g-orbit of m1 its draws hit, plus once more for each other m1 it renders a
+    Delta violation at; pairs drawn twice cost nothing more, and violations come in basis order."""
     p, seed, draws = 7, 0, 2500
     A = BookAlgebra(p, 0, permissive=True)
     basis = A.basis()
     result = check_bialgebra_compat(A, seed=seed, sample_size=draws).result("bialgebra")
     assert result.mode == f"sampled(n={draws})" and result.checked == draws
-    drawn = replayed_pairs(len(basis), seed, draws)
-    assert len(group_runs) == len({(i1, i2 // p) for i1, i2 in drawn}) < len(set(drawn)) < draws
-    expected = tensor_violations(A, [(basis[i1], basis[i2]) for i1, i2 in sorted(set(drawn))])
+    drawn = sorted(set(replayed_pairs(len(basis), seed, draws)))
+    expected = tensor_violations(A, [(basis[i1], basis[i2]) for i1, i2 in drawn])
     assert expected and found(result) == expected
+    first = {}  # (g-orbit of m1, x^b2 y^c2) -> the first m1 that drew a lane there
+    for i1, i2 in drawn:
+        first.setdefault((i1 // p, i2 // p), i1)
+    failing = {at for at, _, _ in expected}
+    renders = {
+        (i1, i2 // p) for i1, i2 in drawn
+        if first[i1 // p, i2 // p] != i1 and f"Delta: m1={basis[i1].render()}, m2={basis[i2].render()}" in failing
+    }
+    assert renders and len(group_runs) == len(first) + len(renders) < len({(i1, i2 // p) for i1, i2 in drawn})
 
 
 def doctor(A, how):
@@ -342,6 +357,20 @@ def healthy_tensor_violations(p, s):
     return {(m1, m2): tensor_violations(A, [(m1, m2)]) for m1 in A.basis() for m2 in A.basis()}
 
 
+def doctored_tensor_violations(A, doctored):
+    """tensor_violations over all basis pairs of A, whose Delta rows of the monomials ``doctored`` differ from
+    H(p, s)'s: Delta(m1 m2) and Delta(m1) Delta(m2) read only the Delta rows of m1, m2 and m1 m2."""
+    p, s = A.p, A.s
+    healthy = healthy_tensor_violations(p, s)
+
+    def reference(m1, m2):
+        if doctored & {m1, m2, *(Element.monomial(p, s, m1) * Element.monomial(p, s, m2)).terms}:
+            return tensor_violations(A, [(m1, m2)])
+        return healthy[m1, m2]
+
+    return [v for m1 in A.basis() for m2 in A.basis() for v in reference(m1, m2)]
+
+
 @pytest.mark.parametrize("how", ["digit", "g-exponent", "extra term"])
 @pytest.mark.parametrize("p", [3, 5])
 def test_bialgebra_lane_kernel_flags_a_doctored_row(p, how):
@@ -349,18 +378,75 @@ def test_bialgebra_lane_kernel_flags_a_doctored_row(p, how):
     mono = doctor(A, how)
     result = check_bialgebra_compat(A).result("bialgebra")
     assert result.mode == "exhaustive"
-    basis = A.basis()
-    healthy = healthy_tensor_violations(p, 2)
-
-    def reference(m1, m2):
-        # Delta(m1 m2) and Delta(m1) Delta(m2) read only the Delta rows of m1, m2 and m1 m2
-        if mono in (m1, m2) or mono in (Element.monomial(p, 2, m1) * Element.monomial(p, 2, m2)).terms:
-            return tensor_violations(A, [(m1, m2)])
-        return healthy[m1, m2]
-
-    expected = [v for m1 in basis for m2 in basis for v in reference(m1, m2)]
+    expected = doctored_tensor_violations(A, {mono})
     assert expected and found(result) == expected
     assert any(f"m2={mono.render()}" in at for at, _, _ in expected)
+
+
+def bialgebra_outcome(A, **options):
+    result = check_bialgebra_compat(A, **options).result("bialgebra")
+    return found(result), result.checked, result.mode
+
+
+def doctor_orbit(A, how):
+    """Doctor every row Delta(x y g^a) alike: P1 holds, and so do P2 and P3 unless ``how`` is "extra term"."""
+    p = A.p
+    rows = delta_digit_rows(A)
+    for a in range(p):
+        row = rows[A.basis_index(Monomial(1, 1, a))]
+        if how == "digit":  # the same digit of the same term off by one
+            u, v, digits = row[1]
+            row[1] = u, v, (digits[0] + 1, *digits[1:])
+        else:  # q g^a (x) g^a, of weight 0, in a row of weight 1 - s
+            row.append((a, a, (0, 1) + (0,) * (p - 2)))
+    install_delta_rows(A, rows)
+
+
+def forced_full_sweep(monkeypatch):
+    monkeypatch.setattr(_Lanes, "orbit", lambda self: 1)
+
+
+@pytest.mark.parametrize("p,s", [(3, 1), (3, 0), (5, 2), (5, 0), (7, 3), (7, 0)])
+def test_one_run_per_g_orbit_equals_the_full_sweep_on_the_live_tables(monkeypatch, p, s):
+    A = BookAlgebra(p, s, permissive=True)
+    assert _Lanes(A).orbit() == p
+    reduced = bialgebra_outcome(A)
+    forced_full_sweep(monkeypatch)
+    assert bialgebra_outcome(A) == reduced
+    assert bool(reduced[0]) == (s == 0)
+
+
+@pytest.mark.parametrize("how", ["digit", "g-exponent", "extra term", "orbit digit", "orbit extra term", "product"])
+def test_one_run_per_g_orbit_equals_the_full_sweep_on_doctored_tables(monkeypatch, how):
+    """A premise that fails falls back to the full sweep; a consistently doctored orbit keeps the premises."""
+    A = BookAlgebra(5, 2)
+    if how == "product":
+        doctor_product(A, Monomial(1, 0, 0), Monomial(0, 1, 3), "q-exponent")  # breaks P3
+    elif how.startswith("orbit "):
+        doctor_orbit(A, how[6:])
+    else:
+        doctor(A, how)  # breaks P1
+    assert _Lanes(A).orbit() == (5 if how == "orbit digit" else 1)
+    reduced = bialgebra_outcome(A)
+    assert reduced[0]
+    if how == "orbit digit":
+        assert reduced[0] == doctored_tensor_violations(A, {Monomial(1, 1, a) for a in range(5)})
+    forced_full_sweep(monkeypatch)
+    assert bialgebra_outcome(A) == reduced
+
+
+def test_one_run_per_g_orbit_equals_the_full_sweep_when_sampled(monkeypatch):
+    A = BookAlgebra(11, 0, permissive=True)
+    reduced = bialgebra_outcome(A, seed=1, sample_size=300)
+    assert len(reduced[0]) == 72 and reduced[1:] == (300, "sampled(n=300)")
+    forced_full_sweep(monkeypatch)
+    assert bialgebra_outcome(A, seed=1, sample_size=300) == reduced
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_g_orbit_premises_hold_on_the_live_tables(p):
+    for s in sorted({0, 1, p - 1}):
+        assert _Lanes(BookAlgebra(p, s, permissive=True)).orbit() == p
 
 
 def closed_form_coefficients(p, s):
