@@ -11,9 +11,10 @@ report is deterministic given (p, s, seed).
 Every check but the relations runs on integers: products are read off the
 basis-index product table, and Delta and S off the structure table, whose
 compares the ``hopf`` module docstring shows exact; eps is read off
-``BookAlgebra.counit_monomial``.  ``Cyclotomic``, ``Element`` and ``Tensor2``
-render violations, and stay in the tests as references.  The checks are
-pure computation and may run concurrently on one algebra instance.
+``BookAlgebra.counit_monomial``.  ``StructureTable.render`` renders the
+failing Delta sides straight from their packed sums, ``Element`` the rest,
+up to MAX_VIOLATIONS_RENDERED.  The checks are pure computation and may run
+concurrently on one algebra instance.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from time import perf_counter
 
 from .cyclotomic import cyc_zero, root_power
 from .hopf import lift
-from .pbw import Element, Monomial, Tensor2, Tensor3, basis_monomials
+from .pbw import Element, basis_monomials
 
 __all__ = [
     "Violation", "AxiomResult", "AxiomReport", "check_associativity", "check_coassociativity",
@@ -131,8 +132,12 @@ class _Recorder:
         self.t0 = perf_counter()
         self.checked = 0
 
+    @property
+    def full(self):  # callers render no violation past the cap
+        return len(self.violations) >= MAX_VIOLATIONS_RENDERED
+
     def hit(self, at, lhs, rhs):
-        if len(self.violations) < MAX_VIOLATIONS_RENDERED:
+        if not self.full:
             self.violations.append(Violation(self.axiom, at, lhs, rhs))
 
     def finish(self, mode):
@@ -178,8 +183,9 @@ def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPL
         return "0" if code < 0 else Element._raw(p, s, {basis[code // p]: root_power(p, code % p)}).render()
 
     def hit(i1, i2, i3, left, right):
-        at = f"m1={basis[i1].render()}, m2={basis[i2].render()}, m3={basis[i3].render()}"
-        rec.hit(at, render(left), render(right))
+        if not rec.full:
+            rec.hit(f"m1={basis[i1].render()}, m2={basis[i2].render()}, m3={basis[i3].render()}",
+                    render(left), render(right))
 
     if draws is None:
         row = [itemgetter(*table[t * n:(t + 1) * n]) for t in range(n)]
@@ -225,20 +231,16 @@ def check_coassociativity(algebra, **_ignored):
     """(Delta (x) id) Delta = (id (x) Delta) Delta on every basis monomial.
 
     Both sides are packed sums off the structure table, keyed by the basis
-    indices of the three legs; a failing monomial is decoded and rendered.
+    indices of the three legs; a failing monomial's sides are rendered
+    straight from those sums.
     """
     A = algebra
-    p, s = A.p, A.s
     basis = A.basis()
     n = len(basis)
     table = A.structure_table()
     right = [[(u * n + v, r[0]) for u, v, r in row] for row in table.delta]  # keys of the last two legs
     left = [[(key * n, d) for key, d in row] for row in right]  # keys of the first two legs
     rec = _Recorder("coassociativity")
-
-    def legs(key):
-        return basis[key // (n * n)], basis[key // n % n], basis[key % n]
-
     for i, row in enumerate(table.delta):
         rec.checked += 1
         lhs, rhs = {}, {}
@@ -251,10 +253,8 @@ def check_coassociativity(algebra, **_ignored):
             for key, d in right[v]:
                 key += head
                 rhs[key] = rget(key, 0) + c * d
-        if table.differs(lhs, rhs):
-            rec.hit(f"m={basis[i].render()}", *(
-                Tensor3._raw(p, s, table.decoded(legs, side)).render() for side in (lhs, rhs)
-            ))
+        if not rec.full and table.differs(lhs, rhs):
+            rec.hit(f"m={basis[i].render()}", table.render(lhs, legs=3), table.render(rhs, legs=3))
     return AxiomReport([rec.finish("exhaustive")])
 
 
@@ -276,7 +276,7 @@ def check_counit_law(algebra, **_ignored):
                 right[u] = right.get(u, 0) + r[0] * eps[v]
         expected = Element.monomial(p, s, basis[i])
         for leg, side in (("left", left), ("right", right)):
-            if table.differs(side, {i: 1}):
+            if not rec.full and table.differs(side, {i: 1}):
                 side = Element._raw(p, s, table.decoded(basis.__getitem__, side))
                 rec.hit(f"m={basis[i].render()} (eps on {leg} leg)", side.render(), expected.render())
     return AxiomReport([rec.finish("exhaustive")])
@@ -326,17 +326,20 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
     i2 % p of group (i1, i2 // p); a group runs at the first m1 of its orbit
     that drew a lane there, so it never runs more groups than the exhaustive
     sweep, lists violations in basis order and a pair drawn twice once, and
-    ``checked`` counts its draws.  A failing lane is rendered, up to
-    MAX_VIOLATIONS_RENDERED, through ``Tensor2`` from m1's own group.
+    ``checked`` counts its draws.  Up to MAX_VIOLATIONS_RENDERED failing
+    lanes are rendered by ``StructureTable.render``, with no Tensor2 built:
+    Delta(m1 m2) from its Delta row at q^e12, Delta(m1) Delta(m2) from lane
+    a2 of m1's own group run (``_Lanes.lane``) at q^e12.
     """
     A = algebra
-    p, s = A.p, A.s
+    p = A.p
     basis = A.basis()
     n = len(basis)
     rec = _Recorder("bialgebra")
     mode, draws = _plan(n * n, sample_size, exhaustive, PAIR_EXHAUSTIVE_LIMIT)
     table = A.product_table()
     lanes = _Lanes(A)
+    structure = lanes.table
     groups = p * p  # per m1, one group per x^b2 y^c2
     if draws is None:
         masks = [(1 << p) - 1] * (n * groups)
@@ -367,8 +370,8 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
             expected = memo[t12] = lanes.expected(t12)
         return (*lanes.group(left, bc2, e12, expected), e12)
 
-    def report(kind, i1, i2, lhs, rhs):
-        rec.hit(f"{kind}: m1={basis[i1].render()}, m2={basis[i2].render()}", lhs.render(), rhs.render())
+    def at(kind, i1, i2):
+        return f"{kind}: m1={basis[i1].render()}, m2={basis[i2].render()}"
 
     orbit = lanes.orbit()
     for i1 in range(n):
@@ -388,7 +391,7 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
             if bad is None:
                 acc, bad, e12 = run(i1, bc2, left)
                 carried[bc2] = bad
-            if eps_ok and not bad or len(rec.violations) >= MAX_VIOLATIONS_RENDERED:
+            if eps_ok and not bad or rec.full:
                 continue
             if bad & mask and acc is None:  # render from m1's own group
                 acc, own, e12 = run(i1, bc2, left)
@@ -396,12 +399,12 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
             for i2 in range(bc2 * p, bc2 * p + p):
                 if not mask >> i2 % p & 1:
                     continue
-                if bad >> i2 % p & 1:
-                    t, e = divmod(table[i1 * n + i2], p)
-                    lhs = Tensor2.zero(p, s) if t < 0 else A.coproduct_monomial(basis[t]).scale(root_power(p, e))
-                    report("Delta", i1, i2, lhs, Tensor2._raw(p, s, lanes.unpack(acc, i2 % p, e12)))
-                if eps_left[i2] != eps_right[i2]:
-                    report("epsilon", i1, i2, eps_left[i2], eps_right[i2])
+                if bad >> i2 % p & 1 and not rec.full:
+                    t, e = divmod(table[i1 * n + i2], p)  # m1 m2 = q^e basis[t], or 0 for t = -1
+                    lhs = "0" if t < 0 else structure.render({u * n + v: r[0] for u, v, r in structure.delta[t]}, e)
+                    rec.hit(at("Delta", i1, i2), lhs, structure.render(lanes.lane(acc, i2 % p), e12))
+                if eps_left[i2] != eps_right[i2] and not rec.full:
+                    rec.hit(at("epsilon", i1, i2), eps_left[i2].render(), eps_right[i2].render())
     return AxiomReport([rec.finish(mode)])
 
 
@@ -415,8 +418,7 @@ class _Lanes:
 
     def __init__(self, algebra):
         p = self.p = algebra.p
-        self.basis = algebra.basis()
-        n = self.n = len(self.basis)
+        n = self.n = len(algebra.basis())
         table = self.table = algebra.structure_table()
         self.rows, self.width, self.rep = table.delta, table.width, table.rep
         self.lane_bits = 2 * p * self.width
@@ -425,6 +427,7 @@ class _Lanes:
         self.low = lane_ones * table.digit_mask  # digit 0 of every lane
         self.fold_mask = lane_ones * table.fold_mask  # digits 0..p-1 of every lane
         self.bias = lane_ones * table.bias
+        self.moved = [[t - t % p + (t + a) % p for t in range(n)] for a in range(p)]  # moved[a][t]: basis[t] g^a
         # products[t] is row t of the product table; equal codes share one int,
         # and code -1 (a zero product) indexes the last entry of ``codes``
         products = algebra.product_table()
@@ -444,8 +447,7 @@ class _Lanes:
 
     def orbit(self):
         """p if P1-P3 of check_bialgebra_compat hold on the live tables, else 1: the size of a g-orbit of m1."""
-        p, n, rows, products = self.p, self.n, self.rows, self.products
-        moved = [[t - t % p + (t + a) % p for t in range(n)] for a in range(p)]  # moved[a][t]: basis[t] g^a
+        p, n, rows, products, moved = self.p, self.n, self.rows, self.products, self.moved
         wt = [c % p for c in products[1]]  # g w = q^wt(w) w g, g = basis[1]
         # after_g[k][c] is the code of q^(e+k) basis[t] g, for c that of q^e basis[t]; -1 (zero) reads -1
         after_g = [tuple(moved[1][c // p] * p + (c + k) % p for c in range(n * p)) + (-1,) for k in range(p)]
@@ -504,16 +506,10 @@ class _Lanes:
             bad |= d ^ (d & low) * rep
         return acc, sum(1 << a for a in range(p) if bad >> a * self.lane_bits & self.lane_mask)
 
-    def unpack(self, acc, a2, e12):
-        """Lane a2 of an accumulator as Tensor2 terms, times q^e12."""
-        p, n, basis = self.p, self.n, self.basis
-        terms = {}
-        for key, v in acc.items():
-            coeff = self.table.decode(v >> a2 * self.lane_bits & self.lane_mask, e12)
-            if coeff:
-                u, z = basis[key // n], basis[key % n]
-                terms[(Monomial(u.b, u.c, (u.a + a2) % p), Monomial(z.b, z.c, (z.a + a2) % p))] = coeff
-        return terms
+    def lane(self, acc, a2):
+        """Lane a2 of an accumulator as a packed sum keyed t_u n + t_v, both legs moved by g^a2."""
+        n, move, shift, mask = self.n, self.moved[a2], a2 * self.lane_bits, self.lane_mask
+        return {move[key // n] * n + move[key % n]: w for key, v in acc.items() if (w := v >> shift & mask)}
 
 
 def check_antipode_law(algebra, **_ignored):
@@ -544,7 +540,7 @@ def check_antipode_law(algebra, **_ignored):
                 if c >= 0:
                     side = minus if code >= p else plus
                     side[c // p] = side.get(c // p, 0) + r[(code + c) % p]
-            if table.differs(plus, minus):
+            if not rec.full and table.differs(plus, minus):
                 got = Element._raw(p, s, table.decoded(basis.__getitem__, plus, minus)) + target
                 rec.hit(f"m={basis[i].render()} (S on {leg} leg)", got.render(), target.render())
     return AxiomReport([rec.finish("exhaustive")])
@@ -592,7 +588,7 @@ def check_relations(algebra, **_ignored):
             rec.checked += 1
             lhs = word_image(f, lhs_word, step)
             rhs = type(lhs).zero(p, s) if rhs_word is None else word_image(f, rhs_word, step).scale(q ** e)
-            if lhs != rhs:
+            if lhs != rhs:  # at most 12 relations: never past the cap
                 rec.hit(f"{label}: {name}", lhs.render(), rhs.render())
     return AxiomReport([rec.finish("exhaustive")])
 

@@ -69,7 +69,7 @@ from math import comb
 from operator import add
 
 from .cyclotomic import _build, _normalize, cyc_zero, is_odd_prime, root_power
-from .pbw import Element, Monomial, Tensor2, Tensor3, accumulate, basis_monomials, mono_mul_exp
+from .pbw import Element, Monomial, Tensor2, Tensor3, accumulate, basis_monomials, join_terms, mono_mul_exp
 
 __all__ = ["BookAlgebra", "StructureTable"]
 
@@ -118,6 +118,8 @@ class StructureTable:
         """``delta[i]`` lists (u, v, digits), any p digits of the coefficient in Z[C_p]."""
         self.p = p
         self._decoded = {}  # (packed value, e mod p) -> decode(value, e)
+        self._texts = {}  # the same keys -> decode(value, e).render()
+        self._names = None  # the text of every basis monomial, in basis order, on first render
         lifts = {d: lift(d) for d in {d for row in delta for _, _, d in row}}
         weight = {d: sum(lifted) for d, lifted in lifts.items()}
         self.root = max(sum(weight[d] for _, _, d in row) for row in delta)
@@ -156,6 +158,22 @@ class StructureTable:
             ((legs(key), self.decode(v)) for key, v in plus.items()),
             ((legs(key), -self.decode(v)) for key, v in (minus or {}).items()),
         ))
+
+    def render(self, packed, e=0, legs=2):
+        """The text of a packed sum {key: value} times q^e, as Tensor2 (legs 2) or Tensor3 (legs 3) renders it.
+
+        Keys u n + v or (i n + j) n + k of basis indices sort as Monomial keys; a term decoding to 0 is dropped."""
+        names = self._names = self._names or [m.render() for m in basis_monomials(self.p)]
+        n, texts, e = len(names), self._texts, e % self.p
+
+        def text(v):
+            if (t := texts.get(key := (v, e))) is None:
+                t = texts[key] = self.decode(v, e).render()
+            return t
+
+        legs_text = (lambda k: f"{names[k // n]} (x) {names[k % n]}") if legs == 2 else (
+            lambda k: f"{names[k // (n * n)]} (x) {names[k // n % n]} (x) {names[k % n]}")
+        return join_terms((legs_text(k), text(v)) for k, v in sorted(packed.items()))
 
     def differs(self, lhs, rhs):
         """Whether two sums {key: packed value} differ in Z[zeta_p] at some key; a missing key is 0."""

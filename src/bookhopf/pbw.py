@@ -104,6 +104,33 @@ def accumulate(pairs):
     return acc
 
 
+def join_terms(terms):
+    """The text of a sum of (key text, coefficient text) terms, in order: the one owner of the sum format.
+
+    A coefficient "0" drops its term, and an empty sum is "0"."""
+    out = []
+    for ktext, ctext in terms:
+        if ctext == "0":
+            continue
+        if ktext == "1":
+            term = ctext if " " not in ctext else f"({ctext})"
+        elif ctext == "1":
+            term = ktext
+        elif ctext == "-1":
+            term = "-" + ktext
+        else:
+            if " " in ctext:
+                ctext = f"({ctext})"
+            term = f"{ctext} {ktext}"
+        if not out:
+            out.append(term)
+        elif term.startswith("-"):
+            out.append(" - " + term[1:])
+        else:
+            out.append(" + " + term)
+    return "".join(out) or "0"
+
+
 def _check_monomial(m, p):
     if not (0 <= m.b < p and 0 <= m.c < p and 0 <= m.a < p):
         raise ValueError(f"monomial exponents {tuple(m)} out of range for p={p}")
@@ -247,30 +274,7 @@ class _Sparse:
         raise NotImplementedError
 
     def render(self):
-        if not self.terms:
-            return "0"
-        out = []
-        for key in sorted(self.terms):
-            coeff = self.terms[key]
-            ktext = self._render_key(key)
-            ctext = coeff.render()
-            if ktext == "1":
-                term = ctext if " " not in ctext else f"({ctext})"
-            elif ctext == "1":
-                term = ktext
-            elif ctext == "-1":
-                term = "-" + ktext
-            else:
-                if " " in ctext:
-                    ctext = f"({ctext})"
-                term = f"{ctext} {ktext}"
-            if not out:
-                out.append(term)
-            elif term.startswith("-"):
-                out.append(" - " + term[1:])
-            else:
-                out.append(" + " + term)
-        return "".join(out)
+        return join_terms((self._render_key(key), self.terms[key].render()) for key in sorted(self.terms))
 
     __str__ = render
 

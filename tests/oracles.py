@@ -127,6 +127,25 @@ class GeneratorPowers:
         return s["g"][mono.a] * s["y"][mono.c] * s["x"][mono.b]
 
 
+def sum_text(terms):
+    """The text of a sum of (key text, coefficient text) terms, spelled out apart from the library's join.
+
+    A coefficient "0" drops its term; a coefficient of several terms is
+    parenthesised; a leading minus becomes the sign; a coefficient 1 is not
+    written before a key other than 1, and the key 1 is not written at all.
+    """
+    out = ""
+    for key, coeff in terms:
+        if coeff == "0":
+            continue
+        if " " in coeff:
+            coeff = f"({coeff})"
+        sign, coeff = ("-", coeff[1:]) if coeff.startswith("-") else ("+", coeff)
+        body = coeff if key == "1" else key if coeff == "1" else f"{coeff} {key}"
+        out += f" {sign} {body}" if out else ("-" if sign == "-" else "") + body
+    return out or "0"
+
+
 def associativity_violations(A, triples):
     """The associativity violations (at, lhs, rhs) over index triples, one triple at a time.
 

@@ -1,5 +1,6 @@
 """The Hopf-axiom checkers: pass cases, the s = 0 negative control, reports."""
 
+import collections
 import dataclasses
 import functools
 import json
@@ -33,7 +34,8 @@ from bookhopf import (
     run_all,
 )
 from bookhopf.axioms import MAX_VIOLATIONS_RENDERED, _Lanes
-from bookhopf.pbw import ONE
+from bookhopf.hopf import StructureTable
+from bookhopf.pbw import ONE, accumulate
 from oracles import (
     associativity_violations,
     delta_digit_rows,
@@ -239,6 +241,36 @@ def test_associativity_visits_every_triple_or_the_randrange_draws(p):
     assert found(result) == expected[:MAX_VIOLATIONS_RENDERED]
 
 
+def counted_calls(monkeypatch, *methods):
+    """Count the calls of each (class, method name); the counter is keyed by "Class.method"."""
+    calls = collections.Counter()
+    for cls, name in methods:
+        method = getattr(cls, name)
+
+        def counted(self, *args, method=method, key=f"{cls.__name__}.{name}", **kwargs):
+            calls[key] += 1
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_associativity_renders_nothing_past_the_cap(monkeypatch):
+    """Past MAX_VIOLATIONS_RENDERED failing triples no side or site is rendered; the first ones are unchanged."""
+    A = BookAlgebra(3, 1)
+    basis = A.basis()
+    n = len(basis)
+    A._products = array("i", [(i1 - i2) % n * 3 for i1 in range(n) for i2 in range(n)])  # m3 != 1 fails
+    expected = associativity_violations(A, all_triples(n))
+    assert len(expected) == n * n * (n - 1) > MAX_VIOLATIONS_RENDERED
+    calls = counted_calls(monkeypatch, (Element, "render"), (Monomial, "render"))
+    result = check_associativity(A).result("associativity")
+    assert result.checked == n ** 3 and result.status == "fail"
+    assert found(result) == expected[:MAX_VIOLATIONS_RENDERED]
+    # two sides q^e basis[t], each one Element and one Monomial render, and three sites per violation
+    assert calls == {"Element.render": 2 * MAX_VIOLATIONS_RENDERED, "Monomial.render": 5 * MAX_VIOLATIONS_RENDERED}
+
+
 # -- bialgebra lane kernel against plain Tensor2 arithmetic ----------------------
 
 
@@ -282,6 +314,32 @@ def test_bialgebra_check_matches_tensor_arithmetic(p, s, draws):
     assert result.passed == (not expected)
     if s == 0:
         assert expected  # the negative control exercises the failing branch too
+
+
+def test_bialgebra_renders_a_zero_product_and_its_lanes_as_tensor2_does():
+    """At s = 0 every failing pair has m1 m2 = 0: Delta(m1 m2) renders "0", Delta(m1) Delta(m2) as Tensor2 does."""
+    A = BookAlgebra(3, 0, permissive=True)
+    basis = A.basis()
+    result = check_bialgebra_compat(A).result("bialgebra")
+    expected = tensor_violations(A, [(m1, m2) for m1 in basis for m2 in basis])
+    assert expected and found(result) == expected
+    assert all(lhs == "0" != rhs for _, lhs, rhs in expected)
+
+
+def test_bialgebra_renders_nothing_past_the_cap(monkeypatch):
+    """H(7, 0) fails at 28 812 pairs, the cap falls inside a lane group, and no side is read or rendered past it."""
+    A = BookAlgebra(7, 0, permissive=True)
+    n = len(A.basis())
+    calls = counted_calls(monkeypatch, (StructureTable, "render"), (_Lanes, "lane"))
+    result = check_bialgebra_compat(A).result("bialgebra")
+    assert result.checked == n * n and result.status == "fail"
+    assert len(result.violations) == MAX_VIOLATIONS_RENDERED
+    # every Delta(m1 m2) is 0 and needs no render; each Delta(m1) Delta(m2) is one lane read and one render
+    assert calls == {"StructureTable.render": MAX_VIOLATIONS_RENDERED, "_Lanes.lane": MAX_VIOLATIONS_RENDERED}
+    by_name = {m.render(): m for m in A.basis()}
+    for v in (result.violations[0], result.violations[-1]):  # the first and the last rendered, as Tensor2 renders them
+        m1, m2 = (by_name[part.split("=", 1)[1]] for part in v.at.removeprefix("Delta: ").split(", "))
+        assert tensor_violations(A, [(m1, m2)]) == [(v.at, v.lhs, v.rhs)]
 
 
 @pytest.fixture
@@ -496,12 +554,13 @@ def test_lane_digit_width_bound(p):
 
 @pytest.mark.parametrize("p,s", [(3, 1), (5, 0), (5, 2), (7, 3), (11, 0), (11, 3), (13, 5)])
 def test_lane_output_keys_unpack_to_tensor_products(p, s):
-    """Every lane of an accumulator unpacks to Delta(m1) Delta(m2), legs and g-exponents included."""
+    """Every lane of an accumulator reads as Delta(m1) Delta(m2), legs and g-exponents included, and renders as it."""
     A = BookAlgebra(p, s, permissive=s == 0)
     lanes = _Lanes(A)
     basis = A.basis()
     n = len(basis)
     table = A.product_table()
+    structure = A.structure_table()
     rng = random.Random(100 * p + s)
     nonzero = 0
     for _ in range(4):  # x-exponents stay below p, y-exponents may overflow
@@ -512,7 +571,10 @@ def test_lane_output_keys_unpack_to_tensor_products(p, s):
         acc, _ = lanes.group(lanes.left(i1), bc2, e12, {})
         for a2 in range(p):
             product = A.coproduct_monomial(basis[i1]) * A.coproduct_monomial(basis[bc2 * p + a2])
-            assert lanes.unpack(acc, a2, e12) == product.terms
+            lane = lanes.lane(acc, a2)
+            terms = accumulate(((basis[k // n], basis[k % n]), structure.decode(v, e12)) for k, v in lane.items())
+            assert terms == product.terms
+            assert structure.render(lane, e12) == product.render()
             nonzero += bool(product)
     assert nonzero
 

@@ -17,6 +17,7 @@ from bookhopf import (
     mono_mul_exp,
     root_power,
 )
+from bookhopf.pbw import accumulate
 from oracles import GeneratorPowers, gaussian_binomial
 
 
@@ -331,3 +332,46 @@ def test_product_table_matches_closed_form(p, s, draws):
             assert code == -1
         else:
             assert code >= 0 and (code % p, basis[code // p]) == r
+
+
+# -- rendering a packed sum straight from the structure table -------------------------
+
+
+def decoded_tensor(A, packed, e, legs):
+    """The Tensor2 or Tensor3 whose terms are the packed sum's values decoded at q^e."""
+    table, basis = A.structure_table(), A.basis()
+    n = len(basis)
+    terms = accumulate(
+        (tuple(basis[k // n ** j % n] for j in reversed(range(legs))), table.decode(v, e)) for k, v in packed.items()
+    )
+    return (Tensor2 if legs == 2 else Tensor3)._raw(A.p, A.s, terms)
+
+
+@pytest.mark.parametrize("p,s", [(3, 1), (5, 2), (7, 0)])
+def test_packed_sum_renders_as_its_decoded_tensor(p, s):
+    """StructureTable.render equals Tensor2/Tensor3 render of the decoded terms, at every rotation q^e."""
+    A = BookAlgebra(p, s, permissive=s == 0)
+    table, basis = A.structure_table(), A.basis()
+    n = len(basis)
+    # -1, a coefficient of several terms, and 1 + q + ... + q^(p-1) = 0, by their lifts
+    named = {"-1": (0,) + (1,) * (p - 1), "1 + q": (1, 1) + (0,) * (p - 2), "0": (1,) * p}
+    named = {text: table.pack(digits) for text, digits in named.items()}
+    assert {text: table.decode(v).render() for text, v in named.items()} == {text: text for text in named}
+    assert table.render({}) == table.render({}, legs=3) == "0"
+    assert table.render({n + 1: named["0"]}) == "0"  # a value that decodes to 0 drops its term
+    assert table.render({1: named["-1"], n: named["1 + q"], n + 1: named["0"]}) == "-1 (x) g + (1 + q) g (x) 1"
+    assert table.render({2 * n * n: named["-1"]}, legs=3) == "-g^2 (x) 1 (x) 1"
+    # Delta rows, products of two rows' values (2p - 1 digits, unfolded) and the named values, at random keys
+    rng = random.Random(p)
+    row_values = [r[0] for row in table.delta for _, _, r in row]
+    values = [*named.values(), *row_values, *(rng.choice(row_values) * rng.choice(row_values) for _ in range(20))]
+    sums = [{}, *({u * n + v: r[0] for u, v, r in table.delta[t]} for t in rng.sample(range(n), 8))]
+    for legs in (2, 3):
+        sums += [{rng.randrange(n ** legs): rng.choice(values) for _ in range(rng.randrange(1, 12))} for _ in range(20)]
+        for packed in sums:
+            for e in range(p):
+                assert table.render(packed, e, legs) == decoded_tensor(A, packed, e, legs).render()
+    for t in range(n):
+        e = t % p
+        row = {u * n + v: r[0] for u, v, r in table.delta[t]}
+        assert table.render(row, e) == A.coproduct_monomial(basis[t]).scale(root_power(p, e)).render()

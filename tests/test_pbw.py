@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bookhopf import (
+    Cyclotomic,
     Element,
     Monomial,
     Tensor2,
@@ -15,8 +16,8 @@ from bookhopf import (
     mono_mul_exp,
     root_power,
 )
-from bookhopf.pbw import accumulate
-from oracles import normal_form, word_of
+from bookhopf.pbw import accumulate, join_terms
+from oracles import normal_form, sum_text, word_of
 
 ONE = Monomial(0, 0, 0)
 
@@ -206,6 +207,28 @@ def test_element_render_frozen():
     assert ((1 + q) * x).render() == "(1 + q) x"
     assert (-(x * g)).render() == "-x g"
     assert Element.zero(p, s).render() == "0"
+
+
+def cyclotomics(p):
+    """Small values of Q(zeta_p), 0 and the units +-q^k included."""
+    coeff = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    return st.lists(coeff, max_size=p).map(lambda cs: Cyclotomic(p, cs)) | st.builds(
+        lambda sign, k: sign * root_power(p, k), st.sampled_from([1, -1]), st.integers(0, p - 1)
+    )
+
+
+@given(data=st.data())
+def test_join_terms_renders_the_sparse_sums(data):
+    """_Sparse.render, join_terms and an independent spelling agree on random Elements and Tensor2s.
+
+    The terms passed to join_terms keep their zero coefficients, which it must drop.
+    """
+    p, s = 5, 2
+    cls = data.draw(st.sampled_from([Element, Tensor2]))
+    keys = monomials(p) if cls is Element else st.tuples(monomials(p), monomials(p))
+    terms = data.draw(st.dictionaries(keys, cyclotomics(p), max_size=6))
+    texts = [(cls._render_key(key), c.render()) for key, c in sorted(terms.items())]
+    assert cls(p, s, terms).render() == join_terms(texts) == sum_text(texts)
 
 
 def test_mixing_parameters_raises():
