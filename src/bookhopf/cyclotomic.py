@@ -274,18 +274,18 @@ class Cyclotomic:
         for e, n in enumerate(self.num):
             if n == 0:
                 continue
-            neg = n < 0
-            f = Fraction(abs(n), self.den)
+            neg, n, d = n < 0, abs(n), self.den
+            if d > 1:  # the coefficient n/d in lowest terms
+                g = gcd(n, d)
+                n, d = n // g, d // g
             if e == 0:
-                body = str(f)
+                body = str(n) if d == 1 else f"{n}/{d}"
             else:
                 qpart = "q" if e == 1 else f"q^{e}"
-                if f == 1:
-                    body = qpart
-                elif f.denominator == 1:
-                    body = f"{f.numerator}{qpart}"
+                if d > 1:
+                    body = f"({n}/{d}){qpart}"
                 else:
-                    body = f"({f.numerator}/{f.denominator}){qpart}"
+                    body = qpart if n == 1 else f"{n}{qpart}"
             if not parts:
                 parts.append("-" + body if neg else body)
             else:

@@ -5,7 +5,8 @@ H(p, s) is the p^3-dimensional algebra with generators g, x, y subject to
     g x = q x g,   g y = q^(-s) y g,   g^p = 1,   x^p = y^p = 0,
     x y = q^(-s) y x,
 
-where q = zeta_p, carrying the Hopf structure
+where q = zeta_p (``BookAlgebra.relations`` owns these six relations; the
+relations check and the characters read them), carrying the Hopf structure
 
     Delta(g) = g (x) g
     Delta(x) = 1 (x) x + x (x) g
@@ -160,9 +161,9 @@ class StructureTable:
         ))
 
     def render(self, packed, e=0, legs=2):
-        """The text of a packed sum {key: value} times q^e, as Tensor2 (legs 2) or Tensor3 (legs 3) renders it.
+        """The text of a packed sum {key: value} times q^e, as Element (legs 1), Tensor2 or Tensor3 renders it.
 
-        Keys u n + v or (i n + j) n + k of basis indices sort as Monomial keys; a term decoding to 0 is dropped."""
+        Keys u, u n + v or (i n + j) n + k of basis indices sort as Monomial keys; a term decoding to 0 is dropped."""
         names = self._names = self._names or [m.render() for m in basis_monomials(self.p)]
         n, texts, e = len(names), self._texts, e % self.p
 
@@ -171,8 +172,8 @@ class StructureTable:
                 t = texts[key] = self.decode(v, e).render()
             return t
 
-        legs_text = (lambda k: f"{names[k // n]} (x) {names[k % n]}") if legs == 2 else (
-            lambda k: f"{names[k // (n * n)]} (x) {names[k // n % n]} (x) {names[k % n]}")
+        legs_text = (names.__getitem__ if legs == 1 else (lambda k: f"{names[k // n]} (x) {names[k % n]}") if legs == 2
+                     else lambda k: f"{names[k // (n * n)]} (x) {names[k // n % n]} (x) {names[k % n]}")
         return join_terms((legs_text(k), text(v)) for k, v in sorted(packed.items()))
 
     def differs(self, lhs, rhs):
@@ -216,6 +217,21 @@ class BookAlgebra:
         self._basis = None
         self._products = None
         self._table = None
+
+    def relations(self):
+        """The defining relations as (name, lhs word, q-exponent, rhs word): the one owner of the presentation.
+
+        A relation reads product(lhs) = q^exponent * product(rhs); rhs None means 0.
+        """
+        p, s = self.p, self.s
+        return [
+            ("g x = q x g", "gx", 1, "xg"),
+            (f"g y = q^-{s} y g", "gy", -s, "yg"),
+            (f"g^{p} = 1", "g" * p, 0, ""),
+            (f"x^{p} = 0", "x" * p, 0, None),
+            (f"y^{p} = 0", "y" * p, 0, None),
+            (f"x y = q^-{s} y x", "xy", -s, "yx"),
+        ]
 
     # -- basis ----------------------------------------------------------------
 

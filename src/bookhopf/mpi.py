@@ -22,6 +22,7 @@ point of the computation, so neither side is ever silently preferred.
 """
 
 from dataclasses import dataclass
+from math import prod
 from operator import itemgetter
 
 from .cyclotomic import Cyclotomic, cyc_one, cyc_zero, root_power
@@ -72,7 +73,7 @@ class Character:
     y), so it is determined by its value on g, a p-th root of unity.  Every
     value on a basis monomial is therefore 0 or a power of q, and
     :meth:`exponent` is the one place that says which.  The constructor
-    re-checks each defining relation under this assignment;
+    re-checks each relation of ``BookAlgebra.relations`` under this assignment;
     ``enumerate_characters`` additionally verifies full multiplicativity on
     every basis pair, comparing q-exponents.
     """
@@ -100,18 +101,15 @@ class Character:
         return sum((coeff * self(mono) for mono, coeff in h.terms.items()), cyc_zero(self.algebra.p))
 
     def _verify_relations(self):
-        p, s, q = self.algebra.p, self.algebra.s, self.algebra.q
-        vg, vx, vy = self.on_g, cyc_zero(p), cyc_zero(p)
-        checks = [
-            ("beta(g)^p = 1", vg ** p, cyc_one(p)),
-            ("beta(x)^p = 0", vx ** p, cyc_zero(p)),
-            ("beta(y)^p = 0", vy ** p, cyc_zero(p)),
-            ("g x = q x g", vg * vx, q * vx * vg),
-            ("g y = q^-s y g", vg * vy, q ** (-s) * vy * vg),
-            ("x y = q^-s y x", vx * vy, q ** (-s) * vy * vx),
-        ]
-        for name, lhs, rhs in checks:
-            if lhs != rhs:
+        """Each relation of ``BookAlgebra.relations`` holds under g -> q^j, x, y -> 0."""
+        p = self.algebra.p
+        values = {"g": self.on_g, "x": cyc_zero(p), "y": cyc_zero(p)}
+
+        def beta(word):  # of the product of a word's letters; None is the zero word
+            return cyc_zero(p) if word is None else prod(map(values.__getitem__, word), start=cyc_one(p))
+
+        for name, lhs, e, rhs in self.algebra.relations():
+            if beta(lhs) != root_power(p, e) * beta(rhs):
                 raise ConsistencyError(f"character beta_{self.j} violates {name}")
 
     def __repr__(self):

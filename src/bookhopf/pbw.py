@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-from .cyclotomic import Cyclotomic, root_power
+from .cyclotomic import Cyclotomic, cyc_zero, root_power
 
 __all__ = ["Monomial", "basis_monomials", "mono_mul", "mono_mul_exp", "accumulate", "Element", "Tensor2", "Tensor3"]
 
@@ -137,20 +137,16 @@ def _check_monomial(m, p):
 
 
 def _as_scalar(p, value):
-    if isinstance(value, Cyclotomic):
-        if value.p != p:
-            raise ValueError(f"scalar from Q(zeta_{value.p}) used with p={p}")
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Cyclotomic.from_rational(p, value)
-    raise TypeError(f"cannot use {value!r} as a coefficient")
+    scalar = cyc_zero(p)._coerce(value)
+    if scalar is None:
+        raise TypeError(f"cannot use {value!r} as a coefficient")
+    return scalar
 
 
 class _Sparse:
-    """Shared machinery for Element / Tensor2 / Tensor3."""
+    """Shared machinery for Element / Tensor2 / Tensor3; keys are tuples of legs unless a subclass says otherwise."""
 
     __slots__ = ("p", "s", "terms")
-    _legs = 1
 
     def __init__(self, p, s, terms=None):
         self.p = p
@@ -229,7 +225,17 @@ class _Sparse:
     # -- multiplicative structure ---------------------------------------------
 
     def _mul_key(self, k1, k2):
-        raise NotImplementedError
+        """The product of two keys leg by leg, with no braiding: (exponent of q, key), or None if a leg vanishes."""
+        p, s = self.p, self.s
+        acc_e = 0
+        monos = []
+        for u, v in zip(k1, k2):
+            r = mono_mul_exp(u, v, p, s)
+            if r is None:
+                return None
+            acc_e += r[0]
+            monos.append(r[1])
+        return acc_e, tuple(monos)
 
     def _products(self, other):
         """(key, coefficient) of each non-zero product of a term of self and one of other."""
@@ -271,7 +277,7 @@ class _Sparse:
 
     @staticmethod
     def _render_key(key):
-        raise NotImplementedError
+        return " (x) ".join(m.render() for m in key)
 
     def render(self):
         return join_terms((self._render_key(key), self.terms[key].render()) for key in sorted(self.terms))
@@ -310,20 +316,6 @@ class Tensor2(_Sparse):
     def pure(cls, p, s, m1, m2, coeff=1):
         return cls(p, s, {(m1, m2): coeff})
 
-    def _mul_key(self, k1, k2):
-        p, s = self.p, self.s
-        r1 = mono_mul_exp(k1[0], k2[0], p, s)
-        if r1 is None:
-            return None
-        r2 = mono_mul_exp(k1[1], k2[1], p, s)
-        if r2 is None:
-            return None
-        return r1[0] + r2[0], (r1[1], r2[1])
-
-    @staticmethod
-    def _render_key(key):
-        return f"{key[0].render()} (x) {key[1].render()}"
-
 
 class Tensor3(_Sparse):
     """A sparse element of the triple tensor power of H(p, s)."""
@@ -334,19 +326,3 @@ class Tensor3(_Sparse):
     @classmethod
     def pure(cls, p, s, m1, m2, m3, coeff=1):
         return cls(p, s, {(m1, m2, m3): coeff})
-
-    def _mul_key(self, k1, k2):
-        p, s = self.p, self.s
-        acc_e = 0
-        monos = []
-        for u, v in zip(k1, k2):
-            r = mono_mul_exp(u, v, p, s)
-            if r is None:
-                return None
-            acc_e += r[0]
-            monos.append(r[1])
-        return acc_e, tuple(monos)
-
-    @staticmethod
-    def _render_key(key):
-        return " (x) ".join(m.render() for m in key)

@@ -13,6 +13,7 @@ from bookhopf import (
     AxiomReport,
     AxiomResult,
     BookAlgebra,
+    Character,
     ConsistencyError,
     Cyclotomic,
     Element,
@@ -105,6 +106,18 @@ def test_relations_read_the_live_structure_maps():
     A._antipode_mono.clear()
     result = check_relations(A).result("relations")
     assert [v.at for v in result.violations] == ["S: x y = q^-2 y x"]
+
+
+def test_the_presentation_has_one_owner():
+    """check_relations and the character constructor both read BookAlgebra.relations."""
+    A = BookAlgebra(5, 2)
+    six = A.relations()
+    A.relations = lambda: [*six, ("g = 1", "g", 0, "")]
+    result = check_relations(A).result("relations")
+    assert [v.at for v in result.violations] == ["Delta: g = 1", "S: g = 1"]
+    with pytest.raises(ConsistencyError, match="^character beta_1 violates g = 1$"):
+        Character(A, 1)
+    assert Character(A, 0).j == 0
 
 
 # -- sampling control ---------------------------------------------------------

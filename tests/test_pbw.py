@@ -219,13 +219,13 @@ def cyclotomics(p):
 
 @given(data=st.data())
 def test_join_terms_renders_the_sparse_sums(data):
-    """_Sparse.render, join_terms and an independent spelling agree on random Elements and Tensor2s.
+    """_Sparse.render, join_terms and an independent spelling agree on random Elements, Tensor2s and Tensor3s.
 
     The terms passed to join_terms keep their zero coefficients, which it must drop.
     """
     p, s = 5, 2
-    cls = data.draw(st.sampled_from([Element, Tensor2]))
-    keys = monomials(p) if cls is Element else st.tuples(monomials(p), monomials(p))
+    cls, legs = data.draw(st.sampled_from([(Element, 1), (Tensor2, 2), (Tensor3, 3)]))
+    keys = monomials(p) if legs == 1 else st.tuples(*[monomials(p)] * legs)
     terms = data.draw(st.dictionaries(keys, cyclotomics(p), max_size=6))
     texts = [(cls._render_key(key), c.render()) for key, c in sorted(terms.items())]
     assert cls(p, s, terms).render() == join_terms(texts) == sum_text(texts)
@@ -263,6 +263,25 @@ def test_tensor3_legwise_product():
     for _ in range(p):
         cube = cube * t
     assert cube == unit
+
+
+@given(data=st.data())
+def test_pure_tensor_products_are_legwise(data):
+    """A product of two pure tensors is the pure tensor of the leg-wise mono_mul products, or 0 if a leg vanishes."""
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    s = data.draw(st.integers(0, p - 1))
+    cls, legs = data.draw(st.sampled_from([(Tensor2, 2), (Tensor3, 3)]))
+    k1, k2 = (data.draw(st.tuples(*[monomials(p)] * legs)) for _ in range(2))
+    c1, c2 = data.draw(cyclotomics(p)), data.draw(cyclotomics(p))
+    legwise = [mono_mul(u, v, p, s) for u, v in zip(k1, k2)]
+    if None in legwise:
+        expected = cls.zero(p, s)
+    else:
+        coeff = c1 * c2
+        for c, _ in legwise:
+            coeff = coeff * c
+        expected = cls.pure(p, s, *(m for _, m in legwise), coeff)
+    assert cls.pure(p, s, *k1, c1) * cls.pure(p, s, *k2, c2) == expected
 
 
 def test_tensor_zero_legs_drop():
