@@ -257,22 +257,24 @@ class BookAlgebra:
         the product is 0.  It holds p^6 32-bit integers (0.5 MB at p = 7,
         7 MB at p = 11), each below p^4, which fits for every p < 215.  The
         q-exponent of m1 x^b y^c g^a does not depend on a, so one closed-form
-        product fills the p entries for a = 0..p-1.
+        product fills the p entries for a = 0..p-1: the code of its a = 0
+        entry plus ``rot[m.a]``, the offsets of g^(m.a + a) for a = 0..p-1.
         """
         if self._products is None:
             p, s = self.p, self.s
             zero = [-1] * p
+            rot = [[(a0 + a) % p * p for a in range(p)] for a0 in range(p)]
+            columns = [Monomial(b, c, 0) for b in range(p) for c in range(p)]
             table = array("i")
             for m1 in self.basis():
-                for b in range(p):
-                    for c in range(p):
-                        r = mono_mul_exp(m1, Monomial(b, c, 0), p, s)
-                        if r is None:
-                            table.extend(zero)
-                        else:
-                            e, m = r
-                            first = self.basis_index(m) - m.a
-                            table.extend([(first + (m.a + a) % p) * p + e for a in range(p)])
+                for m2 in columns:
+                    r = mono_mul_exp(m1, m2, p, s)
+                    if r is None:
+                        table.extend(zero)
+                    else:
+                        e, m = r
+                        base = (self.basis_index(m) - m.a) * p + e
+                        table.extend([base + k for k in rot[m.a]])
             self._products = table
         return self._products
 

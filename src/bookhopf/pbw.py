@@ -19,11 +19,10 @@ place that drops coefficients that cancel to zero.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-from .cyclotomic import Cyclotomic, cyc_zero, root_power
+from .cyclotomic import cyc_zero, root_power
 
 __all__ = ["Monomial", "basis_monomials", "mono_mul", "mono_mul_exp", "accumulate", "Element", "Tensor2", "Tensor3"]
 
@@ -247,17 +246,15 @@ class _Sparse:
                     yield r[1], c1 * c2 * root_power(p, r[0])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return self.scale(other)
-        other = self._compatible(other)
-        if other is None:
-            return NotImplemented
-        return self._raw(self.p, self.s, accumulate(self._products(other)))
+        compatible = self._compatible(other)
+        if compatible is None:
+            return self.__rmul__(other)
+        return self._raw(self.p, self.s, accumulate(self._products(compatible)))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return self.scale(other)
-        return NotImplemented
+        """A scalar multiple, scalars being what ``Cyclotomic._coerce`` takes; anything else is NotImplemented."""
+        scalar = cyc_zero(self.p)._coerce(other)
+        return NotImplemented if scalar is None else self.scale(scalar)
 
     # -- comparisons and views --------------------------------------------------
 

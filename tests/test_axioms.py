@@ -34,7 +34,8 @@ from bookhopf import (
     root_power,
     run_all,
 )
-from bookhopf.axioms import MAX_VIOLATIONS_RENDERED, _Lanes
+from bookhopf import axioms
+from bookhopf.axioms import MAX_VIOLATIONS_RENDERED, _Lanes, _Rows
 from bookhopf.hopf import StructureTable
 from bookhopf.pbw import ONE, accumulate
 from oracles import (
@@ -282,6 +283,129 @@ def test_associativity_renders_nothing_past_the_cap(monkeypatch):
     assert found(result) == expected[:MAX_VIOLATIONS_RENDERED]
     # two sides q^e basis[t], each one Element and one Monomial render, and three sites per violation
     assert calls == {"Element.render": 2 * MAX_VIOLATIONS_RENDERED, "Monomial.render": 5 * MAX_VIOLATIONS_RENDERED}
+
+
+# -- associativity proved on the generators (premises U, F and R) ------------------
+
+
+def associativity_outcome(A, **kwargs):
+    result = check_associativity(A, **kwargs).result("associativity")
+    return found(result), result.checked, result.mode, result.status
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_associativity_proof_holds_on_the_live_tables(p):
+    for s in sorted({0, 1, p - 1}):
+        assert _Rows(BookAlgebra(p, s, permissive=True)).proved()
+
+
+def doctored_tables(p, count, seed):
+    """Copies of the product table of H(p, 2) with 1-3 entries changed to zero, another q-exponent or another monomial.
+
+    Half of the entries are drawn from the rows of 1, g, y and x, which the
+    premises read; an entry that was 0 gets a random code.
+    """
+    rng = random.Random(seed)
+    healthy = BookAlgebra(p, 2).product_table()
+    n = p ** 3
+    for _ in range(count):
+        table = array("i", healthy)
+        for _ in range(rng.randint(1, 3)):
+            i1 = rng.choice([0, 1, p, p * p]) if rng.random() < 0.5 else rng.randrange(n)
+            at, how = i1 * n + rng.randrange(n), rng.choice(["zero", "q-exponent", "monomial"])
+            code = table[at]
+            if code < 0:
+                table[at] = rng.randrange(n * p)
+            elif how == "zero":
+                table[at] = -1
+            elif how == "q-exponent":
+                table[at] = code - code % p + (code + rng.randrange(1, p)) % p
+            else:
+                table[at] = (code + rng.randrange(1, n) * p) % (n * p)
+        yield table
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_associativity_proof_passes_no_doctored_table_with_a_violation(p):
+    A = BookAlgebra(p, 2)
+    for table in doctored_tables(p, 180, seed=p):
+        A._products = table
+        if _Rows(A).proved():
+            assert not associativity_violations(A, all_triples(p ** 3))
+
+
+def premise_breaking_table(p, premise):
+    """A non-associative product table on which every premise of the proof holds but ``premise``.
+
+    - "U": basis[i] basis[j] = basis[i + j + 1], or 0 past the last index,
+      except 1 basis[n - 3] = q basis[n - 2], which the generators kill.
+      1 is no unit, and the F route to basis[2] is g 1.
+    - "F": Z_n with basis[0], g, y and x at 0, p, 2p and 3p, twisted by
+      q^(a^2 b) for a and b the classes mod p.  R holds, as every generator
+      lies in pZ_n, but the least index of a class a != 0 is reached only
+      from greater indices of its class: F holds with the order j < i left out.
+    - "R on g", "R on x", "R on y": H(p, 2) with every row of a monomial of
+      exponent 2 in that letter times q; only that letter's R sees it.
+    """
+    n = p ** 3
+    if premise == "U":
+        table = [(i + j + 1) * p if i + j + 1 < n else -1 for i in range(n) for j in range(n)]
+        table[n - 3] += 1
+    elif premise == "F":
+        special = {0: 0, 1: p, p: 2 * p, p * p: 3 * p}
+        element = dict(special)
+        element.update(zip((i for i in range(n) if i not in special), (v for v in range(n) if v not in special.values())))
+        index = {v: i for i, v in element.items()}
+        table = [
+            index[(element[i] + element[j]) % n] * p + (element[i] % p) ** 2 * (element[j] % p) % p
+            for i in range(n) for j in range(n)
+        ]
+    else:
+        A = BookAlgebra(p, 2)
+        k = "xyg".index(premise[-1])  # the letter's place in Monomial(b, c, a)
+        table = [
+            c - c % p + (c + 1) % p if c >= 0 and A.basis()[at // n][k] == 2 else c
+            for at, c in enumerate(A.product_table())
+        ]
+    return array("i", table)
+
+
+@pytest.mark.parametrize("premise", ["U", "F", "R on g", "R on x", "R on y"])
+def test_associativity_proof_rejects_a_table_that_breaks_one_premise(premise):
+    A = BookAlgebra(3, 2)
+    A._products = premise_breaking_table(3, premise)
+    expected = associativity_violations(A, all_triples(27))
+    assert expected and not _Rows(A).proved()
+    assert found(check_associativity(A).result("associativity")) == expected
+
+
+@pytest.mark.parametrize("how", [None, "zero", "q-exponent", "monomial"])
+@pytest.mark.parametrize("p,kwargs,mode", [(5, {}, "exhaustive"), (7, {"seed": 1, "sample_size": 300_000}, "sampled(n=300000)")])
+def test_associativity_proof_changes_no_result(monkeypatch, p, kwargs, mode, how):
+    """Proved or not, the result is the route's own: the same violations, checked, mode and status."""
+    A = BookAlgebra(p, 2)
+    if how:
+        doctor_product(A, Monomial(0, 0, 1), Monomial(1, 0, 0), how)  # g x = q x g
+    outcome = associativity_outcome(A, **kwargs)
+    assert outcome[2] == mode and bool(outcome[0]) == bool(how)
+    monkeypatch.setattr(_Rows, "proved", lambda self: False)
+    assert associativity_outcome(A, **kwargs) == outcome
+
+
+def test_a_proved_default_run_makes_no_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a proved run draws no triple")
+
+    monkeypatch.setattr(axioms.random, "Random", no_draws)
+    assert associativity_outcome(BookAlgebra(7, 3)) == ([], 1_000_000, "sampled(n=1000000)", "pass")
+
+
+def test_a_run_of_fewer_than_n_squared_draws_tries_no_proof(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("below n^2 draws the proof costs more than the draws")
+
+    monkeypatch.setattr(axioms, "_Rows", no_rows)
+    assert associativity_outcome(BookAlgebra(7, 3), sample_size=7 ** 6 - 1) == ([], 7 ** 6 - 1, "sampled(n=117648)", "pass")
 
 
 # -- bialgebra lane kernel against plain Tensor2 arithmetic ----------------------

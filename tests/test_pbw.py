@@ -241,6 +241,20 @@ def test_mixing_parameters_raises():
         x5 * x52
 
 
+@pytest.mark.parametrize("cls", [Element, Tensor2, Tensor3])
+def test_scalar_multiples_are_what_coerce_takes(cls):
+    """A scalar from another field raises _coerce's ValueError on both sides; a non-scalar is a TypeError."""
+    h = cls.unit(5, 2)
+    assert h * 2 == 2 * h == h.scale(2)
+    assert h * root_power(5, 1) == root_power(5, 1) * h == h.scale(root_power(5, 1))
+    for product in (lambda: h * root_power(3, 1), lambda: root_power(3, 1) * h):
+        with pytest.raises(ValueError, match=r"Q\(zeta_5\) and Q\(zeta_3\)"):
+            product()
+    for product in (lambda: h * "x", lambda: "x" * h, lambda: h * 1.5, lambda: 1.5 * h):
+        with pytest.raises(TypeError):
+            product()
+
+
 # -- tensors ---------------------------------------------------------
 
 
