@@ -6,10 +6,22 @@ basis data) and wall-clock timing; ``run_all`` runs the six checks in a
 fixed order.  Checks over basis pairs or triples run exhaustively when the
 domain is small (up to 25 000 pairs or 2 000 000 triples, i.e. p <= 5) or
 the sample size covers it, and otherwise on seeded uniform draws, so a
-report is deterministic given (p, s, seed).  Associativity is first
-proved by induction on generators wherever that is cheaper than its
-route (see ``check_associativity``); a proved run reports the route's
-mode and count and draws nothing.
+report is deterministic given (p, s, seed).
+
+*Proof by generators.*  Associativity and the bialgebra law are first
+proved by induction on the generators g, x and y, on the live tables, and
+a proved run reports its route's mode and ``checked``, with no violation
+and no draw.  If a premise fails, the route runs as if no proof had been
+tried.  Every proof rests on ``BookAlgebra.generation()``, premises U (the
+row of 1 in the product table is the identity) and F (every basis[i] but
+1, g, x and y is q^e t basis[j] for a generator t and some j < i).
+*Lemma:* let a law L(m) about a basis monomial m hold at m = 1 and at g, x
+and y, and let L(basis[j]) imply L(t basis[j]) for every generator t and
+basis[j].  Then L holds on the whole basis, by strong induction on i along
+the (t, j, e) of ``generation()``, as L(q^e m) is L(m) for the laws here.
+Each proof states only its law, the checks at 1 and at the generators, and
+its step from basis[j] to t basis[j] (see ``check_associativity`` and
+``check_bialgebra_compat``).
 
 Every check but the relations runs on integers: products are read off the
 basis-index product table, and Delta and S off the structure table, whose
@@ -25,14 +37,12 @@ concurrently on one algebra instance.
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import getitem, itemgetter
 from time import perf_counter
 
 from .cyclotomic import cyc_zero, root_power
-from .hopf import lift
 from .pbw import Element, basis_monomials
 
 __all__ = [
@@ -177,28 +187,25 @@ def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPL
     sampled run makes one uniform draw i1 n^2 + i2 n + i3 in [0, n^3) per
     triple, by rejection on ``getrandbits`` as ``Random.randrange(n ** 3)`` does.
 
-    *Proof by generators.*  Before either route, ``_Rows.proved`` checks
-    three premises on the live table, with g, x and y the generators:
-    U, the row of 1 in the table is the identity; F, every basis[i] but 1,
-    g, x and y is q^e t basis[j] for a generator t and some j < i, read off
-    the generator rows; R, (t m2) m3 = t (m2 m3) for t in {g, x, y} and
-    every m2 and m3, the sweep's own row compare on those three m1.
-    *Lemma:* then every triple is associative.  By strong induction on i,
-    (basis[i] m2) m3 = basis[i] (m2 m3) for all m2, m3: i = 0 is U, a
-    generator is R, and otherwise, with basis[i] = q^-e t basis[j] by F,
+    *Proof by generators* (see the module docstring), by ``_Rows.proved``.
+    The law at m1 is (m1 m2) m3 = m1 (m2 m3) for all m2 and m3.  At 1 it is
+    U; at the generators it is premise R, the sweep's own row compare on
+    the three m1 in {g, x, y}; and the step is
 
         ((t basis[j]) m2) m3 = (t (basis[j] m2)) m3    R
                              = t ((basis[j] m2) m3)    R, bilinearly
-                             = t (basis[j] (m2 m3))    induction at j < i
+                             = t (basis[j] (m2 m3))    the law at basis[j]
                              = (t basis[j]) (m2 m3)    R, bilinearly
 
-    and the codes carry every q^e.  The proof reads 3 n^2 entries in row
-    compares and a draw reads 4 in Python, so it is tried on every
-    exhaustive run and on a sampled run of at least n^2 draws.  A proved
-    run makes no draw and reports what its route would have: exhaustive
-    with n^3 triples checked, or sampled with its draws as ``checked``,
-    which are triples of the proved whole, and no violation.  If a premise
-    fails, the route runs as if no proof had been tried.
+    with the codes carrying every q^e.  The proof reads 3 n^2 entries in
+    C-level row compares, and costs about as much as n^2 / 5 draws, which
+    read 4 entries each in Python: 0.47 s against 1.13 s for 10^6 draws at
+    p = 11, and 1.53 s against 1.49 s at p = 13 (2-core Xeon VM, Python
+    3.11).  So it is tried on every exhaustive run and on a sampled run of
+    at least n^2 / 5 draws, which takes in the default 10^6 at every p up to
+    13.  A proved run reports what its route would have: exhaustive with
+    n^3 triples checked, or sampled with its draws as ``checked``, which are
+    triples of the proved whole.
     """
     A = algebra
     p, s = A.p, A.s
@@ -207,7 +214,7 @@ def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPL
     rec = _Recorder("associativity")
     mode, draws = _plan(n ** 3, sample_size, exhaustive, TRIPLE_EXHAUSTIVE_LIMIT)
     table = A.product_table()
-    rows = _Rows(A) if draws is None or draws >= n * n else None
+    rows = _Rows(A) if draws is None or 5 * draws >= n * n else None
 
     def render(code):
         return "0" if code < 0 else Element._raw(p, s, {basis[code // p]: root_power(p, code % p)}).render()
@@ -227,7 +234,7 @@ def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPL
                         hit(i1, i2, i3, lhs[i3], rhs[i3])
         rec.checked = n ** 3
     else:
-        shift = _shifts(p, n)
+        shift = _shifts(p, n) if rows is None else rows.shift
         n2, n3 = n * n, n ** 3
         k = n3.bit_length()
         getrandbits = random.Random(seed).getrandbits
@@ -255,10 +262,10 @@ class _Rows:
     """
 
     def __init__(self, algebra):
+        self.algebra = algebra
         p = self.p = algebra.p
         n = self.n = len(algebra.basis())
         table = self.table = algebra.product_table()
-        self.generators = [algebra.basis_index(m) for e in (algebra.g, algebra.x, algebra.y) for m in e.terms]
         self.shift = _shifts(p, n)
         codes = [*range(n * p), -1]
         self.row = [itemgetter(*map(codes.__getitem__, table[t * n:(t + 1) * n])) for t in range(n)]
@@ -276,23 +283,9 @@ class _Rows:
                 yield i2, lhs, rhs
 
     def proved(self):
-        """True iff premises U, F and R of check_associativity hold, so that every triple is associative."""
-        p, n, table, generators = self.p, self.n, self.table, self.generators
-        if table[:n] != array("i", range(0, n * p, p)):  # U
-            return False
-        reached = {c // p for t in generators for j, c in enumerate(table[t * n:(t + 1) * n]) if c // p > j}
-        if not reached.union((0, *generators)).issuperset(range(n)):  # F
-            return False
-        return not any(next(self.differing(t), None) for t in generators)  # R
-
-
-def _eps_lifts(algebra, table):
-    """eps of every basis monomial, packed; a digit sum of at most R keeps every reader within the width."""
-    values = [algebra.counit_monomial(m) for m in algebra.basis()]
-    assert all(e.den == 1 for e in values), "eps is integral"
-    lifts = [lift(e.num + (0,)) for e in values]
-    assert max(map(sum, lifts)) <= table.root, "eps must stay within the table's width"
-    return [table.pack(d) for d in lifts]
+        """True iff ``generation()`` holds and premise R of check_associativity, so that every triple is associative."""
+        A = self.algebra
+        return A.generation() is not None and not any(next(self.differing(t), None) for t in A.generators)
 
 
 def check_coassociativity(algebra, **_ignored):
@@ -331,7 +324,7 @@ def check_counit_law(algebra, **_ignored):
     A = algebra
     basis = A.basis()
     table = A.structure_table()
-    eps = _eps_lifts(A, table)
+    eps = A.counit_packed()
     rec = _Recorder("counit")
     for i, row in enumerate(table.delta):
         rec.checked += 1
@@ -385,6 +378,31 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
     eps(m1) eps(m2) are read off ``counit_monomial``, one row over all m2 per
     m1, with one object per value so that equal rows compare by identity.
 
+    *Proof by generators* (see the module docstring).  The law at m1 is
+    Delta(m1 m2) = Delta(m1) Delta(m2) and eps(m1 m2) = eps(m1) eps(m2) for
+    every m2.  It is tried first, on four premises in this order:
+
+    - ``_Rows.proved()``, which holds ``generation()``: H is associative,
+      and so is H (x) H, whose products the lanes read leg by leg;
+    - Delta(1) = 1 (x) 1 and eps(1) = 1, which with U give the law at 1;
+    - eps(t m) = eps(t) eps(m) for t in {g, x, y} and every m;
+    - no bad lane in the 3 p^2 group runs of m1 in {g, x, y}: the law at
+      the generators.  The runs stop at the first bad lane; the sweep
+      reads back those it would run, so a failed proof costs it little.
+
+    The step, with Delta(q^e m) = q^e Delta(m) and the same for eps, is
+
+        Delta((t basis[j]) m2) = Delta(t (basis[j] m2))                 H associative
+                               = Delta(t) Delta(basis[j] m2)            the law at t
+                               = Delta(t) (Delta(basis[j]) Delta(m2))   the law at basis[j]
+                               = Delta(t basis[j]) Delta(m2)            H (x) H associative, the law at t
+
+    and likewise for eps.  If every premise holds the run reports its mode
+    and ``checked``, draws nothing and calls no ``_Lanes.orbit``; it costs
+    3 p^2 group runs instead of p^4.  Otherwise the sweep below runs as if
+    no proof had been tried, as it does on a doctored table and at s = 0,
+    where the runs of y against x^b y^(p-1) fail.
+
     Both modes sweep the groups (m1, x^b2 y^c2) in basis order, each with a
     mask of the lanes a2 it reads: all of them when exhaustive.  A sampled
     run first replays its draws, i1 then i2 from ``Random(seed)``, into bit
@@ -402,38 +420,61 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
     n = len(basis)
     rec = _Recorder("bialgebra")
     mode, draws = _plan(n * n, sample_size, exhaustive, PAIR_EXHAUSTIVE_LIMIT)
+    rec.checked = n * n if draws is None else draws
     table = A.product_table()
     lanes = _Lanes(A)
     structure = lanes.table
     groups = p * p  # per m1, one group per x^b2 y^c2
+    canon = {}
+
+    def value(c):  # one object per value, so that equal rows of eps values compare by identity
+        return canon.setdefault((c.num, c.den), c)
+
+    eps = [value(A.counit_monomial(m)) for m in basis]
+    distinct = {id(e): e for e in eps}
+    scaled = {k: [value(e * root_power(p, j)) for j in range(p)] for k, e in distinct.items()}  # e q^j
+    # eps of q^e basis[t] at the product code t * p + e; code -1 (a zero product) reads the last entry
+    eps_of_code = [scaled[id(eps[c // p])][c % p] for c in range(n * p)] + [value(cyc_zero(p))]
+    eps_rows = {}  # id(e) -> eps(m1) eps(m2) over all m2, for eps(m1) = e
+    for k, e in distinct.items():
+        times = {id(f): value(e * f) for f in distinct.values()}
+        eps_rows[k] = tuple([times[id(f)] for f in eps])
+
+    def eps_left(i1):  # eps(m1 m2) over all m2
+        return tuple(map(eps_of_code.__getitem__, table[i1 * n:(i1 + 1) * n]))
+
+    tried = {}  # (i1, bc2) -> the group run of a generator premise, read back by the sweep
+
+    def run(i1, bc2, left):
+        return tried.pop((i1, bc2), None) or lanes.run(i1, bc2, left)
+
+    def proved():
+        unit = {}  # Delta(1), summed per key
+        for u, v, r in structure.delta[0]:
+            unit[u * n + v] = unit.get(u * n + v, 0) + r[0]
+        if not _Rows(A).proved() or structure.differs(unit, {0: 1}) or eps[0] != 1:
+            return False
+        if any(eps_left(t) != eps_rows[id(eps[t])] for t in A.generators):
+            return False
+        # x and y first: the sweep reads back their runs, which start g-orbits, but not those of g
+        for t in sorted(A.generators, reverse=True):
+            left = lanes.left(t)
+            for bc2 in range(groups):
+                tried[t, bc2] = result = lanes.run(t, bc2, left)
+                if result[1]:
+                    return False
+        return True
+
+    if proved():
+        return AxiomReport([rec.finish(mode)])
     if draws is None:
         masks = [(1 << p) - 1] * (n * groups)
-        rec.checked = n * n
     else:
         masks = [0] * (n * groups)  # i1 p^2 + i2 // p -> the lanes i2 % p drawn
         rng = random.Random(seed)
         for _ in range(draws):
             i1, i2 = rng.randrange(n), rng.randrange(n)
             masks[i1 * groups + i2 // p] |= 1 << i2 % p
-        rec.checked = draws
-    canon = {}
-
-    def value(c):  # one object per value, so that equal rows of eps values compare by identity
-        return canon.setdefault(c, c)
-
-    eps = [value(A.counit_monomial(m)) for m in basis]
-    # eps of q^e basis[t] at the product code t * p + e; code -1 (a zero product) reads the last entry
-    eps_of_code = [value(eps[c // p] * root_power(p, c % p)) for c in range(n * p)] + [value(cyc_zero(p))]
-    eps_rows = {e: tuple(value(e * f) for f in eps) for e in set(eps)}  # eps(m1) eps(m2) over all m2
-    memo = {-1: {}}  # t -> lanes.expected(t); a zero product (t = -1) expects no term
-
-    def run(i1, bc2, left):  # (accumulator, mask of the bad lanes, e12) of group (m1, x^b2 y^c2)
-        # m1 x^b2 y^c2 = q^e12 basis[t12], or 0 for t12 = -1, where any e12 serves
-        t12, e12 = divmod(table[i1 * n + bc2 * p], p)
-        expected = memo.get(t12)
-        if expected is None:
-            expected = memo[t12] = lanes.expected(t12)
-        return (*lanes.group(left, bc2, e12, expected), e12)
 
     def at(kind, i1, i2):
         return f"{kind}: m1={basis[i1].render()}, m2={basis[i2].render()}"
@@ -446,9 +487,8 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
         if not any(row_masks):
             continue
         left = lanes.left(i1)
-        eps_left = tuple(map(eps_of_code.__getitem__, table[i1 * n:(i1 + 1) * n]))  # eps(m1 m2)
-        eps_right = eps_rows[eps[i1]]
-        eps_ok = eps_left == eps_right
+        eps_lhs, eps_rhs = eps_left(i1), eps_rows[id(eps[i1])]
+        eps_ok = eps_lhs == eps_rhs
         for bc2, mask in enumerate(row_masks):
             if not mask:
                 continue
@@ -468,8 +508,8 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
                     t, e = divmod(table[i1 * n + i2], p)  # m1 m2 = q^e basis[t], or 0 for t = -1
                     lhs = "0" if t < 0 else structure.render({u * n + v: r[0] for u, v, r in structure.delta[t]}, e)
                     rec.hit(at("Delta", i1, i2), lhs, structure.render(lanes.lane(acc, i2 % p), e12))
-                if eps_left[i2] != eps_right[i2] and not rec.full:
-                    rec.hit(at("epsilon", i1, i2), eps_left[i2].render(), eps_right[i2].render())
+                if eps_lhs[i2] != eps_rhs[i2] and not rec.full:
+                    rec.hit(at("epsilon", i1, i2), eps_lhs[i2].render(), eps_rhs[i2].render())
     return AxiomReport([rec.finish(mode)])
 
 
@@ -499,6 +539,7 @@ class _Lanes:
         codes = [*range(n * p), -1]
         self.products = [tuple(map(codes.__getitem__, products[t * n:(t + 1) * n])) for t in range(n)]
         self.groups = [self._group(bc) for bc in range(p * p)]
+        self.memo = {-1: {}}  # t -> self.expected(t); a zero product (t = -1) expects no term
 
     def _group(self, bc):
         """Terms of the p rows x^b y^c g^a2, both legs moved by g^-a2, grouped across lanes a2."""
@@ -533,6 +574,15 @@ class _Lanes:
                 self.bias - (packed >> low | (packed & (1 << low) - 1) << high)
             for w, z, packed in self.groups[t // p]
         }
+
+    def run(self, i1, bc2, left):
+        """(accumulator, mask of the bad lanes, e12) of group (basis[i1], x^b2 y^c2), for left = self.left(i1)."""
+        # m1 x^b2 y^c2 = q^e12 basis[t12], or 0 for t12 = -1, where any e12 serves
+        t12, e12 = divmod(self.products[i1][bc2 * self.p], self.p)
+        expected = self.memo.get(t12)
+        if expected is None:
+            expected = self.memo[t12] = self.expected(t12)
+        return (*self.group(left, bc2, e12, expected), e12)
 
     def left(self, i1):
         """The terms of Delta(basis[i1]): the product-table rows of both legs, and the rotated lifts."""
@@ -592,7 +642,7 @@ def check_antipode_law(algebra, **_ignored):
     products = A.product_table()
     table = A.structure_table()
     S = table.antipode
-    eps = _eps_lifts(A, table)
+    eps = A.counit_packed()
     rec = _Recorder("antipode")
     for i, row in enumerate(table.delta):
         rec.checked += 1
@@ -618,8 +668,11 @@ def check_relations(algebra, **_ignored):
     other check reads them.  Delta is multiplicative, so a relation u = c v
     is checked as Delta-images multiplied in order; S is anti-multiplicative,
     so both products are reversed (same scalar).  A pass means the images of
-    x, y and g extend to a well-defined algebra map, which the bialgebra
-    check on all pairs shows is Delta on the whole basis.
+    x, y and g extend to a well-defined algebra map.  That it is Delta on
+    the whole basis is the bialgebra check's: proved on the generators
+    where its premises hold, and otherwise swept over the pairs.  At s = 0
+    this check fails at y^p = 0, and the bialgebra proof at its runs of y
+    against x^b y^(p-1), so the sweep runs there.
     """
     A = algebra
     p, s = A.p, A.s

@@ -212,6 +212,7 @@ class BookAlgebra:
         self.g = Element.monomial(p, s, Monomial(0, 0, 1))
         self.x = Element.monomial(p, s, Monomial(1, 0, 0))
         self.y = Element.monomial(p, s, Monomial(0, 1, 0))
+        self.generators = (1, p * p, p)  # the basis indices of g, x and y
 
         self._delta_mono, self._antipode_mono, self._s2_mono = {}, {}, {}  # views of structure-table rows
         self._basis = None
@@ -278,6 +279,27 @@ class BookAlgebra:
             self._products = table
         return self._products
 
+    def generation(self):
+        """How g, x and y generate the basis on the live product table: the premise of every proof by generators.
+
+        Returns {i: (t, j, e)} for every basis index i but 1, g, x and y, with
+        basis[i] = q^e basis[t] basis[j], t in ``generators`` and j < i, the
+        first such (t, j) in generator then basis order.  Returns None unless
+        premise U holds (the row of 1 is the identity) and premise F (every
+        such i has a (t, j, e)).  The ``axioms`` module docstring states the
+        lemma that the proofs build on it.
+        """
+        p, n, table = self.p, self.dimension, self.product_table()
+        if table[:n] != array("i", range(0, n * p, p)):  # U
+            return None
+        steps = {}
+        for t in self.generators:
+            for j, c in enumerate(table[t * n:(t + 1) * n]):
+                if c // p > j:  # t basis[j] = q^(c % p) basis[c // p]; a zero product, c = -1, reaches nothing
+                    steps.setdefault(c // p, (t, j, -c % p))
+        rest = [i for i in range(1, n) if i not in self.generators]
+        return {i: steps[i] for i in rest} if all(i in steps for i in rest) else None  # F
+
     def structure_table(self):
         """Delta, S and S^2 of every basis monomial as a StructureTable, filled on first use.
 
@@ -321,6 +343,16 @@ class BookAlgebra:
         if mono.b == 0 and mono.c == 0:
             return root_power(self.p, 0)
         return cyc_zero(self.p)
+
+    def counit_packed(self):
+        """eps of every basis monomial, packed like the structure table; a digit sum of at most R keeps every reader
+        within the width."""
+        table = self.structure_table()
+        values = [self.counit_monomial(m) for m in self.basis()]
+        assert all(e.den == 1 for e in values), "eps is integral"
+        lifts = [lift(e.num + (0,)) for e in values]
+        assert max(map(sum, lifts)) <= table.root, "eps must stay within the table's width"
+        return [table.pack(d) for d in lifts]
 
     def _unit_row(self, memo, rows, mono):
         el = memo.get(mono)

@@ -165,19 +165,32 @@ def check_convolution_inverse(algebra, beta):
     """Whether beta o S is the two-sided convolution inverse of beta.
 
     Verifies sum beta(m_1) beta(S(m_2)) = eps(m) = sum beta(S(m_1)) beta(m_2)
-    over the coproduct legs of every basis monomial.
+    over the coproduct legs of every basis monomial, off the structure
+    table: beta is q^k or 0 on a basis monomial (``Character.exponent``), so
+    beta o S is a unit code or None there, and each term adds its rotated Delta
+    coefficient on the side its sign picks; eps(m) is added to the minus side.
     """
     A = algebra
-    p = A.p
-    for m in A.basis():
-        eps = A.counit_monomial(m)
-        left = right = cyc_zero(p)
-        for (m1, m2), coeff in A.coproduct_monomial(m).terms.items():
-            left = left + coeff * beta(m1) * beta(A.antipode_monomial(m2))
-            right = right + coeff * beta(A.antipode_monomial(m1)) * beta(m2)
-        if left != eps or right != eps:
-            return False
+    p, basis, table = A.p, A.basis(), A.structure_table()
+    beta_of = [beta.exponent(m) for m in basis]
+    beta_of_s = _beta_of_s(p, table, beta_of)
+    eps = A.counit_packed()
+    for i, row in enumerate(table.delta):
+        for left in (True, False):  # beta(m_1) beta(S m_2), then beta(S m_1) beta(m_2)
+            plus, minus = {}, {0: eps[i]}
+            for u, v, r in row:
+                k, code = (beta_of[u], beta_of_s[v]) if left else (beta_of[v], beta_of_s[u])
+                if k is not None and code is not None:
+                    side = minus if code >= p else plus
+                    side[0] = side.get(0, 0) + r[(code + k) % p]
+            if table.differs(plus, minus):
+                return False
     return True
+
+
+def _beta_of_s(p, table, beta_of):
+    """beta(S basis[t]) as a unit code (k for q^k, k + p for -q^k), or None for 0, from the exponents beta_of."""
+    return [None if (k := beta_of[t]) is None else code - code % p + (code + k) % p for t, code in table.antipode]
 
 
 def _twist_monomial(algebra, l, beta):
@@ -192,9 +205,7 @@ def _twist_monomial(algebra, l, beta):
     p, basis, products, table = A.p, A.basis(), A.product_table(), A.structure_table()
     n, rows = len(basis), table.delta
     beta_of = [beta.exponent(m) for m in basis]
-    beta_of_s = [  # beta(S basis[t]) as a unit code, or None for 0
-        None if (k := beta_of[t]) is None else code - code % p + (code + k) % p for t, code in table.antipode
-    ]
+    beta_of_s = _beta_of_s(p, table, beta_of)
     gi, g_inv = (A.basis_index(Monomial(0, 0, e % p)) for e in (l.i, -l.i))
     conjugated = []  # the code of g^i basis[t] g^-i, -1 for 0
     for t in range(n):

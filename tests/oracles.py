@@ -7,6 +7,8 @@ more elementary means — one adjacent-letter swap at a time, a textbook
 recurrence, the generator images of the paper multiplied out power by power,
 or the whole Delta^2 image — so tests can compare two genuinely different
 routes to the same value.
+``convolution_inverse_reference`` is the per-monomial ``Cyclotomic`` sweep
+that ``check_convolution_inverse`` replaced.
 ``doctor_product`` breaks one entry of the product table, and
 ``doctor_delta`` and ``negate_unit_row`` one row of the structure table, so
 that the tests can show the fast checks notice.
@@ -250,3 +252,22 @@ def delta2_twist_monomial(A, l, beta, mono):
         conjugated = l.element * A.monomial_element(m2) * l.inverse
         total = total + (coeff * v1 * v3) * conjugated
     return total
+
+
+def convolution_inverse_reference(A, beta):
+    """Whether beta o S is the two-sided convolution inverse of beta, summed in ``Cyclotomic`` arithmetic.
+
+    sum beta(m_1) beta(S(m_2)) = eps(m) = sum beta(S(m_1)) beta(m_2) over the
+    decoded ``coproduct_monomial`` and ``antipode_monomial`` of every basis
+    monomial, with beta evaluated through ``Character.__call__``.
+    """
+    p = A.p
+    for m in A.basis():
+        eps = A.counit_monomial(m)
+        left = right = cyc_zero(p)
+        for (m1, m2), coeff in A.coproduct_monomial(m).terms.items():
+            left = left + coeff * beta(m1) * beta(A.antipode_monomial(m2))
+            right = right + coeff * beta(A.antipode_monomial(m1)) * beta(m2)
+        if left != eps or right != eps:
+            return False
+    return True

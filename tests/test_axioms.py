@@ -400,12 +400,45 @@ def test_a_proved_default_run_makes_no_draw(monkeypatch):
     assert associativity_outcome(BookAlgebra(7, 3)) == ([], 1_000_000, "sampled(n=1000000)", "pass")
 
 
-def test_a_run_of_fewer_than_n_squared_draws_tries_no_proof(monkeypatch):
+def test_a_run_of_fewer_than_a_fifth_of_n_squared_draws_tries_no_proof(monkeypatch):
     def no_rows(*args):
-        raise AssertionError("below n^2 draws the proof costs more than the draws")
+        raise AssertionError("below n^2 / 5 draws the proof costs more than the draws")
 
     monkeypatch.setattr(axioms, "_Rows", no_rows)
-    assert associativity_outcome(BookAlgebra(7, 3), sample_size=7 ** 6 - 1) == ([], 7 ** 6 - 1, "sampled(n=117648)", "pass")
+    draws = (7 ** 6 - 1) // 5
+    assert associativity_outcome(BookAlgebra(7, 3), sample_size=draws) == ([], draws, f"sampled(n={draws})", "pass")
+
+
+def test_a_proved_default_run_at_p11_makes_no_draw(monkeypatch):
+    """The default 10^6 draws are over n^2 / 5 at p = 11: associativity and the bialgebra law are both proved."""
+    def no_draws(*args):
+        raise AssertionError("a proved run draws nothing")
+
+    monkeypatch.setattr(axioms.random, "Random", no_draws)
+    report = run_all(BookAlgebra(11, 3))
+    assert report.passed
+    for axiom in ("associativity", "bialgebra"):
+        result = report.result(axiom)
+        assert (result.mode, result.checked) == ("sampled(n=1000000)", 1_000_000)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_generation_writes_each_other_monomial_as_a_generator_times_an_earlier_one(p):
+    A = BookAlgebra(p, 2)
+    basis = A.basis()
+    assert [basis[t] for t in A.generators] == [Monomial(0, 0, 1), Monomial(1, 0, 0), Monomial(0, 1, 0)]
+    steps = A.generation()
+    assert list(steps) == [i for i in range(1, p ** 3) if i not in A.generators]
+    for i, (t, j, e) in steps.items():
+        assert t in A.generators and j < i
+        assert A.monomial_element(basis[t]) * A.monomial_element(basis[j]) * root_power(p, e) == A.monomial_element(basis[i])
+
+
+@pytest.mark.parametrize("premise", ["U", "F"])
+def test_generation_is_none_on_a_table_that_breaks_its_premise(premise):
+    A = BookAlgebra(3, 2)
+    A._products = premise_breaking_table(3, premise)
+    assert A.generation() is None
 
 
 # -- bialgebra lane kernel against plain Tensor2 arithmetic ----------------------
@@ -494,9 +527,17 @@ def group_runs(monkeypatch):
 
 
 def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs):
-    """One run per g-orbit of m1 and x^b2 y^c2 on the live tables; every (m1, x^b2 y^c2) once on a doctored row."""
+    """3 p^2 runs of g, x and y on the live tables, which prove the law; where a premise fails, one run per g-orbit
+    of m1 and x^b2 y^c2 while P1-P3 hold, and every (m1, x^b2 y^c2) once on a doctored row.  The runs of a
+    failed premise are read back by the sweep, not run again."""
     result = check_bialgebra_compat(BookAlgebra(7, 3)).result("bialgebra")
-    assert result.mode == "exhaustive" and result.checked == 343 ** 2
+    assert result.mode == "exhaustive" and result.checked == 343 ** 2 and result.passed
+    assert len(group_runs) == 3 * 7 ** 2 == 147
+    group_runs.clear()
+    A = BookAlgebra(7, 3)
+    healthy = A.counit_monomial
+    A.counit_monomial = lambda m: A.q if m == Monomial(0, 0, 1) else healthy(m)  # fails eps(g g) = eps(g) eps(g)
+    assert _Lanes(A).orbit() == 7 and not check_bialgebra_compat(A).passed
     assert len(group_runs) == 7 ** 4 == 2_401
     group_runs.clear()
     A = BookAlgebra(7, 3)
@@ -507,7 +548,8 @@ def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs):
 
 def test_sampled_bialgebra_runs_each_drawn_lane_group_once(group_runs):
     """A group runs once per g-orbit of m1 its draws hit, plus once more for each other m1 it renders a
-    Delta violation at; pairs drawn twice cost nothing more, and violations come in basis order."""
+    Delta violation at; pairs drawn twice cost nothing more, and violations come in basis order.  The failed
+    proof adds its runs of x, and of y up to x^0 y^(p-1), that the sweep does not read back."""
     p, seed, draws = 7, 0, 2500
     A = BookAlgebra(p, 0, permissive=True)
     basis = A.basis()
@@ -524,7 +566,10 @@ def test_sampled_bialgebra_runs_each_drawn_lane_group_once(group_runs):
         (i1, i2 // p) for i1, i2 in drawn
         if first[i1 // p, i2 // p] != i1 and f"Delta: m1={basis[i1].render()}, m2={basis[i2].render()}" in failing
     }
-    assert renders and len(group_runs) == len(first) + len(renders) < len({(i1, i2 // p) for i1, i2 in drawn})
+    premise = [(p * p, bc2) for bc2 in range(p * p)] + [(p, bc2) for bc2 in range(p)]  # x, then y to its bad lanes
+    unread = [(i1, bc2) for i1, bc2 in premise if first.get((i1 // p, bc2)) != i1]
+    assert renders and len(first) + len(renders) < len({(i1, i2 // p) for i1, i2 in drawn})
+    assert len(group_runs) == len(first) + len(renders) + len(unread)
 
 
 def doctor(A, how):
@@ -642,6 +687,98 @@ def test_one_run_per_g_orbit_equals_the_full_sweep_when_sampled(monkeypatch):
 def test_g_orbit_premises_hold_on_the_live_tables(p):
     for s in sorted({0, 1, p - 1}):
         assert _Lanes(BookAlgebra(p, s, permissive=True)).orbit() == p
+
+
+# -- the bialgebra law proved on the generators ---------------------------------------
+
+
+def bialgebra_route(A, **options):
+    """The bialgebra outcome and whether the proof took it: a proved run calls no _Lanes.orbit."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = counted_calls(patch, (_Lanes, "orbit"))
+        return bialgebra_outcome(A, **options), not calls
+
+
+def swept(A, **options):
+    """The bialgebra outcome with the proof refused at its first premise: the sweep alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Rows, "proved", lambda self: False)
+        return bialgebra_outcome(A, **options)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_a_proved_bialgebra_run_equals_the_sweep(p):
+    """For every s the proof holds exactly when s != 0, and changes no violation, checked or mode."""
+    for s in range(p):
+        A = BookAlgebra(p, s, permissive=True)
+        for options in [{}] + ([{"seed": 3, "sample_size": 1000}] if p == 7 else []):
+            outcome, proved = bialgebra_route(A, **options)
+            assert proved == (s != 0) and bool(outcome[0]) == (s == 0)
+            assert swept(A, **options) == outcome
+
+
+def doctored_algebra(how):
+    """H(3, 2) doctored in its Delta, S, product table or eps: the doctorings the other tests build."""
+    A = BookAlgebra(3, 2)
+    x, yg2 = Monomial(1, 0, 0), Monomial(0, 1, 2)
+    if how in ("digit", "g-exponent", "extra term"):
+        doctor(A, how)
+    elif how.startswith("orbit "):
+        doctor_orbit(A, how[6:])
+    elif how in ("zero", "q-exponent", "monomial"):
+        doctor_product(A, x, yg2, how)
+    elif how.startswith("S "):
+        negate_unit_row(A, "antipode", Monomial.parse(how[2:]))
+    elif how == "eps(g) = q":
+        healthy = A.counit_monomial
+        A.counit_monomial = lambda m: A.q if m == Monomial(0, 0, 1) else healthy(m)
+    else:  # a product table that breaks one premise of the associativity proof
+        A._products = premise_breaking_table(3, how)
+    return A
+
+
+@pytest.mark.parametrize("how", [
+    "digit", "g-exponent", "extra term", "orbit digit", "orbit extra term", "zero", "q-exponent", "monomial",
+    "S g", "S x y g^2", "eps(g) = q", "U", "F", "R on g", "R on x", "R on y",
+])
+def test_a_doctored_table_falls_back_or_is_healthy(how):
+    """Each doctored table fails a premise and gets the sweep's own result, or is proved and healthy by Tensor2."""
+    A = doctored_algebra(how)
+    outcome, proved = bialgebra_route(A)
+    assert outcome == swept(A)
+    if proved:
+        basis = A.basis()
+        assert not outcome[0] and not tensor_violations(A, [(m1, m2) for m1 in basis for m2 in basis])
+    assert proved == how.startswith("S ")  # S is not read by the bialgebra law
+
+
+@pytest.mark.parametrize("case", ["Delta(1) = 0", "eps = 0"])
+def test_each_base_case_is_a_premise(case):
+    """A Delta of zero values, or eps = 0, is multiplicative, but the law at 1 needs Delta(1) = 1 (x) 1 and eps(1) = 1:
+    the proof refuses them, and the sweep passes."""
+    A = BookAlgebra(3, 2)
+    if case == "eps = 0":
+        A.counit_monomial = lambda m: cyc_zero(3)
+    else:  # 1 + q + q^2 = 0 in every row; the lift makes the table's width 1
+        install_delta_rows(A, [[(0, 0, (1, 1, 1))] for _ in A.basis()])
+    outcome, proved = bialgebra_route(A)
+    assert not proved and outcome == ([], 27 ** 2, "exhaustive")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_at_s0_the_generator_premise_fails_exactly_on_y_against_x_b_y_p_minus_1(p):
+    A = BookAlgebra(p, 0, permissive=True)
+    basis, lanes = A.basis(), _Lanes(A)
+    failing = []
+    for t in A.generators:
+        left = lanes.left(t)
+        for bc2 in range(p * p):
+            bad = lanes.run(t, bc2, left)[1]
+            failing += [(basis[t], basis[bc2 * p + a2]) for a2 in range(p) if bad >> a2 & 1]
+    y = Monomial(0, 1, 0)
+    assert sorted(failing) == [(y, Monomial(b, p - 1, a)) for b in range(p) for a in range(p)]
+    if p < 7:
+        assert negative_control_matches(run_all(A), p)
 
 
 def closed_form_coefficients(p, s):

@@ -139,6 +139,25 @@ def test_classify_output_is_pinned(argv, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "5", "--s", "0", "--permissive"], ["verify", "--p", "3", "--all-s"],
+    ["classify", "--p", "5", "--all-s"], ["table", "--p", "3"],
+])
+def test_json_output_is_json_dumps_with_indent_2(argv):
+    code, text = run_cli(argv + ["--format", "json"])
+    assert code == 0 and text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], "", 0, -1.5e-07, None, True, False, "q\u00e9\n\"", (1, "x"),
+    {"a": [], "b": {}, "c": [[], [{}], {"d": [1, 2.5, None, True, "x"]}]},
+])
+def test_json_printer_writes_the_bytes_of_json_dumps(value):
+    chunks = []
+    cli._json(value, chunks)
+    assert "".join(chunks) == json.dumps(value, indent=2)
+
+
 def test_verify_is_deterministic():
     argv = ["verify", "--p", "3", "--s", "2"]
     assert strip_elapsed(run_json(argv)[1]) == strip_elapsed(run_json(argv)[1])

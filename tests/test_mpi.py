@@ -30,7 +30,13 @@ from bookhopf import (
     run_all,
     twist,
 )
-from oracles import delta2_twist_monomial, doctor_delta, doctor_product, negate_unit_row
+from oracles import (
+    convolution_inverse_reference,
+    delta2_twist_monomial,
+    doctor_delta,
+    doctor_product,
+    negate_unit_row,
+)
 
 
 # -- enumeration ---------------------------------------------------------
@@ -144,6 +150,31 @@ def test_beta_composed_with_antipode_is_convolution_inverse(p, s):
     A = BookAlgebra(p, s)
     for beta in enumerate_characters(A):
         assert check_convolution_inverse(A, beta)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_convolution_inverse_off_the_table_matches_the_cyclotomic_sweep(p):
+    """Every s and every beta_j at p <= 5; at p = 7, where the sweep is slow, j in {0, 1, p - 1}."""
+    for s in range(p):
+        A = BookAlgebra(p, s, permissive=True)
+        for j in range(p) if p <= 5 else (0, 1, p - 1):
+            beta = Character(A, j)
+            assert check_convolution_inverse(A, beta) == convolution_inverse_reference(A, beta)
+            assert check_convolution_inverse(A, beta)
+
+
+@pytest.mark.parametrize("row,holds", [("S(g)", False), ("S(x)", True), ("Delta(g)", False)])
+def test_convolution_inverse_reads_doctored_rows_like_the_cyclotomic_sweep(row, holds):
+    """S(g) = -g^-1 or Delta(g) = 2 g (x) g breaks it for every beta; S(x) = x g^-1 is killed by beta."""
+    A = BookAlgebra(5, 2)
+    g, x = Monomial(0, 0, 1), Monomial(1, 0, 0)
+    if row == "Delta(g)":
+        doctor_delta(A, g, {(g, g): 2})
+    else:
+        negate_unit_row(A, "antipode", g if row == "S(g)" else x)
+    for j in range(5):
+        beta = Character(A, j)
+        assert check_convolution_inverse(A, beta) == convolution_inverse_reference(A, beta) == holds
 
 
 def test_convolution_identity_on_group_like():
