@@ -8,20 +8,35 @@ domain is small (up to 25 000 pairs or 2 000 000 triples, i.e. p <= 5) or
 the sample size covers it, and otherwise on seeded uniform draws, so a
 report is deterministic given (p, s, seed).
 
-*Proof by generators.*  Associativity and the bialgebra law are first
-proved by induction on the generators g, x and y, on the live tables, and
-a proved run reports its route's mode and ``checked``, with no violation
-and no draw.  If a premise fails, the route runs as if no proof had been
-tried.  Every proof rests on ``BookAlgebra.generation()``, premises U (the
-row of 1 in the product table is the identity) and F (every basis[i] but
-1, g, x and y is q^e t basis[j] for a generator t and some j < i).
-*Lemma:* let a law L(m) about a basis monomial m hold at m = 1 and at g, x
-and y, and let L(basis[j]) imply L(t basis[j]) for every generator t and
-basis[j].  Then L holds on the whole basis, by strong induction on i along
-the (t, j, e) of ``generation()``, as L(q^e m) is L(m) for the laws here.
-Each proof states only its law, the checks at 1 and at the generators, and
-its step from basis[j] to t basis[j] (see ``check_associativity`` and
-``check_bialgebra_compat``).
+*Proof by generators.*  Every check but the relations is first proved by
+induction on the generators g, x and y, on the live tables.  Every proof
+rests on ``BookAlgebra.generation()``, premises U (the row of 1 in the
+product table is the identity) and F (every basis[i] but 1, g, x and y is
+q^e t basis[j] for a generator t and some j < i).  *Lemma:* let a law L(m)
+about a basis monomial m hold at m = 1 and at g, x and y, and let
+L(basis[j]) imply L(t basis[j]) for every generator t and basis[j].  Then
+L holds on the whole basis, by strong induction on i along the (t, j, e)
+of ``generation()``, as L(q^e m) is L(m) for the laws here.  Each proof
+states only its law, its checks at 1 and at the generators, and its step
+from basis[j] to t basis[j].  ``_Proofs`` computes the three premises the
+proofs share, each at most once per table state:
+
+- *associative*: ``_Rows.proved()``, the proof of ``check_associativity``;
+- *multiplicative*: Delta and eps are algebra maps, the proof of
+  ``check_bialgebra_compat``, which needs *associative*;
+- *anti-multiplicative*: S(m1 m2) = S(m2) S(m1), proved on S(t m) =
+  S(m) S(t) for t in {1, g, x, y} and every m, which needs *associative*.
+
+The five proofs, each with its premises: associativity (its own row
+compare on g, x and y), the bialgebra law (*multiplicative*),
+coassociativity and the counit law (*multiplicative* and the law at 1, g,
+x and y) and the antipode law (*multiplicative*, *anti-multiplicative* and
+the law at 1, g, x and y).  One protocol, ``_prove_or_sweep``, runs them
+all: a proved run reports its route's mode and ``checked``, with no
+violation and no draw; if a premise fails, the route runs as if no proof
+had been tried.  ``run_all`` passes one ``_Proofs`` to every check, and a
+check called alone builds its own; nothing is cached on the algebra, whose
+tables a caller may change between checks.
 
 Every check but the relations runs on integers: products are read off the
 basis-index product table, and Delta and S off the structure table, whose
@@ -38,6 +53,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, islice
 from operator import getitem, itemgetter
 from time import perf_counter
@@ -161,6 +177,34 @@ class _Recorder:
         return AxiomResult(self.axiom, self.violations, elapsed, self.checked, mode)
 
 
+def _prove_or_sweep(rec, mode, checked, proved, sweep):
+    """The protocol of every proof by generators: report the route's ``mode`` and ``checked``; unless
+    ``proved()``, first run ``sweep()``, the route as if no proof had been tried, which records the violations."""
+    rec.checked = checked
+    if not proved():
+        sweep()
+    return AxiomReport([rec.finish(mode)])
+
+
+def _per_monomial(rec, algebra, proofs, premises, law):
+    """``_prove_or_sweep`` for a law checked per basis monomial by ``law(rec, indices)``.
+
+    Proved when the ``_Proofs`` verdicts named in ``premises`` hold and
+    ``law`` finds nothing at 1, g, x and y; the run then reports exhaustive
+    with every monomial checked.  Otherwise ``law`` runs on the whole basis.
+    """
+    n = len(algebra.basis())
+
+    def proved():
+        if not all(getattr(proofs, premise) for premise in premises):
+            return False
+        scratch = _Recorder(rec.axiom)
+        law(scratch, (0, *algebra.generators))
+        return not scratch.violations
+
+    return _prove_or_sweep(rec, "exhaustive", n, proved, lambda: law(rec, range(n)))
+
+
 def _plan(domain, sample_size, exhaustive, limit):
     """Return ("exhaustive", None) or ("sampled", n) for a domain of given size.
 
@@ -178,7 +222,8 @@ def _shifts(p, n):
     return [tuple(c - c % p + (c + e) % p for c in range(n * p)) + (-1,) for e in range(p)]
 
 
-def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=False):
+def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=False,
+                        _proofs=None):
     """(m1 m2) m3 = m1 (m2 m3) over basis triples, read off the product table.
 
     Codes are t * p + e for q^e basis[t] and -1 for 0, as in the table.
@@ -187,9 +232,10 @@ def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPL
     sampled run makes one uniform draw i1 n^2 + i2 n + i3 in [0, n^3) per
     triple, by rejection on ``getrandbits`` as ``Random.randrange(n ** 3)`` does.
 
-    *Proof by generators* (see the module docstring), by ``_Rows.proved``.
-    The law at m1 is (m1 m2) m3 = m1 (m2 m3) for all m2 and m3.  At 1 it is
-    U; at the generators it is premise R, the sweep's own row compare on
+    *Proof by generators* (see the module docstring), by ``_Rows.proved``,
+    whose verdict ``_Proofs.associative`` keeps, not the rows.  The law at
+    m1 is (m1 m2) m3 = m1 (m2 m3) for all m2 and m3.  At 1 it is U; at the
+    generators it is premise R, the sweep's own row compare on
     the three m1 in {g, x, y}; and the step is
 
         ((t basis[j]) m2) m3 = (t (basis[j] m2)) m3    R
@@ -205,7 +251,8 @@ def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPL
     at least n^2 / 5 draws, which takes in the default 10^6 at every p up to
     13.  A proved run reports what its route would have: exhaustive with
     n^3 triples checked, or sampled with its draws as ``checked``, which are
-    triples of the proved whole.
+    triples of the proved whole.  Only an exhaustive sweep builds ``_Rows``
+    again.
     """
     A = algebra
     p, s = A.p, A.s
@@ -213,8 +260,7 @@ def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPL
     n = len(basis)
     rec = _Recorder("associativity")
     mode, draws = _plan(n ** 3, sample_size, exhaustive, TRIPLE_EXHAUSTIVE_LIMIT)
-    table = A.product_table()
-    rows = _Rows(A) if draws is None or 5 * draws >= n * n else None
+    proofs = _proofs or _Proofs(A)
 
     def render(code):
         return "0" if code < 0 else Element._raw(p, s, {basis[code // p]: root_power(p, code % p)}).render()
@@ -224,17 +270,16 @@ def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPL
             rec.hit(f"m1={basis[i1].render()}, m2={basis[i2].render()}, m3={basis[i3].render()}",
                     render(left), render(right))
 
-    if rows is not None and rows.proved():
-        rec.checked = n ** 3 if draws is None else draws
-    elif draws is None:
-        for i1 in range(n):
-            for i2, lhs, rhs in rows.differing(i1):
-                for i3 in range(n):
-                    if lhs[i3] != rhs[i3]:
-                        hit(i1, i2, i3, lhs[i3], rhs[i3])
-        rec.checked = n ** 3
-    else:
-        shift = _shifts(p, n) if rows is None else rows.shift
+    def sweep():
+        if draws is None:
+            rows = _Rows(A)
+            for i1 in range(n):
+                for i2, lhs, rhs in rows.differing(i1):
+                    for i3 in range(n):
+                        if lhs[i3] != rhs[i3]:
+                            hit(i1, i2, i3, lhs[i3], rhs[i3])
+            return
+        table, shift = A.product_table(), _shifts(p, n)
         n2, n3 = n * n, n ** 3
         k = n3.bit_length()
         getrandbits = random.Random(seed).getrandbits
@@ -247,8 +292,11 @@ def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPL
             right = -1 if c < 0 else shift[c % p][table[code // n2 * n + c // p]]
             if left != right:
                 hit(code // n2, code // n % n, code % n, left, right)
-        rec.checked = draws
-    return AxiomReport([rec.finish(mode)])
+
+    def proved():
+        return (draws is None or 5 * draws >= n * n) and proofs.associative
+
+    return _prove_or_sweep(rec, mode, n ** 3 if draws is None else draws, proved, sweep)
 
 
 class _Rows:
@@ -288,59 +336,87 @@ class _Rows:
         return A.generation() is not None and not any(next(self.differing(t), None) for t in A.generators)
 
 
-def check_coassociativity(algebra, **_ignored):
+def check_coassociativity(algebra, *, _proofs=None, **_ignored):
     """(Delta (x) id) Delta = (id (x) Delta) Delta on every basis monomial.
 
     Both sides are packed sums off the structure table, keyed by the basis
     indices of the three legs; a failing monomial's sides are rendered
     straight from those sums.
+
+    *Proof by generators* (see the module docstring), on the premise
+    *multiplicative* and this row compare at 1, g, x and y.  Delta is an
+    algebra map, so (Delta (x) id) and (id (x) Delta) are algebra maps of
+    H (x) H, and both sides of the law are algebra maps of H; the step is
+
+        (Delta (x) id) Delta(t basis[j]) = (Delta (x) id) Delta(t) . (Delta (x) id) Delta(basis[j])
+                                         = (id (x) Delta) Delta(t) . (id (x) Delta) Delta(basis[j])
+                                         = (id (x) Delta) Delta(t basis[j])
+
+    by the law at t and at basis[j].  A proved run reports exhaustive with
+    n checked; if a premise fails, the row compare runs on every monomial.
     """
     A = algebra
     basis = A.basis()
     n = len(basis)
-    table = A.structure_table()
-    right = [[(u * n + v, r[0]) for u, v, r in row] for row in table.delta]  # keys of the last two legs
-    left = [[(key * n, d) for key, d in row] for row in right]  # keys of the first two legs
     rec = _Recorder("coassociativity")
-    for i, row in enumerate(table.delta):
-        rec.checked += 1
-        lhs, rhs = {}, {}
-        lget, rget = lhs.get, rhs.get
-        for u, v, r in row:
-            c, head = r[0], u * n * n
-            for key, d in left[u]:
-                key += v
-                lhs[key] = lget(key, 0) + c * d
-            for key, d in right[v]:
-                key += head
-                rhs[key] = rget(key, 0) + c * d
-        if not rec.full and table.differs(lhs, rhs):
-            rec.hit(f"m={basis[i].render()}", table.render(lhs, legs=3), table.render(rhs, legs=3))
-    return AxiomReport([rec.finish("exhaustive")])
+    table = A.structure_table()
+
+    def law(rec, indices):
+        legs = {leg for i in indices for u, v, _ in table.delta[i] for leg in (u, v)}
+        right = {t: [(u * n + v, r[0]) for u, v, r in table.delta[t]] for t in legs}  # keys of the last two legs
+        left = {t: [(key * n, d) for key, d in row] for t, row in right.items()}  # keys of the first two legs
+        for i in indices:
+            lhs, rhs = {}, {}
+            lget, rget = lhs.get, rhs.get
+            for u, v, r in table.delta[i]:
+                c, head = r[0], u * n * n
+                for key, d in left[u]:
+                    key += v
+                    lhs[key] = lget(key, 0) + c * d
+                for key, d in right[v]:
+                    key += head
+                    rhs[key] = rget(key, 0) + c * d
+            if not rec.full and table.differs(lhs, rhs):
+                rec.hit(f"m={basis[i].render()}", table.render(lhs, legs=3), table.render(rhs, legs=3))
+
+    return _per_monomial(rec, A, _proofs or _Proofs(A), ("multiplicative",), law)
 
 
-def check_counit_law(algebra, **_ignored):
-    """(eps (x) id) Delta = id = (id (x) eps) Delta on every basis monomial, off the structure table."""
+def check_counit_law(algebra, *, _proofs=None, **_ignored):
+    """(eps (x) id) Delta = id = (id (x) eps) Delta on every basis monomial, off the structure table.
+
+    *Proof by generators* (see the module docstring), on the premise
+    *multiplicative* and this check at 1, g, x and y.  eps is an algebra
+    map, so (eps (x) id) Delta and (id (x) eps) Delta are algebra maps of H,
+    as id is; the step is (eps (x) id) Delta(t basis[j]) = (eps (x) id)
+    Delta(t) . (eps (x) id) Delta(basis[j]) = t basis[j] by the law at t
+    and at basis[j], and likewise on the right leg.  A proved run reports
+    exhaustive with n checked; if a premise fails, every monomial is checked.
+    """
     A = algebra
     basis = A.basis()
+    rec = _Recorder("counit")
     table = A.structure_table()
     eps = A.counit_packed()
-    rec = _Recorder("counit")
-    for i, row in enumerate(table.delta):
-        rec.checked += 1
-        left, right = {}, {}
-        for u, v, r in row:
-            if eps[u]:
-                left[v] = left.get(v, 0) + r[0] * eps[u]
-            if eps[v]:
-                right[u] = right.get(u, 0) + r[0] * eps[v]
-        for leg, side in (("left", left), ("right", right)):
-            if not rec.full and table.differs(side, {i: 1}):
-                rec.hit(f"m={basis[i].render()} (eps on {leg} leg)", table.render(side, legs=1), basis[i].render())
-    return AxiomReport([rec.finish("exhaustive")])
+
+    def law(rec, indices):
+        for i in indices:
+            left, right = {}, {}
+            for u, v, r in table.delta[i]:
+                if eps[u]:
+                    left[v] = left.get(v, 0) + r[0] * eps[u]
+                if eps[v]:
+                    right[u] = right.get(u, 0) + r[0] * eps[v]
+            for leg, side in (("left", left), ("right", right)):
+                if not rec.full and table.differs(side, {i: 1}):
+                    at = f"m={basis[i].render()} (eps on {leg} leg)"
+                    rec.hit(at, table.render(side, legs=1), basis[i].render())
+
+    return _per_monomial(rec, A, _proofs or _Proofs(A), ("multiplicative",), law)
 
 
-def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=False):
+def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=False,
+                           _proofs=None):
     """Delta and eps are algebra maps: checked on basis pairs (m1, m2).
 
     Delta(m1 m2) = Delta(m1) Delta(m2) is checked on the structure table's
@@ -378,12 +454,13 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
     eps(m1) eps(m2) are read off ``counit_monomial``, one row over all m2 per
     m1, with one object per value so that equal rows compare by identity.
 
-    *Proof by generators* (see the module docstring).  The law at m1 is
+    *Proof by generators* (see the module docstring): the premise
+    *multiplicative*, ``_Proofs.multiplicative``.  The law at m1 is
     Delta(m1 m2) = Delta(m1) Delta(m2) and eps(m1 m2) = eps(m1) eps(m2) for
-    every m2.  It is tried first, on four premises in this order:
+    every m2.  It rests on four premises, tried in this order:
 
-    - ``_Rows.proved()``, which holds ``generation()``: H is associative,
-      and so is H (x) H, whose products the lanes read leg by leg;
+    - *associative*, which holds ``generation()``: H is associative, and so
+      is H (x) H, whose products the lanes read leg by leg;
     - Delta(1) = 1 (x) 1 and eps(1) = 1, which with U give the law at 1;
     - eps(t m) = eps(t) eps(m) for t in {g, x, y} and every m;
     - no bad lane in the 3 p^2 group runs of m1 in {g, x, y}: the law at
@@ -420,97 +497,62 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
     n = len(basis)
     rec = _Recorder("bialgebra")
     mode, draws = _plan(n * n, sample_size, exhaustive, PAIR_EXHAUSTIVE_LIMIT)
-    rec.checked = n * n if draws is None else draws
-    table = A.product_table()
-    lanes = _Lanes(A)
-    structure = lanes.table
-    groups = p * p  # per m1, one group per x^b2 y^c2
-    canon = {}
+    proofs = _proofs or _Proofs(A)
 
-    def value(c):  # one object per value, so that equal rows of eps values compare by identity
-        return canon.setdefault((c.num, c.den), c)
+    def sweep():
+        table, lanes, eps, tried = A.product_table(), proofs.lanes, proofs.counit, proofs.tried
+        structure = lanes.table
+        groups = p * p  # per m1, one group per x^b2 y^c2
 
-    eps = [value(A.counit_monomial(m)) for m in basis]
-    distinct = {id(e): e for e in eps}
-    scaled = {k: [value(e * root_power(p, j)) for j in range(p)] for k, e in distinct.items()}  # e q^j
-    # eps of q^e basis[t] at the product code t * p + e; code -1 (a zero product) reads the last entry
-    eps_of_code = [scaled[id(eps[c // p])][c % p] for c in range(n * p)] + [value(cyc_zero(p))]
-    eps_rows = {}  # id(e) -> eps(m1) eps(m2) over all m2, for eps(m1) = e
-    for k, e in distinct.items():
-        times = {id(f): value(e * f) for f in distinct.values()}
-        eps_rows[k] = tuple([times[id(f)] for f in eps])
+        def run(i1, bc2, left):
+            return tried.pop((i1, bc2), None) or lanes.run(i1, bc2, left)
 
-    def eps_left(i1):  # eps(m1 m2) over all m2
-        return tuple(map(eps_of_code.__getitem__, table[i1 * n:(i1 + 1) * n]))
+        if draws is None:
+            masks = [(1 << p) - 1] * (n * groups)
+        else:
+            masks = [0] * (n * groups)  # i1 p^2 + i2 // p -> the lanes i2 % p drawn
+            rng = random.Random(seed)
+            for _ in range(draws):
+                i1, i2 = rng.randrange(n), rng.randrange(n)
+                masks[i1 * groups + i2 // p] |= 1 << i2 % p
 
-    tried = {}  # (i1, bc2) -> the group run of a generator premise, read back by the sweep
+        def at(kind, i1, i2):
+            return f"{kind}: m1={basis[i1].render()}, m2={basis[i2].render()}"
 
-    def run(i1, bc2, left):
-        return tried.pop((i1, bc2), None) or lanes.run(i1, bc2, left)
-
-    def proved():
-        unit = {}  # Delta(1), summed per key
-        for u, v, r in structure.delta[0]:
-            unit[u * n + v] = unit.get(u * n + v, 0) + r[0]
-        if not _Rows(A).proved() or structure.differs(unit, {0: 1}) or eps[0] != 1:
-            return False
-        if any(eps_left(t) != eps_rows[id(eps[t])] for t in A.generators):
-            return False
-        # x and y first: the sweep reads back their runs, which start g-orbits, but not those of g
-        for t in sorted(A.generators, reverse=True):
-            left = lanes.left(t)
-            for bc2 in range(groups):
-                tried[t, bc2] = result = lanes.run(t, bc2, left)
-                if result[1]:
-                    return False
-        return True
-
-    if proved():
-        return AxiomReport([rec.finish(mode)])
-    if draws is None:
-        masks = [(1 << p) - 1] * (n * groups)
-    else:
-        masks = [0] * (n * groups)  # i1 p^2 + i2 // p -> the lanes i2 % p drawn
-        rng = random.Random(seed)
-        for _ in range(draws):
-            i1, i2 = rng.randrange(n), rng.randrange(n)
-            masks[i1 * groups + i2 // p] |= 1 << i2 % p
-
-    def at(kind, i1, i2):
-        return f"{kind}: m1={basis[i1].render()}, m2={basis[i2].render()}"
-
-    orbit = lanes.orbit()
-    for i1 in range(n):
-        if i1 % orbit == 0:
-            carried = {}  # bc2 -> bad lanes of the first group (m1, x^b2 y^c2) run in the g-orbit of m1
-        row_masks = masks[i1 * groups:(i1 + 1) * groups]
-        if not any(row_masks):
-            continue
-        left = lanes.left(i1)
-        eps_lhs, eps_rhs = eps_left(i1), eps_rows[id(eps[i1])]
-        eps_ok = eps_lhs == eps_rhs
-        for bc2, mask in enumerate(row_masks):
-            if not mask:
+        orbit = lanes.orbit()
+        for i1 in range(n):
+            if i1 % orbit == 0:
+                carried = {}  # bc2 -> bad lanes of the first group (m1, x^b2 y^c2) run in the g-orbit of m1
+            row_masks = masks[i1 * groups:(i1 + 1) * groups]
+            if not any(row_masks):
                 continue
-            acc, bad = None, carried.get(bc2)
-            if bad is None:
-                acc, bad, e12 = run(i1, bc2, left)
-                carried[bc2] = bad
-            if eps_ok and not bad or rec.full:
-                continue
-            if bad & mask and acc is None:  # render from m1's own group
-                acc, own, e12 = run(i1, bc2, left)
-                assert own == bad, "P1-P3 carry the bad lanes along the g-orbit"
-            for i2 in range(bc2 * p, bc2 * p + p):
-                if not mask >> i2 % p & 1:
+            left = lanes.left(i1)
+            eps_lhs, eps_rhs = eps.lhs(i1), eps.rhs(i1)
+            eps_ok = eps_lhs == eps_rhs
+            for bc2, mask in enumerate(row_masks):
+                if not mask:
                     continue
-                if bad >> i2 % p & 1 and not rec.full:
-                    t, e = divmod(table[i1 * n + i2], p)  # m1 m2 = q^e basis[t], or 0 for t = -1
-                    lhs = "0" if t < 0 else structure.render({u * n + v: r[0] for u, v, r in structure.delta[t]}, e)
-                    rec.hit(at("Delta", i1, i2), lhs, structure.render(lanes.lane(acc, i2 % p), e12))
-                if eps_lhs[i2] != eps_rhs[i2] and not rec.full:
-                    rec.hit(at("epsilon", i1, i2), eps_lhs[i2].render(), eps_rhs[i2].render())
-    return AxiomReport([rec.finish(mode)])
+                acc, bad = None, carried.get(bc2)
+                if bad is None:
+                    acc, bad, e12 = run(i1, bc2, left)
+                    carried[bc2] = bad
+                if eps_ok and not bad or rec.full:
+                    continue
+                if bad & mask and acc is None:  # render from m1's own group
+                    acc, own, e12 = run(i1, bc2, left)
+                    assert own == bad, "P1-P3 carry the bad lanes along the g-orbit"
+                for i2 in range(bc2 * p, bc2 * p + p):
+                    if not mask >> i2 % p & 1:
+                        continue
+                    if bad >> i2 % p & 1 and not rec.full:
+                        t, e = divmod(table[i1 * n + i2], p)  # m1 m2 = q^e basis[t], or 0 for t = -1
+                        row = {u * n + v: r[0] for u, v, r in structure.delta[t]} if t >= 0 else None
+                        lhs = "0" if row is None else structure.render(row, e)
+                        rec.hit(at("Delta", i1, i2), lhs, structure.render(lanes.lane(acc, i2 % p), e12))
+                    if eps_lhs[i2] != eps_rhs[i2] and not rec.full:
+                        rec.hit(at("epsilon", i1, i2), eps_lhs[i2].render(), eps_rhs[i2].render())
+
+    return _prove_or_sweep(rec, mode, n * n if draws is None else draws, lambda: proofs.multiplicative, sweep)
 
 
 class _Lanes:
@@ -627,38 +669,52 @@ class _Lanes:
         return {move[key // n] * n + move[key % n]: w for key, v in acc.items() if (w := v >> shift & mask)}
 
 
-def check_antipode_law(algebra, **_ignored):
+def check_antipode_law(algebra, *, _proofs=None, **_ignored):
     """m(S (x) id)Delta = eps(.)1 = m(id (x) S)Delta on every basis monomial.
 
     Read off the structure table: S of a leg is a unit +-q^k times one basis
     monomial, its product with the other leg is read off the product table,
     and the rotated coefficient is summed on the side its sign picks, so
     both sides stay non-negative (eps(m) is added to the minus side).
+
+    *Proof by generators* (see the module docstring), on the premises
+    *multiplicative* and *anti-multiplicative* and this check at 1, g, x and
+    y on both legs.  With Delta(a b) = a1 b1 (x) a2 b2, the step for a = t
+    and b = basis[j] is
+
+        S(a1 b1) a2 b2 = S(b1) S(a1) a2 b2 = S(b1) eps(a) b2 = eps(a) eps(b) 1
+        a1 b1 S(a2 b2) = a1 b1 S(b2) S(a2) = a1 eps(b) S(a2) = eps(a) eps(b) 1
+
+    by anti-multiplicativity, associativity, U and the law at t and at
+    basis[j], and eps(a) eps(b) = eps(a b).  A proved run reports
+    exhaustive with n checked; if a premise fails, every monomial is checked.
     """
     A = algebra
     p, s = A.p, A.s
     basis = A.basis()
     n = len(basis)
+    rec = _Recorder("antipode")
     products = A.product_table()
     table = A.structure_table()
     S = table.antipode
     eps = A.counit_packed()
-    rec = _Recorder("antipode")
-    for i, row in enumerate(table.delta):
-        rec.checked += 1
-        for leg in ("left", "right"):
-            plus, minus = {}, {0: eps[i]}  # keyed by basis index; basis[0] = 1
-            for u, v, r in row:
-                t, code = S[u] if leg == "left" else S[v]
-                c = products[t * n + v] if leg == "left" else products[u * n + t]  # S(u) v or u S(v)
-                if c >= 0:
-                    side = minus if code >= p else plus
-                    side[c // p] = side.get(c // p, 0) + r[(code + c) % p]
-            if not rec.full and table.differs(plus, minus):
-                target = Element._raw(p, s, table.decoded(basis.__getitem__, {0: eps[i]}))  # eps(m) 1
-                got = Element._raw(p, s, table.decoded(basis.__getitem__, plus, minus)) + target
-                rec.hit(f"m={basis[i].render()} (S on {leg} leg)", got.render(), target.render())
-    return AxiomReport([rec.finish("exhaustive")])
+
+    def law(rec, indices):
+        for i in indices:
+            for leg in ("left", "right"):
+                plus, minus = {}, {0: eps[i]}  # keyed by basis index; basis[0] = 1
+                for u, v, r in table.delta[i]:
+                    t, code = S[u] if leg == "left" else S[v]
+                    c = products[t * n + v] if leg == "left" else products[u * n + t]  # S(u) v or u S(v)
+                    if c >= 0:
+                        side = minus if code >= p else plus
+                        side[c // p] = side.get(c // p, 0) + r[(code + c) % p]
+                if not rec.full and table.differs(plus, minus):
+                    target = Element._raw(p, s, table.decoded(basis.__getitem__, {0: eps[i]}))  # eps(m) 1
+                    got = Element._raw(p, s, table.decoded(basis.__getitem__, plus, minus)) + target
+                    rec.hit(f"m={basis[i].render()} (S on {leg} leg)", got.render(), target.render())
+
+    return _per_monomial(rec, A, _proofs or _Proofs(A), ("multiplicative", "anti_multiplicative"), law)
 
 
 def check_relations(algebra, **_ignored):
@@ -696,6 +752,124 @@ def check_relations(algebra, **_ignored):
     return AxiomReport([rec.finish("exhaustive")])
 
 
+class _Proofs:
+    """The premises that the proofs by generators share, on one table state (see the module docstring).
+
+    Each verdict is computed on first use, at most once per object.
+    ``run_all`` builds one object and passes it to every check, a check
+    called alone builds its own, and nothing is cached on the algebra.
+    ``lanes`` and ``counit`` are built at most once, for the premise
+    *multiplicative* and for the bialgebra sweep; ``tried`` holds the lane
+    group runs of a failed *multiplicative*, which the sweep reads back.
+    """
+
+    def __init__(self, algebra):
+        self.algebra = algebra
+        self.tried = {}  # (i1, bc2) -> a group run of the generator premise
+
+    @cached_property
+    def lanes(self):
+        return _Lanes(self.algebra)
+
+    @cached_property
+    def counit(self):
+        return _Counit(self.algebra)
+
+    @cached_property
+    def associative(self):
+        """``_Rows.proved()``: every basis triple is associative.  The verdict is kept, not the rows."""
+        return _Rows(self.algebra).proved()
+
+    @cached_property
+    def multiplicative(self):
+        """Delta and eps are algebra maps: the proof of check_bialgebra_compat, which needs ``associative``."""
+        if not self.associative:
+            return False
+        A, lanes, eps = self.algebra, self.lanes, self.counit
+        n, structure = lanes.n, lanes.table
+        unit = {}  # Delta(1), summed per key
+        for u, v, r in structure.delta[0]:
+            unit[u * n + v] = unit.get(u * n + v, 0) + r[0]
+        if structure.differs(unit, {0: 1}) or eps.values[0] != 1:
+            return False
+        if any(eps.lhs(t) != eps.rhs(t) for t in A.generators):
+            return False
+        # x and y first: the sweep reads back their runs, which start g-orbits, but not those of g
+        for t in sorted(A.generators, reverse=True):
+            left = lanes.left(t)
+            for bc2 in range(A.p ** 2):
+                self.tried[t, bc2] = result = lanes.run(t, bc2, left)
+                if result[1]:
+                    return False
+        self.tried.clear()  # no sweep reads them
+        return True
+
+    @cached_property
+    def anti_multiplicative(self):
+        """S(m1 m2) = S(m2) S(m1) for every basis pair, on the premise ``associative``.
+
+        The law at m1 is S(m1 m2) = S(m2) S(m1) for every m2, checked at
+        m1 in {1, g, x, y} on unit codes off the S rows and the product
+        table, 4 n compares; the step is S((t basis[j]) m2) = S(t (basis[j] m2))
+        = S(basis[j] m2) S(t) = (S(m2) S(basis[j])) S(t) = S(m2) S(t basis[j]).
+        A code k < p is +q^k and k + p is -q^k, as in the S rows.
+        """
+        if not self.associative:
+            return False
+        A = self.algebra
+        p, n = A.p, len(A.basis())
+        products, S = A.product_table(), A.structure_table().antipode
+
+        def image(t, j):  # S(basis[t] basis[j])
+            c = products[t * n + j]
+            if c < 0:
+                return None
+            u, code = S[c // p]
+            return u, code - code % p + (code + c) % p
+
+        def reversed_product(t, j):  # S(basis[j]) S(basis[t])
+            (u, a), (v, b) = S[j], S[t]
+            c = products[u * n + v]
+            return None if c < 0 else (c // p, (a + b + c) % p + p * ((a >= p) != (b >= p)))
+
+        return all(image(t, j) == reversed_product(t, j) for t in (0, *A.generators) for j in range(n))
+
+
+class _Counit:
+    """Both sides of eps(m1 m2) = eps(m1) eps(m2) over all m2, one tuple per m1, read off ``counit_monomial``.
+
+    One object per value, so that equal tuples compare by identity.
+    """
+
+    def __init__(self, algebra):
+        p = algebra.p
+        n = self.n = len(algebra.basis())
+        self.table = algebra.product_table()
+        canon = {}
+
+        def value(c):
+            return canon.setdefault((c.num, c.den), c)
+
+        values = self.values = [value(algebra.counit_monomial(m)) for m in algebra.basis()]
+        distinct = {id(e): e for e in values}
+        scaled = {k: [value(e * root_power(p, j)) for j in range(p)] for k, e in distinct.items()}  # e q^j
+        # eps of q^e basis[t] at the product code t * p + e; code -1 (a zero product) reads the last entry
+        self.of_code = [scaled[id(values[c // p])][c % p] for c in range(n * p)] + [value(cyc_zero(p))]
+        self.rows = {}  # id(e) -> eps(m1) eps(m2) over all m2, for eps(m1) = e
+        for k, e in distinct.items():
+            times = {id(f): value(e * f) for f in distinct.values()}
+            self.rows[k] = tuple([times[id(f)] for f in values])
+
+    def lhs(self, i1):
+        """eps(m1 m2) over all m2, m1 = basis[i1]."""
+        n = self.n
+        return tuple(map(self.of_code.__getitem__, self.table[i1 * n:(i1 + 1) * n]))
+
+    def rhs(self, i1):
+        """eps(m1) eps(m2) over all m2."""
+        return self.rows[id(self.values[i1])]
+
+
 _CHECKS = (
     check_associativity,
     check_coassociativity,
@@ -707,11 +881,12 @@ _CHECKS = (
 
 
 def run_all(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=False):
-    """Run the six axiom checks in a fixed order and merge the reports."""
+    """Run the six axiom checks in a fixed order and merge the reports; one ``_Proofs`` serves them all."""
+    proofs = _Proofs(algebra)
     results = []
     for check in _CHECKS:
         results.extend(
-            check(algebra, seed=seed, sample_size=sample_size, exhaustive=exhaustive).results
+            check(algebra, seed=seed, sample_size=sample_size, exhaustive=exhaustive, _proofs=proofs).results
         )
     return AxiomReport(results)
 

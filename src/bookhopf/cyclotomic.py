@@ -256,10 +256,11 @@ class Cyclotomic:
         return NotImplemented
 
     def __hash__(self):
-        rational = self.as_rational()
-        if rational is not None:
-            return hash(rational)
-        return hash((self.p, self.num, self.den))
+        # a rational value hashes as its Fraction, to agree with __eq__ across p and with int and Fraction;
+        # hash(n) is hash(Fraction(n, 1)), so an integral value builds no Fraction
+        if any(self.num[1:]):
+            return hash((self.p, self.num, self.den))
+        return hash(self.num[0]) if self.den == 1 else hash(Fraction(self.num[0], self.den))
 
     def __bool__(self):
         return any(self.num)

@@ -35,7 +35,7 @@ from bookhopf import (
     run_all,
 )
 from bookhopf import axioms
-from bookhopf.axioms import MAX_VIOLATIONS_RENDERED, _Lanes, _Rows
+from bookhopf.axioms import MAX_VIOLATIONS_RENDERED, _Lanes, _Proofs, _Rows
 from bookhopf.hopf import StructureTable
 from bookhopf.pbw import ONE, accumulate
 from oracles import (
@@ -717,8 +717,31 @@ def test_a_proved_bialgebra_run_equals_the_sweep(p):
             assert swept(A, **options) == outcome
 
 
+def rotate_unit_row(A, mono):
+    """Multiply the S row of ``mono`` by q."""
+    table = A.structure_table()
+    i = A.basis_index(mono)
+    t, code = table.antipode[i]
+    table.antipode[i] = t, code - code % A.p + (code + 1) % A.p
+    A._antipode_mono.clear()
+
+
+def twist_right_leg(A):
+    """Delta' = (id (x) phi) Delta with phi(x^b y^c g^a) = q^b x^b y^c g^a, a Hopf automorphism of H.
+
+    Delta' is an algebra map, so *multiplicative* holds, but at x every law fails:
+    (Delta' (x) id) Delta'(x) has q 1 (x) 1 (x) x where (id (x) Delta') Delta'(x) has q^2, (eps (x) id) Delta'(x)
+    is q x, and S(x_1) x_2 is (q - 1) x."""
+    basis, p = A.basis(), A.p
+    install_delta_rows(A, [
+        [(u, v, digits[-basis[v].b % p:] + digits[:-basis[v].b % p]) for u, v, digits in row]
+        for row in delta_digit_rows(A)
+    ])
+
+
 def doctored_algebra(how):
-    """H(3, 2) doctored in its Delta, S, product table or eps: the doctorings the other tests build."""
+    """H(3, 2) doctored in its Delta, S, product table or eps: the doctorings the other tests build, an S row
+    times q off the generators, and the twisted Delta of ``twist_right_leg``."""
     A = BookAlgebra(3, 2)
     x, yg2 = Monomial(1, 0, 0), Monomial(0, 1, 2)
     if how in ("digit", "g-exponent", "extra term"):
@@ -727,20 +750,27 @@ def doctored_algebra(how):
         doctor_orbit(A, how[6:])
     elif how in ("zero", "q-exponent", "monomial"):
         doctor_product(A, x, yg2, how)
+    elif how.startswith("S q "):
+        rotate_unit_row(A, Monomial.parse(how[4:]))
     elif how.startswith("S "):
         negate_unit_row(A, "antipode", Monomial.parse(how[2:]))
     elif how == "eps(g) = q":
         healthy = A.counit_monomial
         A.counit_monomial = lambda m: A.q if m == Monomial(0, 0, 1) else healthy(m)
+    elif how == "twist":
+        twist_right_leg(A)
     else:  # a product table that breaks one premise of the associativity proof
         A._products = premise_breaking_table(3, how)
     return A
 
 
-@pytest.mark.parametrize("how", [
+DOCTORINGS = [
     "digit", "g-exponent", "extra term", "orbit digit", "orbit extra term", "zero", "q-exponent", "monomial",
-    "S g", "S x y g^2", "eps(g) = q", "U", "F", "R on g", "R on x", "R on y",
-])
+    "S g", "S x y g^2", "S q x^2 y g", "eps(g) = q", "U", "F", "R on g", "R on x", "R on y", "twist",
+]
+
+
+@pytest.mark.parametrize("how", DOCTORINGS)
 def test_a_doctored_table_falls_back_or_is_healthy(how):
     """Each doctored table fails a premise and gets the sweep's own result, or is proved and healthy by Tensor2."""
     A = doctored_algebra(how)
@@ -749,7 +779,7 @@ def test_a_doctored_table_falls_back_or_is_healthy(how):
     if proved:
         basis = A.basis()
         assert not outcome[0] and not tensor_violations(A, [(m1, m2) for m1 in basis for m2 in basis])
-    assert proved == how.startswith("S ")  # S is not read by the bialgebra law
+    assert proved == (how.startswith("S ") or how == "twist")  # S is not read, and the twisted Delta is an algebra map
 
 
 @pytest.mark.parametrize("case", ["Delta(1) = 0", "eps = 0"])
@@ -1035,6 +1065,78 @@ def test_a_doctored_counit_fails_like_the_reference():
     pairs = [(m1, m2) for m1 in A.basis() for m2 in A.basis()]
     assert not bialgebra.passed and found(bialgebra) == tensor_violations(A, pairs)
     assert ("epsilon: m1=g, m2=g", "1", "-1 - q") in found(bialgebra)  # q^2 at p = 3
+
+
+# -- coassociativity, the counit law and the antipode law proved on the generators ----------
+
+
+def law_route(check, A, refuse=False):
+    """The outcome of a per-monomial check and whether the proof took it; ``refuse`` fails *multiplicative*,
+    which every one of these proofs needs, so the sweep runs.  A proved run compares at 1, g, x and y only,
+    so it calls ``StructureTable.differs`` fewer than n times, and a sweep at least n times."""
+    with pytest.MonkeyPatch.context() as patch:
+        if refuse:
+            patch.setattr(_Proofs, "multiplicative", False)
+        calls = counted_calls(patch, (StructureTable, "differs"))
+        (result,) = check(A).results
+    return (found(result), result.checked, result.mode), calls["StructureTable.differs"] < len(A.basis())
+
+
+@pytest.mark.parametrize("p,s_values", [(3, range(3)), (5, range(5)), (7, range(7)), (11, [1, 10])])
+def test_proved_per_monomial_laws_equal_the_sweep(p, s_values):
+    """For every s the proofs hold exactly when s != 0, and change no violation, checked or mode."""
+    for s in s_values:
+        A = BookAlgebra(p, s, permissive=True)
+        for check in (check_coassociativity, check_counit_law, check_antipode_law):
+            outcome, proved = law_route(check, A)
+            assert proved == (s != 0) and outcome == ([], p ** 3, "exhaustive")
+            assert law_route(check, A, refuse=True) == (outcome, False)
+
+
+@pytest.mark.parametrize("how", DOCTORINGS)
+def test_a_doctored_table_gets_each_per_monomial_law_swept_or_is_healthy(how):
+    """Each doctored table fails a premise and gets the sweep's own result, or is proved and healthy by plain
+    Tensor3/Element arithmetic.  Only a doctored S leaves *multiplicative*, and so coassociativity and the
+    counit law, proved; the twist keeps *multiplicative* but fails every law at x."""
+    A = doctored_algebra(how)
+    product_table_doctored = how in ("zero", "q-exponent", "monomial", "U", "F", "R on g", "R on x", "R on y")
+    for axiom, (check, reference) in DOCTORED_CHECKS.items():
+        outcome, proved = law_route(check, A)
+        assert (outcome, proved) == (law_route(check, A, refuse=True)[0], how.startswith("S ") and axiom != "antipode")
+        if not (product_table_doctored and axiom == "antipode"):  # that reference multiplies by Element, not the table
+            assert outcome[0] == reference(A)
+        if how in ("S q x^2 y g", "twist"):
+            assert bool(outcome[0]) == (axiom == "antipode" or how == "twist"), axiom
+        if how == "twist":  # no monomial before x in basis order has an x in Delta
+            assert outcome[0][0][0].split()[0] == "m=x", axiom
+
+
+def test_a_doctored_s_row_off_the_generators_fails_anti_multiplicativity():
+    """S(x^2 y g) times q: the antipode law holds at 1, g, x and y, and Delta is still multiplicative, but
+    S(x (x y g)) != S(x y g) S(x), so the proof is refused and the sweep reports the failing monomials."""
+    A = BookAlgebra(3, 2)
+    rotate_unit_row(A, Monomial(2, 1, 1))
+    proofs = _Proofs(A)
+    assert proofs.multiplicative and not proofs.anti_multiplicative
+    generators = [A.basis()[i] for i in (0, *A.generators)]
+    assert not antipode_reference(A, generators)
+    outcome, proved = law_route(check_antipode_law, A)
+    assert not proved and outcome[0] == antipode_reference(A)
+    assert any(at.startswith("m=x^2 y g ") for at, _, _ in outcome[0])
+
+
+@pytest.mark.parametrize("p,s", [(7, 3), (5, 0)])
+def test_run_all_computes_each_verdict_once(monkeypatch, p, s):
+    """One _Proofs serves the six checks: _Rows is built once, for *associative*; a healthy H(7, 3) runs the
+    3 p^2 = 147 generator lane groups of *multiplicative* and no sweep, and the s = 0 control sweeps once."""
+    calls = counted_calls(monkeypatch, (_Rows, "__init__"), (_Lanes, "run"), (_Lanes, "orbit"), (_Proofs, "__init__"))
+    report = run_all(BookAlgebra(p, s, permissive=s == 0))
+    assert report.passed if s else negative_control_matches(report, p)
+    assert calls["_Rows.__init__"] == 1 and calls["_Proofs.__init__"] == 1
+    if s:
+        assert calls["_Lanes.run"] == 147 and not calls["_Lanes.orbit"]
+    else:
+        assert calls["_Lanes.orbit"] == 1
 
 
 # -- negative control (s = 0) ---------------------------------------------------------

@@ -144,6 +144,23 @@ def test_multiplicative_inverses(p, data):
 
 @pytest.mark.parametrize("p", PRIMES)
 @given(data=st.data())
+def test_hash_agrees_with_equality(p, data):
+    """A rational value hashes as its Fraction, whatever its route or p; equal values hash equal."""
+    f = data.draw(st.fractions(min_value=-50, max_value=50, max_denominator=12))
+    q = root_power(p, 1)
+    for c in (Cyclotomic.from_rational(p, f), Cyclotomic(p, [f]), (q + f) - q, f * q ** 0, Cyclotomic(3, [f])):
+        assert c.as_rational() == f
+        assert hash(c) == hash(c.as_rational()) == hash(f)
+    if f.denominator == 1:
+        assert hash(Cyclotomic(p, [f])) == hash(int(f))
+    a, b = data.draw(scalars(p)), data.draw(scalars(p))
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    if b:
+        assert (a * b) / b == a and hash((a * b) / b) == hash(a)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@given(data=st.data())
 def test_power_laws(p, data):
     a = data.draw(scalars(p))
     assert a ** 0 == cyc_one(p)
