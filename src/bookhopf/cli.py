@@ -12,8 +12,8 @@ prime); a larger p is a usage error, as the checks grow like p^6.  The bound
 limits the input size, not the run time.  Associativity and the bialgebra
 law are proved on the generators where their premises hold (see the
 ``axioms`` module), so a default verify draws nothing: per s it takes
-about 0.3 s at p = 7, 3 s at p = 11 and 13 s at p = 13, about half of it
-in exhaustive coassociativity (21 s at p = 11 and 2 minutes at p = 13
+about 0.2 s at p = 7, 1 s at p = 11 and 2.6 s at p = 13, about half of it
+in the associativity proof (21 s at p = 11 and 2 minutes at p = 13
 while the bialgebra check swept its draws).  Where a premise fails, as at
 s = 0, the bialgebra check runs one lane group of p pairs per g-orbit of
 m1 that its draws hit: the default 10^6 draws hit all 14 641 groups at

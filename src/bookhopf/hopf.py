@@ -70,7 +70,7 @@ from math import comb
 from operator import add
 
 from .cyclotomic import _build, _normalize, cyc_zero, is_odd_prime, root_power
-from .pbw import Element, Monomial, Tensor2, Tensor3, accumulate, basis_monomials, join_terms, mono_mul_exp
+from .pbw import Element, Monomial, Tensor2, Tensor3, accumulate, basis_monomials, join_terms
 
 __all__ = ["BookAlgebra", "StructureTable"]
 
@@ -256,26 +256,30 @@ class BookAlgebra:
         With n = p^3 and indices in :meth:`basis` order, entry ``i * n + j``
         is ``t * p + e`` when basis[i] basis[j] = q^e basis[t], and -1 when
         the product is 0.  It holds p^6 32-bit integers (0.5 MB at p = 7,
-        7 MB at p = 11), each below p^4, which fits for every p < 215.  The
-        q-exponent of m1 x^b y^c g^a does not depend on a, so one closed-form
-        product fills the p entries for a = 0..p-1: the code of its a = 0
-        entry plus ``rot[m.a]``, the offsets of g^(m.a + a) for a = 0..p-1.
+        7 MB at p = 11), each below p^4, which fits for every p < 215.
+        x^b1 y^c1 g^a1 x^b2 y^c2 g^a2 = q^(a1 (b2 - s c2) + s c1 b2) x^b y^c g^(a1+a2),
+        with b = b1 + b2 and c = c1 + c2, is zero once b or c reaches p, so the
+        p entries a2 = 0..p-1 of a row and a (b2, c2) are a block fixed by
+        (b, c), a1 and e.  The p^4 blocks are made once as bytes, block
+        ((b p + c) p + a1) p + e, then zero blocks up to b = 2p - 2, and a row
+        is one join of its p^2 blocks: the p rows sharing (c1, a1) read one
+        key list at offset b1 p^3, and c >= p keys -1, the last, zero block.
         """
         if self._products is None:
             p, s = self.p, self.s
-            zero = [-1] * p
-            rot = [[(a0 + a) % p * p for a in range(p)] for a0 in range(p)]
-            columns = [Monomial(b, c, 0) for b in range(p) for c in range(p)]
+            p3 = p ** 3
+            rot = [[(a1 + a) % p * p for a in range(p)] for a1 in range(p)]
+            blocks = [array("i", [bc + r + e for r in rot[a1]]).tobytes()
+                      for bc in range(0, p3 * p, p * p) for a1 in range(p) for e in range(p)]
+            blocks += [array("i", [-1] * p).tobytes()] * ((p - 1) * p3)
+            keys = [[(b2 * p + c1 + c2) * p * p + a1 * p + (a1 * (b2 - s * c2) + s * c1 * b2) % p
+                     if c1 + c2 < p else -1 for b2 in range(p) for c2 in range(p)]
+                    for c1 in range(p) for a1 in range(p)]
             table = array("i")
-            for m1 in self.basis():
-                for m2 in columns:
-                    r = mono_mul_exp(m1, m2, p, s)
-                    if r is None:
-                        table.extend(zero)
-                    else:
-                        e, m = r
-                        base = (self.basis_index(m) - m.a) * p + e
-                        table.extend([base + k for k in rot[m.a]])
+            for b1 in range(p):
+                shifted = blocks[b1 * p3:]
+                for row in keys:
+                    table.frombytes(b"".join(map(shifted.__getitem__, row)))
             self._products = table
         return self._products
 

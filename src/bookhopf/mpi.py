@@ -171,9 +171,8 @@ def check_convolution_inverse(algebra, beta):
     coefficient on the side its sign picks; eps(m) is added to the minus side.
     """
     A = algebra
-    p, basis, table = A.p, A.basis(), A.structure_table()
-    beta_of = [beta.exponent(m) for m in basis]
-    beta_of_s = _beta_of_s(p, table, beta_of)
+    p, table = A.p, A.structure_table()
+    beta_of, beta_of_s = _character_vectors(A, beta)
     eps = A.counit_packed()
     for i, row in enumerate(table.delta):
         for left in (True, False):  # beta(m_1) beta(S m_2), then beta(S m_1) beta(m_2)
@@ -188,30 +187,33 @@ def check_convolution_inverse(algebra, beta):
     return True
 
 
-def _beta_of_s(p, table, beta_of):
-    """beta(S basis[t]) as a unit code (k for q^k, k + p for -q^k), or None for 0, from the exponents beta_of."""
-    return [None if (k := beta_of[t]) is None else code - code % p + (code + k) % p for t, code in table.antipode]
+def _character_vectors(algebra, beta):
+    """beta and beta o S on every basis monomial: q-exponents, and unit codes (k for q^k, k + p for -q^k); None for 0."""
+    beta_of = [beta.exponent(m) for m in algebra.basis()]
+    p, antipode = algebra.p, algebra.structure_table().antipode
+    return beta_of, [None if (k := beta_of[t]) is None else code - code % p + (code + k) % p for t, code in antipode]
 
 
-def _twist_monomial(algebra, l, beta):
+def _conjugation(algebra, l):
+    """The code of g^i basis[t] g^-i for every t, -1 for 0, off the product table."""
+    A = algebra
+    p, n, products = A.p, A.dimension, A.product_table()
+    gi, g_inv = (A.basis_index(Monomial(0, 0, e % p)) for e in (l.i, -l.i))
+    codes = [(c, -1 if c < 0 else products[c // p * n + g_inv]) for c in products[gi * n:(gi + 1) * n]]
+    return [-1 if d < 0 else d - d % p + (c + d) % p for c, d in codes]
+
+
+def _twist_monomial(algebra, conjugated, beta_of, beta_of_s):
     """The twist by (l, beta) of basis[i], as packed sums (plus, minus) by basis index.
 
     beta(h_1) l h_2 l^{-1} beta(S h_3) is summed over (Delta (x) id) Delta off
     the structure table: u (x) h_3 in Delta(m) is skipped when beta(S h_3) = 0,
     before Delta(u) is read, and h_1 (x) h_2 in Delta(u) when beta(h_1) = 0.
-    beta(S h_3) = +-q^k picks the side; g^i h_2 g^-i comes off the product table.
+    beta(S h_3) = +-q^k picks the side; g^i h_2 g^-i is read off ``conjugated``.
+    ``classify`` builds beta_of and beta_of_s once per character and
+    ``conjugated`` once per group-like; ``twist`` and ``implements_s_squared`` per call.
     """
-    A = algebra
-    p, basis, products, table = A.p, A.basis(), A.product_table(), A.structure_table()
-    n, rows = len(basis), table.delta
-    beta_of = [beta.exponent(m) for m in basis]
-    beta_of_s = _beta_of_s(p, table, beta_of)
-    gi, g_inv = (A.basis_index(Monomial(0, 0, e % p)) for e in (l.i, -l.i))
-    conjugated = []  # the code of g^i basis[t] g^-i, -1 for 0
-    for t in range(n):
-        c = products[gi * n + t]
-        d = -1 if c < 0 else products[c // p * n + g_inv]
-        conjugated.append(-1 if d < 0 else d - d % p + (c + d) % p)
+    p, rows = algebra.p, algebra.structure_table().delta
 
     def monomial(i):
         plus, minus = {}, {}
@@ -233,7 +235,7 @@ def twist(algebra, l, beta, h):
     beta^{-1} = beta o S (see check_convolution_inverse); Delta^2 is never built.
     """
     A = algebra
-    table, monomial = A.structure_table(), _twist_monomial(A, l, beta)
+    table, monomial = A.structure_table(), _twist_monomial(A, _conjugation(A, l), *_character_vectors(A, beta))
     total = Element.zero(A.p, A.s)
     for mono, coeff in A._own(h).terms.items():
         terms = table.decoded(A.basis().__getitem__, *monomial(A.basis_index(mono)))
@@ -248,8 +250,12 @@ def implements_s_squared(algebra, l, beta):
     would suffice), every one of the p^3 monomials is compared with its S^2
     row +-q^k basis[t], added as X^k on the side opposite its sign.
     """
+    return _implements(algebra, _twist_monomial(algebra, _conjugation(algebra, l), *_character_vectors(algebra, beta)))
+
+
+def _implements(algebra, monomial):
+    """Whether the twist ``monomial`` (see ``_twist_monomial``) equals S^2 on every basis monomial."""
     p, table = algebra.p, algebra.structure_table()
-    monomial = _twist_monomial(algebra, l, beta)
     for i, (t, code) in enumerate(table.s_squared):
         plus, minus = monomial(i)
         side = plus if code >= p else minus
@@ -368,17 +374,20 @@ def classify(algebra):
     congruence presupposes the implementing locus; off that locus the check
     that keeps both routes honest is the exponent shadow beta(l) = q^(i*j),
     which is asserted for every pair.  Any disagreement raises
-    ConsistencyError naming the offending (i, j).
+    ConsistencyError naming the offending (i, j).  beta and beta o S on the
+    basis are built once per character, and g^i m g^-i once per group-like.
     """
     A = algebra
     p, s = A.p, A.s
     group_likes = enumerate_group_likes(A)
     characters = enumerate_characters(A)
+    vectors = [_character_vectors(A, beta) for beta in characters]
     reports = []
     for l in group_likes:
-        for beta in characters:
+        conjugated = _conjugation(A, l)
+        for beta, (beta_of, beta_of_s) in zip(characters, vectors):
             i, j = l.i, beta.j
-            implements = implements_s_squared(A, l, beta)
+            implements = _implements(A, _twist_monomial(A, conjugated, beta_of, beta_of_s))
             stable, value = is_stable(A, l, beta)
             if value != root_power(p, (i * j) % p):
                 raise ConsistencyError(

@@ -8,14 +8,18 @@ recurrence, the generator images of the paper multiplied out power by power,
 or the whole Delta^2 image — so tests can compare two genuinely different
 routes to the same value.
 ``convolution_inverse_reference`` is the per-monomial ``Cyclotomic`` sweep
-that ``check_convolution_inverse`` replaced.
+that ``check_convolution_inverse`` replaced, and ``product_table_reference``
+the ``mono_mul_exp`` fill that ``BookAlgebra.product_table`` replaced.
 ``doctor_product`` breaks one entry of the product table, and
 ``doctor_delta`` and ``negate_unit_row`` one row of the structure table, so
 that the tests can show the fast checks notice.
 """
 
+from array import array
+
 from bookhopf import Cyclotomic, Element, Monomial, Tensor2, cyc_one, cyc_zero, root_power
 from bookhopf.hopf import StructureTable
+from bookhopf.pbw import basis_monomials, mono_mul_exp
 
 _ORDER = {"x": 0, "y": 1, "g": 2}
 
@@ -181,6 +185,29 @@ def associativity_violations(A, triples):
             at = f"m1={basis[i1].render()}, m2={basis[i2].render()}, m3={basis[i3].render()}"
             out.append((at, render(left), render(right)))
     return out
+
+
+def product_table_reference(p, s):
+    """The product table of H(p, s) as ``BookAlgebra.product_table`` lays it out, one ``mono_mul_exp`` per (m1, x^b y^c).
+
+    The q-exponent of m1 x^b y^c g^a does not depend on a, so one closed-form
+    product fills the p entries for a = 0..p-1: the code of its a = 0 entry
+    plus ``rot[m.a]``, the offsets of g^(m.a + a) for a = 0..p-1.
+    """
+    zero = [-1] * p
+    rot = [[(a0 + a) % p * p for a in range(p)] for a0 in range(p)]
+    columns = [Monomial(b, c, 0) for b in range(p) for c in range(p)]
+    table = array("i")
+    for m1 in basis_monomials(p):
+        for m2 in columns:
+            r = mono_mul_exp(m1, m2, p, s)
+            if r is None:
+                table.extend(zero)
+            else:
+                e, m = r
+                base = (m.b * p + m.c) * p * p + e
+                table.extend([base + k for k in rot[m.a]])
+    return table
 
 
 def doctor_product(A, m1, m2, how):

@@ -18,7 +18,7 @@ from bookhopf import (
     root_power,
 )
 from bookhopf.pbw import accumulate
-from oracles import GeneratorPowers, gaussian_binomial
+from oracles import GeneratorPowers, gaussian_binomial, product_table_reference
 
 
 def test_is_odd_prime():
@@ -332,6 +332,18 @@ def test_product_table_matches_closed_form(p, s, draws):
             assert code == -1
         else:
             assert code >= 0 and (code % p, basis[code // p]) == r
+
+
+@pytest.mark.parametrize(
+    "p,s",
+    [(p, s) for p in (3, 5, 7) for s in range(p)] + [(p, s) for p in (11, 13) for s in (0, 1, 2, p - 1)],
+)
+def test_product_table_equals_the_per_product_reference(p, s):
+    """The block fill equals the mono_mul_exp fill as one whole array, permissive s = 0 included."""
+    table = BookAlgebra(p, s, permissive=s == 0).product_table()
+    reference = product_table_reference(p, s)
+    assert table.typecode == reference.typecode == "i"
+    assert table == reference
 
 
 # -- rendering a packed sum straight from the structure table -------------------------

@@ -452,3 +452,97 @@ def test_checks_and_classify_read_the_structure_table_not_the_views():
 
 def test_consistency_error_is_runtime_error():
     assert issubclass(ConsistencyError, RuntimeError)
+
+
+# -- classify's per-character and per-group-like vectors ----------------------------
+
+
+def _per_pair_route(A):
+    """classify's outcome with one standalone implements_s_squared per pair.
+
+    Returns (flags, at): the implements flags in classify's order, and the
+    first (i, j) whose verdict leaves the closed form, where classify must
+    raise, or None.
+    """
+    characters = enumerate_characters(A)
+    flags = []
+    for l in enumerate_group_likes(A):
+        for beta in characters:
+            implements = implements_s_squared(A, l, beta)
+            cf_implements, cf_stable = closed_form_predicate(A.p, A.s, l.i, beta.j)
+            if implements != cf_implements or (implements and is_stable(A, l, beta)[0] != cf_stable):
+                return flags, (l.i, beta.j)
+            flags.append(implements)
+    return flags, None
+
+
+@pytest.mark.parametrize("p,s", [(p, s) for p in (3, 5, 7) for s in range(p)])
+def test_classify_flags_equal_standalone_implements_s_squared(p, s):
+    A = BookAlgebra(p, s, permissive=s == 0)
+    flags, at = _per_pair_route(A)
+    assert at is None
+    pairs = classify(A).pairs
+    assert [(r.i, r.j) for r in pairs] == list(itertools.product(range(p), repeat=2))
+    assert [r.implements_s2 for r in pairs] == flags
+
+
+XY = Monomial(1, 1, 0)
+CLASSIFY_DOCTORINGS = {  # g^i xy and xy g^i g^-i are read by the conjugation by g^i, S(g^a) by every beta o S
+    **{f"g^{i} xy {how}": lambda A, i=i, how=how: doctor_product(A, Monomial(0, 0, i), XY, how)
+       for i in (2, 4) for how in ("zero", "q-exponent", "monomial")},
+    **{f"xyg^{i} g^-{i} {how}": lambda A, i=i, how=how: doctor_product(A, Monomial(1, 1, i), Monomial(0, 0, -i % 5), how)
+       for i in (2, 4) for how in ("zero", "q-exponent")},
+    **{f"S(g^{a})": lambda A, a=a: negate_unit_row(A, "antipode", Monomial(0, 0, a)) for a in (1, 2)},
+    "Delta(x)": _doctor_delta_of_x,
+    "S^2(x)": _doctor_s_squared_of_x,
+}
+
+
+@pytest.mark.parametrize("doctor", CLASSIFY_DOCTORINGS.values(), ids=CLASSIFY_DOCTORINGS)
+def test_a_doctored_table_gives_classify_the_per_pair_verdicts(doctor):
+    """On H(5, 2), where (4, 3) implements S^2, classify raises where the per-pair route leaves the closed form."""
+    A = BookAlgebra(5, 2)
+    doctor(A)
+    flags, at = _per_pair_route(A)
+    if at is None:
+        assert [r.implements_s2 for r in classify(A).pairs] == flags
+    else:
+        with pytest.raises(ConsistencyError, match=rf"at \(i={at[0]}, j={at[1]}\)"):
+            classify(A)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_classify_every_s_in_one_process_equals_fresh_algebras(p):
+    """The table pattern: each algebra is dropped before the next is built, which in CPython reuses its id."""
+    got = []
+    for s in range(1, p):
+        A = BookAlgebra(p, s)
+        got.append(classify(A).to_dict())
+        del A
+    algebras = {s: BookAlgebra(p, s) for s in reversed(range(1, p))}  # all alive at once, built the other way round
+    assert got == [classify(algebras[s]).to_dict() for s in range(1, p)]
+
+
+def test_classify_keeps_no_vector_across_calls():
+    """An S row doctored after one classify is read by the next call, as by a standalone implements_s_squared."""
+    A = BookAlgebra(5, 2)
+    assert classify(A).implements == ((4, 3),)
+    negate_unit_row(A, "antipode", Monomial(0, 0, 1))  # read by every beta o S
+    assert not implements_s_squared(A, GroupLike(A, 4), Character(A, 3))
+    with pytest.raises(ConsistencyError, match=r"at \(i=4, j=3\)"):
+        classify(A)
+
+
+def test_twist_and_implements_read_the_live_tables_after_classify():
+    """A product-table entry doctored after classify is read by twist, implements_s_squared and classify."""
+    A = BookAlgebra(5, 2)
+    l, beta = GroupLike(A, 4), Character(A, 3)
+    assert classify(A).implements == ((4, 3),)
+    xy = A.monomial_element(XY)
+    before = twist(A, l, beta, xy)  # only 1 (x) xy (x) g^3 of Delta^2(xy) survives beta, so g^4 xy g^-4 is its one read
+    assert before != Element.zero(5, 2)
+    doctor_product(A, Monomial(0, 0, 4), XY, "q-exponent")
+    assert twist(A, l, beta, xy) == A.q * before
+    assert not implements_s_squared(A, l, beta)
+    with pytest.raises(ConsistencyError, match=r"at \(i=4, j=3\)"):
+        classify(A)
