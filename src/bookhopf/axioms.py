@@ -488,8 +488,14 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
     sweep, lists violations in basis order and a pair drawn twice once, and
     ``checked`` counts its draws.  Up to MAX_VIOLATIONS_RENDERED failing
     lanes are rendered by ``StructureTable.render``, with no Tensor2 built:
-    Delta(m1 m2) from its Delta row at q^e12, Delta(m1) Delta(m2) from lane
-    a2 of m1's own group run (``_Lanes.lane``) at q^e12.
+    Delta(m1 m2) from its Delta row at q^e12, Delta(m1) Delta(m2) from the
+    first run of its (g-orbit, x^b2 y^c2), at basis[first], which the sweep
+    carries through the orbit, with its accumulator while a later m1 reads a
+    bad lane: so a group runs once per g-orbit also when rendering.  By the
+    lemma, at basis[i1] = basis[first] g^a1 Delta(m1) Delta(m2) is lane a2
+    of that run with both legs moved by g^(a2 + a1) (``_Lanes.lane``), at
+    q^(e12 + a1 wt(x^b2 y^c2)); a1 is i1 - first, not i1 mod p, as a
+    sampled run's first run can be at any m1 of the orbit.
     """
     A = algebra
     p = A.p
@@ -501,7 +507,7 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
 
     def sweep():
         table, lanes, eps, tried = A.product_table(), proofs.lanes, proofs.counit, proofs.tried
-        structure = lanes.table
+        structure, names = lanes.table, lanes.table.names
         groups = p * p  # per m1, one group per x^b2 y^c2
 
         def run(i1, bc2, left):
@@ -517,12 +523,12 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
                 masks[i1 * groups + i2 // p] |= 1 << i2 % p
 
         def at(kind, i1, i2):
-            return f"{kind}: m1={basis[i1].render()}, m2={basis[i2].render()}"
+            return f"{kind}: m1={names[i1]}, m2={names[i2]}"
 
         orbit = lanes.orbit()
         for i1 in range(n):
             if i1 % orbit == 0:
-                carried = {}  # bc2 -> bad lanes of the first group (m1, x^b2 y^c2) run in the g-orbit of m1
+                carried = {}  # bc2 -> (i1, accumulator if the rest of the orbit reads a bad lane, bad lanes, e12)
             row_masks = masks[i1 * groups:(i1 + 1) * groups]
             if not any(row_masks):
                 continue
@@ -532,15 +538,15 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
             for bc2, mask in enumerate(row_masks):
                 if not mask:
                     continue
-                acc, bad = None, carried.get(bc2)
-                if bad is None:
-                    acc, bad, e12 = run(i1, bc2, left)
-                    carried[bc2] = bad
+                if bc2 in carried:
+                    first, acc, bad, e12 = carried[bc2]
+                else:
+                    first, (acc, bad, e12) = i1, run(i1, bc2, left)
+                    later = masks[(i1 + 1) * groups + bc2:(i1 - i1 % orbit + orbit) * groups:groups]
+                    carried[bc2] = i1, acc if any(m & bad for m in later) else None, bad, e12
                 if eps_ok and not bad or rec.full:
                     continue
-                if bad & mask and acc is None:  # render from m1's own group
-                    acc, own, e12 = run(i1, bc2, left)
-                    assert own == bad, "P1-P3 carry the bad lanes along the g-orbit"
+                a1 = i1 - first  # basis[i1] = basis[first] g^a1
                 for i2 in range(bc2 * p, bc2 * p + p):
                     if not mask >> i2 % p & 1:
                         continue
@@ -548,7 +554,8 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
                         t, e = divmod(table[i1 * n + i2], p)  # m1 m2 = q^e basis[t], or 0 for t = -1
                         row = {u * n + v: r[0] for u, v, r in structure.delta[t]} if t >= 0 else None
                         lhs = "0" if row is None else structure.render(row, e)
-                        rec.hit(at("Delta", i1, i2), lhs, structure.render(lanes.lane(acc, i2 % p), e12))
+                        rhs = structure.render(lanes.lane(acc, i2 % p, a1), e12 + a1 * lanes.wt[bc2 * p])
+                        rec.hit(at("Delta", i1, i2), lhs, rhs)
                     if eps_lhs[i2] != eps_rhs[i2] and not rec.full:
                         rec.hit(at("epsilon", i1, i2), eps_lhs[i2].render(), eps_rhs[i2].render())
 
@@ -580,6 +587,7 @@ class _Lanes:
         products = algebra.product_table()
         codes = [*range(n * p), -1]
         self.products = [tuple(map(codes.__getitem__, products[t * n:(t + 1) * n])) for t in range(n)]
+        self.wt = [c % p for c in self.products[1]]  # g w = q^wt(w) w g, g = basis[1]
         self.groups = [self._group(bc) for bc in range(p * p)]
         self.memo = {-1: {}}  # t -> self.expected(t); a zero product (t = -1) expects no term
 
@@ -595,8 +603,7 @@ class _Lanes:
 
     def orbit(self):
         """p if P1-P3 of check_bialgebra_compat hold on the live tables, else 1: the size of a g-orbit of m1."""
-        p, n, rows, products, moved = self.p, self.n, self.rows, self.products, self.moved
-        wt = [c % p for c in products[1]]  # g w = q^wt(w) w g, g = basis[1]
+        p, n, rows, products, moved, wt = self.p, self.n, self.rows, self.products, self.moved, self.wt
         # after_g[k][c] is the code of q^(e+k) basis[t] g, for c that of q^e basis[t]; -1 (zero) reads -1
         after_g = [tuple(moved[1][c // p] * p + (c + k) % p for c in range(n * p)) + (-1,) for k in range(p)]
         columns = [after_g[k] for k in wt]
@@ -663,9 +670,9 @@ class _Lanes:
             bad |= d ^ (d & low) * rep
         return acc, sum(1 << a for a in range(p) if bad >> a * self.lane_bits & self.lane_mask)
 
-    def lane(self, acc, a2):
-        """Lane a2 of an accumulator as a packed sum keyed t_u n + t_v, both legs moved by g^a2."""
-        n, move, shift, mask = self.n, self.moved[a2], a2 * self.lane_bits, self.lane_mask
+    def lane(self, acc, a2, a1=0):
+        """Lane a2 of an accumulator as a packed sum keyed t_u n + t_v, both legs moved by g^(a2 + a1)."""
+        n, move, shift, mask = self.n, self.moved[(a2 + a1) % self.p], a2 * self.lane_bits, self.lane_mask
         return {move[key // n] * n + move[key % n]: w for key, v in acc.items() if (w := v >> shift & mask)}
 
 

@@ -16,8 +16,9 @@ about 0.2 s at p = 7, 1 s at p = 11 and 2.6 s at p = 13, about half of it
 in the associativity proof (21 s at p = 11 and 2 minutes at p = 13
 while the bialgebra check swept its draws).  Where a premise fails, as at
 s = 0, the bialgebra check runs one lane group of p pairs per g-orbit of
-m1 that its draws hit: the default 10^6 draws hit all 14 641 groups at
-p = 11 and all 28 561 at p = 13, as many as --exhaustive.
+m1 that its draws hit, and renders the violations of the whole orbit from
+that run: the default 10^6 draws hit all 14 641 groups at p = 11 and all
+28 561 at p = 13, as many as --exhaustive.
 Exit codes: 0 = all checks pass / classification consistent, 1 = an axiom
 violation or a brute-force/closed-form disagreement, 2 = usage error.  The
 text and JSON renderings of a run carry the same data: each subcommand

@@ -65,12 +65,13 @@ computations are harmless.
 from __future__ import annotations
 
 from array import array
+from functools import cached_property
 from itertools import chain, product
 from math import comb
 from operator import add
 
 from .cyclotomic import _build, _normalize, cyc_zero, is_odd_prime, root_power
-from .pbw import Element, Monomial, Tensor2, Tensor3, accumulate, basis_monomials, join_terms
+from .pbw import Element, Monomial, Tensor2, Tensor3, accumulate, basis_monomials, join_terms, join_texts, term_text
 
 __all__ = ["BookAlgebra", "StructureTable"]
 
@@ -119,8 +120,7 @@ class StructureTable:
         """``delta[i]`` lists (u, v, digits), any p digits of the coefficient in Z[C_p]."""
         self.p = p
         self._decoded = {}  # (packed value, e mod p) -> decode(value, e)
-        self._texts = {}  # the same keys -> decode(value, e).render()
-        self._names = None  # the text of every basis monomial, in basis order, on first render
+        self._texts = [{} for _ in range(p)]  # [e][packed value] -> its term_text before a key, on first render
         lifts = {d: lift(d) for d in {d for row in delta for _, _, d in row}}
         weight = {d: sum(lifted) for d, lifted in lifts.items()}
         self.root = max(sum(weight[d] for _, _, d in row) for row in delta)
@@ -147,10 +147,13 @@ class StructureTable:
     def digits(self, v):
         return _digits(v, self.p, self.width)
 
+    def _value(self, v, e):
+        return _build(self.p, *_normalize(self.p, _rotated(self.digits(v), e), 1))
+
     def decode(self, v, e=0):
         """The value in Z[zeta_p] of a packed value times q^e, memoized: a Cyclotomic is immutable."""
         if (c := self._decoded.get(key := (v, e % self.p))) is None:
-            c = self._decoded[key] = _build(self.p, *_normalize(self.p, _rotated(self.digits(v), e), 1))
+            c = self._decoded[key] = self._value(v, e)
         return c
 
     def decoded(self, legs, plus, minus=None):
@@ -160,21 +163,29 @@ class StructureTable:
             ((legs(key), -self.decode(v)) for key, v in (minus or {}).items()),
         ))
 
+    @cached_property
+    def names(self):  # the text of every basis monomial, in basis order
+        return [m.render() for m in basis_monomials(self.p)]
+
     def render(self, packed, e=0, legs=2):
         """The text of a packed sum {key: value} times q^e, as Element (legs 1), Tensor2 or Tensor3 renders it.
 
-        Keys u, u n + v or (i n + j) n + k of basis indices sort as Monomial keys; a term decoding to 0 is dropped."""
-        names = self._names = self._names or [m.render() for m in basis_monomials(self.p)]
-        n, texts, e = len(names), self._texts, e % self.p
-
-        def text(v):
-            if (t := texts.get(key := (v, e))) is None:
-                t = texts[key] = self.decode(v, e).render()
-            return t
-
-        legs_text = (names.__getitem__ if legs == 1 else (lambda k: f"{names[k // n]} (x) {names[k % n]}") if legs == 2
-                     else lambda k: f"{names[k // (n * n)]} (x) {names[k // n % n]} (x) {names[k % n]}")
-        return join_terms((legs_text(k), text(v)) for k, v in sorted(packed.items()))
+        Keys u, u n + v or (i n + j) n + k of basis indices sort as Monomial keys; a term decoding to 0 is
+        dropped.  ``pbw.term_text`` owns the term rule: its text for the empty key text, built once per
+        (value, e), is followed by each key's leg text in a Tensor2 or Tensor3 sum, one join over the sorted
+        keys.  An Element sum, whose key text "1" takes no prefix, goes through ``join_terms``."""
+        names, texts, n = self.names, self._texts[e % self.p], self.p ** 3
+        items = sorted(packed.items())
+        if legs == 1:
+            return join_terms((names[k], self.decode(v, e).render()) for k, v in items)
+        parts = []
+        for k, v in items:
+            if (prefix := texts.get(v)) is None:
+                prefix = texts[v] = term_text(self._value(v, e).render(), "")  # its own memo: no Cyclotomic is kept
+            if prefix:
+                head = names[k // n] if legs == 2 else f"{names[k // (n * n)]} (x) {names[k // n % n]}"
+                parts += prefix, head, " (x) ", names[k % n]
+        return join_texts(parts)
 
     def differs(self, lhs, rhs):
         """Whether two sums {key: packed value} differ in Z[zeta_p] at some key; a missing key is 0."""

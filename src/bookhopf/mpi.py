@@ -23,7 +23,6 @@ point of the computation, so neither side is ever silently preferred.
 
 from dataclasses import dataclass
 from math import prod
-from operator import itemgetter
 
 from .cyclotomic import Cyclotomic, cyc_one, cyc_zero, root_power
 from .pbw import Element, Monomial, Tensor2
@@ -126,38 +125,38 @@ def enumerate_characters(algebra):
 
     Every value of a character on a basis monomial is 0 or a power of q, and
     m1 m2 is q^e m12 or 0, so beta_j(m1 m2) = beta_j(m1) beta_j(m2) is an
-    identity between q-exponents mod p, with None standing for 0, checked
-    for all p characters together as a comparison of two exponent vectors
-    indexed by j.  As in the associativity check, one row of the product
-    table gives the vectors of beta_j(m1 m2) for every m2 at once, and it is
-    compared as one tuple with the row of beta_j(m1) beta_j(m2), built once
-    per vector of m1.  Both sides come from ``Character.exponent``.
+    identity between q-exponents mod p, with None standing for 0.  By
+    ``Character.exponent`` the exponent of beta_j on a monomial is None for
+    every j or j a, affine in j, and so are those of both sides: the
+    identity holds for every j iff it holds for j = 0 and 1.  So a value is
+    coded k0 p + k1 by its exponents under beta_0 and beta_1, -1 for 0, and
+    as in the associativity check one row of the product table gives the
+    codes of beta(m1 m2) for every m2, compared as one list with the row of
+    beta(m1) beta(m2), built once per code of m1.  A failure names the first
+    pair in basis order and the first j that fails there.
     """
     p = algebra.p
     basis = algebra.basis()
     n = len(basis)
     table = algebra.product_table()
     characters = [Character(algebra, j) for j in range(p)]
-    vectors = [tuple(beta.exponent(m) for beta in characters) for m in basis]
+    codes = [-1 if (k := characters[0].exponent(m)) is None else k * p + characters[1].exponent(m) for m in basis]
 
-    def times(u, v):  # the vector of beta_j(m) beta_j(m') from those of m and m'
-        return tuple(None if k is None or l is None else (k + l) % p for k, l in zip(u, v))
+    def times(u, v):  # the code of beta(m) beta(m') from those of m and m'
+        return -1 if u < 0 or v < 0 else (u // p + v // p) % p * p + (u + v) % p
 
-    # lhs_of[t * p + e] is the vector of q^e basis[t]; lhs_of[-1] that of 0
-    lhs_of = [times(v, (e,) * p) for v in vectors for e in range(p)] + [(None,) * p]
+    # lhs_of[t * p + e] is the code of q^e basis[t]; lhs_of[-1] that of 0
+    lhs_of = [times(u, e * p + e) for u in codes for e in range(p)] + [-1]
     rows = {}
     for i1, m1 in enumerate(basis):
-        u = vectors[i1]
+        u = codes[i1]
         if u not in rows:
-            rows[u] = tuple(times(u, v) for v in vectors)
-        lhs, rhs = itemgetter(*table[i1 * n:(i1 + 1) * n])(lhs_of), rows[u]
+            rows[u] = [times(u, v) for v in codes]
+        lhs, rhs = list(map(lhs_of.__getitem__, table[i1 * n:(i1 + 1) * n])), rows[u]
         if lhs != rhs:
             i2 = next(i2 for i2 in range(n) if lhs[i2] != rhs[i2])
-            j = next(j for j in range(p) if lhs[i2][j] != rhs[i2][j])
-            raise ConsistencyError(
-                f"beta_{j} not multiplicative at "
-                f"m1={m1.render()}, m2={basis[i2].render()}"
-            )
+            j = int(min(lhs[i2], rhs[i2]) >= 0 and lhs[i2] // p == rhs[i2] // p)  # beta_0 fails unless k0 agrees
+            raise ConsistencyError(f"beta_{j} not multiplicative at m1={m1.render()}, m2={basis[i2].render()}")
     return characters
 
 

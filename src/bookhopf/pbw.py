@@ -103,31 +103,36 @@ def accumulate(pairs):
     return acc
 
 
-def join_terms(terms):
-    """The text of a sum of (key text, coefficient text) terms, in order: the one owner of the sum format.
+def term_text(ctext, ktext):
+    """The text of a term after another in a sum, " + term" or " - term", and "" for a coefficient "0", which
+    drops its term: the one owner of the term rule.
 
-    A coefficient "0" drops its term, and an empty sum is "0"."""
-    out = []
-    for ktext, ctext in terms:
-        if ctext == "0":
-            continue
-        if ktext == "1":
-            term = ctext if " " not in ctext else f"({ctext})"
-        elif ctext == "1":
-            term = ktext
-        elif ctext == "-1":
-            term = "-" + ktext
-        else:
-            if " " in ctext:
-                ctext = f"({ctext})"
-            term = f"{ctext} {ktext}"
-        if not out:
-            out.append(term)
-        elif term.startswith("-"):
-            out.append(" - " + term[1:])
-        else:
-            out.append(" + " + term)
-    return "".join(out) or "0"
+    For a key text other than "1" it is the empty key text's followed by ``ktext``, so that
+    ``StructureTable.render`` builds it once per coefficient."""
+    if ctext == "0":
+        return ""
+    if ktext == "1":
+        term = ctext if " " not in ctext else f"({ctext})"
+    elif ctext == "1":
+        term = ktext
+    elif ctext == "-1":
+        term = "-" + ktext
+    else:
+        term = f"({ctext}) {ktext}" if " " in ctext else f"{ctext} {ktext}"
+    return " - " + term[1:] if term.startswith("-") else " + " + term
+
+
+def join_texts(texts):
+    """A sum of ``term_text`` texts: their concatenation, whose leading " + " is dropped and " - " becomes "-".
+
+    An empty sum is "0"."""
+    text = "".join(texts)
+    return ("-" if text[1] == "-" else "") + text[3:] if text else "0"
+
+
+def join_terms(terms):
+    """The text of a sum of (key text, coefficient text) terms, in order."""
+    return join_texts(term_text(ctext, ktext) for ktext, ctext in terms)
 
 
 def _check_monomial(m, p):

@@ -9,15 +9,18 @@ or the whole Delta^2 image — so tests can compare two genuinely different
 routes to the same value.
 ``convolution_inverse_reference`` is the per-monomial ``Cyclotomic`` sweep
 that ``check_convolution_inverse`` replaced, and ``product_table_reference``
-the ``mono_mul_exp`` fill that ``BookAlgebra.product_table`` replaced.
+the ``mono_mul_exp`` fill that ``BookAlgebra.product_table`` replaced, and
+``characters_reference`` the p-tuple compare that ``enumerate_characters``
+replaced.
 ``doctor_product`` breaks one entry of the product table, and
 ``doctor_delta`` and ``negate_unit_row`` one row of the structure table, so
 that the tests can show the fast checks notice.
 """
 
 from array import array
+from operator import itemgetter
 
-from bookhopf import Cyclotomic, Element, Monomial, Tensor2, cyc_one, cyc_zero, root_power
+from bookhopf import Character, ConsistencyError, Cyclotomic, Element, Monomial, Tensor2, cyc_one, cyc_zero, root_power
 from bookhopf.hopf import StructureTable
 from bookhopf.pbw import basis_monomials, mono_mul_exp
 
@@ -298,3 +301,34 @@ def convolution_inverse_reference(A, beta):
         if left != eps or right != eps:
             return False
     return True
+
+
+def characters_reference(algebra):
+    """``enumerate_characters`` comparing a p-tuple of exponents, one per character, for every basis pair.
+
+    The same characters, or the same ``ConsistencyError``: the first failing
+    pair in basis order, and the first failing j there.
+    """
+    p = algebra.p
+    basis = algebra.basis()
+    n = len(basis)
+    table = algebra.product_table()
+    characters = [Character(algebra, j) for j in range(p)]
+    vectors = [tuple(beta.exponent(m) for beta in characters) for m in basis]
+
+    def times(u, v):  # the vector of beta_j(m) beta_j(m') from those of m and m'
+        return tuple(None if k is None or l is None else (k + l) % p for k, l in zip(u, v))
+
+    # lhs_of[t * p + e] is the vector of q^e basis[t]; lhs_of[-1] that of 0
+    lhs_of = [times(v, (e,) * p) for v in vectors for e in range(p)] + [(None,) * p]
+    rows = {}
+    for i1, m1 in enumerate(basis):
+        u = vectors[i1]
+        if u not in rows:
+            rows[u] = tuple(times(u, v) for v in vectors)
+        lhs, rhs = itemgetter(*table[i1 * n:(i1 + 1) * n])(lhs_of), rows[u]
+        if lhs != rhs:
+            i2 = next(i2 for i2 in range(n) if lhs[i2] != rhs[i2])
+            j = next(j for j in range(p) if lhs[i2][j] != rhs[i2][j])
+            raise ConsistencyError(f"beta_{j} not multiplicative at m1={m1.render()}, m2={basis[i2].render()}")
+    return characters

@@ -547,9 +547,10 @@ def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs):
 
 
 def test_sampled_bialgebra_runs_each_drawn_lane_group_once(group_runs):
-    """A group runs once per g-orbit of m1 its draws hit, plus once more for each other m1 it renders a
-    Delta violation at; pairs drawn twice cost nothing more, and violations come in basis order.  The failed
-    proof adds its runs of x, and of y up to x^0 y^(p-1), that the sweep does not read back."""
+    """A group runs once per g-orbit of m1 its draws hit, also where it renders Delta violations at other m1 of
+    the orbit, which are read off that first run; pairs drawn twice cost nothing more, and violations come in
+    basis order.  The failed proof adds its runs of x, and of y up to x^0 y^(p-1), that the sweep does not read
+    back."""
     p, seed, draws = 7, 0, 2500
     A = BookAlgebra(p, 0, permissive=True)
     basis = A.basis()
@@ -568,8 +569,53 @@ def test_sampled_bialgebra_runs_each_drawn_lane_group_once(group_runs):
     }
     premise = [(p * p, bc2) for bc2 in range(p * p)] + [(p, bc2) for bc2 in range(p)]  # x, then y to its bad lanes
     unread = [(i1, bc2) for i1, bc2 in premise if first.get((i1 // p, bc2)) != i1]
-    assert renders and len(first) + len(renders) < len({(i1, i2 // p) for i1, i2 in drawn})
-    assert len(group_runs) == len(first) + len(renders) + len(unread)
+    assert renders and len(first) < len({(i1, i2 // p) for i1, i2 in drawn})
+    assert len(group_runs) == len(first) + len(unread)
+
+
+def own_run_texts(A, result):
+    """(rendered, own) for the Delta violations of ``result``: the rhs as rendered, and Delta(m1) Delta(m2)
+    rendered from lane a2 of m1's own ``_Lanes.run``, as the sweep did before it carried one run per g-orbit."""
+    p, lanes = A.p, _Lanes(A)
+    index = {m.render(): i for i, m in enumerate(A.basis())}
+    runs, rendered, own = {}, [], []
+    for v in result.violations:
+        if v.at.startswith("Delta: "):
+            i1, i2 = (index[part.split("=", 1)[1]] for part in v.at.removeprefix("Delta: ").split(", "))
+            (bc2, a2), key = divmod(i2, p), (i1, i2 // p)
+            if key not in runs:
+                runs[key] = lanes.run(i1, bc2, lanes.left(i1))
+            acc, bad, e12 = runs[key]
+            assert bad >> a2 & 1
+            rendered.append(v.rhs)
+            own.append(lanes.table.render(lanes.lane(acc, a2), e12))
+    return rendered, own
+
+
+@pytest.mark.parametrize("p,options", [
+    (3, {}), (5, {}), (7, {}),
+    (7, {"seed": 0, "sample_size": 2500}), (7, {"seed": 3, "sample_size": 5000}),  # p <= 5 runs exhaustively
+], ids=["p3", "p5", "p7", "p7-seed0-2500", "p7-seed3-5000"])
+def test_each_delta_violation_renders_as_m1s_own_group_run(p, options):
+    """At s = 0 every Delta(m1) Delta(m2) read off the first run of its g-orbit equals the text of m1's own run."""
+    A = BookAlgebra(p, 0, permissive=True)
+    result = check_bialgebra_compat(A, **options).result("bialgebra")
+    rendered, own = own_run_texts(A, result)
+    assert rendered and rendered == own
+    assert any(v.at.startswith("Delta: m1=y g") for v in result.violations)  # an m1 that is not first in its orbit
+
+
+def test_each_delta_violation_renders_as_m1s_own_group_run_on_doctored_tables():
+    """The same on every doctored table that keeps P1-P3 and fails the check."""
+    compared = []
+    for how in DOCTORINGS:
+        A = doctored_algebra(how)
+        result = check_bialgebra_compat(A).result("bialgebra")
+        if _Lanes(A).orbit() == A.p and not result.passed:
+            rendered, own = own_run_texts(A, result)
+            assert rendered == own, how
+            compared += [how] * bool(rendered)
+    assert compared == ["orbit digit", "R on x", "R on y"]
 
 
 def doctor(A, how):
@@ -1125,10 +1171,11 @@ def test_a_doctored_s_row_off_the_generators_fails_anti_multiplicativity():
     assert any(at.startswith("m=x^2 y g ") for at, _, _ in outcome[0])
 
 
-@pytest.mark.parametrize("p,s", [(7, 3), (5, 0)])
+@pytest.mark.parametrize("p,s", [(7, 3), (5, 0), (7, 0)])
 def test_run_all_computes_each_verdict_once(monkeypatch, p, s):
     """One _Proofs serves the six checks: _Rows is built once, for *associative*; a healthy H(7, 3) runs the
-    3 p^2 = 147 generator lane groups of *multiplicative* and no sweep, and the s = 0 control sweeps once."""
+    3 p^2 = 147 generator lane groups of *multiplicative* and no sweep, and the s = 0 control sweeps once, one
+    run per g-orbit of m1 and x^b2 y^c2, p^4 runs, reading back those of the failed premise."""
     calls = counted_calls(monkeypatch, (_Rows, "__init__"), (_Lanes, "run"), (_Lanes, "orbit"), (_Proofs, "__init__"))
     report = run_all(BookAlgebra(p, s, permissive=s == 0))
     assert report.passed if s else negative_control_matches(report, p)
@@ -1136,7 +1183,7 @@ def test_run_all_computes_each_verdict_once(monkeypatch, p, s):
     if s:
         assert calls["_Lanes.run"] == 147 and not calls["_Lanes.orbit"]
     else:
-        assert calls["_Lanes.orbit"] == 1
+        assert calls["_Lanes.orbit"] == 1 and calls["_Lanes.run"] == p ** 4
 
 
 # -- negative control (s = 0) ---------------------------------------------------------

@@ -103,11 +103,18 @@ PINNED_VERIFY_OUTPUT = [
      "8429359e9f81167fd6578f0c29286478deb4cf63980d179c64a9dbc2bb3a0f24"),
     (["verify", "--p", "7", "--s", "3", "--seed", "7"], 0,
      "6a925a8c46caee5bb9906f8526da4566e3f4e09d78ed1a2d710c775a2d9ba053"),
+    # at the cap: 10 000 Delta violations, most rendered from the first group run of their g-orbit, and y^7 = 0
+    (["verify", "--p", "7", "--s", "0", "--permissive"], 10_001,
+     "f7acbcf02fb3dd191cb41ef42066f960c6a60c64d8d34a5a23332117497dd7f0"),
+    # sampled: an orbit's first group run can be at any m1 of the orbit
+    (["verify", "--p", "7", "--s", "0", "--permissive", "--sample-size", "5000", "--seed", "3"], 1_159,
+     "2bbfd6bc0f3995f8cef069d3ed82e7ea8e0afab40e89ce7bdc99932d24e613e8"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,violations,digest", PINNED_VERIFY_OUTPUT, ids=["p5-s0-permissive", "p7-s3-seed7"]
+    "argv,violations,digest", PINNED_VERIFY_OUTPUT,
+    ids=["p5-s0-permissive", "p7-s3-seed7", "p7-s0-permissive", "p7-s0-permissive-sampled"],
 )
 def test_verify_output_is_pinned(argv, violations, digest):
     code, payload = run_json(argv)

@@ -31,6 +31,7 @@ from bookhopf import (
     twist,
 )
 from oracles import (
+    characters_reference,
     convolution_inverse_reference,
     delta2_twist_monomial,
     doctor_delta,
@@ -140,6 +141,37 @@ def test_enumerate_characters_catches_a_zero_or_misplaced_product(p, how, j):
     doctor_product(A, G2, G3, how)
     with pytest.raises(ConsistencyError, match=rf"^beta_{j} not multiplicative at m1=g\^2, m2=g\^3$"):
         enumerate_characters(A)
+
+
+def character_outcome(characters_of, A):
+    """The js of the characters, or the text of the ConsistencyError."""
+    try:
+        return [beta.j for beta in characters_of(A)]
+    except ConsistencyError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_enumerate_characters_equals_the_tuple_compare_on_doctored_group_parts(p):
+    """Two codes per monomial decide every j: the same characters, or the same message, as the p-tuple compare,
+    for each entry of the p x p corner (the g^a) doctored every way, and for zero products set to q^e g^a."""
+    basis = BookAlgebra(p, 1).basis()
+    outcomes = [character_outcome(enumerate_characters, BookAlgebra(p, 1))]
+    assert outcomes == [character_outcome(characters_reference, BookAlgebra(p, 1))] == [list(range(p))]
+    for m1, m2, how in itertools.product(basis[:p], basis[:p], ["zero", "q-exponent", "monomial"]):
+        A = BookAlgebra(p, 1)
+        doctor_product(A, m1, m2, how)
+        outcomes.append(character_outcome(enumerate_characters, A))
+        assert outcomes[-1] == character_outcome(characters_reference, A)
+    n = len(basis)
+    for i1, i2 in [(p * p, (p - 1) * p * p), (n - 1, n - 1), (p * (p - 1), p)]:  # x x^(p-1), the last, y^(p-1) y
+        A = BookAlgebra(p, 1)
+        assert A.product_table()[i1 * n + i2] == -1
+        A._products[i1 * n + i2] = (i2 % p) * p + 1  # q g^a2
+        outcomes.append(character_outcome(enumerate_characters, A))
+        assert outcomes[-1] == character_outcome(characters_reference, A)
+    assert sum(isinstance(o, str) for o in outcomes) == 3 * p * p + 3
+    assert {o[:6] for o in outcomes[1:]} == {"beta_0", "beta_1"}
 
 
 # -- convolution inverse ---------------------------------------------------------

@@ -16,7 +16,7 @@ from bookhopf import (
     mono_mul_exp,
     root_power,
 )
-from bookhopf.pbw import accumulate, join_terms
+from bookhopf.pbw import accumulate, join_terms, term_text
 from oracles import normal_form, sum_text, word_of
 
 ONE = Monomial(0, 0, 0)
@@ -229,6 +229,18 @@ def test_join_terms_renders_the_sparse_sums(data):
     terms = data.draw(st.dictionaries(keys, cyclotomics(p), max_size=6))
     texts = [(cls._render_key(key), c.render()) for key, c in sorted(terms.items())]
     assert cls(p, s, terms).render() == join_terms(texts) == sum_text(texts)
+
+
+@given(data=st.data())
+def test_a_term_is_its_empty_key_prefix_and_its_key_text(data):
+    """The property StructureTable.render builds on: for a key text other than "1" a term's text is the empty key
+    text's followed by the key text; a coefficient "0" has none."""
+    p = 5
+    ctext = data.draw(cyclotomics(p)).render()
+    ktext = " (x) ".join(m.render() for m in data.draw(st.lists(monomials(p), min_size=2, max_size=3)))
+    prefix = term_text(ctext, "")
+    assert term_text(ctext, ktext) == (prefix and prefix + ktext)
+    assert (prefix == "") == (ctext == "0")
 
 
 def test_mixing_parameters_raises():
