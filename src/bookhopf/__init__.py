@@ -15,17 +15,25 @@ relations (q = zeta_p a primitive p-th root of unity).  The package provides:
 Everything is computed in exact arithmetic; no floats, no numerical error.
 """
 
-from .axioms import (
-    AxiomReport, AxiomResult, Violation, check_antipode_law, check_associativity, check_bialgebra_compat,
-    check_coassociativity, check_counit_law, check_relations, negative_control_matches, run_all,
-)
-from .cyclotomic import Cyclotomic, cyc_one, cyc_zero, is_odd_prime, root_power
-from .hopf import BookAlgebra
-from .mpi import (
-    Character, Classification, ConsistencyError, GroupLike, PairReport, check_convolution_inverse, classify,
-    closed_form_predicate, enumerate_characters, enumerate_group_likes, implements_s_squared, is_stable, twist,
-)
-from .pbw import Element, Monomial, Tensor2, Tensor3, mono_mul, mono_mul_exp
+from importlib import import_module
+
+# each public name -> the submodule that owns it, imported on the name's first access (``__getattr__``),
+# so that ``import bookhopf`` loads no submodule and a command loads only the modules it runs
+_OWNER = {
+    **dict.fromkeys((
+        "AxiomReport", "AxiomResult", "Violation", "check_antipode_law", "check_associativity",
+        "check_bialgebra_compat", "check_coassociativity", "check_counit_law", "check_relations",
+        "negative_control_matches", "run_all",
+    ), "axioms"),
+    **dict.fromkeys(("Cyclotomic", "cyc_one", "cyc_zero", "is_odd_prime", "root_power"), "cyclotomic"),
+    "BookAlgebra": "hopf",
+    **dict.fromkeys((
+        "Character", "Classification", "ConsistencyError", "GroupLike", "PairReport", "check_convolution_inverse",
+        "classify", "closed_form_predicate", "enumerate_characters", "enumerate_group_likes",
+        "implements_s_squared", "is_stable", "twist",
+    ), "mpi"),
+    **dict.fromkeys(("Element", "Monomial", "Tensor2", "Tensor3", "mono_mul", "mono_mul_exp"), "pbw"),
+}
 
 __version__ = "0.1.0"
 
@@ -38,3 +46,15 @@ __all__ = [
     "is_odd_prime", "is_stable", "mono_mul", "mono_mul_exp", "negative_control_matches", "root_power",
     "run_all", "twist",
 ]
+
+
+def __getattr__(name):
+    owner = _OWNER.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{owner}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

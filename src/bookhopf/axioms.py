@@ -52,11 +52,11 @@ concurrently on one algebra instance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
 from operator import getitem, itemgetter
 from time import perf_counter
+from typing import NamedTuple
 
 from .cyclotomic import cyc_zero, root_power
 from .pbw import Element, basis_monomials
@@ -74,8 +74,7 @@ DEFAULT_SAMPLE_SIZE = 1_000_000
 DEFAULT_SEED = 0
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     axiom: str
     at: str
     lhs: str
@@ -85,8 +84,7 @@ class Violation:
         return {"lhs": self.lhs, "rhs": self.rhs, "at": self.at}
 
 
-@dataclass
-class AxiomResult:
+class AxiomResult(NamedTuple):
     axiom: str
     violations: list[Violation]
     elapsed_ms: float
@@ -129,9 +127,8 @@ class AxiomResult:
         return out
 
 
-@dataclass
-class AxiomReport:
-    results: list[AxiomResult] = field(default_factory=list)
+class AxiomReport(NamedTuple):
+    results: list[AxiomResult]
 
     @property
     def passed(self):
@@ -476,7 +473,7 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
 
     and likewise for eps.  If every premise holds the run reports its mode
     and ``checked``, draws nothing and calls no ``_Lanes.orbit``; it costs
-    3 p^2 group runs instead of p^4.  Otherwise the sweep below runs as if
+    3 p^2 group runs instead of up to p^4.  Otherwise the sweep below runs as if
     no proof had been tried, as it does on a doctored table and at s = 0,
     where the runs of y against x^b y^(p-1) fail.
 
@@ -495,7 +492,12 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
     lemma, at basis[i1] = basis[first] g^a1 Delta(m1) Delta(m2) is lane a2
     of that run with both legs moved by g^(a2 + a1) (``_Lanes.lane``), at
     q^(e12 + a1 wt(x^b2 y^c2)); a1 is i1 - first, not i1 mod p, as a
-    sampled run's first run can be at any m1 of the orbit.
+    sampled run's first run can be at any m1 of the orbit.  Once
+    MAX_VIOLATIONS_RENDERED violations are rendered the sweep stops before
+    the next m1: past the cap nothing can change the report, which fails
+    with ``checked`` as planned.  So an exhaustive sweep runs all p^4 groups
+    only where fewer violations arise; at s = 0 it runs 588 of them at
+    p = 7 and 726 at p = 11.
     """
     A = algebra
     p = A.p
@@ -527,6 +529,8 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
 
         orbit = lanes.orbit()
         for i1 in range(n):
+            if rec.full:
+                break  # past the cap nothing can change the report: it fails, with its checked and violations
             if i1 % orbit == 0:
                 carried = {}  # bc2 -> (i1, accumulator if the rest of the orbit reads a bad lane, bad lanes, e12)
             row_masks = masks[i1 * groups:(i1 + 1) * groups]

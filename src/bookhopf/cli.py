@@ -17,8 +17,10 @@ in the associativity proof (21 s at p = 11 and 2 minutes at p = 13
 while the bialgebra check swept its draws).  Where a premise fails, as at
 s = 0, the bialgebra check runs one lane group of p pairs per g-orbit of
 m1 that its draws hit, and renders the violations of the whole orbit from
-that run: the default 10^6 draws hit all 14 641 groups at p = 11 and all
-28 561 at p = 13, as many as --exhaustive.
+that run, until it has rendered MAX_VIOLATIONS_RENDERED = 10 000 of them:
+past that nothing can change its report.  At s = 0 that is 726 of the
+14 641 groups of an exhaustive run at p = 11, and 968 with the default
+10^6 draws, which hit every group.
 Exit codes: 0 = all checks pass / classification consistent, 1 = an axiom
 violation or a brute-force/closed-form disagreement, 2 = usage error.  The
 text and JSON renderings of a run carry the same data: each subcommand
@@ -31,10 +33,11 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _str
 
-from .axioms import DEFAULT_SAMPLE_SIZE, DEFAULT_SEED, negative_control_matches, run_all
 from .cyclotomic import is_odd_prime
 from .hopf import BookAlgebra
-from .mpi import ConsistencyError, classify
+
+# ``axioms`` is imported by the verify handler and ``mpi`` by the classify and table handlers, so that a
+# process compiles and runs only the modules of its command
 
 MAX_P = 13
 
@@ -55,9 +58,10 @@ def _build_parser():
                 "--permissive", action="store_true", help="allow s = 0 (H(p, 0) is kept as a negative control)"
             )
         if with_sampling:
-            sp.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
+            # unset (None), --seed and --sample-size take run_all's defaults, DEFAULT_SEED and DEFAULT_SAMPLE_SIZE
+            sp.add_argument("--seed", type=int, help="sampling seed")
             sp.add_argument(
-                "--sample-size", type=int, default=DEFAULT_SAMPLE_SIZE,
+                "--sample-size", type=int,
                 help="draws per sampled check, at least 1 (domains at most this size run exhaustively)",
             )
             sp.add_argument(
@@ -84,12 +88,23 @@ def _s_values(args):
     return [args.s]
 
 
+def _algebra(args, s):
+    if s == 0 and not args.permissive:  # the library's own refusal names its keyword, not the option
+        raise ValueError(
+            f"s = 0 is rejected: H({args.p}, 0) is not a bialgebra in characteristic zero "
+            f"(Delta(y)^{args.p} != 0 although y^{args.p} = 0); pass --permissive to build it anyway"
+        )
+    return BookAlgebra(args.p, s, permissive=args.permissive)
+
+
 # -- verify ---------------------------------------------------------------------
 
 
 def _verify_one(args, s):
-    algebra = BookAlgebra(args.p, s, permissive=args.permissive)
-    report = run_all(algebra, seed=args.seed, sample_size=args.sample_size, exhaustive=args.exhaustive)
+    from .axioms import negative_control_matches, run_all
+
+    options = {key: value for key in ("seed", "sample_size") if (value := getattr(args, key)) is not None}
+    report = run_all(_algebra(args, s), exhaustive=args.exhaustive, **options)
     run = {"s": s, "permissive": args.permissive, "axioms": report.to_payload()}
     if s == 0:
         run["negative_control_matches"] = negative_control_matches(report, args.p)
@@ -142,8 +157,10 @@ def _render_classify_text(payload, out):
 
 
 def cmd_classify(args):
+    from .mpi import classify
+
     _check_p(args.p)
-    runs = [classify(BookAlgebra(args.p, s, permissive=args.permissive)).to_dict() for s in _s_values(args)]
+    runs = [classify(_algebra(args, s)).to_dict() for s in _s_values(args)]
     return {"command": "classify", "p": args.p, "runs": runs}, _render_classify_text, 0
 
 
@@ -162,6 +179,8 @@ def _render_table_text(payload, out):
 
 
 def cmd_table(args):
+    from .mpi import classify
+
     _check_p(args.p)
     rows = []
     for s in range(1, args.p):
@@ -208,6 +227,12 @@ def _json(value, out, pad="\n"):
     out.append(pad + ("}" if keyed else "]"))
 
 
+def _consistency_error():
+    """``mpi.ConsistencyError``, or no exception class at all while ``mpi``, which alone raises it, is not loaded."""
+    mpi = sys.modules.get(f"{__package__}.mpi")
+    return () if mpi is None else mpi.ConsistencyError
+
+
 def main(argv=None, out=None):
     out = sys.stdout if out is None else out
     args = _build_parser().parse_args(argv)
@@ -217,7 +242,7 @@ def main(argv=None, out=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConsistencyError as exc:
+    except _consistency_error() as exc:  # evaluated only on an error, so verify never imports mpi
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":

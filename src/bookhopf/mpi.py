@@ -21,8 +21,8 @@ and any disagreement aborts the run: the agreement of the two routes is the
 point of the computation, so neither side is ever silently preferred.
 """
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .cyclotomic import Cyclotomic, cyc_one, cyc_zero, root_power
 from .pbw import Element, Monomial, Tensor2
@@ -285,8 +285,7 @@ def closed_form_predicate(p, s, i, j):
     return implements, stable
 
 
-@dataclass(frozen=True, slots=True)
-class PairReport:
+class PairReport(NamedTuple):
     """Brute-force verdict for one pair (g^i, beta_j); stable (beta(l) = 1) and is_mpi are computed."""
 
     i: int
@@ -324,16 +323,13 @@ class PairReport:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class Classification:
+class Classification(NamedTuple("Classification", [("p", int), ("s", int), ("pairs", tuple)])):
     """All p^2 pair verdicts for one H(p, s); the MPI and implements subsets are computed."""
 
-    p: int
-    s: int
-    pairs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
+    def __new__(cls, p, s, pairs):  # any iterable of pairs, kept as a tuple
+        return super().__new__(cls, p, s, tuple(pairs))
 
     @property
     def mpi(self):

@@ -71,6 +71,14 @@ def test_verify_s_zero_needs_permissive(capsys):
     assert "permissive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_s_zero_refusal_names_the_option(command, capsys):
+    code, text = run_cli([command, "--p", "3", "--s", "0"])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert "pass --permissive to build it anyway" in err and "permissive=True" not in err
+
+
 def test_verify_s_zero_negative_control():
     code, text = run_cli(["verify", "--p", "3", "--s", "0", "--permissive"])
     assert code == 0  # failing exactly as predicted counts as success
@@ -214,6 +222,18 @@ def test_classify_permissive_zero():
     (run,) = payload["runs"]
     assert run["mpi"] == [{"i": 0, "j": 2}, {"i": 1, "j": 0}]
     assert len(run["implements"]) == 3  # every j = i - 1 pair implements when s = 0
+
+
+@pytest.mark.parametrize(
+    "argv", [["classify", "--p", "3", "--s", "1"], ["table", "--p", "3"]], ids=["classify", "table"]
+)
+def test_a_closed_form_disagreement_exits_1(argv, monkeypatch, capsys):
+    from bookhopf import mpi
+
+    monkeypatch.setattr(mpi, "closed_form_predicate", lambda p, s, i, j: (True, True))
+    code, text = run_cli(argv)
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err.startswith("inconsistency: brute force disagrees with closed form at (i=0, j=0)")
 
 
 # -- table ---------------------------------------------------------------------

@@ -1,6 +1,10 @@
-"""Every module of the package reads each name it imports."""
+"""Every module of the package reads each name it imports, and each process loads only what it runs."""
 
 import ast
+import os
+import subprocess
+import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,57 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_reads_every_import(path):
     assert unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+# -- what each process loads ------------------------------------------------------------
+
+CHILD = """
+import runpy, sys
+before = set(sys.modules)
+sys.argv = ["bookhopf", *ARGV]
+try:
+    runpy.run_module("bookhopf.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(*sorted(set(sys.modules) - before), file=sys.stderr)
+"""
+
+
+def loaded_by(code):
+    """The modules a fresh interpreter loads to run ``code`` (last line of its stderr), beyond those it starts with."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("argv,runs,skips", [
+    (["classify", "--p", "3", "--s", "1"], "bookhopf.mpi", "bookhopf.axioms"),
+    (["table", "--p", "3"], "bookhopf.mpi", "bookhopf.axioms"),
+    (["verify", "--p", "3", "--s", "1"], "bookhopf.axioms", "bookhopf.mpi"),
+    (["verify", "--p", "3", "--s", "0", "--permissive"], "bookhopf.axioms", "bookhopf.mpi"),
+], ids=["classify", "table", "verify", "verify-s0"])
+def test_a_command_loads_only_the_modules_it_runs(argv, runs, skips):
+    loaded = loaded_by(CHILD.replace("ARGV", repr(argv)))
+    assert runs in loaded and skips not in loaded
+    assert "dataclasses" not in loaded
+
+
+def test_the_algebra_alone_loads_its_three_modules():
+    loaded = loaded_by(
+        "import sys; before = set(sys.modules); import bookhopf; bookhopf.BookAlgebra(7, 3)\n"
+        "print(*sorted(set(sys.modules) - before), file=sys.stderr)"
+    )
+    loaded = {name for name in loaded if name.partition(".")[0] == "bookhopf"}
+    assert loaded == {"bookhopf", "bookhopf.cyclotomic", "bookhopf.pbw", "bookhopf.hopf"}
+
+
+def test_every_public_name_resolves_to_its_module():
+    for name in bookhopf.__all__:
+        value = getattr(bookhopf, name)
+        assert value.__module__.startswith("bookhopf.") and getattr(import_module(value.__module__), name) is value
+    namespace = {}
+    exec("from bookhopf import *", namespace)
+    assert all(namespace[name] is getattr(bookhopf, name) for name in bookhopf.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bookhopf.no_such_name

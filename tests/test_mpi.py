@@ -1,6 +1,5 @@
 """Modular pairs in involution: enumeration, twist, classification, oracles."""
 
-import dataclasses
 import itertools
 import json
 import random
@@ -432,20 +431,19 @@ def test_pair_report_from_dict_rejects_a_flipped_stable_flag(row):
 
 def test_verdicts_are_computed_from_the_measured_fields():
     c = classify(BookAlgebra(5, 2))
-    fields = {cls: [f.name for f in dataclasses.fields(cls)] for cls in (PairReport, Classification)}
-    assert fields[PairReport] == ["i", "j", "implements_s2", "stability_value"]
-    assert fields[Classification] == ["p", "s", "pairs"]
+    assert PairReport._fields == ("i", "j", "implements_s2", "stability_value")
+    assert Classification._fields == ("p", "s", "pairs")
     for name in ("stable", "is_mpi"):
         assert isinstance(getattr(PairReport, name), property)
     for name in ("mpi", "implements"):
         assert isinstance(getattr(Classification, name), property)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         c.pairs[0].implements_s2 = True
     # any iterable of pairs is accepted and the subsets follow from it
     again = Classification(5, 2, (r for r in c.pairs))
     assert again == c and again.implements == ((4, 3),) and again.mpi == ()
     flipped = Classification(5, 2, [
-        dataclasses.replace(r, stability_value=cyc_one(5)) if r.implements_s2 else r for r in c.pairs
+        r._replace(stability_value=cyc_one(5)) if r.implements_s2 else r for r in c.pairs
     ])
     assert flipped.mpi == ((4, 3),)
 
