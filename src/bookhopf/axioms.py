@@ -8,11 +8,13 @@ domain is small (up to 25 000 pairs or 2 000 000 triples, i.e. p <= 5) or
 the sample size covers it, and otherwise on seeded uniform draws, so a
 report is deterministic given (p, s, seed).
 
-*Proof by generators.*  Every check but the relations is first proved by
-induction on the generators g, x and y, on the live tables.  Every proof
-rests on ``BookAlgebra.generation()``, premises U (the row of 1 in the
-product table is the identity) and F (every basis[i] but 1, g, x and y is
-q^e t basis[j] for a generator t and some j < i).  *Lemma:* let a law L(m)
+*Proof by generators.*  Every check but the relations is first proved on
+the live tables: associativity by the cocycle lemma of
+``check_associativity``, the other four by induction on the generators g,
+x and y.  Every proof rests on ``BookAlgebra.generation()``, premises U
+(the row of 1 in the product table is the identity) and F (every
+basis[i] but 1, g, x and y is q^e t basis[j] for a generator t and some
+j < i).  *Lemma:* let a law L(m)
 about a basis monomial m hold at m = 1 and at g, x and y, and let
 L(basis[j]) imply L(t basis[j]) for every generator t and basis[j].  Then
 L holds on the whole basis, by strong induction on i along the (t, j, e)
@@ -21,14 +23,15 @@ states only its law, its checks at 1 and at the generators, and its step
 from basis[j] to t basis[j].  ``_Proofs`` computes the three premises the
 proofs share, each at most once per table state:
 
-- *associative*: ``_Rows.proved()``, the proof of ``check_associativity``;
+- *associative*: ``generation()`` holds and the live product table is
+  that of a bilinear q-exponent, the proof of ``check_associativity``;
 - *multiplicative*: Delta and eps are algebra maps, the proof of
   ``check_bialgebra_compat``, which needs *associative*;
 - *anti-multiplicative*: S(m1 m2) = S(m2) S(m1), proved on S(t m) =
   S(m) S(t) for t in {1, g, x, y} and every m, which needs *associative*.
 
-The five proofs, each with its premises: associativity (its own row
-compare on g, x and y), the bialgebra law (*multiplicative*),
+The five proofs, each with its premises: associativity (*associative*),
+the bialgebra law (*multiplicative*),
 coassociativity and the counit law (*multiplicative* and the law at 1, g,
 x and y) and the antipode law (*multiplicative*, *anti-multiplicative* and
 the law at 1, g, x and y).  One protocol, ``_prove_or_sweep``, runs them
@@ -59,6 +62,7 @@ from time import perf_counter
 from typing import NamedTuple
 
 from .cyclotomic import cyc_zero, root_power
+from .hopf import bilinear_rows
 from .pbw import Element, basis_monomials
 
 __all__ = [
@@ -227,29 +231,40 @@ def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPL
     The exhaustive sweep compares the rows of ``_Rows.differing`` for every
     m1 and walks a differing row in m3 order to record violations.  A
     sampled run makes one uniform draw i1 n^2 + i2 n + i3 in [0, n^3) per
-    triple, by rejection on ``getrandbits`` as ``Random.randrange(n ** 3)`` does.
+    triple, by rejection on ``getrandbits`` as ``Random.randrange(n ** 3)``
+    does.  Once MAX_VIOLATIONS_RENDERED violations are recorded, either
+    stops before its next m1 or draw: past the cap nothing can change the
+    report, which fails with ``checked`` as planned.
 
-    *Proof by generators* (see the module docstring), by ``_Rows.proved``,
-    whose verdict ``_Proofs.associative`` keeps, not the rows.  The law at
-    m1 is (m1 m2) m3 = m1 (m2 m3) for all m2 and m3.  At 1 it is U; at the
-    generators it is premise R, the sweep's own row compare on
-    the three m1 in {g, x, y}; and the step is
+    *Proof by the cocycle lemma*, ``_Proofs.associative``, tried on every
+    run.  Write m_u = x^b y^c g^a for u = (b, c, a), with 0 <= b, c < p and
+    a taken mod p, and for integers alpha, beta and gamma let
 
-        ((t basis[j]) m2) m3 = (t (basis[j] m2)) m3    R
-                             = t ((basis[j] m2) m3)    R, bilinearly
-                             = t (basis[j] (m2 m3))    the law at basis[j]
-                             = (t basis[j]) (m2 m3)    R, bilinearly
+        phi(u, v) = alpha a_u b_v + beta a_u c_v + gamma c_u b_v.
 
-    with the codes carrying every q^e.  The proof reads 3 n^2 entries in
-    C-level row compares, and costs about as much as n^2 / 5 draws, which
-    read 4 entries each in Python: 0.47 s against 1.13 s for 10^6 draws at
-    p = 11, and 1.53 s against 1.49 s at p = 13 (2-core Xeon VM, Python
-    3.11).  So it is tried on every exhaustive run and on a sampled run of
-    at least n^2 / 5 draws, which takes in the default 10^6 at every p up to
-    13.  A proved run reports what its route would have: exhaustive with
-    n^3 triples checked, or sampled with its draws as ``checked``, which are
-    triples of the proved whole.  Only an exhaustive sweep builds ``_Rows``
-    again.
+    *Lemma:* the product m_u m_v = q^phi(u, v) m_(u+v), which is 0 once
+    b_u + b_v or c_u + c_v reaches p, is associative.  phi is additive in
+    each argument, and q^phi(u, v) depends on a_u only mod p, so
+    q^phi(u + v, w) = q^(phi(u, w) + phi(v, w)) and q^phi(u, v + w) =
+    q^(phi(u, v) + phi(u, w)).  Hence, where neither side is 0,
+
+        (m_u m_v) m_w = q^(phi(u, v) + phi(u + v, w)) m_(u+v+w) = q^(phi(u, v) + phi(u, w) + phi(v, w)) m_(u+v+w)
+        m_u (m_v m_w) = q^(phi(v, w) + phi(u, v + w)) m_(u+v+w) = q^(phi(u, v) + phi(u, w) + phi(v, w)) m_(u+v+w)
+
+    As b and c are never negative, the left side is 0 exactly when
+    b_u + b_v + b_w or c_u + c_v + c_w reaches p, and so is the right side:
+    one side is 0 exactly when the other is.  The premise holds when
+    ``generation()`` does, as the other proofs need premise F, and the live
+    table is ``hopf.bilinear_rows`` at (alpha, beta, gamma), read off its
+    entries g x = q^alpha x g, g y = q^beta y g and y x = q^gamma x y; if
+    any of the three is 0 it fails.  H(p, s) is the table at (1, -s, s).
+    The two tables are compared a row at a time, so no second table is
+    kept, and the proof costs about one table fill: 0.03 s at p = 11 and
+    0.08 s at p = 13 (2-core Xeon VM, Python 3.11), where the generator
+    route it replaced took 0.4 s and 1.1 s.  A proved run reports what its
+    route would have: exhaustive with n^3 triples checked, or sampled with
+    its draws as ``checked``, which are triples of the proved whole.  Only
+    an exhaustive sweep builds ``_Rows``.
     """
     A = algebra
     p, s = A.p, A.s
@@ -271,6 +286,8 @@ def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPL
         if draws is None:
             rows = _Rows(A)
             for i1 in range(n):
+                if rec.full:
+                    break  # past the cap nothing can change the report: it fails, with its checked and violations
                 for i2, lhs, rhs in rows.differing(i1):
                     for i3 in range(n):
                         if lhs[i3] != rhs[i3]:
@@ -289,25 +306,24 @@ def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPL
             right = -1 if c < 0 else shift[c % p][table[code // n2 * n + c // p]]
             if left != right:
                 hit(code // n2, code // n % n, code % n, left, right)
+                if rec.full:
+                    break
 
-    def proved():
-        return (draws is None or 5 * draws >= n * n) and proofs.associative
-
-    return _prove_or_sweep(rec, mode, n ** 3 if draws is None else draws, proved, sweep)
+    return _prove_or_sweep(rec, mode, n ** 3 if draws is None else draws, lambda: proofs.associative, sweep)
 
 
 class _Rows:
     """The associativity rows of one product table: for each m1, (m1 m2) m3 and m1 (m2 m3) over all m3 at once.
 
-    ``row[t]`` reads row t of the table through a code map: (m1 m2) m3 is
-    row t12 through ``shift[e12]``, and m1 (m2 m3) is row m2 through a map
-    built per m1 that takes the code of q^e basis[t] to that of
-    m1 q^e basis[t].  Equal codes share one int, so the rows hold n^2
+    Built only by the exhaustive sweep of check_associativity, where its
+    proof fails.  ``row[t]`` reads row t of the table through a code map:
+    (m1 m2) m3 is row t12 through ``shift[e12]``, and m1 (m2 m3) is row m2
+    through a map built per m1 that takes the code of q^e basis[t] to that
+    of m1 q^e basis[t].  Equal codes share one int, so the rows hold n^2
     references to n p + 1 ints (38 MB at p = 13, not 174 MB).
     """
 
     def __init__(self, algebra):
-        self.algebra = algebra
         p = self.p = algebra.p
         n = self.n = len(algebra.basis())
         table = self.table = algebra.product_table()
@@ -326,11 +342,6 @@ class _Rows:
             rhs = row[i2](f)
             if lhs != rhs:
                 yield i2, lhs, rhs
-
-    def proved(self):
-        """True iff ``generation()`` holds and premise R of check_associativity, so that every triple is associative."""
-        A = self.algebra
-        return A.generation() is not None and not any(next(self.differing(t), None) for t in A.generators)
 
 
 def check_coassociativity(algebra, *, _proofs=None, **_ignored):
@@ -566,12 +577,31 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
     return _prove_or_sweep(rec, mode, n * n if draws is None else draws, lambda: proofs.multiplicative, sweep)
 
 
+class _ProductRows(dict):
+    """Row t of a product table as a tuple of codes, ``rows[t]``, decoded on its first read.
+
+    Equal codes share one int, and code -1 (a zero product) reads the last entry of ``codes``.
+    """
+
+    def __init__(self, table, n, p):
+        super().__init__()
+        self.table, self.n, self.codes = table, n, [*range(n * p), -1]
+
+    def __missing__(self, t):
+        n = self.n
+        row = self[t] = tuple(map(self.codes.__getitem__, self.table[t * n:(t + 1) * n]))
+        return row
+
+
 class _Lanes:
     """The packed Delta rows of check_bialgebra_compat for one algebra, p lanes per value.
 
     Lane a of a packed value holds 2p digits of the structure table's
     ``width`` at bit a * lane_bits.  An output key t_u n + t_v stands for
     basis[t_u] (x) basis[t_v] in lane 0; in lane a2 both legs carry g^a2 more.
+    ``products[t]`` is row t of the product table, decoded on its first
+    read: ``orbit`` and the sweep read every row, but the proof
+    *multiplicative* only those of 1, g, g^s, x and y.
     """
 
     def __init__(self, algebra):
@@ -586,11 +616,7 @@ class _Lanes:
         self.fold_mask = lane_ones * table.fold_mask  # digits 0..p-1 of every lane
         self.bias = lane_ones * table.bias
         self.moved = [[t - t % p + (t + a) % p for t in range(n)] for a in range(p)]  # moved[a][t]: basis[t] g^a
-        # products[t] is row t of the product table; equal codes share one int,
-        # and code -1 (a zero product) indexes the last entry of ``codes``
-        products = algebra.product_table()
-        codes = [*range(n * p), -1]
-        self.products = [tuple(map(codes.__getitem__, products[t * n:(t + 1) * n])) for t in range(n)]
+        self.products = _ProductRows(algebra.product_table(), n, p)
         self.wt = [c % p for c in self.products[1]]  # g w = q^wt(w) w g, g = basis[1]
         self.groups = [self._group(bc) for bc in range(p * p)]
         self.memo = {-1: {}}  # t -> self.expected(t); a zero product (t = -1) expects no term
@@ -788,8 +814,17 @@ class _Proofs:
 
     @cached_property
     def associative(self):
-        """``_Rows.proved()``: every basis triple is associative.  The verdict is kept, not the rows."""
-        return _Rows(self.algebra).proved()
+        """Every basis triple is associative: ``generation()`` holds and the live table is ``bilinear_rows`` at the
+        q-exponents of its entries g x, g y and y x, by the cocycle lemma of check_associativity.  The tables are
+        compared a row at a time, as bytes, so no second table is kept."""
+        A = self.algebra
+        p, n, table = A.p, len(A.basis()), A.product_table()
+        g, x, y = A.generators
+        codes = table[g * n + x], table[g * n + y], table[y * n + x]
+        if A.generation() is None or min(codes) < 0:
+            return False
+        rows = bilinear_rows(p, *(c % p for c in codes))
+        return all(table[i * n:(i + 1) * n].tobytes() == row for i, row in enumerate(rows))
 
     @cached_property
     def multiplicative(self):

@@ -10,11 +10,12 @@ Three subcommands share a small option surface:
 P is an odd prime of at most MAX_P = 13 (the library itself takes any odd
 prime); a larger p is a usage error, as the checks grow like p^6.  The bound
 limits the input size, not the run time.  Associativity and the bialgebra
-law are proved on the generators where their premises hold (see the
-``axioms`` module), so a default verify draws nothing: per s it takes
-about 0.2 s at p = 7, 1 s at p = 11 and 2.6 s at p = 13, about half of it
-in the associativity proof (21 s at p = 11 and 2 minutes at p = 13
-while the bialgebra check swept its draws).  Where a premise fails, as at
+law are proved where their premises hold (see the ``axioms`` module), so
+a default verify draws nothing: per s it takes about 0.2 s at p = 7,
+0.6 s at p = 11 and 1.2 s at p = 13, most of it in the premise that
+Delta and eps are multiplicative (1 s and 2.6 s while associativity was
+proved on the generators, 21 s at p = 11 and 2 minutes at p = 13 while
+the bialgebra check swept its draws).  Where a premise fails, as at
 s = 0, the bialgebra check runs one lane group of p pairs per g-orbit of
 m1 that its draws hit, and renders the violations of the whole orbit from
 that run, until it has rendered MAX_VIOLATIONS_RENDERED = 10 000 of them:

@@ -64,6 +64,7 @@ computations are harmless.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from functools import cached_property
 from itertools import chain, product
@@ -73,7 +74,7 @@ from operator import add
 from .cyclotomic import _build, _normalize, cyc_zero, is_odd_prime, root_power
 from .pbw import Element, Monomial, Tensor2, Tensor3, accumulate, basis_monomials, join_terms, join_texts, term_text
 
-__all__ = ["BookAlgebra", "StructureTable"]
+__all__ = ["BookAlgebra", "StructureTable", "bilinear_rows"]
 
 
 def _rotated(digits, e):
@@ -106,6 +107,39 @@ def _q_binomial_rows(p, base_exp):
         prev = [zero, *rows[-1], zero]
         rows.append([tuple(map(add, prev[k], _rotated(prev[k + 1], base_exp * k))) for k in range(n + 1)])
     return rows
+
+
+def bilinear_rows(p, alpha, beta, gamma):
+    """The rows of the product table of q^(alpha a1 b2 + beta a1 c2 + gamma c1 b2), as bytes of ``array("i")``.
+
+    Laid out as ``BookAlgebra.product_table``: x^b1 y^c1 g^a1 x^b2 y^c2 g^a2
+    is q^(alpha a1 b2 + beta a1 c2 + gamma c1 b2) x^b y^c g^(a1+a2), with
+    b = b1 + b2 and c = c1 + c2, and zero once b or c reaches p; the table
+    of H(p, s) is the one at (1, -s, s).  The exponent does not depend on
+    a2, so the p entries a2 = 0..p-1 of a row and a (b2, c2) are a block
+    fixed by (b, c), a1 and e.  The p^4 blocks are made once as bytes, block
+    ((b p + c) p + a1) p + e, then zero blocks up to b = 2p - 2, and a row
+    is one join of its p^2 blocks: the p rows sharing (c1, a1) read one key
+    list at offset b1 p^3, and c >= p keys -1, the last, zero block.  Block
+    ((b p + c) p + a1) p + e holds (b p + c) p^2 + e plus the offsets of
+    g^(a1 + a2): it is made as one int of p machine-int lanes, the offsets'
+    lanes plus that constant in every lane, which carries into no other lane
+    as every entry is below 2^31.
+    """
+    p3, order = p ** 3, sys.byteorder
+    width = array("i").itemsize * p
+    ones = int.from_bytes(array("i", [1] * p).tobytes(), order)
+    rot = [int.from_bytes(array("i", [(a1 + a) % p * p for a in range(p)]).tobytes(), order) for a1 in range(p)]
+    blocks = [(lanes + k * ones).to_bytes(width, order)
+              for bc in range(0, p3 * p, p * p) for lanes in rot for k in range(bc, bc + p)]
+    blocks += [array("i", [-1] * p).tobytes()] * ((p - 1) * p3)
+    keys = [[(b2 * p + c1 + c2) * p * p + a1 * p + (alpha * a1 * b2 + beta * a1 * c2 + gamma * c1 * b2) % p
+             if c1 + c2 < p else -1 for b2 in range(p) for c2 in range(p)]
+            for c1 in range(p) for a1 in range(p)]
+    for b1 in range(p):
+        shifted = blocks[b1 * p3:]
+        for row in keys:
+            yield b"".join(map(shifted.__getitem__, row))
 
 
 class StructureTable:
@@ -262,35 +296,18 @@ class BookAlgebra:
         return (mono.b * self.p + mono.c) * self.p + mono.a
 
     def product_table(self):
-        """Closed-form products of all basis pairs by basis index, built on first use.
+        """Closed-form products of all basis pairs by basis index, built on first use: ``bilinear_rows(p, 1, -s, s)``.
 
         With n = p^3 and indices in :meth:`basis` order, entry ``i * n + j``
         is ``t * p + e`` when basis[i] basis[j] = q^e basis[t], and -1 when
         the product is 0.  It holds p^6 32-bit integers (0.5 MB at p = 7,
         7 MB at p = 11), each below p^4, which fits for every p < 215.
-        x^b1 y^c1 g^a1 x^b2 y^c2 g^a2 = q^(a1 (b2 - s c2) + s c1 b2) x^b y^c g^(a1+a2),
-        with b = b1 + b2 and c = c1 + c2, is zero once b or c reaches p, so the
-        p entries a2 = 0..p-1 of a row and a (b2, c2) are a block fixed by
-        (b, c), a1 and e.  The p^4 blocks are made once as bytes, block
-        ((b p + c) p + a1) p + e, then zero blocks up to b = 2p - 2, and a row
-        is one join of its p^2 blocks: the p rows sharing (c1, a1) read one
-        key list at offset b1 p^3, and c >= p keys -1, the last, zero block.
+        x^b1 y^c1 g^a1 x^b2 y^c2 g^a2 = q^(a1 (b2 - s c2) + s c1 b2) x^b y^c g^(a1+a2).
         """
         if self._products is None:
-            p, s = self.p, self.s
-            p3 = p ** 3
-            rot = [[(a1 + a) % p * p for a in range(p)] for a1 in range(p)]
-            blocks = [array("i", [bc + r + e for r in rot[a1]]).tobytes()
-                      for bc in range(0, p3 * p, p * p) for a1 in range(p) for e in range(p)]
-            blocks += [array("i", [-1] * p).tobytes()] * ((p - 1) * p3)
-            keys = [[(b2 * p + c1 + c2) * p * p + a1 * p + (a1 * (b2 - s * c2) + s * c1 * b2) % p
-                     if c1 + c2 < p else -1 for b2 in range(p) for c2 in range(p)]
-                    for c1 in range(p) for a1 in range(p)]
             table = array("i")
-            for b1 in range(p):
-                shifted = blocks[b1 * p3:]
-                for row in keys:
-                    table.frombytes(b"".join(map(shifted.__getitem__, row)))
+            for row in bilinear_rows(self.p, 1, -self.s, self.s):
+                table.frombytes(row)
             self._products = table
         return self._products
 

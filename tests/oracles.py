@@ -11,7 +11,9 @@ routes to the same value.
 that ``check_convolution_inverse`` replaced, and ``product_table_reference``
 the ``mono_mul_exp`` fill that ``BookAlgebra.product_table`` replaced, and
 ``characters_reference`` the p-tuple compare that ``enumerate_characters``
-replaced.
+replaced, and ``associativity_by_generators`` the generator route that the
+cocycle premise ``_Proofs.associative`` replaced.  ``bilinear_table_reference``
+fills the table of ``hopf.bilinear_rows`` one entry at a time.
 ``doctor_product`` breaks one entry of the product table, and
 ``doctor_delta`` and ``negate_unit_row`` one row of the structure table, so
 that the tests can show the fast checks notice.
@@ -21,6 +23,7 @@ from array import array
 from operator import itemgetter
 
 from bookhopf import Character, ConsistencyError, Cyclotomic, Element, Monomial, Tensor2, cyc_one, cyc_zero, root_power
+from bookhopf.axioms import _Rows
 from bookhopf.hopf import StructureTable
 from bookhopf.pbw import basis_monomials, mono_mul_exp
 
@@ -211,6 +214,37 @@ def product_table_reference(p, s):
                 base = (m.b * p + m.c) * p * p + e
                 table.extend([base + k for k in rot[m.a]])
     return table
+
+
+def bilinear_table_reference(p, alpha, beta, gamma):
+    """The table of q^(alpha a1 b2 + beta a1 c2 + gamma c1 b2), one entry per basis pair, laid out as the product table."""
+    basis = basis_monomials(p)
+    index = {m: i for i, m in enumerate(basis)}
+    table = array("i")
+    for m1 in basis:
+        for m2 in basis:
+            b, c = m1.b + m2.b, m1.c + m2.c
+            if b >= p or c >= p:
+                table.append(-1)
+            else:
+                e = (alpha * m1.a * m2.b + beta * m1.a * m2.c + gamma * m1.c * m2.b) % p
+                table.append(index[Monomial(b, c, (m1.a + m2.a) % p)] * p + e)
+    return table
+
+
+def associativity_by_generators(A):
+    """Whether every basis triple is associative, by induction on the generators over the live product table.
+
+    The route ``check_associativity`` took before its cocycle lemma: it holds
+    iff ``A.generation()`` does (premises U and F) and premise R, (t m2) m3 =
+    t (m2 m3) for every generator t and all m2 and m3, the exhaustive sweep's
+    row compare on the three m1 in {g, x, y}.  With U and F, the step
+    ((t basis[j]) m2) m3 = (t (basis[j] m2)) m3 = t ((basis[j] m2) m3) =
+    t (basis[j] (m2 m3)) = (t basis[j]) (m2 m3) by R and the law at basis[j]
+    carries the law from 1 to every basis monomial.
+    """
+    rows = _Rows(A)
+    return A.generation() is not None and not any(next(rows.differing(t), None) for t in A.generators)
 
 
 def doctor_product(A, m1, m2, how):

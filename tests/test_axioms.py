@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import itertools
 import json
 import random
 from array import array
@@ -37,8 +38,11 @@ from bookhopf import axioms
 from bookhopf.axioms import MAX_VIOLATIONS_RENDERED, _Lanes, _Proofs, _Rows
 from bookhopf.hopf import StructureTable
 from bookhopf.pbw import ONE, accumulate
+from bookhopf.hopf import bilinear_rows
 from oracles import (
+    associativity_by_generators,
     associativity_violations,
+    bilinear_table_reference,
     delta_digit_rows,
     doctor_delta,
     doctor_product,
@@ -284,7 +288,36 @@ def test_associativity_renders_nothing_past_the_cap(monkeypatch):
     assert calls == {"Element.render": 2 * MAX_VIOLATIONS_RENDERED, "Monomial.render": 5 * MAX_VIOLATIONS_RENDERED}
 
 
-# -- associativity proved on the generators (premises U, F and R) ------------------
+@pytest.mark.parametrize("p", [3, 7])
+def test_associativity_stops_at_the_cap(monkeypatch, p):
+    """On m1 m2 = basis[i1 - i2] every triple with i3 != 0 fails.  The exhaustive sweep at p = 3 walks no m1 after
+    the 15th, whose rows record the 10 000th violation, and the 10^6 draws at p = 7 stop after the draw that
+    records it; the report is that of the whole route, which fails with its planned ``checked``."""
+    A = BookAlgebra(p, 1)
+    n = p ** 3
+    A._products = array("i", [(i1 - i2) % n * p for i1 in range(n) for i2 in range(n)])
+    calls = collections.Counter()
+
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            calls["getrandbits"] += 1
+            return super().getrandbits(k)
+
+    replay, failing = Counting(3), 0  # randrange(n^3) draws by rejection on getrandbits, as the check does
+    while failing < MAX_VIOLATIONS_RENDERED:
+        failing += replay.randrange(n ** 3) % n != 0
+    draws = calls.pop("getrandbits")
+    monkeypatch.setattr(axioms.random, "Random", Counting)
+    rows = counted_calls(monkeypatch, (_Rows, "differing"))
+    result = check_associativity(A, seed=3).result("associativity")
+    assert len(result.violations) == MAX_VIOLATIONS_RENDERED and result.status == "fail"
+    if p == 3:
+        assert result.checked == n ** 3 and rows == {"_Rows.differing": 15} and not calls
+    else:
+        assert result.checked == 1_000_000 and not rows and calls == {"getrandbits": draws}
+
+
+# -- associativity proved by the cocycle lemma, against the generator route of the oracles ----------
 
 
 def associativity_outcome(A, **kwargs):
@@ -294,8 +327,21 @@ def associativity_outcome(A, **kwargs):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_associativity_proof_holds_on_the_live_tables(p):
+    """The cocycle premise and the generator route both prove the live table, permissive s = 0 included."""
     for s in sorted({0, 1, p - 1}):
-        assert _Rows(BookAlgebra(p, s, permissive=True)).proved()
+        A = BookAlgebra(p, s, permissive=True)
+        assert _Proofs(A).associative and associativity_by_generators(A)
+
+
+def test_every_bilinear_table_is_associative_and_proved():
+    """The cocycle lemma at p = 3: for every (alpha, beta, gamma) the brute-force sweep over all 27^3 triples
+    finds the table of ``bilinear_rows`` associative, and the premise proves it."""
+    p, n = 3, 27
+    A = BookAlgebra(p, 1)
+    for alpha, beta, gamma in itertools.product(range(p), repeat=3):
+        A._products = array("i", b"".join(bilinear_rows(p, alpha, beta, gamma)))
+        assert not associativity_violations(A, all_triples(n)), (alpha, beta, gamma)
+        assert _Proofs(A).associative, (alpha, beta, gamma)
 
 
 def doctored_tables(p, count, seed):
@@ -326,15 +372,21 @@ def doctored_tables(p, count, seed):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_associativity_proof_passes_no_doctored_table_with_a_violation(p):
+    """On every doctored copy the cocycle premise agrees with the generator route, and a proved table is associative."""
     A = BookAlgebra(p, 2)
+    proved = 0
     for table in doctored_tables(p, 180, seed=p):
         A._products = table
-        if _Rows(A).proved():
+        verdict = _Proofs(A).associative
+        assert verdict == associativity_by_generators(A)
+        if verdict:
+            proved += 1
             assert not associativity_violations(A, all_triples(p ** 3))
+    assert proved < 180
 
 
 def premise_breaking_table(p, premise):
-    """A non-associative product table on which every premise of the proof holds but ``premise``.
+    """A non-associative product table on which every premise of the generator route holds but ``premise``.
 
     - "U": basis[i] basis[j] = basis[i + j + 1], or 0 past the last index,
       except 1 basis[n - 3] = q basis[n - 2], which the generators kill.
@@ -371,10 +423,11 @@ def premise_breaking_table(p, premise):
 
 @pytest.mark.parametrize("premise", ["U", "F", "R on g", "R on x", "R on y"])
 def test_associativity_proof_rejects_a_table_that_breaks_one_premise(premise):
+    """Each table breaks one premise of the generator route; both it and the cocycle premise refuse it."""
     A = BookAlgebra(3, 2)
     A._products = premise_breaking_table(3, premise)
     expected = associativity_violations(A, all_triples(27))
-    assert expected and not _Rows(A).proved()
+    assert expected and not associativity_by_generators(A) and not _Proofs(A).associative
     assert found(check_associativity(A).result("associativity")) == expected
 
 
@@ -387,7 +440,7 @@ def test_associativity_proof_changes_no_result(monkeypatch, p, kwargs, mode, how
         doctor_product(A, Monomial(0, 0, 1), Monomial(1, 0, 0), how)  # g x = q x g
     outcome = associativity_outcome(A, **kwargs)
     assert outcome[2] == mode and bool(outcome[0]) == bool(how)
-    monkeypatch.setattr(_Rows, "proved", lambda self: False)
+    monkeypatch.setattr(_Proofs, "associative", False)
     assert associativity_outcome(A, **kwargs) == outcome
 
 
@@ -399,13 +452,20 @@ def test_a_proved_default_run_makes_no_draw(monkeypatch):
     assert associativity_outcome(BookAlgebra(7, 3)) == ([], 1_000_000, "sampled(n=1000000)", "pass")
 
 
-def test_a_run_of_fewer_than_a_fifth_of_n_squared_draws_tries_no_proof(monkeypatch):
+@pytest.mark.parametrize("p,kwargs,mode,checked", [
+    pytest.param(3, {}, "exhaustive", 3 ** 9, id="p3-exhaustive"),
+    pytest.param(7, {"sample_size": 1}, "sampled(n=1)", 1, id="p7-one-draw"),
+    pytest.param(7, {"sample_size": (7 ** 6 - 1) // 5}, "sampled(n=23529)", 23529, id="p7-below-a-fifth-of-n-squared"),
+    pytest.param(7, {}, "sampled(n=1000000)", 1_000_000, id="p7-default"),
+    pytest.param(7, {"exhaustive": True}, "exhaustive", 7 ** 9, id="p7-exhaustive"),
+])
+def test_a_proved_run_of_any_size_builds_no_rows(monkeypatch, p, kwargs, mode, checked):
+    """The proof is tried on every run, whatever its size, and only a sweep builds _Rows."""
     def no_rows(*args):
-        raise AssertionError("below n^2 / 5 draws the proof costs more than the draws")
+        raise AssertionError("a proved run builds no rows")
 
     monkeypatch.setattr(axioms, "_Rows", no_rows)
-    draws = (7 ** 6 - 1) // 5
-    assert associativity_outcome(BookAlgebra(7, 3), sample_size=draws) == ([], draws, f"sampled(n={draws})", "pass")
+    assert associativity_outcome(BookAlgebra(p, 2), **kwargs) == ([], checked, mode, "pass")
 
 
 def test_a_proved_default_run_at_p11_makes_no_draw(monkeypatch):
@@ -747,7 +807,7 @@ def bialgebra_route(A, **options):
 def swept(A, **options):
     """The bialgebra outcome with the proof refused at its first premise: the sweep alone."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_Rows, "proved", lambda self: False)
+        patch.setattr(_Proofs, "associative", False)
         return bialgebra_outcome(A, **options)
 
 
@@ -1172,7 +1232,7 @@ def test_a_doctored_s_row_off_the_generators_fails_anti_multiplicativity():
 
 @pytest.mark.parametrize("p,s", [(7, 3), (5, 0), (7, 0)])
 def test_run_all_computes_each_verdict_once(monkeypatch, p, s):
-    """One _Proofs serves the six checks: _Rows is built once, for *associative*; a healthy H(7, 3) runs the
+    """One _Proofs serves the six checks and no _Rows is built, as *associative* is proved; a healthy H(7, 3) runs the
     3 p^2 = 147 generator lane groups of *multiplicative* and no sweep, and the s = 0 control sweeps once, one
     run per g-orbit of m1 and x^b2 y^c2, reading back those of the failed premise: all p^4 at p = 5, whose 3 750
     violations stay below the cap, and at p = 7 the p^2 groups of only the first 12 g-orbits of m1, as the 12th
@@ -1180,7 +1240,7 @@ def test_run_all_computes_each_verdict_once(monkeypatch, p, s):
     calls = counted_calls(monkeypatch, (_Rows, "__init__"), (_Lanes, "run"), (_Lanes, "orbit"), (_Proofs, "__init__"))
     report = run_all(BookAlgebra(p, s, permissive=s == 0))
     assert report.passed if s else negative_control_matches(report, p)
-    assert calls["_Rows.__init__"] == 1 and calls["_Proofs.__init__"] == 1
+    assert calls["_Rows.__init__"] == 0 and calls["_Proofs.__init__"] == 1
     if s:
         assert calls["_Lanes.run"] == 147 and not calls["_Lanes.orbit"]
     else:

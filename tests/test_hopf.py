@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from array import array
 
 import pytest
 
@@ -17,8 +18,9 @@ from bookhopf import (
     mono_mul_exp,
     root_power,
 )
+from bookhopf.hopf import bilinear_rows
 from bookhopf.pbw import accumulate
-from oracles import GeneratorPowers, gaussian_binomial, product_table_reference
+from oracles import GeneratorPowers, bilinear_table_reference, gaussian_binomial, product_table_reference
 
 
 def test_is_odd_prime():
@@ -344,6 +346,27 @@ def test_product_table_equals_the_per_product_reference(p, s):
     reference = product_table_reference(p, s)
     assert table.typecode == reference.typecode == "i"
     assert table == reference
+
+
+def bilinear_exponents(p, count, seed):
+    rng = random.Random(seed)
+    return [tuple(rng.randrange(p) for _ in range(3)) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "p,exponents",
+    [(3, list(itertools.product(range(3), repeat=3))), (5, bilinear_exponents(5, 6, 5)), (7, bilinear_exponents(7, 2, 7))],
+)
+def test_bilinear_rows_equal_the_entrywise_formula(p, exponents):
+    """The block builder of product_table, at every (alpha, beta, gamma) at p = 3 and a seeded few at p = 5 and 7,
+    equals the table filled one entry at a time; an exponent taken mod p or not gives the same table."""
+    n = p ** 3
+    for alpha, beta, gamma in exponents:
+        rows = list(bilinear_rows(p, alpha, beta, gamma))
+        assert len(rows) == n
+        table = array("i", b"".join(rows))
+        assert table == bilinear_table_reference(p, alpha, beta, gamma), (alpha, beta, gamma)
+        assert b"".join(bilinear_rows(p, alpha - p, beta + p, gamma - 2 * p)) == table.tobytes()
 
 
 # -- rendering a packed sum straight from the structure table -------------------------
