@@ -218,6 +218,16 @@ def _plan(domain, sample_size, exhaustive, limit):
     return f"sampled(n={sample_size})", sample_size
 
 
+def _draws(n, seed, count):
+    """``count`` draws in [0, n) from ``Random(seed)``, each by rejection on ``getrandbits`` as
+    ``Random.randrange(n)`` makes it: the draws of ``randrange(n)``, in about half the time."""
+    k, getrandbits = n.bit_length(), random.Random(seed).getrandbits
+    for _ in range(count):
+        while (code := getrandbits(k)) >= n:
+            pass
+        yield code
+
+
 def _shifts(p, n):
     """shift[e] maps each code to the code of q^e times it and ends in -1, so that index -1 (a zero product) stays -1."""
     return [tuple(c - c % p + (c + e) % p for c in range(n * p)) + (-1,) for e in range(p)]
@@ -231,10 +241,10 @@ def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPL
     The exhaustive sweep compares the rows of ``_Rows.differing`` for every
     m1 and walks a differing row in m3 order to record violations.  A
     sampled run makes one uniform draw i1 n^2 + i2 n + i3 in [0, n^3) per
-    triple, by rejection on ``getrandbits`` as ``Random.randrange(n ** 3)``
-    does.  Once MAX_VIOLATIONS_RENDERED violations are recorded, either
-    stops before its next m1 or draw: past the cap nothing can change the
-    report, which fails with ``checked`` as planned.
+    triple from ``_draws``, as ``Random.randrange(n ** 3)`` does.  Once
+    MAX_VIOLATIONS_RENDERED violations are recorded, either stops before
+    its next m1 or draw: past the cap nothing can change the report, which
+    fails with ``checked`` as planned.
 
     *Proof by the cocycle lemma*, ``_Proofs.associative``, tried on every
     run.  Write m_u = x^b y^c g^a for u = (b, c, a), with 0 <= b, c < p and
@@ -294,12 +304,8 @@ def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPL
                             hit(i1, i2, i3, lhs[i3], rhs[i3])
             return
         table, shift = A.product_table(), _shifts(p, n)
-        n2, n3 = n * n, n ** 3
-        k = n3.bit_length()
-        getrandbits = random.Random(seed).getrandbits
-        for _ in range(draws):
-            while (code := getrandbits(k)) >= n3:
-                pass
+        n2 = n * n
+        for code in _draws(n ** 3, seed, draws):
             c = table[code // n]  # m1 m2
             left = -1 if c < 0 else shift[c % p][table[c // p * n + code % n]]
             c = table[code % n2]  # m2 m3
@@ -490,7 +496,7 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
 
     Both modes sweep the groups (m1, x^b2 y^c2) in basis order, each with a
     mask of the lanes a2 it reads: all of them when exhaustive.  A sampled
-    run first replays its draws, i1 then i2 from ``Random(seed)``, into bit
+    run first replays its draws, i1 then i2 from ``_draws``, into bit
     i2 % p of group (i1, i2 // p); a group runs at the first m1 of its orbit
     that drew a lane there, so it never runs more groups than the exhaustive
     sweep, lists violations in basis order and a pair drawn twice once, and
@@ -530,9 +536,8 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
             masks = [(1 << p) - 1] * (n * groups)
         else:
             masks = [0] * (n * groups)  # i1 p^2 + i2 // p -> the lanes i2 % p drawn
-            rng = random.Random(seed)
-            for _ in range(draws):
-                i1, i2 = rng.randrange(n), rng.randrange(n)
+            drawn = _draws(n, seed, 2 * draws)
+            for i1, i2 in zip(drawn, drawn):
                 masks[i1 * groups + i2 // p] |= 1 << i2 % p
 
         def at(kind, i1, i2):

@@ -56,6 +56,15 @@ Comparing packed sums is exact:
   more row or unit, at most R.  ``width`` is derived from R^2 + R and
   asserted before use.
 
+The fill works a block at a time.  The p rows x^b y^c g^a, a = 0..p-1,
+have the same terms (k, l) with the same coefficient
+[b k]_q [c l]_(q^-s^2) q^(-s k (c-l)), which does not depend on a; only
+their indices move with a.  So each coefficient is lifted, weighed,
+packed and rotated once per block, not once per row, and the rows of a
+block have one digit sum: R, the largest over rows, is the largest block
+sum.  ``StructureTable`` takes the blocks and alone lifts, sizes and
+rotates; a block may hold one row, so it takes arbitrary rows too.
+
 The views ``coproduct_monomial``, ``antipode_monomial`` and
 ``s_squared_monomial`` decode a row and are memoized per instance.  Both
 tables are built on first use; fills are idempotent, so racing first
@@ -69,7 +78,7 @@ from array import array
 from functools import cached_property
 from itertools import chain, product
 from math import comb
-from operator import add
+from operator import add, lshift
 
 from .cyclotomic import _build, _normalize, cyc_zero, is_odd_prime, root_power
 from .pbw import Element, Monomial, Tensor2, Tensor3, accumulate, basis_monomials, join_terms, join_texts, term_text
@@ -84,7 +93,7 @@ def _rotated(digits, e):
 
 
 def _pack(digits, w):
-    return sum(d << i * w for i, d in enumerate(digits))
+    return sum(map(lshift, digits, range(0, len(digits) * w, w)))
 
 
 def _digits(v, p, w):
@@ -95,8 +104,7 @@ def _digits(v, p, w):
 
 def lift(digits):
     """The min-digit lift of the Z[zeta_p] value with these p digits (see the module docstring)."""
-    low = min(digits)
-    return tuple(d - low for d in digits)
+    return tuple(map(min(digits).__rsub__, digits))
 
 
 def _q_binomial_rows(p, base_exp):
@@ -150,14 +158,17 @@ class StructureTable:
     code).  ``root`` is R and ``bound`` is R^2.
     """
 
-    def __init__(self, p, delta, antipode):
-        """``delta[i]`` lists (u, v, digits), any p digits of the coefficient in Z[C_p]."""
+    def __init__(self, p, blocks, antipode):
+        """``blocks`` lists (coefficients, rows), the rows in basis order: row (us, vs) of a block is the Delta row
+        of the terms us[k] (x) vs[k] times coefficients[k], any p digits in Z[C_p].
+
+        Each coefficient is lifted, packed and rotated once (a value met before is read back), and R is the
+        largest digit sum of a block, which every row of the block has.  A block of one row takes any row."""
         self.p = p
         self._decoded = {}  # (packed value, e mod p) -> decode(value, e)
         self._texts = [{} for _ in range(p)]  # [e][packed value] -> its term_text before a key, on first render
-        lifts = {d: lift(d) for d in {d for row in delta for _, _, d in row}}
-        weight = {d: sum(lifted) for d, lifted in lifts.items()}
-        self.root = max(sum(weight[d] for _, _, d in row) for row in delta)
+        lifts = {d: lift(d) for d in dict.fromkeys(chain.from_iterable(coefficients for coefficients, _ in blocks))}
+        self.root = max(sum(map(sum, map(lifts.__getitem__, coefficients))) for coefficients, _ in blocks)
         self.bound = self.root ** 2
         width = self.width = (self.bound + self.root).bit_length() + 1
         assert self.bound + self.root < 1 << (width - 1), "digits must stay below 2^(width-1)"
@@ -165,12 +176,16 @@ class StructureTable:
         self.rep = sum(1 << i * width for i in range(p))
         self.fold_mask = self.rep * self.digit_mask
         self.bias = self.rep << (width - 1)
-        top = p * width
-        rotations = {
-            d: tuple(v << e * width & (1 << top) - 1 | v >> top - e * width for e in range(p))
-            for d, v in ((d, self.pack(lifted)) for d, lifted in lifts.items())
-        }
-        self.delta = [[(u, v, rotations[d]) for u, v, d in row] for row in delta]
+        made, shifts, mask = {}, range(p * width, 0, -width), self.fold_mask  # made: lift -> its p rotations
+        for d, lifted in lifts.items():
+            if (rotations := made.get(lifted)) is None:  # rotation e is the value twice over, shifted p - e digits
+                v = self.pack(lifted)
+                rotations = made[lifted] = tuple(map(mask.__and__, map((v << p * width | v).__rshift__, shifts)))
+            lifts[d] = rotations
+        self.delta = delta = []
+        for coefficients, rows in blocks:
+            rotations = list(map(lifts.__getitem__, coefficients))
+            delta += [list(zip(us, vs, rotations)) for us, vs in rows]
         self.antipode = antipode
         self.s_squared = [(antipode[t][0], (code + antipode[t][1]) % p + p * ((code >= p) != (antipode[t][1] >= p)))
                           for t, code in antipode]
@@ -336,23 +351,37 @@ class BookAlgebra:
         """Delta, S and S^2 of every basis monomial as a StructureTable, filled on first use.
 
         The closed forms run in Z[C_p], packed ``w`` bits per digit: a digit of
-        [b k] [c l] is at most C(b, k) C(c, l), its digit sum, folded or not.
-        The p rows x^b y^c g^a share the product, which does not depend on a.
+        [b k] [c l] is at most C(b, k) C(c, l), its digit sum, folded or not,
+        and a product met before is unpacked once.  The p rows x^b y^c g^a
+        are one block: they share its coefficients, so the table lifts and
+        rotates each once and takes R per block (see the module docstring).
+        Row a holds the terms x^k y^l (x) x^(b-k) y^(c-l) g^(k+s l) with g^a
+        more on both legs, the right leg's g-exponent mod p read off
+        ``turn[a]``.
         """
         if self._table is None:
             p, s = self.p, self.s
             w = (comb(p - 1, (p - 1) // 2) ** 2).bit_length()
             xs, ys = ([[_pack(ds, w) for ds in row] for row in _q_binomial_rows(p, e)] for e in (1, -s * s))
-            delta = []
+            turn = [[(a + e) % p for e in range(p)] for a in range(p)]  # turn[a][e] = (a + e) mod p
+            blocks, digits = [], {}  # digits: packed [b k] [c l] -> its digits, folded
             for b, c in product(range(p), repeat=2):
-                terms = [(k, l, _rotated(_digits(bx * by, p, w), -s * k * (c - l)))
-                         for k, bx in enumerate(xs[b]) for l, by in enumerate(ys[c])]
-                delta += ([((k * p + l) * p + a, ((b - k) * p + c - l) * p + (a + k + s * l) % p, d)
-                           for k, l, d in terms] for a in range(p))
+                terms = [(k, l) for k in range(b + 1) for l in range(c + 1)]
+                coefficients = []
+                for k, l in terms:  # [b k] [c l] times q^(-e): digit i moves to i - e
+                    v = xs[b][k] * ys[c][l]
+                    d = digits.get(v) or digits.setdefault(v, _digits(v, p, w))
+                    e = s * k * (c - l) % p
+                    coefficients.append(d[e:] + d[:e])
+                us = [(k * p + l) * p for k, l in terms]
+                vs = [((b - k) * p + c - l) * p for k, l in terms]
+                shifts = [(k + s * l) % p for k, l in terms]
+                rows = [(list(map(a.__add__, us)), list(map(add, vs, map(turn[a].__getitem__, shifts)))) for a in range(p)]
+                blocks.append((coefficients, rows))
             antipode = [((b * p + c) * p + (-a - b - s * c) % p,
                          (s * s * c * (c - 1) // 2 - b * (b - 1) // 2 - a * b + s * a * c) % p + p * ((b + c) % 2))
                         for b, c, a in self.basis()]
-            self._table = StructureTable(p, delta, antipode)
+            self._table = StructureTable(p, blocks, antipode)
         return self._table
 
     def monomial_element(self, mono, coeff=1):

@@ -13,18 +13,22 @@ the ``mono_mul_exp`` fill that ``BookAlgebra.product_table`` replaced, and
 ``characters_reference`` the p-tuple compare that ``enumerate_characters``
 replaced, and ``associativity_by_generators`` the generator route that the
 cocycle premise ``_Proofs.associative`` replaced.  ``bilinear_table_reference``
-fills the table of ``hopf.bilinear_rows`` one entry at a time.
+fills the table of ``hopf.bilinear_rows`` one entry at a time, and ``structure_table_reference`` is the
+row-at-a-time fill that the block fill of ``BookAlgebra.structure_table`` replaced.
 ``doctor_product`` breaks one entry of the product table, and
 ``doctor_delta`` and ``negate_unit_row`` one row of the structure table, so
 that the tests can show the fast checks notice.
 """
 
 from array import array
+from itertools import product
+from math import comb
 from operator import itemgetter
+from types import SimpleNamespace
 
 from bookhopf import Character, ConsistencyError, Cyclotomic, Element, Monomial, Tensor2, cyc_one, cyc_zero, root_power
 from bookhopf.axioms import _Rows
-from bookhopf.hopf import StructureTable
+from bookhopf.hopf import StructureTable, _digits, _pack, _q_binomial_rows, _rotated, lift
 from bookhopf.pbw import basis_monomials, mono_mul_exp
 
 _ORDER = {"x": 0, "y": 1, "g": 2}
@@ -274,9 +278,42 @@ def delta_digit_rows(A):
 
 
 def install_delta_rows(A, rows):
-    """Rebuild A's structure table from Delta rows (so that its width follows them), keeping S."""
-    A._table = StructureTable(A.p, rows, A.structure_table().antipode)
+    """Rebuild A's structure table from Delta rows (u, v, digits), one block each, so that its width follows them;
+    S is kept."""
+    blocks = [([d for _, _, d in row], [([u for u, _, _ in row], [v for _, v, _ in row])]) for row in rows]
+    A._table = StructureTable(A.p, blocks, A.structure_table().antipode)
     A._delta_mono.clear()
+
+
+def structure_table_reference(p, s):
+    """The structure table of H(p, s) filled a row at a time, as ``BookAlgebra.structure_table`` was before its
+    block fill: the digit tuples of every row, then their lifts, R as the largest row sum, the width and the
+    rotations, each packed from a rotated lift.
+
+    Returns a namespace with ``delta`` (rows of (u, v, rotations)), ``antipode``, ``s_squared``, ``root``,
+    ``bound`` and ``width``, laid out as ``StructureTable``'s.
+    """
+    w = (comb(p - 1, (p - 1) // 2) ** 2).bit_length()
+    xs, ys = ([[_pack(ds, w) for ds in row] for row in _q_binomial_rows(p, e)] for e in (1, -s * s))
+    delta = []
+    for b, c in product(range(p), repeat=2):
+        terms = [(k, l, _rotated(_digits(bx * by, p, w), -s * k * (c - l)))
+                 for k, bx in enumerate(xs[b]) for l, by in enumerate(ys[c])]
+        delta += ([((k * p + l) * p + a, ((b - k) * p + c - l) * p + (a + k + s * l) % p, d)
+                   for k, l, d in terms] for a in range(p))
+    antipode = [((b * p + c) * p + (-a - b - s * c) % p,
+                 (s * s * c * (c - 1) // 2 - b * (b - 1) // 2 - a * b + s * a * c) % p + p * ((b + c) % 2))
+                for b, c, a in ((m.b, m.c, m.a) for m in basis_monomials(p))]
+    lifts = {d: lift(d) for d in {d for row in delta for _, _, d in row}}
+    root = max(sum(sum(lifts[d]) for _, _, d in row) for row in delta)
+    width = (root ** 2 + root).bit_length() + 1
+    rotations = {d: tuple(_pack(_rotated(lifted, e), width) for e in range(p)) for d, lifted in lifts.items()}
+    s_squared = []
+    for t, code in antipode:  # S(S(m)) = +-q^code S(basis[t]) = +-q^code +-q^code2 basis[t2]
+        t2, code2 = antipode[t]
+        s_squared.append((t2, (code + code2) % p + p * ((code >= p) ^ (code2 >= p))))
+    return SimpleNamespace(delta=[[(u, v, rotations[d]) for u, v, d in row] for row in delta], antipode=antipode,
+                           s_squared=s_squared, root=root, bound=root ** 2, width=width)
 
 
 def doctor_delta(A, mono, terms):

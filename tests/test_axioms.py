@@ -528,6 +528,14 @@ def replayed_pairs(n, seed, draws):
     return [(rng.randrange(n), rng.randrange(n)) for _ in range(draws)]
 
 
+@pytest.mark.parametrize("p,seed", [(p, seed) for p in (7, 11) for seed in (0, 3, 1011)])
+def test_bialgebra_replay_draws_the_randrange_pairs(p, seed):
+    """The sampled bialgebra check draws by rejection on getrandbits, and its pairs are those of randrange."""
+    n, draws = p ** 3, 20_000
+    drawn = axioms._draws(n, seed, 2 * draws)
+    assert list(zip(drawn, drawn)) == replayed_pairs(n, seed, draws)
+
+
 @pytest.mark.parametrize(
     "p,s,draws", [(7, 3, 40), (7, 0, 40), (11, 3, 25), (11, 10, 25), (13, 5, 4)]
 )

@@ -20,7 +20,13 @@ from bookhopf import (
 )
 from bookhopf.hopf import bilinear_rows
 from bookhopf.pbw import accumulate
-from oracles import GeneratorPowers, bilinear_table_reference, gaussian_binomial, product_table_reference
+from oracles import (
+    GeneratorPowers,
+    bilinear_table_reference,
+    gaussian_binomial,
+    product_table_reference,
+    structure_table_reference,
+)
 
 
 def test_is_odd_prime():
@@ -346,6 +352,20 @@ def test_product_table_equals_the_per_product_reference(p, s):
     reference = product_table_reference(p, s)
     assert table.typecode == reference.typecode == "i"
     assert table == reference
+
+
+@pytest.mark.parametrize("p,s", [(p, s) for p in (3, 5, 7, 11) for s in sorted({0, 1, p - 1})])
+def test_structure_table_equals_the_row_at_a_time_reference(p, s):
+    """The block fill equals the row-at-a-time fill: every Delta row with all p rotations, S, S^2, R, R^2 and the
+    width, permissive s = 0 included."""
+    table = BookAlgebra(p, s, permissive=s == 0).structure_table()
+    reference = structure_table_reference(p, s)
+    assert (table.root, table.bound, table.width) == (reference.root, reference.bound, reference.width)
+    assert table.antipode == reference.antipode
+    assert table.s_squared == reference.s_squared
+    assert len(table.delta) == p ** 3
+    for i, (row, expected) in enumerate(zip(table.delta, reference.delta)):
+        assert [(u, v, tuple(r)) for u, v, r in row] == expected, i
 
 
 def bilinear_exponents(p, count, seed):

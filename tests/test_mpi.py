@@ -29,6 +29,7 @@ from bookhopf import (
     run_all,
     twist,
 )
+from bookhopf import mpi
 from oracles import (
     characters_reference,
     convolution_inverse_reference,
@@ -143,11 +144,13 @@ def test_enumerate_characters_catches_a_zero_or_misplaced_product(p, how, j):
 
 
 def character_outcome(characters_of, A):
-    """The js of the characters, or the text of the ConsistencyError."""
+    """The js of the characters, the text of the ConsistencyError, or IndexError for an entry read past the codes."""
     try:
         return [beta.j for beta in characters_of(A)]
     except ConsistencyError as error:
         return str(error)
+    except IndexError:
+        return IndexError
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -171,6 +174,31 @@ def test_enumerate_characters_equals_the_tuple_compare_on_doctored_group_parts(p
         assert outcomes[-1] == character_outcome(characters_reference, A)
     assert sum(isinstance(o, str) for o in outcomes) == 3 * p * p + 3
     assert {o[:6] for o in outcomes[1:]} == {"beta_0", "beta_1"}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_the_zero_row_test_agrees_with_the_tuple_compare(p):
+    """The rows of the m1 with b1 or c1 > 0 are decided by one test, and compared only where it fails: the same
+    outcome as the p-tuple compare for an entry set to q g^a2 at the first of these rows' entries (m1 = y, m2 = 1),
+    in the middle and at the last entry of the table, and for a middle entry set to the code of x (allowed) or to
+    a code outside [-1, n p), which the compare reads as an index: -2 and n p pass, n p + 1 and -n p - 2 raise."""
+    A = BookAlgebra(p, 1)
+    basis, table = A.basis(), A.product_table()
+    n = len(basis)
+    middle = n // 2 * n + n // 2
+    cases = [(p * n, None), (middle, None), (n * n - 1, None)]
+    cases += [(middle, code) for code in (p * p, -2, n * p, n * p + 1, -n * p - 2)]
+    outcomes = []
+    for at, code in cases:
+        healthy = table[at]
+        table[at] = at % p * p + 1 if code is None else code  # q g^a2 for m2 = basis[at % n], a2 = at % p
+        outcomes.append(character_outcome(enumerate_characters, A))
+        assert outcomes[-1] == character_outcome(characters_reference, A), (at, code)
+        table[at] = healthy
+    names = [f"m1={basis[at // n].render()}, m2={basis[at % n].render()}" for at, _ in cases[:3]]
+    assert names[0] == "m1=y, m2=1"
+    assert outcomes == [*(f"beta_0 not multiplicative at {name}" for name in names), *[list(range(p))] * 3,
+                        IndexError, IndexError]
 
 
 # -- convolution inverse ---------------------------------------------------------
@@ -514,6 +542,24 @@ def test_classify_flags_equal_standalone_implements_s_squared(p, s):
     pairs = classify(A).pairs
     assert [(r.i, r.j) for r in pairs] == list(itertools.product(range(p), repeat=2))
     assert [r.implements_s2 for r in pairs] == flags
+
+
+@pytest.mark.parametrize("p,s", [(5, 2), (7, 0), (7, 3)])
+def test_implements_reads_1_g_x_y_first_and_a_failing_pair_fails_on_x_or_y(p, s):
+    """The twist is compared on 1, g, x and y, then on the rest in basis order; a pair that does not implement S^2
+    stops at x or y, and the verdict is the closed form's."""
+    A = BookAlgebra(p, s, permissive=s == 0)
+    n, (g, x, y) = A.dimension, A.generators
+    for l in enumerate_group_likes(A):
+        for beta in enumerate_characters(A):
+            monomial, read = mpi._twist_monomial(A, mpi._conjugation(A, l), *mpi._character_vectors(A, beta)), []
+            implements = mpi._implements(A, lambda i: read.append(i) or monomial(i))
+            assert implements == closed_form_predicate(p, s, l.i, beta.j)[0]
+            assert read[:4] == [0, g, x, y][:len(read)]
+            if implements:
+                assert read[4:] == [i for i in range(n) if i not in (0, g, x, y)]
+            else:
+                assert read[-1] in (x, y) and len(read) <= 4
 
 
 XY = Monomial(1, 1, 0)
