@@ -3,10 +3,12 @@
 Each check returns an :class:`AxiomReport` whose results carry a pass/fail
 status, the violations (both sides rendered exactly, with the offending
 basis data) and wall-clock timing; ``run_all`` runs the six checks in a
-fixed order.  Checks over basis pairs or triples run exhaustively when the
-domain is small (up to 25 000 pairs or 2 000 000 triples, i.e. p <= 5) or
-the sample size covers it, and otherwise on seeded uniform draws, so a
-report is deterministic given (p, s, seed).
+fixed order.  Every check but associativity covers its whole domain, by
+a proof or a sweep, and reports exhaustive.  Associativity runs
+exhaustively over its basis triples when there are at most 2 000 000 of
+them (p <= 5) or the sample size covers them, and otherwise reports
+seeded uniform draws, so a report is deterministic given (p, s, seed);
+``seed``, ``sample_size`` and ``exhaustive`` reach it alone.
 
 *Proof by generators.*  Every check but the relations is first proved on
 the live tables: associativity by the cocycle lemma of
@@ -68,11 +70,9 @@ from .pbw import Element, basis_monomials
 __all__ = [
     "Violation", "AxiomResult", "AxiomReport", "check_associativity", "check_coassociativity",
     "check_counit_law", "check_bialgebra_compat", "check_antipode_law", "check_relations", "run_all",
-    "negative_control_matches", "PAIR_EXHAUSTIVE_LIMIT", "TRIPLE_EXHAUSTIVE_LIMIT", "DEFAULT_SAMPLE_SIZE",
-    "DEFAULT_SEED",
+    "negative_control_matches", "TRIPLE_EXHAUSTIVE_LIMIT", "DEFAULT_SAMPLE_SIZE", "DEFAULT_SEED",
 ]
 
-PAIR_EXHAUSTIVE_LIMIT = 25_000
 TRIPLE_EXHAUSTIVE_LIMIT = 2_000_000
 DEFAULT_SAMPLE_SIZE = 1_000_000
 DEFAULT_SEED = 0
@@ -429,9 +429,8 @@ def check_counit_law(algebra, *, _proofs=None, **_ignored):
     return _per_monomial(rec, A, _proofs or _Proofs(A), ("multiplicative",), law)
 
 
-def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=False,
-                           _proofs=None):
-    """Delta and eps are algebra maps: checked on basis pairs (m1, m2).
+def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
+    """Delta and eps are algebra maps: checked on every basis pair (m1, m2).
 
     Delta(m1 m2) = Delta(m1) Delta(m2) is checked on the structure table's
     packed coefficients, whose compare the ``hopf`` module docstring shows
@@ -488,98 +487,69 @@ def check_bialgebra_compat(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SA
                                = Delta(t) (Delta(basis[j]) Delta(m2))   the law at basis[j]
                                = Delta(t basis[j]) Delta(m2)            H (x) H associative, the law at t
 
-    and likewise for eps.  If every premise holds the run reports its mode
-    and ``checked``, draws nothing and calls no ``_Lanes.orbit``; it costs
-    3 p^2 group runs instead of up to p^4.  Otherwise the sweep below runs as if
-    no proof had been tried, as it does on a doctored table and at s = 0,
-    where the runs of y against x^b y^(p-1) fail.
+    and likewise for eps.  If every premise holds the run reports
+    exhaustive with n^2 pairs checked and calls no ``_Lanes.orbit``; it
+    costs 3 p^2 group runs instead of up to p^4.  Otherwise the sweep below
+    runs as if no proof had been tried, as it does on a doctored table and
+    at s = 0, where the runs of y against x^b y^(p-1) fail.  Either way the
+    result is that of the sweep; ``seed``, ``sample_size`` and
+    ``exhaustive`` reach associativity only, and this check ignores them.
 
-    Both modes sweep the groups (m1, x^b2 y^c2) in basis order, each with a
-    mask of the lanes a2 it reads: all of them when exhaustive.  A sampled
-    run first replays its draws, i1 then i2 from ``_draws``, into bit
-    i2 % p of group (i1, i2 // p); a group runs at the first m1 of its orbit
-    that drew a lane there, so it never runs more groups than the exhaustive
-    sweep, lists violations in basis order and a pair drawn twice once, and
-    ``checked`` counts its draws.  Up to MAX_VIOLATIONS_RENDERED failing
-    lanes are rendered by ``StructureTable.render``, with no Tensor2 built:
-    Delta(m1 m2) from its Delta row at q^e12, Delta(m1) Delta(m2) from the
-    first run of its (g-orbit, x^b2 y^c2), at basis[first], which the sweep
-    carries through the orbit, with its accumulator while a later m1 reads a
-    bad lane: so a group runs once per g-orbit also when rendering.  By the
-    lemma, at basis[i1] = basis[first] g^a1 Delta(m1) Delta(m2) is lane a2
-    of that run with both legs moved by g^(a2 + a1) (``_Lanes.lane``), at
-    q^(e12 + a1 wt(x^b2 y^c2)); a1 is i1 - first, not i1 mod p, as a
-    sampled run's first run can be at any m1 of the orbit.  Once
-    MAX_VIOLATIONS_RENDERED violations are rendered the sweep stops before
-    the next m1: past the cap nothing can change the report, which fails
-    with ``checked`` as planned.  So an exhaustive sweep runs all p^4 groups
-    only where fewer violations arise; at s = 0 it runs 588 of them at
-    p = 7 and 726 at p = 11.
+    The sweep takes the g-orbits of m1 in basis order.  At the first m1 of
+    an orbit, basis[first], it builds ``_Lanes.left`` once and runs the p^2
+    groups (basis[first], x^b2 y^c2), keeping the accumulator of a run with
+    a bad lane; it then renders the violations of every m1 of the orbit in
+    basis order, up to MAX_VIOLATIONS_RENDERED of them, with no Tensor2
+    built: Delta(m1 m2) from its Delta row at q^e12, and by the lemma, at
+    basis[i1] = basis[first] g^a1, Delta(m1) Delta(m2) as lane a2 of the
+    run with both legs moved by g^(a2 + a1) (``_Lanes.lane``), at
+    q^(e12 + a1 wt(x^b2 y^c2)).  Once MAX_VIOLATIONS_RENDERED violations
+    are rendered the sweep stops before the next m1: past the cap nothing
+    can change the report, which fails with n^2 checked.  So the sweep runs
+    all p^4 groups only where fewer violations arise; at s = 0 it runs 588
+    of them at p = 7 and 726 at p = 11.
     """
     A = algebra
     p = A.p
-    basis = A.basis()
-    n = len(basis)
+    n = len(A.basis())
     rec = _Recorder("bialgebra")
-    mode, draws = _plan(n * n, sample_size, exhaustive, PAIR_EXHAUSTIVE_LIMIT)
     proofs = _proofs or _Proofs(A)
 
     def sweep():
         table, lanes, eps, tried = A.product_table(), proofs.lanes, proofs.counit, proofs.tried
         structure, names = lanes.table, lanes.table.names
-        groups = p * p  # per m1, one group per x^b2 y^c2
-
-        def run(i1, bc2, left):
-            return tried.pop((i1, bc2), None) or lanes.run(i1, bc2, left)
-
-        if draws is None:
-            masks = [(1 << p) - 1] * (n * groups)
-        else:
-            masks = [0] * (n * groups)  # i1 p^2 + i2 // p -> the lanes i2 % p drawn
-            drawn = _draws(n, seed, 2 * draws)
-            for i1, i2 in zip(drawn, drawn):
-                masks[i1 * groups + i2 // p] |= 1 << i2 % p
 
         def at(kind, i1, i2):
             return f"{kind}: m1={names[i1]}, m2={names[i2]}"
 
         orbit = lanes.orbit()
-        for i1 in range(n):
+        for first in range(0, n, orbit):
             if rec.full:
                 break  # past the cap nothing can change the report: it fails, with its checked and violations
-            if i1 % orbit == 0:
-                carried = {}  # bc2 -> (i1, accumulator if the rest of the orbit reads a bad lane, bad lanes, e12)
-            row_masks = masks[i1 * groups:(i1 + 1) * groups]
-            if not any(row_masks):
-                continue
-            left = lanes.left(i1)
-            eps_lhs, eps_rhs = eps.lhs(i1), eps.rhs(i1)
-            eps_ok = eps_lhs == eps_rhs
-            for bc2, mask in enumerate(row_masks):
-                if not mask:
-                    continue
-                if bc2 in carried:
-                    first, acc, bad, e12 = carried[bc2]
-                else:
-                    first, (acc, bad, e12) = i1, run(i1, bc2, left)
-                    later = masks[(i1 + 1) * groups + bc2:(i1 - i1 % orbit + orbit) * groups:groups]
-                    carried[bc2] = i1, acc if any(m & bad for m in later) else None, bad, e12
-                if eps_ok and not bad or rec.full:
-                    continue
-                a1 = i1 - first  # basis[i1] = basis[first] g^a1
-                for i2 in range(bc2 * p, bc2 * p + p):
-                    if not mask >> i2 % p & 1:
+            left = lanes.left(first)
+            runs = []  # per x^b2 y^c2: (accumulator if a lane is bad, bad lanes, e12)
+            for bc2 in range(p * p):
+                acc, bad, e12 = tried.pop((first, bc2), None) or lanes.run(first, bc2, left)
+                runs.append((acc if bad else None, bad, e12))
+            for a1, i1 in enumerate(range(first, first + orbit)):  # basis[i1] = basis[first] g^a1
+                if rec.full:
+                    break
+                eps_lhs, eps_rhs = eps.lhs(i1), eps.rhs(i1)
+                eps_ok = eps_lhs == eps_rhs
+                for bc2, (acc, bad, e12) in enumerate(runs):
+                    if eps_ok and not bad or rec.full:
                         continue
-                    if bad >> i2 % p & 1 and not rec.full:
-                        t, e = divmod(table[i1 * n + i2], p)  # m1 m2 = q^e basis[t], or 0 for t = -1
-                        row = {u * n + v: r[0] for u, v, r in structure.delta[t]} if t >= 0 else None
-                        lhs = "0" if row is None else structure.render(row, e)
-                        rhs = structure.render(lanes.lane(acc, i2 % p, a1), e12 + a1 * lanes.wt[bc2 * p])
-                        rec.hit(at("Delta", i1, i2), lhs, rhs)
-                    if eps_lhs[i2] != eps_rhs[i2] and not rec.full:
-                        rec.hit(at("epsilon", i1, i2), eps_lhs[i2].render(), eps_rhs[i2].render())
+                    for i2 in range(bc2 * p, bc2 * p + p):
+                        if bad >> i2 % p & 1 and not rec.full:
+                            t, e = divmod(table[i1 * n + i2], p)  # m1 m2 = q^e basis[t], or 0 for t = -1
+                            row = {u * n + v: r[0] for u, v, r in structure.delta[t]} if t >= 0 else None
+                            lhs = "0" if row is None else structure.render(row, e)
+                            rhs = structure.render(lanes.lane(acc, i2 % p, a1), e12 + a1 * lanes.wt[bc2 * p])
+                            rec.hit(at("Delta", i1, i2), lhs, rhs)
+                        if eps_lhs[i2] != eps_rhs[i2] and not rec.full:
+                            rec.hit(at("epsilon", i1, i2), eps_lhs[i2].render(), eps_rhs[i2].render())
 
-    return _prove_or_sweep(rec, mode, n * n if draws is None else draws, lambda: proofs.multiplicative, sweep)
+    return _prove_or_sweep(rec, "exhaustive", n * n, lambda: proofs.multiplicative, sweep)
 
 
 class _ProductRows(dict):
@@ -948,9 +918,8 @@ def negative_control_matches(report, p):
     At s = 0 the only broken relation image is Delta(y)^p != 0; the bialgebra
     compatibility check necessarily fails with it, but only on pairs whose
     y-exponents overflow (c1 + c2 >= p) while the x-exponents do not.  All
-    other axioms must pass.  An exhaustive bialgebra run must report exactly
-    those pairs, in basis order, up to MAX_VIOLATIONS_RENDERED of them; in a
-    sampled run every reported pair must be one of them.
+    other axioms must pass, and the bialgebra check must report exactly
+    those pairs, in basis order, up to MAX_VIOLATIONS_RENDERED of them.
     """
     results = {r.axiom: r for r in report.results}
     healthy = ("associativity", "coassociativity", "counit", "antipode")
@@ -960,26 +929,12 @@ def negative_control_matches(report, p):
         return False
     if not all(results[a].passed for a in healthy):
         return False
-    bialgebra = results["bialgebra"]
     basis = basis_monomials(p)
     names = [m.render() for m in basis]
-
-    def overflows(m1, m2):
-        return m1.c + m2.c >= p and m1.b + m2.b < p
-
-    if bialgebra.mode == "exhaustive":
-        predicted = (
-            f"Delta: m1={names[i1]}, m2={names[i2]}"
-            for i1, m1 in enumerate(basis)
-            for i2, m2 in enumerate(basis)
-            if overflows(m1, m2)
-        )
-        return [v.at for v in bialgebra.violations] == list(islice(predicted, MAX_VIOLATIONS_RENDERED))
-    by_name = dict(zip(names, basis))
-    for v in bialgebra.violations:
-        kind, _, rest = v.at.partition(": m1=")
-        m1, _, m2 = rest.partition(", m2=")
-        m1, m2 = by_name.get(m1), by_name.get(m2)
-        if kind != "Delta" or m1 is None or m2 is None or not overflows(m1, m2):
-            return False
-    return True
+    predicted = (
+        f"Delta: m1={names[i1]}, m2={names[i2]}"
+        for i1, m1 in enumerate(basis)
+        for i2, m2 in enumerate(basis)
+        if m1.c + m2.c >= p and m1.b + m2.b < p
+    )
+    return [v.at for v in results["bialgebra"].violations] == list(islice(predicted, MAX_VIOLATIONS_RENDERED))

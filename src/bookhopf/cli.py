@@ -15,13 +15,14 @@ a default verify draws nothing: per s it takes about 0.2 s at p = 7,
 0.6 s at p = 11 and 1.2 s at p = 13, most of it in the premise that
 Delta and eps are multiplicative (1 s and 2.6 s while associativity was
 proved on the generators, 21 s at p = 11 and 2 minutes at p = 13 while
-the bialgebra check swept its draws).  Where a premise fails, as at
-s = 0, the bialgebra check runs one lane group of p pairs per g-orbit of
-m1 that its draws hit, and renders the violations of the whole orbit from
-that run, until it has rendered MAX_VIOLATIONS_RENDERED = 10 000 of them:
-past that nothing can change its report.  At s = 0 that is 726 of the
-14 641 groups of an exhaustive run at p = 11, and 968 with the default
-10^6 draws, which hit every group.
+the bialgebra check swept its draws).  ``--seed``, ``--sample-size`` and
+``--exhaustive`` reach associativity alone; the bialgebra law is proved
+or swept over every pair, and reported exhaustive either way.  Where its
+proof fails, as at s = 0, the bialgebra check runs the p^2 lane groups of
+one m1 per g-orbit, and renders the violations of the whole orbit from
+those runs, until it has rendered MAX_VIOLATIONS_RENDERED = 10 000 of
+them: past that nothing can change its report.  At s = 0 that is 726 of
+the 14 641 groups at p = 11.
 Exit codes: 0 = all checks pass / classification consistent, 1 = an axiom
 violation or a brute-force/closed-form disagreement, 2 = usage error.  The
 text and JSON renderings of a run carry the same data: each subcommand
@@ -60,13 +61,13 @@ def _build_parser():
             )
         if with_sampling:
             # unset (None), --seed and --sample-size take run_all's defaults, DEFAULT_SEED and DEFAULT_SAMPLE_SIZE
-            sp.add_argument("--seed", type=int, help="sampling seed")
+            sp.add_argument("--seed", type=int, help="seed of the associativity draws")
             sp.add_argument(
                 "--sample-size", type=int,
-                help="draws per sampled check, at least 1 (domains at most this size run exhaustively)",
+                help="associativity draws, at least 1 (at most this many triples run exhaustively)",
             )
             sp.add_argument(
-                "--exhaustive", action="store_true", help="force exhaustive checks regardless of domain size"
+                "--exhaustive", action="store_true", help="force an exhaustive associativity check"
             )
         sp.add_argument("--format", choices=("text", "json"), default="text", help="output format")
 

@@ -149,7 +149,7 @@ def test_exhaustive_override_flag():
     assert report.result("counit").mode == "exhaustive"
 
 
-@pytest.mark.parametrize("check", [check_associativity, check_bialgebra_compat])
+@pytest.mark.parametrize("check", [check_associativity])
 @pytest.mark.parametrize("sample_size", [0, -5])
 def test_sample_size_below_one_is_rejected(check, sample_size):
     with pytest.raises(ValueError, match="sample size"):
@@ -469,16 +469,16 @@ def test_a_proved_run_of_any_size_builds_no_rows(monkeypatch, p, kwargs, mode, c
 
 
 def test_a_proved_default_run_at_p11_makes_no_draw(monkeypatch):
-    """The default 10^6 draws are over n^2 / 5 at p = 11: associativity and the bialgebra law are both proved."""
+    """At p = 11 associativity is proved with its default 10^6 draws as the label, and the bialgebra law is
+    proved as exhaustive over all n^2 pairs."""
     def no_draws(*args):
         raise AssertionError("a proved run draws nothing")
 
     monkeypatch.setattr(axioms.random, "Random", no_draws)
     report = run_all(BookAlgebra(11, 3))
     assert report.passed
-    for axiom in ("associativity", "bialgebra"):
-        result = report.result(axiom)
-        assert (result.mode, result.checked) == ("sampled(n=1000000)", 1_000_000)
+    labels = {a: (report.result(a).mode, report.result(a).checked) for a in ("associativity", "bialgebra")}
+    assert labels == {"associativity": ("sampled(n=1000000)", 1_000_000), "bialgebra": ("exhaustive", 1_771_561)}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -523,14 +523,14 @@ def found(result):
 
 
 def replayed_pairs(n, seed, draws):
-    """The pairs (i1, i2) a sampled bialgebra check draws, in draw order."""
+    """``draws`` seeded uniform pairs (i1, i2) in [0, n)^2, in draw order."""
     rng = random.Random(seed)
     return [(rng.randrange(n), rng.randrange(n)) for _ in range(draws)]
 
 
 @pytest.mark.parametrize("p,seed", [(p, seed) for p in (7, 11) for seed in (0, 3, 1011)])
 def test_bialgebra_replay_draws_the_randrange_pairs(p, seed):
-    """The sampled bialgebra check draws by rejection on getrandbits, and its pairs are those of randrange."""
+    """``_draws`` at n = p^3, by rejection on getrandbits, makes the pairs of randrange, as at n^3 for associativity."""
     n, draws = p ** 3, 20_000
     drawn = axioms._draws(n, seed, 2 * draws)
     assert list(zip(drawn, drawn)) == replayed_pairs(n, seed, draws)
@@ -540,14 +540,25 @@ def test_bialgebra_replay_draws_the_randrange_pairs(p, seed):
     "p,s,draws", [(7, 3, 40), (7, 0, 40), (11, 3, 25), (11, 10, 25), (13, 5, 4)]
 )
 def test_bialgebra_check_matches_tensor_arithmetic(p, s, draws):
+    """On ``draws`` seeded pairs the report says what Tensor2 arithmetic does; a capped report is compared on the
+    pairs up to its last rendered violation, as the sweep renders in basis order and stops at the cap."""
     A = BookAlgebra(p, s, permissive=s == 0)
-    seed = 1000 * p + s
-    result = check_bialgebra_compat(A, seed=seed, sample_size=draws).result("bialgebra")
-    assert result.mode == f"sampled(n={draws})"
     basis = A.basis()
-    pairs = [(basis[i1], basis[i2]) for i1, i2 in sorted(set(replayed_pairs(len(basis), seed, draws)))]
-    expected = tensor_violations(A, pairs)  # the distinct drawn pairs, in basis order
-    assert found(result) == expected
+    n = len(basis)
+    result = check_bialgebra_compat(A).result("bialgebra")
+    assert (result.mode, result.checked) == ("exhaustive", n * n)
+    index = {m.render(): i for i, m in enumerate(basis)}
+
+    def pair(at):
+        return tuple(index[part.split("=", 1)[1]] for part in at.split(": ", 1)[1].split(", "))
+
+    reported = collections.defaultdict(list)
+    for v in found(result):
+        reported[pair(v[0])].append(v)
+    last = pair(result.violations[-1].at) if len(result.violations) == MAX_VIOLATIONS_RENDERED else (n, 0)
+    drawn = sorted({ij for ij in replayed_pairs(n, 1000 * p + s, draws) if ij <= last})
+    expected = tensor_violations(A, [(basis[i1], basis[i2]) for i1, i2 in drawn])
+    assert [v for ij in drawn for v in reported.get(ij, [])] == expected
     assert result.passed == (not expected)
     if s == 0:
         assert expected  # the negative control exercises the failing branch too
@@ -593,10 +604,10 @@ def group_runs(monkeypatch):
     return calls
 
 
-def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs):
+def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs, monkeypatch):
     """3 p^2 runs of g, x and y on the live tables, which prove the law; where a premise fails, one run per g-orbit
-    of m1 and x^b2 y^c2 while P1-P3 hold, and every (m1, x^b2 y^c2) once on a doctored row.  The runs of a
-    failed premise are read back by the sweep, not run again."""
+    of m1 and x^b2 y^c2 while P1-P3 hold, with Delta(m1) built once per orbit, and every (m1, x^b2 y^c2) once on a
+    doctored row.  The runs of a failed premise are read back by the sweep, not run again."""
     result = check_bialgebra_compat(BookAlgebra(7, 3)).result("bialgebra")
     assert result.mode == "exhaustive" and result.checked == 343 ** 2 and result.passed
     assert len(group_runs) == 3 * 7 ** 2 == 147
@@ -604,40 +615,15 @@ def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs):
     A = BookAlgebra(7, 3)
     healthy = A.counit_monomial
     A.counit_monomial = lambda m: A.q if m == Monomial(0, 0, 1) else healthy(m)  # fails eps(g g) = eps(g) eps(g)
-    assert _Lanes(A).orbit() == 7 and not check_bialgebra_compat(A).passed
-    assert len(group_runs) == 7 ** 4 == 2_401
+    assert _Lanes(A).orbit() == 7
+    lefts = counted_calls(monkeypatch, (_Lanes, "left"))
+    assert not check_bialgebra_compat(A).passed
+    assert len(group_runs) == 7 ** 4 == 2_401 and lefts["_Lanes.left"] == 7 ** 2  # the proof fails before its runs
     group_runs.clear()
     A = BookAlgebra(7, 3)
     doctor(A, "digit")  # breaks P1, so every m1 is its own orbit and no group is run twice to render
     assert not check_bialgebra_compat(A).passed
     assert len(group_runs) == 343 * 7 ** 2 == 16_807
-
-
-def test_sampled_bialgebra_runs_each_drawn_lane_group_once(group_runs):
-    """A group runs once per g-orbit of m1 its draws hit, also where it renders Delta violations at other m1 of
-    the orbit, which are read off that first run; pairs drawn twice cost nothing more, and violations come in
-    basis order.  The failed proof adds its runs of x, and of y up to x^0 y^(p-1), that the sweep does not read
-    back."""
-    p, seed, draws = 7, 0, 2500
-    A = BookAlgebra(p, 0, permissive=True)
-    basis = A.basis()
-    result = check_bialgebra_compat(A, seed=seed, sample_size=draws).result("bialgebra")
-    assert result.mode == f"sampled(n={draws})" and result.checked == draws
-    drawn = sorted(set(replayed_pairs(len(basis), seed, draws)))
-    expected = tensor_violations(A, [(basis[i1], basis[i2]) for i1, i2 in drawn])
-    assert expected and found(result) == expected
-    first = {}  # (g-orbit of m1, x^b2 y^c2) -> the first m1 that drew a lane there
-    for i1, i2 in drawn:
-        first.setdefault((i1 // p, i2 // p), i1)
-    failing = {at for at, _, _ in expected}
-    renders = {
-        (i1, i2 // p) for i1, i2 in drawn
-        if first[i1 // p, i2 // p] != i1 and f"Delta: m1={basis[i1].render()}, m2={basis[i2].render()}" in failing
-    }
-    premise = [(p * p, bc2) for bc2 in range(p * p)] + [(p, bc2) for bc2 in range(p)]  # x, then y to its bad lanes
-    unread = [(i1, bc2) for i1, bc2 in premise if first.get((i1 // p, bc2)) != i1]
-    assert renders and len(first) < len({(i1, i2 // p) for i1, i2 in drawn})
-    assert len(group_runs) == len(first) + len(unread)
 
 
 def own_run_texts(A, result):
@@ -661,7 +647,7 @@ def own_run_texts(A, result):
 
 @pytest.mark.parametrize("p,options", [
     (3, {}), (5, {}), (7, {}),
-    (7, {"seed": 0, "sample_size": 2500}), (7, {"seed": 3, "sample_size": 5000}),  # p <= 5 runs exhaustively
+    (7, {"seed": 0, "sample_size": 2500}), (7, {"seed": 3, "sample_size": 5000}),  # these reach associativity only
 ], ids=["p3", "p5", "p7", "p7-seed0-2500", "p7-seed3-5000"])
 def test_each_delta_violation_renders_as_m1s_own_group_run(p, options):
     """At s = 0 every Delta(m1) Delta(m2) read off the first run of its g-orbit equals the text of m1's own run."""
@@ -759,7 +745,7 @@ def forced_full_sweep(monkeypatch):
     monkeypatch.setattr(_Lanes, "orbit", lambda self: 1)
 
 
-@pytest.mark.parametrize("p,s", [(3, 1), (3, 0), (5, 2), (5, 0), (7, 3), (7, 0)])
+@pytest.mark.parametrize("p,s", [(3, 1), (3, 0), (5, 2), (5, 0), (7, 3), (7, 0), (11, 0)])
 def test_one_run_per_g_orbit_equals_the_full_sweep_on_the_live_tables(monkeypatch, p, s):
     A = BookAlgebra(p, s, permissive=True)
     assert _Lanes(A).orbit() == p
@@ -786,14 +772,6 @@ def test_one_run_per_g_orbit_equals_the_full_sweep_on_doctored_tables(monkeypatc
         assert reduced[0] == doctored_tensor_violations(A, {Monomial(1, 1, a) for a in range(5)})
     forced_full_sweep(monkeypatch)
     assert bialgebra_outcome(A) == reduced
-
-
-def test_one_run_per_g_orbit_equals_the_full_sweep_when_sampled(monkeypatch):
-    A = BookAlgebra(11, 0, permissive=True)
-    reduced = bialgebra_outcome(A, seed=1, sample_size=300)
-    assert len(reduced[0]) == 72 and reduced[1:] == (300, "sampled(n=300)")
-    forced_full_sweep(monkeypatch)
-    assert bialgebra_outcome(A, seed=1, sample_size=300) == reduced
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -828,6 +806,16 @@ def test_a_proved_bialgebra_run_equals_the_sweep(p):
             outcome, proved = bialgebra_route(A, **options)
             assert proved == (s != 0) and bool(outcome[0]) == (s == 0)
             assert swept(A, **options) == outcome
+
+
+@pytest.mark.parametrize("p,s", [(7, 0), (11, 3)])
+def test_sampling_options_leave_the_bialgebra_result_unchanged(p, s):
+    """seed, sample_size and exhaustive reach associativity only: the bialgebra law is proved or swept whole."""
+    A = BookAlgebra(p, s, permissive=s == 0)
+    outcome = bialgebra_outcome(A)
+    assert outcome[1:] == (p ** 6, "exhaustive") and bool(outcome[0]) == (s == 0)
+    for options in ({"seed": 3}, {"seed": 1, "sample_size": 300}, {"exhaustive": True}):
+        assert bialgebra_outcome(A, **options) == outcome
 
 
 def rotate_unit_row(A, mono):
@@ -1339,16 +1327,6 @@ def test_negative_control_matcher_accepts_the_capped_p7_report():
     assert len(bialgebra.violations) == MAX_VIOLATIONS_RENDERED  # of 28 812 predicted sites
     assert negative_control_matches(report, 7)
     assert not negative_control_matches(with_bialgebra_violations(report, lambda v: v[:-1]), 7)
-
-
-def test_negative_control_matcher_accepts_a_sampled_p11_report():
-    report = negative_control_report(11, sample_size=300, seed=1)
-    bialgebra = report.result("bialgebra")
-    assert bialgebra.mode == "sampled(n=300)" and len(bialgebra.violations) == 72
-    assert negative_control_matches(report, 11)
-    # a sampled site must still be a predicted one: x^10 x^10 does not overflow in y
-    stray = Violation("bialgebra", "Delta: m1=x^10, m2=x^10", "0", "0")
-    assert not negative_control_matches(with_bialgebra_violations(report, lambda v: v + [stray]), 11)
 
 
 def test_violation_payload_shape():
