@@ -7,8 +7,8 @@ relations (q = zeta_p a primitive p-th root of unity).  The package provides:
 - exact cyclotomic scalars (``cyclotomic``),
 - the PBW basis x^b y^c g^a with closed-form structure constants (``pbw``),
 - the structure maps Delta, eps, S and their iterates (``hopf``),
-- checkers for all Hopf-algebra axioms, proved on the generators or swept
-  exhaustively, with associativity alone sampled on request (``axioms``),
+- checkers for all Hopf-algebra axioms, each proved on the live tables or
+  swept exhaustively, none of them sampled (``axioms``),
 - a brute-force classifier for modular pairs in involution, cross-checked
   against closed-form congruences (``mpi``),
 - a command-line front end (``cli``).

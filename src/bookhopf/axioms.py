@@ -3,12 +3,12 @@
 Each check returns an :class:`AxiomReport` whose results carry a pass/fail
 status, the violations (both sides rendered exactly, with the offending
 basis data) and wall-clock timing; ``run_all`` runs the six checks in a
-fixed order.  Every check but associativity covers its whole domain, by
-a proof or a sweep, and reports exhaustive.  Associativity runs
-exhaustively over its basis triples when there are at most 2 000 000 of
-them (p <= 5) or the sample size covers them, and otherwise reports
-seeded uniform draws, so a report is deterministic given (p, s, seed);
-``seed``, ``sample_size`` and ``exhaustive`` reach it alone.
+fixed order.  Every check covers its whole domain, by a proof or a sweep,
+and no check draws.  A sweep reports exhaustive with its whole domain
+checked, and so does a proved run of every check but associativity, which
+carries the label of ``_plan``: ``sample_size`` and ``exhaustive`` reach
+that label alone, and ``seed`` reaches nothing.  Every check and
+``run_all`` take the three as keywords.
 
 *Proof by generators.*  Every check but the relations is first proved on
 the live tables: associativity by the cocycle lemma of
@@ -37,11 +37,11 @@ the bialgebra law (*multiplicative*),
 coassociativity and the counit law (*multiplicative* and the law at 1, g,
 x and y) and the antipode law (*multiplicative*, *anti-multiplicative* and
 the law at 1, g, x and y).  One protocol, ``_prove_or_sweep``, runs them
-all: a proved run reports its route's mode and ``checked``, with no
-violation and no draw; if a premise fails, the route runs as if no proof
-had been tried.  ``run_all`` passes one ``_Proofs`` to every check, and a
-check called alone builds its own; nothing is cached on the algebra, whose
-tables a caller may change between checks.
+all: a proved run reports its mode and ``checked``, with no violation;
+if a premise fails, the sweep runs as if no proof had been tried.
+``run_all`` passes one ``_Proofs`` to every check, and a check called
+alone builds its own; nothing is cached on the algebra, whose tables a
+caller may change between checks.
 
 Every check but the relations runs on integers: products are read off the
 basis-index product table, and Delta and S off the structure table, whose
@@ -56,7 +56,6 @@ concurrently on one algebra instance.
 
 from __future__ import annotations
 
-import random
 from functools import cached_property
 from itertools import chain, islice
 from operator import getitem, itemgetter
@@ -70,12 +69,11 @@ from .pbw import Element, basis_monomials
 __all__ = [
     "Violation", "AxiomResult", "AxiomReport", "check_associativity", "check_coassociativity",
     "check_counit_law", "check_bialgebra_compat", "check_antipode_law", "check_relations", "run_all",
-    "negative_control_matches", "TRIPLE_EXHAUSTIVE_LIMIT", "DEFAULT_SAMPLE_SIZE", "DEFAULT_SEED",
+    "negative_control_matches", "TRIPLE_EXHAUSTIVE_LIMIT", "DEFAULT_SAMPLE_SIZE",
 ]
 
 TRIPLE_EXHAUSTIVE_LIMIT = 2_000_000
 DEFAULT_SAMPLE_SIZE = 1_000_000
-DEFAULT_SEED = 0
 
 
 class Violation(NamedTuple):
@@ -206,26 +204,18 @@ def _per_monomial(rec, algebra, proofs, premises, law):
     return _prove_or_sweep(rec, "exhaustive", n, proved, lambda: law(rec, range(n)))
 
 
-def _plan(domain, sample_size, exhaustive, limit):
-    """Return ("exhaustive", None) or ("sampled", n) for a domain of given size.
+def _plan(domain, sample_size, exhaustive):
+    """The label (mode, checked) of a proved associativity run over ``domain`` triples: ("exhaustive", domain), or
+    (f"sampled(n={sample_size})", sample_size) past TRIPLE_EXHAUSTIVE_LIMIT triples for a sample size below the
+    domain, unless ``exhaustive``.
 
     Raises ValueError for a sample size below 1, which would check nothing.
     """
     if sample_size < 1:
         raise ValueError(f"sample size must be at least 1, got {sample_size}")
-    if exhaustive or domain <= limit or sample_size >= domain:
-        return "exhaustive", None
+    if exhaustive or domain <= TRIPLE_EXHAUSTIVE_LIMIT or sample_size >= domain:
+        return "exhaustive", domain
     return f"sampled(n={sample_size})", sample_size
-
-
-def _draws(n, seed, count):
-    """``count`` draws in [0, n) from ``Random(seed)``, each by rejection on ``getrandbits`` as
-    ``Random.randrange(n)`` makes it: the draws of ``randrange(n)``, in about half the time."""
-    k, getrandbits = n.bit_length(), random.Random(seed).getrandbits
-    for _ in range(count):
-        while (code := getrandbits(k)) >= n:
-            pass
-        yield code
 
 
 def _shifts(p, n):
@@ -233,18 +223,10 @@ def _shifts(p, n):
     return [tuple(c - c % p + (c + e) % p for c in range(n * p)) + (-1,) for e in range(p)]
 
 
-def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=False,
-                        _proofs=None):
+def check_associativity(algebra, *, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=False, _proofs=None, **_ignored):
     """(m1 m2) m3 = m1 (m2 m3) over basis triples, read off the product table.
 
     Codes are t * p + e for q^e basis[t] and -1 for 0, as in the table.
-    The exhaustive sweep compares the rows of ``_Rows.differing`` for every
-    m1 and walks a differing row in m3 order to record violations.  A
-    sampled run makes one uniform draw i1 n^2 + i2 n + i3 in [0, n^3) per
-    triple from ``_draws``, as ``Random.randrange(n ** 3)`` does.  Once
-    MAX_VIOLATIONS_RENDERED violations are recorded, either stops before
-    its next m1 or draw: past the cap nothing can change the report, which
-    fails with ``checked`` as planned.
 
     *Proof by the cocycle lemma*, ``_Proofs.associative``, tried on every
     run.  Write m_u = x^b y^c g^a for u = (b, c, a), with 0 <= b, c < p and
@@ -270,84 +252,58 @@ def check_associativity(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPL
     any of the three is 0 it fails.  H(p, s) is the table at (1, -s, s).
     The two tables are compared a row at a time, so no second table is
     kept, and the proof costs about one table fill: 0.03 s at p = 11 and
-    0.08 s at p = 13 (2-core Xeon VM, Python 3.11), where the generator
-    route it replaced took 0.4 s and 1.1 s.  A proved run reports what its
-    route would have: exhaustive with n^3 triples checked, or sampled with
-    its draws as ``checked``, which are triples of the proved whole.  Only
-    an exhaustive sweep builds ``_Rows``.
+    0.08 s at p = 13 (2-core Xeon VM, Python 3.11).  A proved run reports
+    the label of ``_plan``: exhaustive with n^3 triples checked, or, at
+    p >= 7 with the default sample size or one below n^3, sampled with the
+    sample size as ``checked``, although it draws nothing.
+
+    *The sweep*, where the proof fails.  The proof holds on every H(p, s),
+    s = 0 included, so only a library caller with a doctored table gets
+    here.  For each m1 the sweep compares the rows (m1 m2) m3 and
+    m1 (m2 m3) over all m3 at once, for every m2, and walks a differing row
+    in m3 order to record violations.  (m1 m2) m3 is row t12 of
+    ``_Proofs.rows`` read through ``shift[e12]``, and m1 (m2 m3) is row m2
+    read through a map, built per m1, that takes the code of q^e basis[t]
+    to that of m1 q^e basis[t]; each read is an ``itemgetter`` of the row,
+    built on the fly.  Once MAX_VIOLATIONS_RENDERED violations are recorded
+    the sweep stops: past the cap nothing can change the report.  It
+    reports exhaustive with n^3 checked, whatever ``sample_size`` and
+    ``exhaustive`` say.  Its cost is the library's to bear: about 1 s on a
+    doctored H(7, 2), and where fewer violations than the cap arise up to
+    about 2.4 minutes at p = 11 and 11 minutes at p = 13 (108 ms and 296 ms
+    per m1 on the same VM).
     """
     A = algebra
     p, s = A.p, A.s
     basis = A.basis()
     n = len(basis)
     rec = _Recorder("associativity")
-    mode, draws = _plan(n ** 3, sample_size, exhaustive, TRIPLE_EXHAUSTIVE_LIMIT)
     proofs = _proofs or _Proofs(A)
+    mode, checked = _plan(n ** 3, sample_size, exhaustive)
+    if not proofs.associative:
+        mode, checked = "exhaustive", n ** 3  # the sweep's
 
     def render(code):
         return "0" if code < 0 else Element._raw(p, s, {basis[code // p]: root_power(p, code % p)}).render()
 
-    def hit(i1, i2, i3, left, right):
-        if not rec.full:
-            rec.hit(f"m1={basis[i1].render()}, m2={basis[i2].render()}, m3={basis[i3].render()}",
-                    render(left), render(right))
-
     def sweep():
-        if draws is None:
-            rows = _Rows(A)
-            for i1 in range(n):
+        rows, shift, zero = proofs.rows, _shifts(p, n), (-1,) * n
+        for i1 in range(n):
+            row = rows[i1]
+            f = tuple(chain.from_iterable(zip(*map(itemgetter(*row), shift)))) + (-1,)  # m1 q^e basis[t] at t p + e
+            for i2, c in enumerate(row):  # m1 m2 = q^e12 basis[t12] at c = t12 p + e12, or 0 at c = -1
+                lhs = zero if c < 0 else itemgetter(*rows[c // p])(shift[c % p])
+                rhs = itemgetter(*rows[i2])(f)
+                if lhs == rhs:
+                    continue
+                for i3, left, right in zip(range(n), lhs, rhs):
+                    if left != right and not rec.full:
+                        rec.hit(f"m1={basis[i1].render()}, m2={basis[i2].render()}, m3={basis[i3].render()}",
+                                render(left), render(right))
                 if rec.full:
-                    break  # past the cap nothing can change the report: it fails, with its checked and violations
-                for i2, lhs, rhs in rows.differing(i1):
-                    for i3 in range(n):
-                        if lhs[i3] != rhs[i3]:
-                            hit(i1, i2, i3, lhs[i3], rhs[i3])
-            return
-        table, shift = A.product_table(), _shifts(p, n)
-        n2 = n * n
-        for code in _draws(n ** 3, seed, draws):
-            c = table[code // n]  # m1 m2
-            left = -1 if c < 0 else shift[c % p][table[c // p * n + code % n]]
-            c = table[code % n2]  # m2 m3
-            right = -1 if c < 0 else shift[c % p][table[code // n2 * n + c // p]]
-            if left != right:
-                hit(code // n2, code // n % n, code % n, left, right)
-                if rec.full:
-                    break
+                    return  # past the cap nothing can change the report: it fails, with its checked and violations
 
-    return _prove_or_sweep(rec, mode, n ** 3 if draws is None else draws, lambda: proofs.associative, sweep)
-
-
-class _Rows:
-    """The associativity rows of one product table: for each m1, (m1 m2) m3 and m1 (m2 m3) over all m3 at once.
-
-    Built only by the exhaustive sweep of check_associativity, where its
-    proof fails.  ``row[t]`` reads row t of the table through a code map:
-    (m1 m2) m3 is row t12 through ``shift[e12]``, and m1 (m2 m3) is row m2
-    through a map built per m1 that takes the code of q^e basis[t] to that
-    of m1 q^e basis[t].  Equal codes share one int, so the rows hold n^2
-    references to n p + 1 ints (38 MB at p = 13, not 174 MB).
-    """
-
-    def __init__(self, algebra):
-        p = self.p = algebra.p
-        n = self.n = len(algebra.basis())
-        table = self.table = algebra.product_table()
-        self.shift = _shifts(p, n)
-        codes = [*range(n * p), -1]
-        self.row = [itemgetter(*map(codes.__getitem__, table[t * n:(t + 1) * n])) for t in range(n)]
-
-    def differing(self, i1):
-        """(i2, lhs, rhs) for each m2 whose rows (m1 m2) m3 and m1 (m2 m3) over all m3 differ, m1 = basis[i1]."""
-        p, n, table, row, shift = self.p, self.n, self.table, self.row, self.shift
-        zero = (-1,) * n
-        f = tuple(chain.from_iterable(zip(*map(row[i1], shift)))) + (-1,)
-        for i2 in range(n):
-            c = table[i1 * n + i2]
-            lhs = zero if c < 0 else row[c // p](shift[c % p])
-            rhs = row[i2](f)
-            if lhs != rhs:
-                yield i2, lhs, rhs
+    return _prove_or_sweep(rec, mode, checked, lambda: proofs.associative, sweep)
 
 
 def check_coassociativity(algebra, *, _proofs=None, **_ignored):
@@ -492,8 +448,8 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
     costs 3 p^2 group runs instead of up to p^4.  Otherwise the sweep below
     runs as if no proof had been tried, as it does on a doctored table and
     at s = 0, where the runs of y against x^b y^(p-1) fail.  Either way the
-    result is that of the sweep; ``seed``, ``sample_size`` and
-    ``exhaustive`` reach associativity only, and this check ignores them.
+    result is that of the sweep; the check ignores ``seed``,
+    ``sample_size`` and ``exhaustive``.
 
     The sweep takes the g-orbits of m1 in basis order.  At the first m1 of
     an orbit, basis[first], it builds ``_Lanes.left`` once and runs the p^2
@@ -553,7 +509,7 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
 
 
 class _ProductRows(dict):
-    """Row t of a product table as a tuple of codes, ``rows[t]``, decoded on its first read.
+    """Row t of a product table as a tuple of codes, ``rows[t]``, decoded on its first read; ``_Proofs.rows``.
 
     Equal codes share one int, and code -1 (a zero product) reads the last entry of ``codes``.
     """
@@ -574,12 +530,12 @@ class _Lanes:
     Lane a of a packed value holds 2p digits of the structure table's
     ``width`` at bit a * lane_bits.  An output key t_u n + t_v stands for
     basis[t_u] (x) basis[t_v] in lane 0; in lane a2 both legs carry g^a2 more.
-    ``products[t]`` is row t of the product table, decoded on its first
-    read: ``orbit`` and the sweep read every row, but the proof
-    *multiplicative* only those of 1, g, g^s, x and y.
+    ``products[t]`` is row t of the product table, read off ``_Proofs.rows``,
+    which decodes it on its first read: ``orbit`` and the sweep read every
+    row, but the proof *multiplicative* only those of 1, g, g^s, x and y.
     """
 
-    def __init__(self, algebra):
+    def __init__(self, algebra, products):
         p = self.p = algebra.p
         n = self.n = len(algebra.basis())
         table = self.table = algebra.structure_table()
@@ -591,7 +547,7 @@ class _Lanes:
         self.fold_mask = lane_ones * table.fold_mask  # digits 0..p-1 of every lane
         self.bias = lane_ones * table.bias
         self.moved = [[t - t % p + (t + a) % p for t in range(n)] for a in range(p)]  # moved[a][t]: basis[t] g^a
-        self.products = _ProductRows(algebra.product_table(), n, p)
+        self.products = products
         self.wt = [c % p for c in self.products[1]]  # g w = q^wt(w) w g, g = basis[1]
         self.groups = [self._group(bc) for bc in range(p * p)]
         self.memo = {-1: {}}  # t -> self.expected(t); a zero product (t = -1) expects no term
@@ -770,9 +726,10 @@ class _Proofs:
     Each verdict is computed on first use, at most once per object.
     ``run_all`` builds one object and passes it to every check, a check
     called alone builds its own, and nothing is cached on the algebra.
-    ``lanes`` and ``counit`` are built at most once, for the premise
-    *multiplicative* and for the bialgebra sweep; ``tried`` holds the lane
-    group runs of a failed *multiplicative*, which the sweep reads back.
+    ``rows``, ``lanes`` and ``counit`` are built at most once: ``rows`` for
+    ``lanes`` and the associativity sweep, the other two for the premise
+    *multiplicative* and the bialgebra sweep; ``tried`` holds the lane group
+    runs of a failed *multiplicative*, which the sweep reads back.
     """
 
     def __init__(self, algebra):
@@ -780,8 +737,13 @@ class _Proofs:
         self.tried = {}  # (i1, bc2) -> a group run of the generator premise
 
     @cached_property
+    def rows(self):
+        A = self.algebra
+        return _ProductRows(A.product_table(), len(A.basis()), A.p)
+
+    @cached_property
     def lanes(self):
-        return _Lanes(self.algebra)
+        return _Lanes(self.algebra, self.rows)
 
     @cached_property
     def counit(self):
@@ -901,14 +863,12 @@ _CHECKS = (
 )
 
 
-def run_all(algebra, *, seed=DEFAULT_SEED, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=False):
+def run_all(algebra, *, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=False, **_ignored):
     """Run the six axiom checks in a fixed order and merge the reports; one ``_Proofs`` serves them all."""
     proofs = _Proofs(algebra)
     results = []
     for check in _CHECKS:
-        results.extend(
-            check(algebra, seed=seed, sample_size=sample_size, exhaustive=exhaustive, _proofs=proofs).results
-        )
+        results.extend(check(algebra, sample_size=sample_size, exhaustive=exhaustive, _proofs=proofs).results)
     return AxiomReport(results)
 
 

@@ -255,7 +255,7 @@ class BookAlgebra:
     def __init__(self, p, s, permissive=False):
         if not is_odd_prime(p):
             raise ValueError(f"p must be an odd prime, got {p!r}")
-        if not isinstance(s, int) or not 0 <= s < p:
+        if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < p:  # a bool is an int, read as 0 or 1
             raise ValueError(f"s must be an integer with 0 <= s < {p}, got {s!r}")
         if s == 0 and not permissive:
             raise ValueError(

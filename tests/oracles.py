@@ -27,7 +27,6 @@ from operator import itemgetter
 from types import SimpleNamespace
 
 from bookhopf import Character, ConsistencyError, Cyclotomic, Element, Monomial, Tensor2, cyc_one, cyc_zero, root_power
-from bookhopf.axioms import _Rows
 from bookhopf.hopf import StructureTable, _digits, _pack, _q_binomial_rows, _rotated, lift
 from bookhopf.pbw import basis_monomials, mono_mul_exp
 
@@ -167,7 +166,7 @@ def associativity_violations(A, triples):
 
     Both sides are read off ``A.product_table()``, whose codes are t * p + e
     for q^e basis[t] and -1 for 0, so d - d % p + (c + d) % p is the code of
-    q^(e_c + e_d) basis[t_d].  No row, shift or draw of ``check_associativity``
+    q^(e_c + e_d) basis[t_d].  No row or shift of ``check_associativity``
     is shared, so the two routes can be compared on a doctored table.
     """
     p = A.p
@@ -245,10 +244,27 @@ def associativity_by_generators(A):
     row compare on the three m1 in {g, x, y}.  With U and F, the step
     ((t basis[j]) m2) m3 = (t (basis[j] m2)) m3 = t ((basis[j] m2) m3) =
     t (basis[j] (m2 m3)) = (t basis[j]) (m2 m3) by R and the law at basis[j]
-    carries the law from 1 to every basis monomial.
+    carries the law from 1 to every basis monomial.  R is compared a row
+    over all m3 at a time, each row read through an ``itemgetter`` of codes.
     """
-    rows = _Rows(A)
-    return A.generation() is not None and not any(next(rows.differing(t), None) for t in A.generators)
+    p, table = A.p, A.product_table()
+    n = len(A.basis())
+    shift = [[c - c % p + (c + e) % p for c in range(n * p)] + [-1] for e in range(p)]  # code -> q^e times it
+
+    def row(t):  # basis[t] m3 over all m3, read through a list indexed by code
+        return itemgetter(*table[t * n:(t + 1) * n])
+
+    def r_holds(t):
+        # t times q^e basis[u], at the code u p + e: q^e (t basis[u]); the last entry is 0 times t
+        times_t = [-1 if (d := table[t * n + c // p]) < 0 else shift[c % p][d] for c in range(n * p)] + [-1]
+        for m2 in range(n):
+            c = table[t * n + m2]  # t m2
+            lhs = (-1,) * n if c < 0 else row(c // p)(shift[c % p])  # (t m2) m3
+            if lhs != row(m2)(times_t):  # t (m2 m3)
+                return False
+        return True
+
+    return A.generation() is not None and all(r_holds(t) for t in A.generators)
 
 
 def doctor_product(A, m1, m2, how):

@@ -35,7 +35,7 @@ from bookhopf import (
     run_all,
 )
 from bookhopf import axioms
-from bookhopf.axioms import MAX_VIOLATIONS_RENDERED, _Lanes, _Proofs, _Rows
+from bookhopf.axioms import MAX_VIOLATIONS_RENDERED, _Lanes, _Proofs
 from bookhopf.hopf import StructureTable
 from bookhopf.pbw import ONE, accumulate
 from bookhopf.hopf import bilinear_rows
@@ -203,15 +203,6 @@ def all_triples(n):
     return ((i1, i2, i3) for i1 in range(n) for i2 in range(n) for i3 in range(n))
 
 
-def replayed_triples(n, seed, draws):
-    """The triples a sampled associativity check visits: divmod of randrange(n^3) draws."""
-    rng = random.Random(seed)
-    return [
-        (code // (n * n), code // n % n, code % n)
-        for code in (rng.randrange(n ** 3) for _ in range(draws))
-    ]
-
-
 @pytest.mark.parametrize("how", ["zero", "q-exponent", "monomial"])
 @pytest.mark.parametrize("p", [3, 5])
 def test_associativity_rows_flag_a_doctored_product_like_the_reference(p, how):
@@ -223,39 +214,59 @@ def test_associativity_rows_flag_a_doctored_product_like_the_reference(p, how):
     assert expected and found(result) == expected
 
 
+def triples_reading(A, i1, i2):
+    """The triples, in basis order, whose two sides read the table entry basis[i1] basis[i2]: those of m1 m2,
+    (m1 m2) m3, m2 m3 and m1 (m2 m3).  Where the rest of the table is associative, only they can fail."""
+    p, n, table = A.p, len(A.basis()), A.product_table()
+    out = {(i1, i2, k) for k in range(n)} | {(k, i1, i2) for k in range(n)}
+    for u, v in itertools.product(range(n), repeat=2):
+        t = table[u * n + v] // p  # -1 for a zero product
+        if t == i1:
+            out.add((u, v, i2))  # (basis[u] basis[v]) basis[i2] reads the entry
+        if t == i2:
+            out.add((i1, u, v))  # basis[i1] (basis[u] basis[v]) reads it
+    return sorted(out)
+
+
+def reported_triples(A, result):
+    """The index triple (i1, i2, i3) of each associativity violation, read off its site."""
+    index = {m.render(): i for i, m in enumerate(A.basis())}
+    return [tuple(index[part.split("=", 1)[1]] for part in v.at.split(", ")) for v in result.violations]
+
+
 @pytest.mark.parametrize("how", ["zero", "q-exponent", "monomial"])
 def test_sampled_associativity_flags_a_doctored_product_like_the_reference(how):
+    """Sampling options on a doctored H(7, 3), whose proof fails, get the exhaustive sweep: every triple that reads
+    the doctored entry g x fails as the reference says, in basis order, below the cap, and no other does."""
     A = BookAlgebra(7, 3)
-    doctor_product(A, Monomial(0, 0, 1), Monomial(1, 0, 0), how)  # g x = q x g
-    seed, draws = 1, 300_000  # about 600 of the 40 M triples read the doctored entry
-    result = check_associativity(A, seed=seed, sample_size=draws).result("associativity")
-    assert result.mode == f"sampled(n={draws})" and result.checked == draws
-    expected = associativity_violations(A, replayed_triples(len(A.basis()), seed, draws))
-    assert expected and found(result) == expected
+    n, g, x = len(A.basis()), Monomial(0, 0, 1), Monomial(1, 0, 0)
+    doctor_product(A, g, x, how)  # g x = q x g
+    result = check_associativity(A, seed=1, sample_size=300_000).result("associativity")
+    assert result.mode == "exhaustive" and result.checked == n ** 3
+    assert 0 < len(result.violations) < MAX_VIOLATIONS_RENDERED
+    assert found(result) == associativity_violations(A, reported_triples(A, result))
+    assert found(result) == associativity_violations(A, triples_reading(A, A.basis_index(g), A.basis_index(x)))
 
 
 @pytest.mark.parametrize("p", [3, 7, 11])
 def test_associativity_visits_every_triple_or_the_randrange_draws(p):
-    """On m1 m2 = basis[i1 - i2], every triple with i3 != 0 fails, so the violations spell out the triples."""
+    """On m1 m2 = basis[i1 - i2], every triple with i3 != 0 fails, so the violations spell out the triples: every
+    triple in basis order, up to the cap, whatever the sampling options, as the proof fails."""
     A = BookAlgebra(p, 1)
     basis = A.basis()
     n = len(basis)
     A._products = array("i", [(i1 - i2) % n * p for i1 in range(n) for i2 in range(n)])
-    seed, draws = 3, 2000
-    result = check_associativity(A, seed=seed, sample_size=draws).result("associativity")
-    if result.mode == "exhaustive":  # p = 3: every triple, in basis order
-        assert p == 3 and result.checked == n ** 3
-        triples = list(all_triples(n))
-    else:  # the draws of randrange(n^3), which fix the sampled triples on every Python version
-        assert result.checked == draws
-        triples = replayed_triples(n, seed, draws)
+    result = check_associativity(A, seed=3, sample_size=2000).result("associativity")
+    assert result.mode == "exhaustive" and result.checked == n ** 3
+    assert len(result.violations) == MAX_VIOLATIONS_RENDERED
+    triples = reported_triples(A, result)
+    failing = ((i1, i2, i3) for i1, i2, i3 in all_triples(n) if i3)
+    assert triples == list(itertools.islice(failing, MAX_VIOLATIONS_RENDERED))
     expected = associativity_violations(A, triples)
     assert [at for at, _, _ in expected] == [
-        f"m1={basis[i1].render()}, m2={basis[i2].render()}, m3={basis[i3].render()}"
-        for i1, i2, i3 in triples
-        if i3 != 0
+        f"m1={basis[i1].render()}, m2={basis[i2].render()}, m3={basis[i3].render()}" for i1, i2, i3 in triples
     ]
-    assert found(result) == expected[:MAX_VIOLATIONS_RENDERED]
+    assert found(result) == expected
 
 
 def counted_calls(monkeypatch, *methods):
@@ -269,6 +280,22 @@ def counted_calls(monkeypatch, *methods):
             return method(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def counted_sweeps(monkeypatch):
+    """Count the sweeps that ``_prove_or_sweep`` runs, keyed by axiom; a proved run runs none."""
+    calls = collections.Counter()
+    prove_or_sweep = axioms._prove_or_sweep
+
+    def counted(rec, mode, checked, proved, sweep):
+        def counted_sweep():
+            calls[rec.axiom] += 1
+            sweep()
+
+        return prove_or_sweep(rec, mode, checked, proved, counted_sweep)
+
+    monkeypatch.setattr(axioms, "_prove_or_sweep", counted)
     return calls
 
 
@@ -290,31 +317,27 @@ def test_associativity_renders_nothing_past_the_cap(monkeypatch):
 
 @pytest.mark.parametrize("p", [3, 7])
 def test_associativity_stops_at_the_cap(monkeypatch, p):
-    """On m1 m2 = basis[i1 - i2] every triple with i3 != 0 fails.  The exhaustive sweep at p = 3 walks no m1 after
-    the 15th, whose rows record the 10 000th violation, and the 10^6 draws at p = 7 stop after the draw that
-    records it; the report is that of the whole route, which fails with its planned ``checked``."""
+    """On m1 m2 = basis[i1 - i2] every triple with i3 != 0 fails, n - 1 per (m1, m2) row.  The sweep reads no row
+    after the one that records the 10 000th violation: the 15th m1 at p = 3, the first at p = 7.  Each m1 builds
+    one itemgetter for its map and two per m2 row, and the report is that of the whole sweep, which fails with
+    n^3 checked, whatever the sampling options."""
     A = BookAlgebra(p, 1)
     n = p ** 3
     A._products = array("i", [(i1 - i2) % n * p for i1 in range(n) for i2 in range(n)])
-    calls = collections.Counter()
+    built = collections.Counter()
+    itemgetter = axioms.itemgetter
 
-    class Counting(random.Random):
-        def getrandbits(self, k):
-            calls["getrandbits"] += 1
-            return super().getrandbits(k)
+    def counted(*items):
+        built["itemgetter"] += 1
+        return itemgetter(*items)
 
-    replay, failing = Counting(3), 0  # randrange(n^3) draws by rejection on getrandbits, as the check does
-    while failing < MAX_VIOLATIONS_RENDERED:
-        failing += replay.randrange(n ** 3) % n != 0
-    draws = calls.pop("getrandbits")
-    monkeypatch.setattr(axioms.random, "Random", Counting)
-    rows = counted_calls(monkeypatch, (_Rows, "differing"))
-    result = check_associativity(A, seed=3).result("associativity")
+    monkeypatch.setattr(axioms, "itemgetter", counted)
+    result = check_associativity(A, seed=3, sample_size=2000).result("associativity")
     assert len(result.violations) == MAX_VIOLATIONS_RENDERED and result.status == "fail"
-    if p == 3:
-        assert result.checked == n ** 3 and rows == {"_Rows.differing": 15} and not calls
-    else:
-        assert result.checked == 1_000_000 and not rows and calls == {"getrandbits": draws}
+    assert (result.mode, result.checked) == ("exhaustive", n ** 3)
+    rows = -(-MAX_VIOLATIONS_RENDERED // (n - 1))  # the (m1, m2) rows read, the last one recording the cap
+    assert -(-rows // n) == {3: 15, 7: 1}[p]
+    assert built == {"itemgetter": -(-rows // n) + 2 * rows}
 
 
 # -- associativity proved by the cocycle lemma, against the generator route of the oracles ----------
@@ -434,22 +457,24 @@ def test_associativity_proof_rejects_a_table_that_breaks_one_premise(premise):
 @pytest.mark.parametrize("how", [None, "zero", "q-exponent", "monomial"])
 @pytest.mark.parametrize("p,kwargs,mode", [(5, {}, "exhaustive"), (7, {"seed": 1, "sample_size": 300_000}, "sampled(n=300000)")])
 def test_associativity_proof_changes_no_result(monkeypatch, p, kwargs, mode, how):
-    """Proved or not, the result is the route's own: the same violations, checked, mode and status."""
+    """Proved or not, the violations and status are the same.  A proved run carries the label ``mode``; a run whose
+    proof fails, on a doctored table or refused, reports its sweep, exhaustive with n^3 checked."""
     A = BookAlgebra(p, 2)
     if how:
         doctor_product(A, Monomial(0, 0, 1), Monomial(1, 0, 0), how)  # g x = q x g
     outcome = associativity_outcome(A, **kwargs)
-    assert outcome[2] == mode and bool(outcome[0]) == bool(how)
+    proved_label = (p ** 9 if mode == "exhaustive" else kwargs["sample_size"], mode)
+    assert outcome[1:3] == ((p ** 9, "exhaustive") if how else proved_label)
+    assert bool(outcome[0]) == bool(how)
     monkeypatch.setattr(_Proofs, "associative", False)
-    assert associativity_outcome(A, **kwargs) == outcome
+    assert associativity_outcome(A, **kwargs) == (outcome[0], p ** 9, "exhaustive", outcome[3])
 
 
 def test_a_proved_default_run_makes_no_draw(monkeypatch):
-    def no_draws(*args):
-        raise AssertionError("a proved run draws no triple")
-
-    monkeypatch.setattr(axioms.random, "Random", no_draws)
+    """A proved run at p = 7 carries the default sample size as its label and runs no sweep; nothing draws."""
+    sweeps = counted_sweeps(monkeypatch)
     assert associativity_outcome(BookAlgebra(7, 3)) == ([], 1_000_000, "sampled(n=1000000)", "pass")
+    assert not sweeps
 
 
 @pytest.mark.parametrize("p,kwargs,mode,checked", [
@@ -460,23 +485,19 @@ def test_a_proved_default_run_makes_no_draw(monkeypatch):
     pytest.param(7, {"exhaustive": True}, "exhaustive", 7 ** 9, id="p7-exhaustive"),
 ])
 def test_a_proved_run_of_any_size_builds_no_rows(monkeypatch, p, kwargs, mode, checked):
-    """The proof is tried on every run, whatever its size, and only a sweep builds _Rows."""
-    def no_rows(*args):
-        raise AssertionError("a proved run builds no rows")
-
-    monkeypatch.setattr(axioms, "_Rows", no_rows)
-    assert associativity_outcome(BookAlgebra(p, 2), **kwargs) == ([], checked, mode, "pass")
+    """The proof is tried on every run, whatever its label, and a proved run neither sweeps nor decodes a row."""
+    sweeps = counted_sweeps(monkeypatch)
+    proofs = _Proofs(BookAlgebra(p, 2))
+    assert associativity_outcome(proofs.algebra, _proofs=proofs, **kwargs) == ([], checked, mode, "pass")
+    assert not sweeps and "rows" not in vars(proofs)
 
 
 def test_a_proved_default_run_at_p11_makes_no_draw(monkeypatch):
-    """At p = 11 associativity is proved with its default 10^6 draws as the label, and the bialgebra law is
-    proved as exhaustive over all n^2 pairs."""
-    def no_draws(*args):
-        raise AssertionError("a proved run draws nothing")
-
-    monkeypatch.setattr(axioms.random, "Random", no_draws)
+    """At p = 11 associativity is proved with its default 10^6 sample size as the label, and the bialgebra law is
+    proved as exhaustive over all n^2 pairs; no check sweeps."""
+    sweeps = counted_sweeps(monkeypatch)
     report = run_all(BookAlgebra(11, 3))
-    assert report.passed
+    assert report.passed and not sweeps
     labels = {a: (report.result(a).mode, report.result(a).checked) for a in ("associativity", "bialgebra")}
     assert labels == {"associativity": ("sampled(n=1000000)", 1_000_000), "bialgebra": ("exhaustive", 1_771_561)}
 
@@ -526,14 +547,6 @@ def replayed_pairs(n, seed, draws):
     """``draws`` seeded uniform pairs (i1, i2) in [0, n)^2, in draw order."""
     rng = random.Random(seed)
     return [(rng.randrange(n), rng.randrange(n)) for _ in range(draws)]
-
-
-@pytest.mark.parametrize("p,seed", [(p, seed) for p in (7, 11) for seed in (0, 3, 1011)])
-def test_bialgebra_replay_draws_the_randrange_pairs(p, seed):
-    """``_draws`` at n = p^3, by rejection on getrandbits, makes the pairs of randrange, as at n^3 for associativity."""
-    n, draws = p ** 3, 20_000
-    drawn = axioms._draws(n, seed, 2 * draws)
-    assert list(zip(drawn, drawn)) == replayed_pairs(n, seed, draws)
 
 
 @pytest.mark.parametrize(
@@ -615,7 +628,7 @@ def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs, monkeypatch
     A = BookAlgebra(7, 3)
     healthy = A.counit_monomial
     A.counit_monomial = lambda m: A.q if m == Monomial(0, 0, 1) else healthy(m)  # fails eps(g g) = eps(g) eps(g)
-    assert _Lanes(A).orbit() == 7
+    assert _Proofs(A).lanes.orbit() == 7
     lefts = counted_calls(monkeypatch, (_Lanes, "left"))
     assert not check_bialgebra_compat(A).passed
     assert len(group_runs) == 7 ** 4 == 2_401 and lefts["_Lanes.left"] == 7 ** 2  # the proof fails before its runs
@@ -629,7 +642,7 @@ def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs, monkeypatch
 def own_run_texts(A, result):
     """(rendered, own) for the Delta violations of ``result``: the rhs as rendered, and Delta(m1) Delta(m2)
     rendered from lane a2 of m1's own ``_Lanes.run``, as the sweep did before it carried one run per g-orbit."""
-    p, lanes = A.p, _Lanes(A)
+    p, lanes = A.p, _Proofs(A).lanes
     index = {m.render(): i for i, m in enumerate(A.basis())}
     runs, rendered, own = {}, [], []
     for v in result.violations:
@@ -664,7 +677,7 @@ def test_each_delta_violation_renders_as_m1s_own_group_run_on_doctored_tables():
     for how in DOCTORINGS:
         A = doctored_algebra(how)
         result = check_bialgebra_compat(A).result("bialgebra")
-        if _Lanes(A).orbit() == A.p and not result.passed:
+        if _Proofs(A).lanes.orbit() == A.p and not result.passed:
             rendered, own = own_run_texts(A, result)
             assert rendered == own, how
             compared += [how] * bool(rendered)
@@ -748,7 +761,7 @@ def forced_full_sweep(monkeypatch):
 @pytest.mark.parametrize("p,s", [(3, 1), (3, 0), (5, 2), (5, 0), (7, 3), (7, 0), (11, 0)])
 def test_one_run_per_g_orbit_equals_the_full_sweep_on_the_live_tables(monkeypatch, p, s):
     A = BookAlgebra(p, s, permissive=True)
-    assert _Lanes(A).orbit() == p
+    assert _Proofs(A).lanes.orbit() == p
     reduced = bialgebra_outcome(A)
     forced_full_sweep(monkeypatch)
     assert bialgebra_outcome(A) == reduced
@@ -765,7 +778,7 @@ def test_one_run_per_g_orbit_equals_the_full_sweep_on_doctored_tables(monkeypatc
         doctor_orbit(A, how[6:])
     else:
         doctor(A, how)  # breaks P1
-    assert _Lanes(A).orbit() == (5 if how == "orbit digit" else 1)
+    assert _Proofs(A).lanes.orbit() == (5 if how == "orbit digit" else 1)
     reduced = bialgebra_outcome(A)
     assert reduced[0]
     if how == "orbit digit":
@@ -777,7 +790,7 @@ def test_one_run_per_g_orbit_equals_the_full_sweep_on_doctored_tables(monkeypatc
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_g_orbit_premises_hold_on_the_live_tables(p):
     for s in sorted({0, 1, p - 1}):
-        assert _Lanes(BookAlgebra(p, s, permissive=True)).orbit() == p
+        assert _Proofs(BookAlgebra(p, s, permissive=True)).lanes.orbit() == p
 
 
 # -- the bialgebra law proved on the generators ---------------------------------------
@@ -810,12 +823,25 @@ def test_a_proved_bialgebra_run_equals_the_sweep(p):
 
 @pytest.mark.parametrize("p,s", [(7, 0), (11, 3)])
 def test_sampling_options_leave_the_bialgebra_result_unchanged(p, s):
-    """seed, sample_size and exhaustive reach associativity only: the bialgebra law is proved or swept whole."""
+    """seed reaches no check, and sample_size and exhaustive only the label of the proved associativity run: with
+    elapsed_ms stripped, every other result of ``run_all`` or of a check called alone is unchanged, the bialgebra
+    law proved or swept whole."""
     A = BookAlgebra(p, s, permissive=s == 0)
-    outcome = bialgebra_outcome(A)
-    assert outcome[1:] == (p ** 6, "exhaustive") and bool(outcome[0]) == (s == 0)
-    for options in ({"seed": 3}, {"seed": 1, "sample_size": 300}, {"exhaustive": True}):
-        assert bialgebra_outcome(A, **options) == outcome
+
+    def results(**options):
+        return [r._replace(elapsed_ms=None) for r in run_all(A, **options).results]
+
+    default = results()
+    assert (default[0].mode, default[0].checked) == ("sampled(n=1000000)", 1_000_000)
+    bialgebra = default[AXIOMS.index("bialgebra")]
+    assert (bialgebra.checked, bialgebra.mode) == (p ** 6, "exhaustive") and bool(bialgebra.violations) == (s == 0)
+    assert results(seed=3) == default
+    assert [r._replace(elapsed_ms=None) for check in axioms._CHECKS for r in check(A, seed=3).results] == default
+    relabelled = ({"seed": 1, "sample_size": 300}, ("sampled(n=300)", 300)), ({"exhaustive": True}, ("exhaustive", p ** 9))
+    for options, label in relabelled:
+        first, *rest = results(**options)
+        assert (first.mode, first.checked) == label
+        assert [first._replace(mode=default[0].mode, checked=default[0].checked), *rest] == default
 
 
 def rotate_unit_row(A, mono):
@@ -899,7 +925,7 @@ def test_each_base_case_is_a_premise(case):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_at_s0_the_generator_premise_fails_exactly_on_y_against_x_b_y_p_minus_1(p):
     A = BookAlgebra(p, 0, permissive=True)
-    basis, lanes = A.basis(), _Lanes(A)
+    basis, lanes = A.basis(), _Proofs(A).lanes
     failing = []
     for t in A.generators:
         left = lanes.left(t)
@@ -935,7 +961,7 @@ def test_lane_digit_width_bound(p):
     """The table's lift is exact and non-negative, and no accumulated digit reaches 2^(width-1)."""
     A = BookAlgebra(p, p - 2)
     table = A.structure_table()
-    lanes = _Lanes(A)
+    lanes = _Proofs(A).lanes
     basis = A.basis()
     closed = closed_form_coefficients(p, p - 2)
     sums = []
@@ -961,7 +987,7 @@ def test_lane_digit_width_bound(p):
 def test_lane_output_keys_unpack_to_tensor_products(p, s):
     """Every lane of an accumulator reads as Delta(m1) Delta(m2), legs and g-exponents included, and renders as it."""
     A = BookAlgebra(p, s, permissive=s == 0)
-    lanes = _Lanes(A)
+    lanes = _Proofs(A).lanes
     basis = A.basis()
     n = len(basis)
     table = A.product_table()
@@ -1228,15 +1254,18 @@ def test_a_doctored_s_row_off_the_generators_fails_anti_multiplicativity():
 
 @pytest.mark.parametrize("p,s", [(7, 3), (5, 0), (7, 0)])
 def test_run_all_computes_each_verdict_once(monkeypatch, p, s):
-    """One _Proofs serves the six checks and no _Rows is built, as *associative* is proved; a healthy H(7, 3) runs the
-    3 p^2 = 147 generator lane groups of *multiplicative* and no sweep, and the s = 0 control sweeps once, one
-    run per g-orbit of m1 and x^b2 y^c2, reading back those of the failed premise: all p^4 at p = 5, whose 3 750
-    violations stay below the cap, and at p = 7 the p^2 groups of only the first 12 g-orbits of m1, as the 12th
-    renders the 10 000th violation and the sweep stops there."""
-    calls = counted_calls(monkeypatch, (_Rows, "__init__"), (_Lanes, "run"), (_Lanes, "orbit"), (_Proofs, "__init__"))
+    """One _Proofs serves the six checks, and associativity never sweeps, as *associative* is proved; a healthy
+    H(7, 3) runs the 3 p^2 = 147 generator lane groups of *multiplicative* and no sweep, and the s = 0 control
+    sweeps each law that needs *multiplicative* once: the bialgebra sweep runs one group per g-orbit of m1 and
+    x^b2 y^c2, reading back those of the failed premise, all p^4 at p = 5, whose 3 750 violations stay below the
+    cap, and at p = 7 the p^2 groups of only the first 12 g-orbits of m1, as the 12th renders the 10 000th
+    violation and the sweep stops there."""
+    calls = counted_calls(monkeypatch, (_Lanes, "run"), (_Lanes, "orbit"), (_Proofs, "__init__"))
+    sweeps = counted_sweeps(monkeypatch)
     report = run_all(BookAlgebra(p, s, permissive=s == 0))
     assert report.passed if s else negative_control_matches(report, p)
-    assert calls["_Rows.__init__"] == 0 and calls["_Proofs.__init__"] == 1
+    assert calls["_Proofs.__init__"] == 1
+    assert sweeps == ({} if s else dict.fromkeys(("coassociativity", "counit", "bialgebra", "antipode"), 1))
     if s:
         assert calls["_Lanes.run"] == 147 and not calls["_Lanes.orbit"]
     else:

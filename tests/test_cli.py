@@ -114,7 +114,7 @@ PINNED_VERIFY_OUTPUT = [
     # at the cap: 10 000 Delta violations, most rendered from the first group run of their g-orbit, and y^7 = 0
     (["verify", "--p", "7", "--s", "0", "--permissive"], 10_001,
      "f7acbcf02fb3dd191cb41ef42066f960c6a60c64d8d34a5a23332117497dd7f0"),
-    # the sampling options reach associativity alone: the bialgebra result is that of the run without them
+    # the sampling options change associativity's label alone: the bialgebra result is that of the run without them
     (["verify", "--p", "7", "--s", "0", "--permissive", "--sample-size", "5000", "--seed", "3"], 10_001,
      "ded4ff74166e6224e66cd1de0c581e306fdbae34140c1b68f7e0b05bcc0c246f"),
 ]

@@ -58,6 +58,13 @@ def test_construct_validates_s():
             BookAlgebra(5, bad)
 
 
+@pytest.mark.parametrize("p,s", [(5, True), (5, False), (True, 1), (False, 0)])
+def test_construct_rejects_a_bool(p, s):
+    """A bool is an int, but BookAlgebra(5, True) would print as s=True and read g y = q^-True y g."""
+    with pytest.raises(ValueError, match=f"^{'s' if type(p) is int else 'p'} must be"):
+        BookAlgebra(p, s, permissive=True)
+
+
 def test_s_zero_needs_permissive():
     with pytest.raises(ValueError, match="permissive"):
         BookAlgebra(5, 0)
