@@ -15,6 +15,9 @@ replaced, and ``associativity_by_generators`` the generator route that the
 cocycle premise ``_Proofs.associative`` replaced.  ``bilinear_table_reference``
 fills the table of ``hopf.bilinear_rows`` one entry at a time, and ``structure_table_reference`` is the
 row-at-a-time fill that the block fill of ``BookAlgebra.structure_table`` replaced.
+``lane`` reads one lane of a bialgebra accumulator per violation, and ``own_run_texts`` renders every Delta
+violation from m1's own lane group run through it, as the bialgebra sweep did before it unpacked each lane once
+and rendered each distinct text once.
 ``doctor_product`` breaks one entry of the product table, and
 ``doctor_delta`` and ``negate_unit_row`` one row of the structure table, so
 that the tests can show the fast checks notice.
@@ -350,6 +353,33 @@ def negate_unit_row(A, rows, mono):
     getattr(table, rows)[i] = t, (code + A.p) % (2 * A.p)
     A._antipode_mono.clear()
     A._s2_mono.clear()
+
+
+def lane(lanes, acc, a2, a1=0):
+    """Lane a2 of a ``_Lanes`` accumulator as a packed sum keyed t_u n + t_v, both legs moved by g^(a2 + a1): the
+    per-violation read the bialgebra sweep made before it unpacked each lane once and memoized its texts."""
+    n, move, shift, mask = lanes.n, lanes.moved[(a2 + a1) % lanes.p], a2 * lanes.lane_bits, lanes.lane_mask
+    return {move[key // n] * n + move[key % n]: w for key, v in acc.items() if (w := v >> shift & mask)}
+
+
+def own_run_texts(lanes, result):
+    """(rendered, own) for the Delta violations of a bialgebra ``result``: the rhs as rendered, and Delta(m1) Delta(m2)
+    rendered from lane a2 of m1's own ``lanes.run``, read by ``lane`` with no memo, as the sweep did before it carried
+    one run per g-orbit and rendered each distinct text once."""
+    p = lanes.p
+    index = {name: i for i, name in enumerate(lanes.table.names)}
+    runs, rendered, own = {}, [], []
+    for v in result.violations:
+        if v.at.startswith("Delta: "):
+            i1, i2 = (index[part.split("=", 1)[1]] for part in v.at.removeprefix("Delta: ").split(", "))
+            (bc2, a2), key = divmod(i2, p), (i1, i2 // p)
+            if key not in runs:
+                runs[key] = lanes.run(i1, bc2, lanes.left(i1))
+            acc, bad, e12 = runs[key]
+            assert bad >> a2 & 1, v.at
+            rendered.append(v.rhs)
+            own.append(lanes.table.render(lane(lanes, acc, a2), e12))
+    return rendered, own
 
 
 def delta2_twist_monomial(A, l, beta, mono):

@@ -47,7 +47,9 @@ from oracles import (
     doctor_delta,
     doctor_product,
     install_delta_rows,
+    lane,
     negate_unit_row,
+    own_run_texts,
 )
 
 AXIOMS = [
@@ -587,16 +589,42 @@ def test_bialgebra_renders_a_zero_product_and_its_lanes_as_tensor2_does():
     assert all(lhs == "0" != rhs for _, lhs, rhs in expected)
 
 
+def memo_keys(A, violations):
+    """The distinct (lane, g-move, q-exponent) keys of the bialgebra sweep's text memo among the Delta
+    ``violations`` of A, and their distinct (m1's g-orbit, m2) lanes, computed from the orbit lemma of
+    check_bialgebra_compat: the rhs at basis[i1] = basis[first] g^a1 is lane a2 of run (basis[first], x^b2 y^c2),
+    keys as in lane 0, with both legs moved by g^(a2 + a1), at q^(e12 + a1 wt(x^b2 y^c2))."""
+    p, lanes = A.p, _Proofs(A).lanes
+    index = {m.render(): i for i, m in enumerate(A.basis())}
+    runs, keys, lanes_read = {}, set(), set()
+    for v in violations:
+        i1, i2 = (index[part.split("=", 1)[1]] for part in v.at.removeprefix("Delta: ").split(", "))
+        (first, a1), (bc2, a2) = divmod(i1, p), divmod(i2, p)
+        if (first, bc2) not in runs:
+            runs[first, bc2] = lanes.run(first * p, bc2, lanes.left(first * p))
+        acc, _, e12 = runs[first, bc2]
+        unmoved = frozenset(lane(lanes, acc, a2, -a2).items())  # lane a2 with its keys as in lane 0
+        keys.add((unmoved, (a2 + a1) % p, (e12 + a1 * lanes.wt[bc2 * p]) % p))
+        lanes_read.add((first, i2))
+    return keys, lanes_read
+
+
 def test_bialgebra_renders_nothing_past_the_cap(monkeypatch):
-    """H(7, 0) fails at 28 812 pairs, the cap falls inside a lane group, and no side is read or rendered past it."""
+    """H(7, 0) fails at 28 812 pairs, the cap falls inside a lane group, and no side is read or rendered past it:
+    each lane of a g-orbit's run is unpacked once, and each distinct memo key rendered once."""
     A = BookAlgebra(7, 0, permissive=True)
     n = len(A.basis())
-    calls = counted_calls(monkeypatch, (StructureTable, "render"), (_Lanes, "lane"))
+    calls = counted_calls(monkeypatch, (StructureTable, "render"), (_Lanes, "unpacked"), (axioms._Recorder, "hit"))
     result = check_bialgebra_compat(A).result("bialgebra")
     assert result.checked == n * n and result.status == "fail"
     assert len(result.violations) == MAX_VIOLATIONS_RENDERED
-    # every Delta(m1 m2) is 0 and needs no render; each Delta(m1) Delta(m2) is one lane read and one render
-    assert calls == {"StructureTable.render": MAX_VIOLATIONS_RENDERED, "_Lanes.lane": MAX_VIOLATIONS_RENDERED}
+    assert all(v.at.startswith("Delta: ") and v.lhs == "0" for v in result.violations)
+    # every Delta(m1 m2) is 0 and needs no render; Delta(m1) Delta(m2) is one render per distinct memo key, and no
+    # violation past the cap is even offered to the recorder
+    keys, lanes_read = memo_keys(A, result.violations)
+    assert len(keys) < MAX_VIOLATIONS_RENDERED
+    assert calls == {"StructureTable.render": len(keys), "_Lanes.unpacked": len(lanes_read),
+                     "_Recorder.hit": MAX_VIOLATIONS_RENDERED}
     by_name = {m.render(): m for m in A.basis()}
     for v in (result.violations[0], result.violations[-1]):  # the first and the last rendered, as Tensor2 renders them
         m1, m2 = (by_name[part.split("=", 1)[1]] for part in v.at.removeprefix("Delta: ").split(", "))
@@ -639,36 +667,27 @@ def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs, monkeypatch
     assert len(group_runs) == 343 * 7 ** 2 == 16_807
 
 
-def own_run_texts(A, result):
-    """(rendered, own) for the Delta violations of ``result``: the rhs as rendered, and Delta(m1) Delta(m2)
-    rendered from lane a2 of m1's own ``_Lanes.run``, as the sweep did before it carried one run per g-orbit."""
-    p, lanes = A.p, _Proofs(A).lanes
-    index = {m.render(): i for i, m in enumerate(A.basis())}
-    runs, rendered, own = {}, [], []
-    for v in result.violations:
-        if v.at.startswith("Delta: "):
-            i1, i2 = (index[part.split("=", 1)[1]] for part in v.at.removeprefix("Delta: ").split(", "))
-            (bc2, a2), key = divmod(i2, p), (i1, i2 // p)
-            if key not in runs:
-                runs[key] = lanes.run(i1, bc2, lanes.left(i1))
-            acc, bad, e12 = runs[key]
-            assert bad >> a2 & 1
-            rendered.append(v.rhs)
-            own.append(lanes.table.render(lanes.lane(acc, a2), e12))
-    return rendered, own
-
-
-@pytest.mark.parametrize("p,options", [
-    (3, {}), (5, {}), (7, {}),
-    (7, {"seed": 0, "sample_size": 2500}), (7, {"seed": 3, "sample_size": 5000}),  # these reach associativity only
-], ids=["p3", "p5", "p7", "p7-seed0-2500", "p7-seed3-5000"])
-def test_each_delta_violation_renders_as_m1s_own_group_run(p, options):
-    """At s = 0 every Delta(m1) Delta(m2) read off the first run of its g-orbit equals the text of m1's own run."""
-    A = BookAlgebra(p, 0, permissive=True)
+@pytest.mark.parametrize("p,s,how,options", [
+    (3, 0, None, {}), (5, 0, None, {}), (7, 0, None, {}),
+    # the sampling options reach associativity's label only
+    (7, 0, None, {"seed": 0, "sample_size": 2500}), (7, 0, None, {"seed": 3, "sample_size": 5000}),
+    (7, 3, "digit", {}), (11, 0, None, {}),
+], ids=["p3", "p5", "p7", "p7-seed0-2500", "p7-seed3-5000", "p7-s3-orbit-digit", "p11"])
+def test_each_delta_violation_renders_as_m1s_own_group_run(p, s, how, options):
+    """Every Delta(m1) Delta(m2) read off the first run of its g-orbit, through the text memo, equals the text of
+    m1's own run read lane by lane: at s = 0 up to the cap, which ends the sweep at p >= 7, and on an orbit of
+    H(7, 3) doctored alike, where the lemma's q^(a1 wt(m2)) is not 1 for m2 with a y."""
+    A = BookAlgebra(p, s, permissive=s == 0)
+    if how:
+        doctor_orbit(A, how)
     result = check_bialgebra_compat(A, **options).result("bialgebra")
-    rendered, own = own_run_texts(A, result)
+    rendered, own = own_run_texts(_Proofs(A).lanes, result)
     assert rendered and rendered == own
-    assert any(v.at.startswith("Delta: m1=y g") for v in result.violations)  # an m1 that is not first in its orbit
+    assert (len(result.violations) == MAX_VIOLATIONS_RENDERED) == (s == 0 and p >= 7)  # the cap ends the sweep
+    m1s = {v.at.split(", ")[0] for v in result.violations}
+    assert any(" g" in m1 for m1 in m1s)  # an m1 that is not first in its orbit
+    if how:
+        assert _Proofs(A).lanes.orbit() == p and not _Proofs(A).multiplicative
 
 
 def test_each_delta_violation_renders_as_m1s_own_group_run_on_doctored_tables():
@@ -678,7 +697,7 @@ def test_each_delta_violation_renders_as_m1s_own_group_run_on_doctored_tables():
         A = doctored_algebra(how)
         result = check_bialgebra_compat(A).result("bialgebra")
         if _Proofs(A).lanes.orbit() == A.p and not result.passed:
-            rendered, own = own_run_texts(A, result)
+            rendered, own = own_run_texts(_Proofs(A).lanes, result)
             assert rendered == own, how
             compared += [how] * bool(rendered)
     assert compared == ["orbit digit", "R on x", "R on y"]
@@ -1002,10 +1021,15 @@ def test_lane_output_keys_unpack_to_tensor_products(p, s):
         acc, _ = lanes.group(lanes.left(i1), bc2, e12, {})
         for a2 in range(p):
             product = A.coproduct_monomial(basis[i1]) * A.coproduct_monomial(basis[bc2 * p + a2])
-            lane = lanes.lane(acc, a2)
-            terms = accumulate(((basis[k // n], basis[k % n]), structure.decode(v, e12)) for k, v in lane.items())
+            read = lane(lanes, acc, a2)
+            terms = accumulate(((basis[k // n], basis[k % n]), structure.decode(v, e12)) for k, v in read.items())
             assert terms == product.terms
-            assert structure.render(lane, e12) == product.render()
+            assert structure.render(read, e12) == product.render()
+            # the sweep's unpacked lane: sorted, keys as in lane 0, the same sum once both legs are moved by g^a2
+            unpacked = lanes.unpacked(acc, a2)
+            assert list(unpacked) == sorted(unpacked) and lane(lanes, acc, a2, -a2) == dict(unpacked)
+            move = lanes.moved[a2]
+            assert {move[k // n] * n + move[k % n]: w for k, w in unpacked} == read
             nonzero += bool(product)
     assert nonzero
 

@@ -170,14 +170,41 @@ def test_json_output_is_json_dumps_with_indent_2(argv):
     assert code == 0 and text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
+SHARED = "q\u00e9 \u2028\x00\x1f\t\"\\ x^2 (x) y g^3"  # one object: non-ASCII, control characters, escapes
+
+
 @pytest.mark.parametrize("value", [
     {}, [], "", 0, -1.5e-07, None, True, False, "q\u00e9\n\"", (1, "x"),
     {"a": [], "b": {}, "c": [[], [{}], {"d": [1, 2.5, None, True, "x"]}]},
+    # one str object as a key and as a value at several depths, next to an equal string that is another object
+    {SHARED: SHARED, "a": [SHARED, {SHARED: [SHARED, {SHARED: SHARED}]}], "b": {"c": SHARED, SHARED: "d"},
+     "e": "".join([SHARED[:5], SHARED[5:]])},
+    [SHARED, [SHARED, [SHARED, {SHARED: [SHARED]}]], "\u00e9", {"\u00e9": "\u00e9"}],
 ])
 def test_json_printer_writes_the_bytes_of_json_dumps(value):
     chunks = []
     cli._json(value, chunks)
     assert "".join(chunks) == json.dumps(value, indent=2)
+
+
+def test_json_memo_lives_for_one_main_call(monkeypatch):
+    """Each ``main`` call encodes through a memo of its own, so two calls in one process print the same bytes, with
+    a call that encodes other strings between them."""
+    memos = []
+    encoded = cli._Encoded
+
+    class Counted(encoded):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(cli, "_Encoded", Counted)
+    first = run_cli(["table", "--p", "3", "--format", "json"])
+    between = run_cli(["verify", "--p", "3", "--s", "0", "--permissive", "--format", "json"])
+    assert run_cli(["table", "--p", "3", "--format", "json"]) == first
+    assert first[0] == 0 and between[0] == 0 and len(memos) == 3
+    assert first[1] == json.dumps(json.loads(first[1]), indent=2) + "\n"
+    assert between[1] == json.dumps(json.loads(between[1]), indent=2) + "\n"
 
 
 def test_verify_is_deterministic():
