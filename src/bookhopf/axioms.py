@@ -43,15 +43,21 @@ if a premise fails, the sweep runs as if no proof had been tried.
 alone builds its own; nothing is cached on the algebra, whose tables a
 caller may change between checks.
 
+*One cap.*  Every sweep, and the relations check, is a generator of
+(at, lhs, rhs) that renders a violation only as it yields it, and
+``_Recorder.finish`` takes the first MAX_VIOLATIONS_RENDERED of them with
+one ``islice``.  That leaves the generator suspended at the cap, so
+nothing is read or rendered past it: past the cap nothing can change
+the report, which fails with its ``checked``.
+
 Every check but the relations runs on integers: products are read off the
 basis-index product table, and Delta and S off the structure table, whose
 compares the ``hopf`` module docstring shows exact; eps is read off
 ``BookAlgebra.counit_monomial``.  ``StructureTable.render`` renders the
 failing sides of coassociativity, the counit law and Delta
 multiplicativity straight from their packed sums, ``Element`` those of
-associativity, the antipode law and the relations, up to
-MAX_VIOLATIONS_RENDERED.  The checks are pure computation and may run
-concurrently on one algebra instance.
+associativity, the antipode law and the relations.  The checks are pure
+computation and may run concurrently on one algebra instance.
 """
 
 from __future__ import annotations
@@ -159,49 +165,37 @@ MAX_VIOLATIONS_RENDERED = 10_000  # keep pathological reports bounded
 class _Recorder:
     def __init__(self, axiom):
         self.axiom = axiom
-        self.violations = []
         self.t0 = perf_counter()
-        self.checked = 0
 
-    @property
-    def full(self):  # callers render no violation past the cap
-        return len(self.violations) >= MAX_VIOLATIONS_RENDERED
-
-    def hit(self, at, lhs, rhs):
-        if not self.full:
-            self.violations.append(Violation(self.axiom, at, lhs, rhs))
-
-    def finish(self, mode):
+    def finish(self, mode, checked, found):
+        """The result, with the first MAX_VIOLATIONS_RENDERED of the (at, lhs, rhs) that ``found`` yields: ``islice``
+        draws none past them, so a sweep left suspended there reads and renders nothing past the cap."""
+        violations = [Violation(self.axiom, *v) for v in islice(found, MAX_VIOLATIONS_RENDERED)]
         elapsed = round((perf_counter() - self.t0) * 1000.0, 3)
-        return AxiomResult(self.axiom, self.violations, elapsed, self.checked, mode)
+        return AxiomResult(self.axiom, violations, elapsed, checked, mode)
 
 
 def _prove_or_sweep(rec, mode, checked, proved, sweep):
-    """The protocol of every proof by generators: report the route's ``mode`` and ``checked``; unless
-    ``proved()``, first run ``sweep()``, the route as if no proof had been tried, which records the violations."""
-    rec.checked = checked
-    if not proved():
-        sweep()
-    return AxiomReport([rec.finish(mode)])
+    """The protocol of every proof by generators: report the route's ``mode`` and ``checked``, and unless
+    ``proved()`` the violations that ``sweep()``, the route as if no proof had been tried, yields up to the cap."""
+    return AxiomReport([rec.finish(mode, checked, () if proved() else sweep())])
 
 
 def _per_monomial(rec, algebra, proofs, premises, law):
-    """``_prove_or_sweep`` for a law checked per basis monomial by ``law(rec, indices)``.
+    """``_prove_or_sweep`` for a law checked per basis monomial: ``law(indices)`` yields its violations there.
 
     Proved when the ``_Proofs`` verdicts named in ``premises`` hold and
-    ``law`` finds nothing at 1, g, x and y; the run then reports exhaustive
-    with every monomial checked.  Otherwise ``law`` runs on the whole basis.
+    ``law`` yields nothing at 1, g, x and y, where it is drawn from only up
+    to its first violation; the run then reports exhaustive with every
+    monomial checked.  Otherwise ``law`` runs on the whole basis.
     """
     n = len(algebra.basis())
 
     def proved():
-        if not all(getattr(proofs, premise) for premise in premises):
-            return False
-        scratch = _Recorder(rec.axiom)
-        law(scratch, (0, *algebra.generators))
-        return not scratch.violations
+        premised = all(getattr(proofs, premise) for premise in premises)
+        return premised and next(law((0, *algebra.generators)), None) is None
 
-    return _prove_or_sweep(rec, "exhaustive", n, proved, lambda: law(rec, range(n)))
+    return _prove_or_sweep(rec, "exhaustive", n, proved, lambda: law(range(n)))
 
 
 def _plan(domain, sample_size, exhaustive):
@@ -261,14 +255,13 @@ def check_associativity(algebra, *, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=
     s = 0 included, so only a library caller with a doctored table gets
     here.  For each m1 the sweep compares the rows (m1 m2) m3 and
     m1 (m2 m3) over all m3 at once, for every m2, and walks a differing row
-    in m3 order to record violations.  (m1 m2) m3 is row t12 of
+    in m3 order, yielding its violations.  (m1 m2) m3 is row t12 of
     ``_Proofs.rows`` read through ``shift[e12]``, and m1 (m2 m3) is row m2
     read through a map, built per m1, that takes the code of q^e basis[t]
     to that of m1 q^e basis[t]; each read is an ``itemgetter`` of the row,
-    built on the fly.  Once MAX_VIOLATIONS_RENDERED violations are recorded
-    the sweep stops: past the cap nothing can change the report.  It
-    reports exhaustive with n^3 checked, whatever ``sample_size`` and
-    ``exhaustive`` say.  Its cost is the library's to bear: about 1 s on a
+    built on the fly.  At the cap (see the module docstring) the sweep is
+    drawn from no more, so it stops there.  It reports exhaustive with n^3
+    checked, whatever ``sample_size`` and ``exhaustive`` say.  Its cost is the library's to bear: about 1 s on a
     doctored H(7, 2), and where fewer violations than the cap arise up to
     about 2.4 minutes at p = 11 and 11 minutes at p = 13 (108 ms and 296 ms
     per m1 on the same VM).
@@ -297,11 +290,9 @@ def check_associativity(algebra, *, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=
                 if lhs == rhs:
                     continue
                 for i3, left, right in zip(range(n), lhs, rhs):
-                    if left != right and not rec.full:
-                        rec.hit(f"m1={basis[i1].render()}, m2={basis[i2].render()}, m3={basis[i3].render()}",
-                                render(left), render(right))
-                if rec.full:
-                    return  # past the cap nothing can change the report: it fails, with its checked and violations
+                    if left != right:
+                        yield (f"m1={basis[i1].render()}, m2={basis[i2].render()}, m3={basis[i3].render()}",
+                               render(left), render(right))
 
     return _prove_or_sweep(rec, mode, checked, lambda: proofs.associative, sweep)
 
@@ -331,7 +322,7 @@ def check_coassociativity(algebra, *, _proofs=None, **_ignored):
     rec = _Recorder("coassociativity")
     table = A.structure_table()
 
-    def law(rec, indices):
+    def law(indices):
         legs = {leg for i in indices for u, v, _ in table.delta[i] for leg in (u, v)}
         right = {t: [(u * n + v, r[0]) for u, v, r in table.delta[t]] for t in legs}  # keys of the last two legs
         left = {t: [(key * n, d) for key, d in row] for t, row in right.items()}  # keys of the first two legs
@@ -346,8 +337,8 @@ def check_coassociativity(algebra, *, _proofs=None, **_ignored):
                 for key, d in right[v]:
                     key += head
                     rhs[key] = rget(key, 0) + c * d
-            if not rec.full and table.differs(lhs, rhs):
-                rec.hit(f"m={basis[i].render()}", table.render(lhs, legs=3), table.render(rhs, legs=3))
+            if table.differs(lhs, rhs):
+                yield f"m={basis[i].render()}", table.render(lhs, legs=3), table.render(rhs, legs=3)
 
     return _per_monomial(rec, A, _proofs or _Proofs(A), ("multiplicative",), law)
 
@@ -369,7 +360,7 @@ def check_counit_law(algebra, *, _proofs=None, **_ignored):
     table = A.structure_table()
     eps = A.counit_packed()
 
-    def law(rec, indices):
+    def law(indices):
         for i in indices:
             left, right = {}, {}
             for u, v, r in table.delta[i]:
@@ -378,9 +369,8 @@ def check_counit_law(algebra, *, _proofs=None, **_ignored):
                 if eps[v]:
                     right[u] = right.get(u, 0) + r[0] * eps[v]
             for leg, side in (("left", left), ("right", right)):
-                if not rec.full and table.differs(side, {i: 1}):
-                    at = f"m={basis[i].render()} (eps on {leg} leg)"
-                    rec.hit(at, table.render(side, legs=1), basis[i].render())
+                if table.differs(side, {i: 1}):
+                    yield f"m={basis[i].render()} (eps on {leg} leg)", table.render(side, legs=1), basis[i].render()
 
     return _per_monomial(rec, A, _proofs or _Proofs(A), ("multiplicative",), law)
 
@@ -416,7 +406,7 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
       *Lemma:* then at m1 = h g^a1, h = x^b1 y^c1, Delta(m1) Delta(m2) and
       Delta(m1 m2) are both q^(a1 wt(m2)) times their values at (h, m2) with
       both legs moved by g^a1, so all m1 of an orbit fail in the same lanes.
-      If a premise fails, every m1 is its own orbit: the full sweep.
+      If a premise fails, every m1 is its own orbit, and the sweep runs every group.
 
     The expected side Delta(m1 m2) is read off the product table and the
     lane groups, memoized per product monomial.  Both sides of eps(m1 m2) =
@@ -454,13 +444,13 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
     The sweep takes the g-orbits of m1 in basis order.  At the first m1 of
     an orbit, basis[first], it builds ``_Lanes.left`` once and runs the p^2
     groups (basis[first], x^b2 y^c2), keeping the accumulator of a run with
-    a bad lane; it then renders the violations of every m1 of the orbit in
-    basis order, up to MAX_VIOLATIONS_RENDERED of them, with no Tensor2
-    built: Delta(m1 m2) from its Delta row at q^e1 for m1 m2 = q^e1
-    basis[t], and by the lemma, at basis[i1] = basis[first] g^a1,
-    Delta(m1) Delta(m2) as lane a2 of the run with both legs moved by
-    g^(a2 + a1), at q^(e12 + a1 wt(x^b2 y^c2)).  eps values are compared
-    by identity, as ``_Counit`` keeps one object per value.
+    a bad lane; it then yields the violations of every m1 of the orbit in
+    basis order, each rendered as it is yielded, with no Tensor2 built:
+    Delta(m1 m2) from its Delta row at q^e1 for m1 m2 = q^e1 basis[t], and
+    by the lemma, at basis[i1] = basis[first] g^a1, Delta(m1) Delta(m2) as
+    lane a2 of the run with both legs moved by g^(a2 + a1), at
+    q^(e12 + a1 wt(x^b2 y^c2)).  eps values are compared by identity, as
+    ``_Counit`` keeps one object per value.
 
     *Each piece of work once.*  A bad lane a2 of a run is unpacked once
     per orbit, on its first violation, as a sorted tuple of (key, packed
@@ -474,12 +464,10 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
     and unmoved keys, the move its keys), and the key holds the exponent.
     At s = 0 the 3 750 violations of p = 5 take 620 renders.
 
-    Each hit is followed by a test of the cap, and no lane is unpacked or
-    rendered once MAX_VIOLATIONS_RENDERED violations are recorded: past
-    the cap nothing can change the report, which fails with n^2 checked.
-    The sweep stops there, so it runs all p^4 groups only where fewer
-    violations arise; at s = 0 it runs 588 of them at p = 7 and 726 at
-    p = 11.
+    The sweep is drawn from no more at the cap (see the module docstring),
+    so no lane is unpacked or rendered past it, and the report fails with
+    n^2 checked.  It runs all p^4 groups only where fewer violations arise;
+    at s = 0 it runs 588 of them at p = 7 and 726 at p = 11.
     """
     A = algebra
     p = A.p
@@ -494,8 +482,6 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
 
         orbit = lanes.orbit()
         for first in range(0, n, orbit):
-            if rec.full:
-                break  # past the cap nothing can change the report: it fails, with its checked and violations
             left = lanes.left(first)
             runs = []  # per x^b2 y^c2: (accumulator if a lane is bad, bad lanes, e12)
             for bc2 in range(p * p):
@@ -503,14 +489,10 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
                 runs.append((acc if bad else None, bad, e12))
             lane_of = {}  # i2 -> (number, lane i2 % p of run i2 // p), unpacked on its first violation
             for a1, i1 in enumerate(range(first, first + orbit)):  # basis[i1] = basis[first] g^a1
-                if rec.full:
-                    break
                 eps_lhs, eps_rhs = eps.lhs(i1), eps.rhs(i1)
                 eps_ok = eps_lhs == eps_rhs
                 delta_at, eps_at = f"Delta: m1={names[i1]}, m2=", f"epsilon: m1={names[i1]}, m2="
                 for bc2, (acc, bad, e12) in enumerate(runs):
-                    if rec.full:
-                        break  # each hit below is followed by this test, so nothing is read or rendered past the cap
                     if eps_ok and not bad:
                         continue
                     e = (e12 + a1 * wt[bc2 * p]) % p
@@ -526,13 +508,9 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
                                 move = moved[key[1]]
                                 rhs = texts[key] = structure.render(
                                     {move[k // n] * n + move[k % n]: w for k, w in lane[1]}, e)
-                            rec.hit(delta_at + names[i2], lhs, rhs)
-                            if rec.full:
-                                break
+                            yield delta_at + names[i2], lhs, rhs
                         if eps_lhs[i2] is not eps_rhs[i2]:
-                            rec.hit(eps_at + names[i2], eps_lhs[i2].render(), eps_rhs[i2].render())
-                            if rec.full:
-                                break
+                            yield eps_at + names[i2], eps_lhs[i2].render(), eps_rhs[i2].render()
 
     return _prove_or_sweep(rec, "exhaustive", n * n, lambda: proofs.multiplicative, sweep)
 
@@ -586,8 +564,9 @@ class _Lanes:
         p = self.p
         grouped = {}
         for a2 in range(p):
+            back = self.moved[-a2]
             for u, v, rotations in self.rows[bc * p + a2]:
-                key = u - u % p + (u - a2) % p, v - v % p + (v - a2) % p
+                key = back[u], back[v]
                 grouped[key] = grouped.get(key, 0) + (rotations[0] << a2 * self.lane_bits)
         return [(w, z, packed) for (w, z), packed in grouped.items()]
 
@@ -607,9 +586,9 @@ class _Lanes:
         """Biased packed Delta(x^B y^C g^(a + a2)) in lane a2, for t the index of x^B y^C g^a:
         group t // p with both legs moved by g^a and lane a + a2 rotated down to lane a2."""
         p, n, a = self.p, self.n, t % self.p
-        low, high = a * self.lane_bits, (p - a) * self.lane_bits
+        move, low, high = self.moved[a], a * self.lane_bits, (p - a) * self.lane_bits
         return {
-            (w - w % p + (w + a) % p) * n + z - z % p + (z + a) % p:
+            move[w] * n + move[z]:
                 self.bias - (packed >> low | (packed & (1 << low) - 1) << high)
             for w, z, packed in self.groups[t // p]
         }
@@ -696,7 +675,7 @@ def check_antipode_law(algebra, *, _proofs=None, **_ignored):
     S = table.antipode
     eps = A.counit_packed()
 
-    def law(rec, indices):
+    def law(indices):
         for i in indices:
             for leg in ("left", "right"):
                 plus, minus = {}, {0: eps[i]}  # keyed by basis index; basis[0] = 1
@@ -706,10 +685,10 @@ def check_antipode_law(algebra, *, _proofs=None, **_ignored):
                     if c >= 0:
                         side = minus if code >= p else plus
                         side[c // p] = side.get(c // p, 0) + r[(code + c) % p]
-                if not rec.full and table.differs(plus, minus):
-                    target = Element._raw(p, s, table.decoded(basis.__getitem__, {0: eps[i]}))  # eps(m) 1
-                    got = Element._raw(p, s, table.decoded(basis.__getitem__, plus, minus)) + target
-                    rec.hit(f"m={basis[i].render()} (S on {leg} leg)", got.render(), target.render())
+                if table.differs(plus, minus):
+                    target = Element._raw(p, s, table.decoded({0: eps[i]}))  # eps(m) 1
+                    got = Element._raw(p, s, table.decoded(plus, minus)) + target
+                    yield f"m={basis[i].render()} (S on {leg} leg)", got.render(), target.render()
 
     return _per_monomial(rec, A, _proofs or _Proofs(A), ("multiplicative", "anti_multiplicative"), law)
 
@@ -732,6 +711,7 @@ def check_relations(algebra, **_ignored):
     rec = _Recorder("relations")
     q = root_power(p, 1)
     letters = {"x": A.x, "y": A.y, "g": A.g}
+    relations = A.relations()
 
     def word_image(structure_map, word, step):
         out = structure_map(A.one)
@@ -739,14 +719,15 @@ def check_relations(algebra, **_ignored):
             out = out * structure_map(letters[letter])
         return out
 
-    for name, lhs_word, e, rhs_word in A.relations():
-        for label, f, step in (("Delta", A.coproduct, 1), ("S", A.antipode, -1)):
-            rec.checked += 1
-            lhs = word_image(f, lhs_word, step)
-            rhs = type(lhs).zero(p, s) if rhs_word is None else word_image(f, rhs_word, step).scale(q ** e)
-            if lhs != rhs:  # two images per relation, far below the cap
-                rec.hit(f"{label}: {name}", lhs.render(), rhs.render())
-    return AxiomReport([rec.finish("exhaustive")])
+    def sweep():
+        for name, lhs_word, e, rhs_word in relations:
+            for label, f, step in (("Delta", A.coproduct, 1), ("S", A.antipode, -1)):
+                lhs = word_image(f, lhs_word, step)
+                rhs = type(lhs).zero(p, s) if rhs_word is None else word_image(f, rhs_word, step).scale(q ** e)
+                if lhs != rhs:
+                    yield f"{label}: {name}", lhs.render(), rhs.render()
+
+    return AxiomReport([rec.finish("exhaustive", 2 * len(relations), sweep())])
 
 
 class _Proofs:

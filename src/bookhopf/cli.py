@@ -17,10 +17,11 @@ are multiplicative.  ``--sample-size`` and ``--exhaustive`` set only the
 label that a proved associativity run reports, and ``--seed`` reaches
 nothing; associativity is proved on every H(p, s) the CLI builds.  Where
 the bialgebra proof fails, as at s = 0, its check runs the p^2 lane groups
-of one m1 per g-orbit, and renders the violations of the whole orbit from
-those runs, until it has rendered MAX_VIOLATIONS_RENDERED = 10 000 of
-them: past that nothing can change its report.  At s = 0 that is 726 of
-the 14 641 groups at p = 11.
+of one m1 per g-orbit and yields the violations of the whole orbit from
+those runs.  Every report takes the first MAX_VIOLATIONS_RENDERED = 10 000
+violations of its sweep with one ``islice``, and the sweep, drawn from no
+more, stops there: past that nothing can change the report.  At s = 0
+that is 726 of the 14 641 groups at p = 11.
 Exit codes: 0 = all checks pass / classification consistent, 1 = an axiom
 violation or a brute-force/closed-form disagreement, 2 = usage error.  The
 text and JSON renderings of a run carry the same data: each subcommand

@@ -165,6 +165,7 @@ class StructureTable:
         Each coefficient is lifted, packed and rotated once (a value met before is read back), and R is the
         largest digit sum of a block, which every row of the block has.  A block of one row takes any row."""
         self.p = p
+        self.basis = basis_monomials(p)  # in basis order
         self._decoded = {}  # (packed value, e mod p) -> decode(value, e)
         self._texts = [{} for _ in range(p)]  # [e][packed value] -> its term_text before a key, on first render
         lifts = {d: lift(d) for d in dict.fromkeys(chain.from_iterable(coefficients for coefficients, _ in blocks))}
@@ -205,16 +206,16 @@ class StructureTable:
             c = self._decoded[key] = self._value(v, e)
         return c
 
-    def decoded(self, legs, plus, minus=None):
-        """{legs(key): value} of the non-zero values of the packed sums ``plus`` minus ``minus``."""
+    def decoded(self, plus, minus=None):
+        """{basis[key]: value} of the non-zero values of the packed sums ``plus`` minus ``minus``, keyed by index."""
         return accumulate(chain(
-            ((legs(key), self.decode(v)) for key, v in plus.items()),
-            ((legs(key), -self.decode(v)) for key, v in (minus or {}).items()),
+            ((self.basis[key], self.decode(v)) for key, v in plus.items()),
+            ((self.basis[key], -self.decode(v)) for key, v in (minus or {}).items()),
         ))
 
     @cached_property
     def names(self):  # the text of every basis monomial, in basis order
-        return [m.render() for m in basis_monomials(self.p)]
+        return [m.render() for m in self.basis]
 
     def render(self, packed, e=0, legs=2):
         """The text of a packed sum {key: value} times q^e, as Element (legs 1), Tensor2 or Tensor3 renders it.

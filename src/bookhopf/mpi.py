@@ -257,7 +257,7 @@ def twist(algebra, l, beta, h):
     table, monomial = A.structure_table(), _twist_monomial(A, _conjugation(A, l), *_character_vectors(A, beta))
     total = Element.zero(A.p, A.s)
     for mono, coeff in A._own(h).terms.items():
-        terms = table.decoded(A.basis().__getitem__, *monomial(A.basis_index(mono)))
+        terms = table.decoded(*monomial(A.basis_index(mono)))
         total = total + Element._raw(A.p, A.s, terms).scale(coeff)
     return total
 

@@ -172,9 +172,9 @@ def test_a_pass_always_checked_something(p, s, sample_size):
 
 
 def test_a_check_that_examined_nothing_fails():
-    from bookhopf.axioms import _Recorder
-
-    result = _Recorder("associativity").finish("exhaustive")
+    """A sweep that finds nothing, over a domain of nothing, is a failure."""
+    (result,) = axioms._prove_or_sweep(axioms._Recorder("associativity"), "exhaustive", 0, lambda: False,
+                                       lambda: iter(())).results
     assert result.checked == 0 and not result.violations
     assert result.status == "fail"
     with pytest.raises(ValueError, match="status"):
@@ -285,17 +285,23 @@ def counted_calls(monkeypatch, *methods):
     return calls
 
 
-def counted_sweeps(monkeypatch):
-    """Count the sweeps that ``_prove_or_sweep`` runs, keyed by axiom; a proved run runs none."""
+def counted_sweeps(monkeypatch, drawn=None):
+    """Count the sweeps that ``_prove_or_sweep`` runs, keyed by axiom; a proved run runs none.  With a Counter
+    ``drawn``, also count the violations drawn from each axiom's sweeps."""
     calls = collections.Counter()
     prove_or_sweep = axioms._prove_or_sweep
 
     def counted(rec, mode, checked, proved, sweep):
         def counted_sweep():
             calls[rec.axiom] += 1
-            sweep()
+            return sweep() if drawn is None else counted_draws(rec.axiom, sweep())
 
         return prove_or_sweep(rec, mode, checked, proved, counted_sweep)
+
+    def counted_draws(axiom, violations):
+        for v in violations:
+            drawn[axiom] += 1
+            yield v
 
     monkeypatch.setattr(axioms, "_prove_or_sweep", counted)
     return calls
@@ -614,17 +620,19 @@ def test_bialgebra_renders_nothing_past_the_cap(monkeypatch):
     each lane of a g-orbit's run is unpacked once, and each distinct memo key rendered once."""
     A = BookAlgebra(7, 0, permissive=True)
     n = len(A.basis())
-    calls = counted_calls(monkeypatch, (StructureTable, "render"), (_Lanes, "unpacked"), (axioms._Recorder, "hit"))
+    calls = counted_calls(monkeypatch, (StructureTable, "render"), (_Lanes, "unpacked"))
+    drawn = collections.Counter()
+    sweeps = counted_sweeps(monkeypatch, drawn)
     result = check_bialgebra_compat(A).result("bialgebra")
     assert result.checked == n * n and result.status == "fail"
     assert len(result.violations) == MAX_VIOLATIONS_RENDERED
     assert all(v.at.startswith("Delta: ") and v.lhs == "0" for v in result.violations)
     # every Delta(m1 m2) is 0 and needs no render; Delta(m1) Delta(m2) is one render per distinct memo key, and no
-    # violation past the cap is even offered to the recorder
+    # violation past the cap is even drawn from the sweep
     keys, lanes_read = memo_keys(A, result.violations)
     assert len(keys) < MAX_VIOLATIONS_RENDERED
-    assert calls == {"StructureTable.render": len(keys), "_Lanes.unpacked": len(lanes_read),
-                     "_Recorder.hit": MAX_VIOLATIONS_RENDERED}
+    assert calls == {"StructureTable.render": len(keys), "_Lanes.unpacked": len(lanes_read)}
+    assert sweeps == {"bialgebra": 1} and drawn == {"bialgebra": MAX_VIOLATIONS_RENDERED}
     by_name = {m.render(): m for m in A.basis()}
     for v in (result.violations[0], result.violations[-1]):  # the first and the last rendered, as Tensor2 renders them
         m1, m2 = (by_name[part.split("=", 1)[1]] for part in v.at.removeprefix("Delta: ").split(", "))
@@ -1053,11 +1061,11 @@ def coassociativity_reference(A, monomials=None):
     return out
 
 
-def counit_reference(A):
-    """The counit violations that plain Element arithmetic finds, in order."""
+def counit_reference(A, monomials=None):
+    """The counit violations that plain Element arithmetic finds, in order, at ``monomials`` (default: the basis)."""
     p, s = A.p, A.s
     out = []
-    for m in A.basis():
+    for m in A.basis() if monomials is None else monomials:
         expected = A.monomial_element(m)
         left = right = Element.zero(p, s)
         for (m1, m2), c in A.coproduct_monomial(m).terms.items():
@@ -1219,6 +1227,25 @@ def test_a_doctored_counit_fails_like_the_reference():
 
 
 # -- coassociativity, the counit law and the antipode law proved on the generators ----------
+
+
+def test_a_failed_per_monomial_proof_stops_at_its_first_violation(monkeypatch):
+    """eps set to the character beta_1 (q^a on g^a, 0 off the group-likes) keeps *multiplicative* but fails the
+    counit law at g on both legs and at x and y.  The proof draws the law at 1, g, x and y only up to its first
+    violation, so it renders one side; the sweep renders each violation it reports once, and reports what plain
+    Element arithmetic finds."""
+    p = 5
+    A = BookAlgebra(p, 2)
+    A.counit_monomial = lambda m: root_power(p, m.a) if m.b == m.c == 0 else cyc_zero(p)
+    assert _Proofs(A).multiplicative
+    generators = [A.basis()[i] for i in (0, *A.generators)]
+    assert [at for at, _, _ in counit_reference(A, generators)] == [
+        "m=g (eps on left leg)", "m=g (eps on right leg)", "m=x (eps on right leg)", "m=y (eps on right leg)"]
+    calls = counted_calls(monkeypatch, (StructureTable, "render"))
+    result = check_counit_law(A).result("counit")
+    assert found(result) == counit_reference(A) and len(result.violations) == 200
+    assert (result.checked, result.mode) == (p ** 3, "exhaustive")
+    assert calls == {"StructureTable.render": len(result.violations) + 1}
 
 
 def law_route(check, A, refuse=False):
