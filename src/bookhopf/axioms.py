@@ -22,21 +22,35 @@ L(basis[j]) imply L(t basis[j]) for every generator t and basis[j].  Then
 L holds on the whole basis, by strong induction on i along the (t, j, e)
 of ``generation()``, as L(q^e m) is L(m) for the laws here.  Each proof
 states only its law, its checks at 1 and at the generators, and its step
-from basis[j] to t basis[j].  ``_Proofs`` computes the three premises the
+from basis[j] to t basis[j].  ``_Proofs`` computes the premises the
 proofs share, each at most once per table state:
 
 - *associative*: ``generation()`` holds and the live product table is
   that of a bilinear q-exponent, the proof of ``check_associativity``;
+- the *law table*, read only where *associative* holds: the 3 p^2 lane
+  runs of t in {g, x, y} against every x^b y^c, made with no early stop.
+  The law Delta(t m) = Delta(t) Delta(m) at a pair (t, m) is one bit of
+  it, and eps(t m) = eps(t) eps(m) is read off ``counit_monomial``; at
+  t = 1 both laws are Delta(1) = 1 (x) 1 and eps(1) = 1, with U;
 - *multiplicative*: Delta and eps are algebra maps, the proof of
-  ``check_bialgebra_compat``, which needs *associative*;
+  ``check_bialgebra_compat``: both laws hold at every pair of the table,
+  and at 1;
+- *steps*: both laws hold at every step pair (t, basis[j]) of
+  ``generation()``; and the Delta law (*coassociative legs*) or the eps
+  law (*counit legs*) at the pairs of left legs and the pairs of right
+  legs of Delta(t) and Delta(basis[j]), for every step;
 - *anti-multiplicative*: S(m1 m2) = S(m2) S(m1), proved on S(t m) =
   S(m) S(t) for t in {1, g, x, y} and every m, which needs *associative*.
 
 The five proofs, each with its premises: associativity (*associative*),
-the bialgebra law (*multiplicative*),
-coassociativity and the counit law (*multiplicative* and the law at 1, g,
-x and y) and the antipode law (*multiplicative*, *anti-multiplicative* and
-the law at 1, g, x and y).  One protocol, ``_prove_or_sweep``, runs them
+the bialgebra law (*multiplicative*), coassociativity (*steps*,
+*coassociative legs* and the law at 1, g, x and y), the counit law
+(*steps*, *counit legs* and the law at 1, g, x and y) and the antipode
+law (*steps*, *anti-multiplicative* and the law at 1, g, x and y).  Where
+*multiplicative* holds, so does every step premise, with no further work;
+at s = 0 it fails, but the step premises hold, so only the bialgebra law
+is swept, and that sweep reads the law table back to pass most of its
+runs with no kernel call.  One protocol, ``_prove_or_sweep``, runs them
 all: a proved run reports its mode and ``checked``, with no violation;
 if a premise fails, the sweep runs as if no proof had been tried.
 ``run_all`` passes one ``_Proofs`` to every check, and a check called
@@ -304,17 +318,25 @@ def check_coassociativity(algebra, *, _proofs=None, **_ignored):
     indices of the three legs; a failing monomial's sides are rendered
     straight from those sums.
 
-    *Proof by generators* (see the module docstring), on the premise
-    *multiplicative* and this row compare at 1, g, x and y.  Delta is an
-    algebra map, so (Delta (x) id) and (id (x) Delta) are algebra maps of
-    H (x) H, and both sides of the law are algebra maps of H; the step is
+    *Proof by generators* (see the module docstring), on the premises
+    *steps* and *coassociative legs* and this row compare at 1, g, x and y.
+    Write Delta(t) = sum t1 (x) t2 and Delta(basis[j]) = sum b1 (x) b2 over
+    their terms, and multiply in H (x) H and H (x) H (x) H leg by leg; the
+    step is
 
-        (Delta (x) id) Delta(t basis[j]) = (Delta (x) id) Delta(t) . (Delta (x) id) Delta(basis[j])
-                                         = (id (x) Delta) Delta(t) . (id (x) Delta) Delta(basis[j])
-                                         = (id (x) Delta) Delta(t basis[j])
+        (Delta (x) id) Delta(t basis[j]) = (Delta (x) id)(Delta(t) Delta(basis[j]))        Delta law at (t, basis[j])
+                                         = sum Delta(t1) Delta(b1) (x) t2 b2                 Delta law at (t1, b1)
+                                         = (Delta (x) id) Delta(t) . (Delta (x) id) Delta(basis[j])
+                                         = (id (x) Delta) Delta(t) . (id (x) Delta) Delta(basis[j])   law at t, basis[j]
+                                         = sum t1 b1 (x) Delta(t2) Delta(b2)
+                                         = (id (x) Delta)(Delta(t) Delta(basis[j]))          Delta law at (t2, b2)
+                                         = (id (x) Delta) Delta(t basis[j])                  Delta law at (t, basis[j])
 
-    by the law at t and at basis[j].  A proved run reports exhaustive with
-    n checked; if a premise fails, the row compare runs on every monomial.
+    It reads the Delta law at every step pair (*steps*) and at every pair
+    of left legs (t1, b1) and of right legs (t2, b2) (*coassociative legs*),
+    for which t1 and t2 must be 1 or a generator.  A proved run reports
+    exhaustive with n checked; if a premise fails, the row compare runs on
+    every monomial.
     """
     A = algebra
     basis = A.basis()
@@ -340,19 +362,26 @@ def check_coassociativity(algebra, *, _proofs=None, **_ignored):
             if table.differs(lhs, rhs):
                 yield f"m={basis[i].render()}", table.render(lhs, legs=3), table.render(rhs, legs=3)
 
-    return _per_monomial(rec, A, _proofs or _Proofs(A), ("multiplicative",), law)
+    return _per_monomial(rec, A, _proofs or _Proofs(A), ("steps", "coassociative_legs"), law)
 
 
 def check_counit_law(algebra, *, _proofs=None, **_ignored):
     """(eps (x) id) Delta = id = (id (x) eps) Delta on every basis monomial, off the structure table.
 
-    *Proof by generators* (see the module docstring), on the premise
-    *multiplicative* and this check at 1, g, x and y.  eps is an algebra
-    map, so (eps (x) id) Delta and (id (x) eps) Delta are algebra maps of H,
-    as id is; the step is (eps (x) id) Delta(t basis[j]) = (eps (x) id)
-    Delta(t) . (eps (x) id) Delta(basis[j]) = t basis[j] by the law at t
-    and at basis[j], and likewise on the right leg.  A proved run reports
-    exhaustive with n checked; if a premise fails, every monomial is checked.
+    *Proof by generators* (see the module docstring), on the premises
+    *steps* and *counit legs* and this check at 1, g, x and y.  With the
+    notation of check_coassociativity, the step is
+
+        (eps (x) id) Delta(t basis[j]) = (eps (x) id)(Delta(t) Delta(basis[j]))   Delta law at (t, basis[j])
+                                       = sum eps(t1) eps(b1) t2 b2                  eps law at (t1, b1)
+                                       = ((eps (x) id) Delta(t)) ((eps (x) id) Delta(basis[j]))
+                                       = t basis[j]                                 law at t and at basis[j]
+
+    and likewise on the right leg, with the eps law at (t2, b2).  It reads
+    the Delta and eps laws at every step pair (*steps*) and the eps law at
+    every pair of left legs and of right legs (*counit legs*).  A proved
+    run reports exhaustive with n checked; if a premise fails, every
+    monomial is checked.
     """
     A = algebra
     basis = A.basis()
@@ -372,7 +401,7 @@ def check_counit_law(algebra, *, _proofs=None, **_ignored):
                 if table.differs(side, {i: 1}):
                     yield f"m={basis[i].render()} (eps on {leg} leg)", table.render(side, legs=1), basis[i].render()
 
-    return _per_monomial(rec, A, _proofs or _Proofs(A), ("multiplicative",), law)
+    return _per_monomial(rec, A, _proofs or _Proofs(A), ("steps", "counit_legs"), law)
 
 
 def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
@@ -416,15 +445,17 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
     *Proof by generators* (see the module docstring): the premise
     *multiplicative*, ``_Proofs.multiplicative``.  The law at m1 is
     Delta(m1 m2) = Delta(m1) Delta(m2) and eps(m1 m2) = eps(m1) eps(m2) for
-    every m2.  It rests on four premises, tried in this order:
+    every m2.  It rests on these premises:
 
     - *associative*, which holds ``generation()``: H is associative, and so
       is H (x) H, whose products the lanes read leg by leg;
-    - Delta(1) = 1 (x) 1 and eps(1) = 1, which with U give the law at 1;
+    - Delta(1) = 1 (x) 1 and eps(1) = 1 (``_Proofs.unit``), which with U
+      give the law at 1;
     - eps(t m) = eps(t) eps(m) for t in {g, x, y} and every m;
-    - no bad lane in the 3 p^2 group runs of m1 in {g, x, y}: the law at
-      the generators.  The runs stop at the first bad lane; the sweep
-      reads back those it would run, so a failed proof costs it little.
+    - no bad lane in the law table, the 3 p^2 runs of m1 in {g, x, y}
+      against every x^b2 y^c2 (``_Proofs.laws``): the law at the
+      generators.  The table is made whole, with no early stop, and the
+      sweep reads its runs back.
 
     The step, with Delta(q^e m) = q^e Delta(m) and the same for eps, is
 
@@ -442,32 +473,56 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
     ``sample_size`` and ``exhaustive``.
 
     The sweep takes the g-orbits of m1 in basis order.  At the first m1 of
-    an orbit, basis[first], it builds ``_Lanes.left`` once and runs the p^2
-    groups (basis[first], x^b2 y^c2), keeping the accumulator of a run with
-    a bad lane; it then yields the violations of every m1 of the orbit in
-    basis order, each rendered as it is yielded, with no Tensor2 built:
-    Delta(m1 m2) from its Delta row at q^e1 for m1 m2 = q^e1 basis[t], and
-    by the lemma, at basis[i1] = basis[first] g^a1, Delta(m1) Delta(m2) as
-    lane a2 of the run with both legs moved by g^(a2 + a1), at
-    q^(e12 + a1 wt(x^b2 y^c2)).  eps values are compared by identity, as
-    ``_Counit`` keeps one object per value.
+    an orbit, basis[first], it takes the p^2 groups (basis[first],
+    x^b2 y^c2): it reads a run of the law table back, vouches for a run
+    (below) with no kernel call, or builds ``_Lanes.left`` once and runs
+    it, keeping the accumulator of a run with a bad lane; it then yields
+    the violations of every m1 of the orbit in basis order, each rendered
+    as it is yielded, with no Tensor2 built: Delta(m1 m2) from its Delta
+    row at q^e1 for m1 m2 = q^e1 basis[t], and by the lemma, at basis[i1] =
+    basis[first] g^a1, Delta(m1) Delta(m2) as lane a2 of the run with both
+    legs moved by g^(a2 + a1), at q^(e12 + a1 wt(x^b2 y^c2)).  eps values
+    are compared by identity, as ``_Counit`` keeps one object per value.
 
-    *Each piece of work once.*  A bad lane a2 of a run is unpacked once
-    per orbit, on its first violation, as a sorted tuple of (key, packed
-    value) with keys as in lane 0 (``_Lanes.unpacked``); equal tuples get
-    one number.  A memo local to the sweep maps (lane number, g-move
-    (a2 + a1) mod p, q-exponent (e12 + a1 wt(x^b2 y^c2)) mod p) to the
-    rendered text, so each distinct key is rendered once and equal texts
-    share one str object.  The memo is exact: ``StructureTable.render`` is
-    a pure function of the packed sum it is given and of its exponent mod
-    p, the sorted tuple and the g-move fix that sum (the tuple its values
-    and unmoved keys, the move its keys), and the key holds the exponent.
-    At s = 0 the 3 750 violations of p = 5 take 620 renders.
+    *Vouching.*  Where *associative* holds, the run (basis[first],
+    x^b2 y^c2) has no bad lane, and the sweep makes no kernel call for it,
+    if basis[first] is 1 and ``_Proofs.unit`` holds (the law at 1), or if
+    all of these hold:
+
+    - ``generation()`` gives basis[first] = q^e t basis[j], and j is the
+      first m1 of its own g-orbit, so that its runs are made;
+    - the law table holds law(t, basis[j]);
+    - the run (basis[j], x^b2 y^c2) had no bad lane;
+    - for every a2, basis[j] x^b2 y^c2 g^a2 is 0 or q^e' basis[k] with
+      law(t, basis[k]) in the law table.
+
+    Then, with m2 = x^b2 y^c2 g^a2, in every lane,
+
+        Delta(t basis[j] m2) = Delta(t) Delta(basis[j] m2)             law(t, basis[k]), H associative
+                             = Delta(t) Delta(basis[j]) Delta(m2)      the run of basis[j], H (x) H associative
+                             = Delta(t basis[j]) Delta(m2)             law(t, basis[j])
+
+    where a zero product makes both sides 0.  At H(5, 0) the law table's
+    75 runs and 185 of the sweep's 625 are kernel calls; where it stops at
+    the cap, ``run_all`` calls the kernel 357 times at H(7, 0) and 462 at
+    H(11, 0).
+
+    *Each piece of work once.*  Every bad lane of a run is unpacked in one
+    pass, on the first violation that reads the run in its orbit, as a
+    sorted tuple of (key, packed value) with keys as in lane 0
+    (``_Lanes.unpacked``); equal tuples get one number.  A memo local to
+    the sweep maps (lane number, g-move (a2 + a1) mod p, q-exponent
+    (e12 + a1 wt(x^b2 y^c2)) mod p) to the rendered text, so each distinct
+    key is rendered once and equal texts share one str object.  The memo is
+    exact: ``StructureTable.render`` is a pure function of the packed sum it
+    is given and of its exponent mod p, the sorted tuple and the g-move fix
+    that sum (the tuple its values and unmoved keys, the move its keys),
+    and the key holds the exponent.  At s = 0 the 3 750 violations of
+    p = 5 take 620 renders.
 
     The sweep is drawn from no more at the cap (see the module docstring),
-    so no lane is unpacked or rendered past it, and the report fails with
-    n^2 checked.  It runs all p^4 groups only where fewer violations arise;
-    at s = 0 it runs 588 of them at p = 7 and 726 at p = 11.
+    so no run is unpacked nor lane rendered past it, and the report fails
+    with n^2 checked.
     """
     A = algebra
     p = A.p
@@ -476,18 +531,43 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
     proofs = _proofs or _Proofs(A)
 
     def sweep():
-        table, lanes, eps, tried = A.product_table(), proofs.lanes, proofs.counit, proofs.tried
+        table, lanes, eps, laws = A.product_table(), proofs.lanes, proofs.counit, proofs.laws or {}
         structure, names, moved, wt = lanes.table, lanes.table.names, lanes.moved, lanes.wt
         numbers, texts = {}, {}  # unpacked lane -> its number; (number, g-move, q-exponent) -> its text
-
+        masks = {}  # first m1 of a g-orbit -> the bad lanes of each of its runs, by x^b2 y^c2
         orbit = lanes.orbit()
+
+        def vouched(first):
+            """The x^b2 y^c2 whose run at basis[first] the vouching lemma passes with no kernel call."""
+            broken, steps = proofs.broken, proofs.generation
+            if broken is None:
+                return ()
+            if first == 0:  # basis[0] = 1: the law at 1, by unit and U, which associative holds
+                return range(p * p) if proofs.unit else ()
+            if first not in steps:
+                return ()
+            t, j, _ = steps[first]
+            delta_broken, healthy = broken[t][0], masks.get(j)  # j's runs, if j is the first m1 of its g-orbit
+            if healthy is None or j in delta_broken:
+                return ()
+            row = proofs.rows[j]
+            return {bc2 for bc2, bad in enumerate(healthy)
+                    if not bad and all(c < 0 or c // p not in delta_broken for c in row[bc2 * p:bc2 * p + p])}
+
         for first in range(0, n, orbit):
-            left = lanes.left(first)
+            skip, left = vouched(first), None
             runs = []  # per x^b2 y^c2: (accumulator if a lane is bad, bad lanes, e12)
             for bc2 in range(p * p):
-                acc, bad, e12 = tried.pop((first, bc2), None) or lanes.run(first, bc2, left)
-                runs.append((acc if bad else None, bad, e12))
-            lane_of = {}  # i2 -> (number, lane i2 % p of run i2 // p), unpacked on its first violation
+                if bc2 in skip:
+                    run = None, 0, 0
+                elif (run := laws.get((first, bc2))) is None:
+                    if left is None:
+                        left = lanes.left(first)
+                    acc, bad, e12 = lanes.run(first, bc2, left)
+                    run = acc if bad else None, bad, e12
+                runs.append(run)
+            masks[first] = [bad for _, bad, _ in runs]
+            lanes_of = {}  # bc2 -> {a2: (number, lane a2 of run bc2)}, unpacked on the run's first violation
             for a1, i1 in enumerate(range(first, first + orbit)):  # basis[i1] = basis[first] g^a1
                 eps_lhs, eps_rhs = eps.lhs(i1), eps.rhs(i1)
                 eps_ok = eps_lhs == eps_rhs
@@ -501,9 +581,10 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
                             t, e1 = divmod(table[i1 * n + i2], p)  # m1 m2 = q^e1 basis[t], or 0 for t = -1
                             row = {u * n + v: r[0] for u, v, r in structure.delta[t]} if t >= 0 else None
                             lhs = "0" if row is None else structure.render(row, e1)
-                            if (lane := lane_of.get(i2)) is None:
-                                unpacked = lanes.unpacked(acc, i2 % p)
-                                lane = lane_of[i2] = numbers.setdefault(unpacked, len(numbers)), unpacked
+                            if (run_lanes := lanes_of.get(bc2)) is None:
+                                run_lanes = lanes_of[bc2] = {a2: (numbers.setdefault(unpacked, len(numbers)), unpacked)
+                                                             for a2, unpacked in lanes.unpacked(acc, bad).items()}
+                            lane = run_lanes[i2 % p]
                             if (rhs := texts.get(key := (lane[0], (i2 + a1) % p, e))) is None:
                                 move = moved[key[1]]
                                 rhs = texts[key] = structure.render(
@@ -539,7 +620,7 @@ class _Lanes:
     basis[t_u] (x) basis[t_v] in lane 0; in lane a2 both legs carry g^a2 more.
     ``products[t]`` is row t of the product table, read off ``_Proofs.rows``,
     which decodes it on its first read: ``orbit`` and the sweep read every
-    row, but the proof *multiplicative* only those of 1, g, g^s, x and y.
+    row, but the law table only those of 1, g, g^s, x and y.
     """
 
     def __init__(self, algebra, products):
@@ -639,10 +720,16 @@ class _Lanes:
             bad |= d ^ (d & low) * rep
         return acc, sum(1 << a for a in range(p) if bad >> a * self.lane_bits & self.lane_mask)
 
-    def unpacked(self, acc, a2):
-        """Lane a2 of an accumulator as a sorted tuple of (key, packed value), keys t_u n + t_v as in lane 0."""
-        shift, mask = a2 * self.lane_bits, self.lane_mask
-        return tuple(sorted((key, w) for key, v in acc.items() if (w := v >> shift & mask)))
+    def unpacked(self, acc, bad):
+        """Every bad lane a2 (bit a2 of ``bad``) of an accumulator, {a2: sorted tuple of (key, packed value)} with
+        keys t_u n + t_v as in lane 0, in one pass over the sorted accumulator."""
+        mask, shifts = self.lane_mask, [(a2, a2 * self.lane_bits) for a2 in range(self.p) if bad >> a2 & 1]
+        lanes = {a2: [] for a2, _ in shifts}
+        for key, v in sorted(acc.items()):
+            for a2, shift in shifts:
+                if w := v >> shift & mask:
+                    lanes[a2].append((key, w))
+        return {a2: tuple(terms) for a2, terms in lanes.items()}
 
 
 def check_antipode_law(algebra, *, _proofs=None, **_ignored):
@@ -654,16 +741,17 @@ def check_antipode_law(algebra, *, _proofs=None, **_ignored):
     both sides stay non-negative (eps(m) is added to the minus side).
 
     *Proof by generators* (see the module docstring), on the premises
-    *multiplicative* and *anti-multiplicative* and this check at 1, g, x and
-    y on both legs.  With Delta(a b) = a1 b1 (x) a2 b2, the step for a = t
-    and b = basis[j] is
+    *steps* and *anti-multiplicative* and this check at 1, g, x and y on
+    both legs.  With Delta(a b) = a1 b1 (x) a2 b2, the Delta law at the
+    step pair (a, b) = (t, basis[j]), the step is
 
         S(a1 b1) a2 b2 = S(b1) S(a1) a2 b2 = S(b1) eps(a) b2 = eps(a) eps(b) 1
         a1 b1 S(a2 b2) = a1 b1 S(b2) S(a2) = a1 eps(b) S(a2) = eps(a) eps(b) 1
 
     by anti-multiplicativity, associativity, U and the law at t and at
-    basis[j], and eps(a) eps(b) = eps(a b).  A proved run reports
-    exhaustive with n checked; if a premise fails, every monomial is checked.
+    basis[j], and eps(a) eps(b) = eps(a b), the eps law at the step pair.
+    A proved run reports exhaustive with n checked; if a premise fails,
+    every monomial is checked.
     """
     A = algebra
     p, s = A.p, A.s
@@ -690,7 +778,7 @@ def check_antipode_law(algebra, *, _proofs=None, **_ignored):
                     got = Element._raw(p, s, table.decoded(plus, minus)) + target
                     yield f"m={basis[i].render()} (S on {leg} leg)", got.render(), target.render()
 
-    return _per_monomial(rec, A, _proofs or _Proofs(A), ("multiplicative", "anti_multiplicative"), law)
+    return _per_monomial(rec, A, _proofs or _Proofs(A), ("steps", "anti_multiplicative"), law)
 
 
 def check_relations(algebra, **_ignored):
@@ -737,14 +825,12 @@ class _Proofs:
     ``run_all`` builds one object and passes it to every check, a check
     called alone builds its own, and nothing is cached on the algebra.
     ``rows``, ``lanes`` and ``counit`` are built at most once: ``rows`` for
-    ``lanes`` and the associativity sweep, the other two for the premise
-    *multiplicative* and the bialgebra sweep; ``tried`` holds the lane group
-    runs of a failed *multiplicative*, which the sweep reads back.
+    ``lanes`` and the associativity sweep, the other two for the law table
+    and the bialgebra sweep, which reads the table's runs back.
     """
 
     def __init__(self, algebra):
         self.algebra = algebra
-        self.tried = {}  # (i1, bc2) -> a group run of the generator premise
 
     @cached_property
     def rows(self):
@@ -760,6 +846,10 @@ class _Proofs:
         return _Counit(self.algebra)
 
     @cached_property
+    def generation(self):
+        return self.algebra.generation()
+
+    @cached_property
     def associative(self):
         """Every basis triple is associative: ``generation()`` holds and the live table is ``bilinear_rows`` at the
         q-exponents of its entries g x, g y and y x, by the cocycle lemma of check_associativity.  The tables are
@@ -768,34 +858,100 @@ class _Proofs:
         p, n, table = A.p, len(A.basis()), A.product_table()
         g, x, y = A.generators
         codes = table[g * n + x], table[g * n + y], table[y * n + x]
-        if A.generation() is None or min(codes) < 0:
+        if self.generation is None or min(codes) < 0:
             return False
         rows = bilinear_rows(p, *(c % p for c in codes))
         return all(table[i * n:(i + 1) * n].tobytes() == row for i, row in enumerate(rows))
 
     @cached_property
-    def multiplicative(self):
-        """Delta and eps are algebra maps: the proof of check_bialgebra_compat, which needs ``associative``."""
-        if not self.associative:
-            return False
-        A, lanes, eps = self.algebra, self.lanes, self.counit
-        n, structure = lanes.n, lanes.table
+    def unit(self):
+        """Delta(1) = 1 (x) 1 and eps(1) = 1, which with U give the Delta and eps laws at (1, m) for every m."""
+        structure, n = self.algebra.structure_table(), len(self.algebra.basis())
         unit = {}  # Delta(1), summed per key
         for u, v, r in structure.delta[0]:
             unit[u * n + v] = unit.get(u * n + v, 0) + r[0]
-        if structure.differs(unit, {0: 1}) or eps.values[0] != 1:
-            return False
-        if any(eps.lhs(t) != eps.rhs(t) for t in A.generators):
-            return False
-        # x and y first: the sweep reads back their runs, which start g-orbits, but not those of g
-        for t in sorted(A.generators, reverse=True):
+        return not structure.differs(unit, {0: 1}) and self.counit.values[0] == 1
+
+    @cached_property
+    def laws(self):
+        """The law table: the run ``_Lanes.run(t, x^b y^c)`` of every generator t and every x^b y^c, made with no
+        early stop, as {(t, b p + c): (accumulator if a lane is bad, else None, bad lanes, e12)}.
+
+        Bit a of the bad lanes is set where Delta(t m) != Delta(t) Delta(m), m = x^b y^c g^a, so that law is one
+        bit.  The lanes read a product u (w g^a) off u w, which a bilinear table guarantees: the table is None
+        unless ``associative``.
+        """
+        if not self.associative:
+            return None
+        lanes, p, runs = self.lanes, self.algebra.p, {}
+        for t in self.algebra.generators:
             left = lanes.left(t)
-            for bc2 in range(A.p ** 2):
-                self.tried[t, bc2] = result = lanes.run(t, bc2, left)
-                if result[1]:
-                    return False
-        self.tried.clear()  # no sweep reads them
+            for bc in range(p * p):
+                acc, bad, e12 = lanes.run(t, bc, left)
+                runs[t, bc] = acc if bad else None, bad, e12
+        return runs
+
+    @cached_property
+    def broken(self):
+        """{t: (Delta, eps)} for t = 0 (the index of 1) and each generator: the indices i where Delta(t basis[i])
+        != Delta(t) Delta(basis[i]), read off ``laws``, and where eps(t basis[i]) != eps(t) eps(basis[i]).  At 1
+        both are empty if ``unit`` holds and every index if not.  None where ``laws`` is."""
+        if self.laws is None:
+            return None
+        A, eps = self.algebra, self.counit
+        p, n = A.p, len(A.basis())
+        everything = frozenset(range(n))
+        broken = {0: (frozenset(), frozenset()) if self.unit else (everything, everything)}
+        for t in A.generators:
+            lhs, rhs = eps.lhs(t), eps.rhs(t)
+            masks = [(bc, run[1]) for bc in range(p * p) if (run := self.laws[t, bc])[1]]
+            broken[t] = (frozenset(bc * p + a for bc, mask in masks for a in range(p) if mask >> a & 1),
+                         frozenset() if lhs == rhs else frozenset(i for i in range(n) if lhs[i] is not rhs[i]))
+        return broken
+
+    @cached_property
+    def multiplicative(self):
+        """Delta and eps are algebra maps: the proof of check_bialgebra_compat, ``broken`` empty at 1, g, x and y."""
+        return self.broken is not None and not any(chain.from_iterable(self.broken.values()))
+
+    @cached_property
+    def steps(self):
+        """The Delta and eps laws on every step pair (t, basis[j]) of ``generation()``, read off ``broken``: the
+        premise that the step of every per-monomial proof reads.  It holds with no further work where
+        ``multiplicative`` does."""
+        broken = self.broken
+        return self.multiplicative or broken is not None and not any(
+            j in broken[t][0] or j in broken[t][1] for t, j, _ in self.generation.values())
+
+    def _on_legs(self, law):
+        """Whether the Delta law (``law`` 0) or the eps law (1) holds on every pair (left leg of Delta(t), left leg
+        of Delta(basis[j])) and every pair of right legs, for every step (t, j, e) of ``generation()``: the pairs
+        that Delta(t) Delta(basis[j]) multiplies leg by leg.  A leg of Delta(t) other than 1 or a generator
+        refuses it, as ``broken`` holds no law there.  It holds with no further work where ``multiplicative`` does."""
+        if self.multiplicative:
+            return True
+        broken, delta = self.broken, self.algebra.structure_table().delta
+        if broken is None:
+            return False
+        for t, j, _ in self.generation.values():
+            for side in (0, 1):
+                for u in {term[side] for term in delta[t]}:
+                    if u not in broken:
+                        return False
+                    bad = broken[u][law]
+                    if bad and not bad.isdisjoint(term[side] for term in delta[j]):
+                        return False
         return True
+
+    @cached_property
+    def coassociative_legs(self):
+        """The Delta law on the leg pairs of every step, the premise of the coassociativity step."""
+        return self._on_legs(0)
+
+    @cached_property
+    def counit_legs(self):
+        """The eps law on the leg pairs of every step, the premise of the counit step."""
+        return self._on_legs(1)
 
     @cached_property
     def anti_multiplicative(self):
@@ -899,12 +1055,19 @@ def negative_control_matches(report, p):
         return False
     if not all(results[a].passed for a in healthy):
         return False
-    basis = basis_monomials(p)
-    names = [m.render() for m in basis]
-    predicted = (
+    return [v.at for v in results["bialgebra"].violations] == _negative_control_sites(p)
+
+
+def _negative_control_sites(p):
+    """The ``at`` of the predicted s = 0 bialgebra violations, in basis order, up to MAX_VIOLATIONS_RENDERED: every
+    (m1, m2) with c1 + c2 >= p and b1 + b2 < p, read off the basis index (b p + c) p + a with no pair tested."""
+    names = [m.render() for m in basis_monomials(p)]
+    sites = (
         f"Delta: m1={names[i1]}, m2={names[i2]}"
-        for i1, m1 in enumerate(basis)
-        for i2, m2 in enumerate(basis)
-        if m1.c + m2.c >= p and m1.b + m2.b < p
+        for i1 in range(p ** 3)
+        for b1, c1 in [divmod(i1 // p, p)]
+        for b2 in range(p - b1)
+        for c2 in range(p - c1, p)
+        for i2 in range((b2 * p + c2) * p, (b2 * p + c2 + 1) * p)
     )
-    return [v.at for v in results["bialgebra"].violations] == list(islice(predicted, MAX_VIOLATIONS_RENDERED))
+    return list(islice(sites, MAX_VIOLATIONS_RENDERED))

@@ -72,9 +72,33 @@ MUTANTS = [
            "table[y * n + x]", "table[x * n + y]",
            (AXIOMS + "test_a_proved_default_run_makes_no_draw",
             AXIOMS + "test_associativity_proof_holds_on_the_live_tables[5]")),
-    Mutant("sweep runs the proof's lane groups again", "axioms.py",
-           "tried.pop((first, bc2), None) or lanes.run(first, bc2, left)", "lanes.run(first, bc2, left)",
+    Mutant("sweep runs the law table's runs again", "axioms.py",
+           "elif (run := laws.get((first, bc2))) is None:", "elif (run := None) is None:",
            (AXIOMS + "test_run_all_computes_each_verdict_once[5-0]",)),
+    # the law table: the sweep's vouching lemma and the step premises of the per-monomial proofs
+    Mutant("vouch without law(t, basis[j])", "axioms.py",
+           "if healthy is None or j in delta_broken:", "if healthy is None:",
+           (AXIOMS + "test_on_doctored_tables_the_vouched_sweep_and_step_premises_equal_the_full_routes[orbit digit]",
+            AXIOMS + "test_on_doctored_tables_the_vouched_sweep_and_step_premises_equal_the_full_routes[orbit digit at 5]")),
+    Mutant("vouch without the run of basis[j]", "axioms.py",
+           "if not bad and all(c < 0", "if all(c < 0",
+           (AXIOMS + "test_at_s0_the_vouched_sweep_and_step_premises_equal_the_full_routes[5]",
+            AXIOMS + "test_negative_control_fails_exactly_as_predicted[5]")),
+    Mutant("vouch without law(t, basis[k])", "axioms.py",
+           "if not bad and all(c < 0 or c // p not in delta_broken for c in row[bc2 * p:bc2 * p + p])}", "if not bad}",
+           (AXIOMS + "test_at_s0_the_vouched_sweep_and_step_premises_equal_the_full_routes[5]",
+            AXIOMS + "test_negative_control_fails_exactly_as_predicted[5]")),
+    Mutant("vouch for 1 without the unit law", "axioms.py",
+           "return range(p * p) if proofs.unit else ()", "return range(p * p)",
+           (AXIOMS + "test_each_base_case_is_a_premise[Delta(1) = 2]",)),
+    Mutant("coassociativity without its leg pairs", "axioms.py",
+           '("steps", "coassociative_legs")', '("steps",)',
+           (AXIOMS + "test_the_leg_premises_refuse_a_sign_twist",
+            AXIOMS + "test_on_doctored_tables_the_vouched_sweep_and_step_premises_equal_the_full_routes[sign]")),
+    Mutant("counit law without its eps leg pairs", "axioms.py",
+           '("steps", "counit_legs")', '("steps",)',
+           (AXIOMS + "test_the_leg_premises_refuse_a_sign_twist",
+            AXIOMS + "test_on_doctored_tables_the_vouched_sweep_and_step_premises_equal_the_full_routes[sign]")),
     # the g-moves of the bialgebra lanes
     Mutant("group moved by g^a2, not g^-a2", "axioms.py",
            "back = self.moved[-a2]", "back = self.moved[a2]",
@@ -117,7 +141,7 @@ MUTANTS = [
 
 EQUIVALENT = [
     (Mutant("associative premise without generation()", "axioms.py",
-            "if A.generation() is None or min(codes) < 0:", "if min(codes) < 0:", ()),
+            "if self.generation is None or min(codes) < 0:", "if min(codes) < 0:", ()),
      "a table equal to bilinear_rows at any (alpha, beta, gamma) satisfies premises U and F, so generation() holds "
      "wherever the row compare does"),
     (Mutant("bialgebra sweep without its skip of a clean run", "axioms.py",

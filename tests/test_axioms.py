@@ -597,12 +597,12 @@ def test_bialgebra_renders_a_zero_product_and_its_lanes_as_tensor2_does():
 
 def memo_keys(A, violations):
     """The distinct (lane, g-move, q-exponent) keys of the bialgebra sweep's text memo among the Delta
-    ``violations`` of A, and their distinct (m1's g-orbit, m2) lanes, computed from the orbit lemma of
+    ``violations`` of A, and their distinct (m1's g-orbit, x^b2 y^c2) runs, computed from the orbit lemma of
     check_bialgebra_compat: the rhs at basis[i1] = basis[first] g^a1 is lane a2 of run (basis[first], x^b2 y^c2),
     keys as in lane 0, with both legs moved by g^(a2 + a1), at q^(e12 + a1 wt(x^b2 y^c2))."""
     p, lanes = A.p, _Proofs(A).lanes
     index = {m.render(): i for i, m in enumerate(A.basis())}
-    runs, keys, lanes_read = {}, set(), set()
+    runs, keys = {}, set()
     for v in violations:
         i1, i2 = (index[part.split("=", 1)[1]] for part in v.at.removeprefix("Delta: ").split(", "))
         (first, a1), (bc2, a2) = divmod(i1, p), divmod(i2, p)
@@ -611,13 +611,13 @@ def memo_keys(A, violations):
         acc, _, e12 = runs[first, bc2]
         unmoved = frozenset(lane(lanes, acc, a2, -a2).items())  # lane a2 with its keys as in lane 0
         keys.add((unmoved, (a2 + a1) % p, (e12 + a1 * lanes.wt[bc2 * p]) % p))
-        lanes_read.add((first, i2))
-    return keys, lanes_read
+    return keys, set(runs)
 
 
 def test_bialgebra_renders_nothing_past_the_cap(monkeypatch):
     """H(7, 0) fails at 28 812 pairs, the cap falls inside a lane group, and no side is read or rendered past it:
-    each lane of a g-orbit's run is unpacked once, and each distinct memo key rendered once."""
+    each g-orbit's run that a violation reads is unpacked once, all its bad lanes in one pass, and each distinct
+    memo key rendered once."""
     A = BookAlgebra(7, 0, permissive=True)
     n = len(A.basis())
     calls = counted_calls(monkeypatch, (StructureTable, "render"), (_Lanes, "unpacked"))
@@ -629,9 +629,9 @@ def test_bialgebra_renders_nothing_past_the_cap(monkeypatch):
     assert all(v.at.startswith("Delta: ") and v.lhs == "0" for v in result.violations)
     # every Delta(m1 m2) is 0 and needs no render; Delta(m1) Delta(m2) is one render per distinct memo key, and no
     # violation past the cap is even drawn from the sweep
-    keys, lanes_read = memo_keys(A, result.violations)
+    keys, runs_read = memo_keys(A, result.violations)
     assert len(keys) < MAX_VIOLATIONS_RENDERED
-    assert calls == {"StructureTable.render": len(keys), "_Lanes.unpacked": len(lanes_read)}
+    assert calls == {"StructureTable.render": len(keys), "_Lanes.unpacked": len(runs_read)}
     assert sweeps == {"bialgebra": 1} and drawn == {"bialgebra": MAX_VIOLATIONS_RENDERED}
     by_name = {m.render(): m for m in A.basis()}
     for v in (result.violations[0], result.violations[-1]):  # the first and the last rendered, as Tensor2 renders them
@@ -653,26 +653,39 @@ def group_runs(monkeypatch):
     return calls
 
 
-def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs, monkeypatch):
-    """3 p^2 runs of g, x and y on the live tables, which prove the law; where a premise fails, one run per g-orbit
-    of m1 and x^b2 y^c2 while P1-P3 hold, with Delta(m1) built once per orbit, and every (m1, x^b2 y^c2) once on a
-    doctored row.  The runs of a failed premise are read back by the sweep, not run again."""
-    result = check_bialgebra_compat(BookAlgebra(7, 3)).result("bialgebra")
-    assert result.mode == "exhaustive" and result.checked == 343 ** 2 and result.passed
-    assert len(group_runs) == 3 * 7 ** 2 == 147
+def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs):
+    """3 p^2 runs of g, x and y on the live tables, which prove the law.  Where a premise fails the sweep reads the
+    law table's runs back and vouches for every run whose lemma holds: with eps(g) = q every Delta lane is healthy,
+    so the 3 p^2 runs of the table are all, and no Delta(m1) is built past them.  With the law table refused the
+    kernel runs one group per g-orbit of m1 and x^b2 y^c2 while P1-P3 hold, with Delta(m1) built once per orbit,
+    and every (m1, x^b2 y^c2) once on a doctored row."""
+    p = 7
+    result = check_bialgebra_compat(BookAlgebra(p, 3)).result("bialgebra")
+    assert result.mode == "exhaustive" and result.checked == p ** 6 and result.passed
+    assert len(group_runs) == 3 * p ** 2 == 147
+
+    def eps_doctored():
+        A = BookAlgebra(p, 3)
+        healthy = A.counit_monomial
+        A.counit_monomial = lambda m: A.q if m == Monomial(0, 0, 1) else healthy(m)  # fails eps(g g) = eps(g) eps(g)
+        assert _Proofs(A).lanes.orbit() == p
+        return A
+
+    for refused, runs in ((False, 3 * p ** 2), (True, p ** 4)):
+        group_runs.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            if refused:
+                patch.setattr(_Proofs, "laws", None)
+            lefts = counted_calls(patch, (_Lanes, "left"))
+            assert not check_bialgebra_compat(eps_doctored()).passed
+        assert len(group_runs) == runs and lefts["_Lanes.left"] == runs // p ** 2
     group_runs.clear()
-    A = BookAlgebra(7, 3)
-    healthy = A.counit_monomial
-    A.counit_monomial = lambda m: A.q if m == Monomial(0, 0, 1) else healthy(m)  # fails eps(g g) = eps(g) eps(g)
-    assert _Proofs(A).lanes.orbit() == 7
-    lefts = counted_calls(monkeypatch, (_Lanes, "left"))
-    assert not check_bialgebra_compat(A).passed
-    assert len(group_runs) == 7 ** 4 == 2_401 and lefts["_Lanes.left"] == 7 ** 2  # the proof fails before its runs
-    group_runs.clear()
-    A = BookAlgebra(7, 3)
+    A = BookAlgebra(p, 3)
     doctor(A, "digit")  # breaks P1, so every m1 is its own orbit and no group is run twice to render
-    assert not check_bialgebra_compat(A).passed
-    assert len(group_runs) == 343 * 7 ** 2 == 16_807
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Proofs, "laws", None)
+        assert not check_bialgebra_compat(A).passed
+    assert len(group_runs) == p ** 3 * p ** 2 == 16_807
 
 
 @pytest.mark.parametrize("p,s,how,options", [
@@ -893,6 +906,21 @@ def twist_right_leg(A):
     ])
 
 
+def sign_twist(A):
+    """Each term u (x) v of every Delta row times (-1)^(b_u + s c_u + a_u), and eps(g^a) = (-1)^a.
+
+    Both laws hold at every step pair of ``generation()``, so *steps* holds, and coassociativity and the counit
+    law hold at 1, g, x and y; but (-1)^p = -1 breaks both laws where a g-exponent wraps past p, as at
+    (g, g^(p-1)), a pair of right legs of the step (g, x g^(p-2)).  Only the leg premises refuse the proofs."""
+    basis, p = A.basis(), A.p
+    install_delta_rows(A, [
+        [(u, v, tuple(-d for d in digits) if (basis[u].b + A.s * basis[u].c + basis[u].a) % 2 else digits)
+         for u, v, digits in row]
+        for row in delta_digit_rows(A)
+    ])
+    A.counit_monomial = lambda m: root_power(p, 0) * (-1) ** m.a if m.b == m.c == 0 else cyc_zero(p)
+
+
 def doctored_algebra(how):
     """H(3, 2) doctored in its Delta, S, product table or eps: the doctorings the other tests build, an S row
     times q off the generators, and the twisted Delta of ``twist_right_leg``."""
@@ -913,6 +941,8 @@ def doctored_algebra(how):
         A.counit_monomial = lambda m: A.q if m == Monomial(0, 0, 1) else healthy(m)
     elif how == "twist":
         twist_right_leg(A)
+    elif how == "sign":
+        sign_twist(A)
     else:  # a product table that breaks one premise of the associativity proof
         A._products = premise_breaking_table(3, how)
     return A
@@ -920,7 +950,7 @@ def doctored_algebra(how):
 
 DOCTORINGS = [
     "digit", "g-exponent", "extra term", "orbit digit", "orbit extra term", "zero", "q-exponent", "monomial",
-    "S g", "S x y g^2", "S q x^2 y g", "eps(g) = q", "U", "F", "R on g", "R on x", "R on y", "twist",
+    "S g", "S x y g^2", "S q x^2 y g", "eps(g) = q", "U", "F", "R on g", "R on x", "R on y", "twist", "sign",
 ]
 
 
@@ -936,17 +966,38 @@ def test_a_doctored_table_falls_back_or_is_healthy(how):
     assert proved == (how.startswith("S ") or how == "twist")  # S is not read, and the twisted Delta is an algebra map
 
 
-@pytest.mark.parametrize("case", ["Delta(1) = 0", "eps = 0"])
+@pytest.mark.parametrize("case", ["Delta(1) = 0", "eps = 0", "Delta(1) = 2"])
 def test_each_base_case_is_a_premise(case):
     """A Delta of zero values, or eps = 0, is multiplicative, but the law at 1 needs Delta(1) = 1 (x) 1 and eps(1) = 1:
-    the proof refuses them, and the sweep passes."""
+    the proof refuses them, and the sweep passes.  Delta(1) = 2 (1 (x) 1) breaks the law at every (1, m2), so the
+    sweep may not vouch for the runs of 1, and it reports what Tensor2 arithmetic finds."""
     A = BookAlgebra(3, 2)
     if case == "eps = 0":
         A.counit_monomial = lambda m: cyc_zero(3)
-    else:  # 1 + q + q^2 = 0 in every row; the lift makes the table's width 1
+    elif case == "Delta(1) = 0":  # 1 + q + q^2 = 0 in every row; the lift makes the table's width 1
         install_delta_rows(A, [[(0, 0, (1, 1, 1))] for _ in A.basis()])
+    else:
+        doctor_delta(A, ONE, {(ONE, ONE): 2})
     outcome, proved = bialgebra_route(A)
-    assert not proved and outcome == ([], 27 ** 2, "exhaustive")
+    basis = A.basis()
+    expected = tensor_violations(A, [(m1, m2) for m1 in basis for m2 in basis]) if case == "Delta(1) = 2" else []
+    assert not proved and outcome == (expected, 27 ** 2, "exhaustive")
+    assert bool(expected) == (case == "Delta(1) = 2")
+
+
+def test_the_leg_premises_refuse_a_sign_twist():
+    """On ``sign_twist`` the step premise holds and coassociativity and the counit law hold at 1, g, x and y, but
+    the leg pairs break both laws: the leg premises refuse the proofs, and the sweeps report what plain
+    Tensor3/Element arithmetic finds, failures beyond the generators included."""
+    A = doctored_algebra("sign")
+    proofs = _Proofs(A)
+    assert proofs.steps and not proofs.multiplicative
+    assert not proofs.coassociative_legs and not proofs.counit_legs
+    generators = [A.basis()[i] for i in (0, *A.generators)]
+    for check, reference in (DOCTORED_CHECKS["coassociativity"], DOCTORED_CHECKS["counit"]):
+        assert not reference(A, generators)
+        outcome, proved = law_route(check, A)
+        assert not proved and outcome[0] and outcome[0] == reference(A)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -1027,14 +1078,17 @@ def test_lane_output_keys_unpack_to_tensor_products(p, s):
         code = table[i1 * n + bc2 * p]
         e12 = code % p if code >= 0 else 0
         acc, _ = lanes.group(lanes.left(i1), bc2, e12, {})
+        every = lanes.unpacked(acc, (1 << p) - 1)
+        assert sorted(every) == list(range(p))
         for a2 in range(p):
             product = A.coproduct_monomial(basis[i1]) * A.coproduct_monomial(basis[bc2 * p + a2])
             read = lane(lanes, acc, a2)
             terms = accumulate(((basis[k // n], basis[k % n]), structure.decode(v, e12)) for k, v in read.items())
             assert terms == product.terms
             assert structure.render(read, e12) == product.render()
-            # the sweep's unpacked lane: sorted, keys as in lane 0, the same sum once both legs are moved by g^a2
-            unpacked = lanes.unpacked(acc, a2)
+            # the sweep's unpacked lane, one of every lane unpacked in one pass: sorted, keys as in lane 0, the same
+            # sum once both legs are moved by g^a2
+            unpacked = every[a2]
             assert list(unpacked) == sorted(unpacked) and lane(lanes, acc, a2, -a2) == dict(unpacked)
             move = lanes.moved[a2]
             assert {move[k // n] * n + move[k % n]: w for k, w in unpacked} == read
@@ -1249,12 +1303,12 @@ def test_a_failed_per_monomial_proof_stops_at_its_first_violation(monkeypatch):
 
 
 def law_route(check, A, refuse=False):
-    """The outcome of a per-monomial check and whether the proof took it; ``refuse`` fails *multiplicative*,
-    which every one of these proofs needs, so the sweep runs.  A proved run compares at 1, g, x and y only,
+    """The outcome of a per-monomial check and whether the proof took it; ``refuse`` fails *steps*, the step
+    premise that every one of these proofs needs, so the sweep runs.  A proved run compares at 1, g, x and y only,
     so it calls ``StructureTable.differs`` fewer than n times, and a sweep at least n times."""
     with pytest.MonkeyPatch.context() as patch:
         if refuse:
-            patch.setattr(_Proofs, "multiplicative", False)
+            patch.setattr(_Proofs, "steps", False)
         calls = counted_calls(patch, (StructureTable, "differs"))
         (result,) = check(A).results
     return (found(result), result.checked, result.mode), calls["StructureTable.differs"] < len(A.basis())
@@ -1262,12 +1316,14 @@ def law_route(check, A, refuse=False):
 
 @pytest.mark.parametrize("p,s_values", [(3, range(3)), (5, range(5)), (7, range(7)), (11, [1, 10])])
 def test_proved_per_monomial_laws_equal_the_sweep(p, s_values):
-    """For every s the proofs hold exactly when s != 0, and change no violation, checked or mode."""
+    """For every s the proofs hold, s = 0 included, where *multiplicative* fails but the step premises hold, and
+    change no violation, checked or mode."""
     for s in s_values:
         A = BookAlgebra(p, s, permissive=True)
+        assert _Proofs(A).multiplicative == (s != 0)
         for check in (check_coassociativity, check_counit_law, check_antipode_law):
             outcome, proved = law_route(check, A)
-            assert proved == (s != 0) and outcome == ([], p ** 3, "exhaustive")
+            assert proved and outcome == ([], p ** 3, "exhaustive")
             assert law_route(check, A, refuse=True) == (outcome, False)
 
 
@@ -1303,24 +1359,99 @@ def test_a_doctored_s_row_off_the_generators_fails_anti_multiplicativity():
     assert any(at.startswith("m=x^2 y g ") for at, _, _ in outcome[0])
 
 
+def s0_kernel_runs(p):
+    """The ``_Lanes.run`` calls of ``run_all`` on H(p, 0), derived from the negative control's predicates.
+
+    Run (x^b1 y^c1, x^b2 y^c2) is bad, in all p lanes, iff c1 + c2 >= p and b1 + b2 < p, so law(t, x^b y^c g^a)
+    fails only at t = y, c = p - 1, and the eps laws all hold.  The law table makes 3 p^2 runs.  The sweep takes
+    the g-orbits x^b1 y^c1 in basis order, each yielding p^2 violations per bad run, up to the one that yields the
+    cap-th; it vouches for 1 by the unit law, reads back x and y, and runs the kernel wherever the vouching lemma
+    fails at the step x^b1 y^c1 = x x^(b1-1) y^c1, or y y^(c1-1) at b1 = 0.
+    """
+    def bad(b1, c1, b2, c2):
+        return c1 + c2 >= p and b1 + b2 < p
+
+    def law(t, b, c):
+        return t != "y" or c != p - 1
+
+    pairs = list(itertools.product(range(p), repeat=2))
+    runs, violations = 3 * p * p, 0
+    for b1, c1 in pairs:
+        if violations >= MAX_VIOLATIONS_RENDERED:
+            break
+        violations += p * p * sum(bad(b1, c1, b2, c2) for b2, c2 in pairs)
+        if (b1, c1) in ((0, 0), (0, 1), (1, 0)):
+            continue
+        t, bj, cj = ("x", b1 - 1, c1) if b1 else ("y", 0, c1 - 1)
+        runs += sum(not (law(t, bj, cj) and not bad(bj, cj, b2, c2)
+                         and (bj + b2 >= p or cj + c2 >= p or law(t, bj + b2, cj + c2))) for b2, c2 in pairs)
+    return runs
+
+
 @pytest.mark.parametrize("p,s", [(7, 3), (5, 0), (7, 0)])
 def test_run_all_computes_each_verdict_once(monkeypatch, p, s):
     """One _Proofs serves the six checks, and associativity never sweeps, as *associative* is proved; a healthy
-    H(7, 3) runs the 3 p^2 = 147 generator lane groups of *multiplicative* and no sweep, and the s = 0 control
-    sweeps each law that needs *multiplicative* once: the bialgebra sweep runs one group per g-orbit of m1 and
-    x^b2 y^c2, reading back those of the failed premise, all p^4 at p = 5, whose 3 750 violations stay below the
-    cap, and at p = 7 the p^2 groups of only the first 12 g-orbits of m1, as the 12th renders the 10 000th
-    violation and the sweep stops there."""
+    H(7, 3) runs the 3 p^2 = 147 generator lane groups of the law table and no sweep, and the s = 0 control proves
+    coassociativity, the counit and antipode laws on their step premises and sweeps only the bialgebra law, once,
+    with the kernel runs that ``s0_kernel_runs`` derives from the predicates: one group per g-orbit of m1 and
+    x^b2 y^c2, every orbit at p = 5, whose 3 750 violations stay below the cap, and at p = 7 only up to the orbit
+    that renders the 10 000th violation, where the sweep stops."""
     calls = counted_calls(monkeypatch, (_Lanes, "run"), (_Lanes, "orbit"), (_Proofs, "__init__"))
     sweeps = counted_sweeps(monkeypatch)
     report = run_all(BookAlgebra(p, s, permissive=s == 0))
     assert report.passed if s else negative_control_matches(report, p)
     assert calls["_Proofs.__init__"] == 1
-    assert sweeps == ({} if s else dict.fromkeys(("coassociativity", "counit", "bialgebra", "antipode"), 1))
+    assert sweeps == ({} if s else {"bialgebra": 1})
     if s:
         assert calls["_Lanes.run"] == 147 and not calls["_Lanes.orbit"]
     else:
-        assert calls["_Lanes.orbit"] == 1 and calls["_Lanes.run"] == {5: 5 ** 4, 7: 12 * 7 ** 2}[p]
+        assert calls["_Lanes.orbit"] == 1 and calls["_Lanes.run"] == s0_kernel_runs(p) < 3 * p * p + p ** 4
+
+
+# -- the law table: vouched runs and step premises against the full routes ------------
+
+
+def law_table_routes(A):
+    """[(outcomes, kernel runs, swept axioms)] of the two routes of the four checks that read the law table, each
+    outcome (violations, checked, mode) with one ``_Proofs`` shared.  The first refuses *multiplicative*, so the
+    bialgebra sweep vouches and reads the table back, and the other three laws take their step premises; the
+    second refuses the law table itself, so the kernel makes every run and every law is swept."""
+    routes = []
+    for refused, value in (("multiplicative", False), ("laws", None)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Proofs, refused, value)
+            calls = counted_calls(patch, (_Lanes, "run"))
+            sweeps = counted_sweeps(patch)
+            proofs = _Proofs(A)
+            outcomes = []
+            for check in (check_coassociativity, check_counit_law, check_bialgebra_compat, check_antipode_law):
+                (r,) = check(A, _proofs=proofs).results
+                outcomes.append((found(r), r.checked, r.mode))
+        routes.append((outcomes, calls["_Lanes.run"], set(sweeps)))
+    return routes
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_at_s0_the_vouched_sweep_and_step_premises_equal_the_full_routes(p):
+    """At s = 0 the step premises prove coassociativity, the counit and antipode laws, and the bialgebra sweep
+    makes fewer kernel runs than the full route, with every result, cap included, unchanged."""
+    (vouched, runs, swept), (full, all_runs, all_swept) = law_table_routes(BookAlgebra(p, 0, permissive=True))
+    assert vouched == full and full[2][0]
+    assert swept == {"bialgebra"} and all_swept == {"coassociativity", "counit", "bialgebra", "antipode"}
+    assert runs == s0_kernel_runs(p) < all_runs
+
+
+@pytest.mark.parametrize("case", [*DOCTORINGS, *(f"{how} at {p}" for how in ("orbit digit", "orbit extra term")
+                                                 for p in (5, 7))])
+def test_on_doctored_tables_the_vouched_sweep_and_step_premises_equal_the_full_routes(case):
+    """Every doctored table, and the doctored orbits at p = 5 and 7, get the same four results whether the sweep
+    vouches and the step premises are tried or the kernel makes every run and every law is swept."""
+    how, _, p = case.partition(" at ")
+    A = BookAlgebra(int(p), 2 if p == "5" else 3) if p else doctored_algebra(how)
+    if p:
+        doctor_orbit(A, how[6:])
+    (vouched, runs, _), (full, all_runs, _) = law_table_routes(A)
+    assert vouched == full and runs <= all_runs
 
 
 # -- negative control (s = 0) ---------------------------------------------------------
@@ -1407,6 +1538,17 @@ def test_negative_control_matcher_accepts_the_capped_p7_report():
     assert len(bialgebra.violations) == MAX_VIOLATIONS_RENDERED  # of 28 812 predicted sites
     assert negative_control_matches(report, 7)
     assert not negative_control_matches(with_bialgebra_violations(report, lambda v: v[:-1]), 7)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_negative_control_sites_equal_the_pair_predicate(p):
+    """The predicted sites, read off the basis index, are those of the pair predicate over Monomial attributes."""
+    basis = BookAlgebra(p, 0, permissive=True).basis()
+    predicted = (
+        f"Delta: m1={m1.render()}, m2={m2.render()}"
+        for m1 in basis for m2 in basis if m1.c + m2.c >= p and m1.b + m2.b < p
+    )
+    assert axioms._negative_control_sites(p) == list(itertools.islice(predicted, MAX_VIOLATIONS_RENDERED))
 
 
 def test_violation_payload_shape():
