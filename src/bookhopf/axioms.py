@@ -387,7 +387,8 @@ def check_counit_law(algebra, *, _proofs=None, **_ignored):
     basis = A.basis()
     rec = _Recorder("counit")
     table = A.structure_table()
-    eps = A.counit_packed()
+    proofs = _proofs or _Proofs(A)
+    eps = proofs.eps
 
     def law(indices):
         for i in indices:
@@ -401,7 +402,7 @@ def check_counit_law(algebra, *, _proofs=None, **_ignored):
                 if table.differs(side, {i: 1}):
                     yield f"m={basis[i].render()} (eps on {leg} leg)", table.render(side, legs=1), basis[i].render()
 
-    return _per_monomial(rec, A, _proofs or _Proofs(A), ("steps", "counit_legs"), law)
+    return _per_monomial(rec, A, proofs, ("steps", "counit_legs"), law)
 
 
 def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
@@ -761,7 +762,8 @@ def check_antipode_law(algebra, *, _proofs=None, **_ignored):
     products = A.product_table()
     table = A.structure_table()
     S = table.antipode
-    eps = A.counit_packed()
+    proofs = _proofs or _Proofs(A)
+    eps = proofs.eps
 
     def law(indices):
         for i in indices:
@@ -778,7 +780,7 @@ def check_antipode_law(algebra, *, _proofs=None, **_ignored):
                     got = Element._raw(p, s, table.decoded(plus, minus)) + target
                     yield f"m={basis[i].render()} (S on {leg} leg)", got.render(), target.render()
 
-    return _per_monomial(rec, A, _proofs or _Proofs(A), ("steps", "anti_multiplicative"), law)
+    return _per_monomial(rec, A, proofs, ("steps", "anti_multiplicative"), law)
 
 
 def check_relations(algebra, **_ignored):
@@ -824,9 +826,10 @@ class _Proofs:
     Each verdict is computed on first use, at most once per object.
     ``run_all`` builds one object and passes it to every check, a check
     called alone builds its own, and nothing is cached on the algebra.
-    ``rows``, ``lanes`` and ``counit`` are built at most once: ``rows`` for
-    ``lanes`` and the associativity sweep, the other two for the law table
-    and the bialgebra sweep, which reads the table's runs back.
+    ``rows``, ``lanes``, ``counit`` and ``eps`` are built at most once:
+    ``rows`` for ``lanes`` and the associativity sweep, ``lanes`` and
+    ``counit`` for the law table and the bialgebra sweep, which reads the
+    table's runs back, and ``eps`` for the counit and antipode laws.
     """
 
     def __init__(self, algebra):
@@ -844,6 +847,11 @@ class _Proofs:
     @cached_property
     def counit(self):
         return _Counit(self.algebra)
+
+    @cached_property
+    def eps(self):
+        """eps of every basis monomial, packed like the structure table (``BookAlgebra.counit_packed``)."""
+        return self.algebra.counit_packed()
 
     @cached_property
     def generation(self):

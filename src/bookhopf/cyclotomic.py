@@ -11,18 +11,38 @@ positive denominator in lowest terms (the public ``coeffs`` property exposes
 them as ``Fraction`` objects).  Integers grow without bound; nothing here ever
 rounds.  Instances are immutable, hence safe to share across threads.
 
+Every coefficient the Hopf structure builds is an integer, so ``fractions``
+(which loads ``decimal`` and ``numbers`` with it, about 2.4 ms per process)
+is imported only by the members that take or return a non-integral rational:
+``coeffs``, ``as_rational``, ``parse``, a non-int coefficient or operand, a
+compare across p, and the hash of a non-integral value.  An int operand takes
+an int path.  An operand is a ``Fraction`` only if ``fractions`` is already
+loaded, which is exact, as no ``Fraction`` exists before its module does.
+
 The printable form is a polynomial in ``q``, e.g. ``1 - q + (1/2)q^2``, and
 ``Cyclotomic.parse`` inverts it exactly.
 """
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from math import gcd, lcm
 
 __all__ = ["Cyclotomic", "root_power", "cyc_zero", "cyc_one", "is_odd_prime"]
+
+
+def _fraction(*args):
+    """``Fraction(*args)``, importing ``fractions`` on first use."""
+    from fractions import Fraction
+
+    return Fraction(*args)
+
+
+def _is_fraction(value):
+    """Whether value is a ``Fraction``, without importing ``fractions``: none exists before it is loaded."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
 
 
 def _build(p, num, den, power):
@@ -72,7 +92,7 @@ class Cyclotomic:
 
     def __init__(self, p, coeffs=()):
         _check_p(p)
-        fracs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        fracs = [c if isinstance(c, int) or _is_fraction(c) else _fraction(c) for c in coeffs]
         den = 1
         for f in fracs:
             den = lcm(den, f.denominator)
@@ -87,7 +107,7 @@ class Cyclotomic:
     @staticmethod
     def from_rational(p, value):
         _check_p(p)
-        f = Fraction(value)
+        f = value if isinstance(value, int) else _fraction(value)  # an int is its own numerator over 1
         if not f:
             return cyc_zero(p)
         num = (f.numerator,) + (0,) * (p - 2)
@@ -99,13 +119,13 @@ class Cyclotomic:
     @property
     def coeffs(self):
         """The p-1 power-basis coefficients as exact Fractions."""
-        return tuple(Fraction(n, self.den) for n in self.num)
+        return tuple(_fraction(n, self.den) for n in self.num)
 
     def as_rational(self):
         """The value as a Fraction if it lies in Q, else None."""
         if any(self.num[1:]):
             return None
-        return Fraction(self.num[0], self.den)
+        return _fraction(self.num[0], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -116,7 +136,7 @@ class Cyclotomic:
                     f"cannot mix scalars from Q(zeta_{self.p}) and Q(zeta_{other.p})"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or _is_fraction(other):
             return Cyclotomic.from_rational(self.p, other)
         return None
 
@@ -251,8 +271,10 @@ class Cyclotomic:
                 return self.num == other.num and self.den == other.den
             a, b = self.as_rational(), other.as_rational()
             return a is not None and a == b
-        if isinstance(other, (int, Fraction)):
-            return self.as_rational() == Fraction(other)
+        if isinstance(other, int):
+            return self.den == 1 and self.num[0] == other and not any(self.num[1:])
+        if _is_fraction(other):
+            return self.as_rational() == other
         return NotImplemented
 
     def __hash__(self):
@@ -260,7 +282,7 @@ class Cyclotomic:
         # hash(n) is hash(Fraction(n, 1)), so an integral value builds no Fraction
         if any(self.num[1:]):
             return hash((self.p, self.num, self.den))
-        return hash(self.num[0]) if self.den == 1 else hash(Fraction(self.num[0], self.den))
+        return hash(self.num[0]) if self.den == 1 else hash(_fraction(self.num[0], self.den))
 
     def __bool__(self):
         return any(self.num)
@@ -298,11 +320,6 @@ class Cyclotomic:
     def __repr__(self):
         return f"Cyclotomic(p={self.p}, {self.render()})"
 
-    _TERM_RE = re.compile(
-        r"^(?:\((?P<pn>-?\d+)/(?P<pd>\d+)\)|(?P<n>-?\d+)(?:/(?P<d>\d+))?)?"
-        r"(?P<q>q(?:\^(?P<e>\d+))?)?$"
-    )
-
     @classmethod
     def parse(cls, p, text):
         """Inverse of :meth:`render` (accepts exactly that grammar)."""
@@ -318,15 +335,15 @@ class Cyclotomic:
             sign = 1
             if chunk.startswith("-") and not chunk[1:2].isdigit():
                 sign, chunk = -1, chunk[1:]
-            m = cls._TERM_RE.match(chunk)
+            m = _term_re().match(chunk)
             if not m or (m.group("pn") is None and m.group("n") is None and m.group("q") is None):
                 raise ValueError(f"cannot parse scalar term {chunk!r} in {text!r}")
             if m.group("pn") is not None:
-                coeff = Fraction(int(m.group("pn")), int(m.group("pd")))
+                coeff = _fraction(int(m.group("pn")), int(m.group("pd")))
             elif m.group("n") is not None:
-                coeff = Fraction(int(m.group("n")), int(m.group("d") or 1))
+                coeff = _fraction(int(m.group("n")), int(m.group("d") or 1))
             else:
-                coeff = Fraction(1)
+                coeff = 1
             if m.group("q"):
                 e = int(m.group("e") or 1)
             else:
@@ -336,6 +353,17 @@ class Cyclotomic:
 
 
 # -- module-level helpers ------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _term_re():
+    """The grammar of one term of :meth:`Cyclotomic.render`, compiled on the first ``parse``."""
+    import re
+
+    return re.compile(
+        r"^(?:\((?P<pn>-?\d+)/(?P<pd>\d+)\)|(?P<n>-?\d+)(?:/(?P<d>\d+))?)?"
+        r"(?P<q>q(?:\^(?P<e>\d+))?)?$"
+    )
 
 
 def is_odd_prime(p):

@@ -41,6 +41,9 @@ class Mutant(NamedTuple):
 
 
 AXIOMS, HOPF = "tests/test_axioms.py::", "tests/test_hopf.py::"
+CLI, CYCLOTOMIC = "tests/test_cli.py::", "tests/test_cyclotomic.py::"
+# a failing hypothesis test can shrink its example for 30-125 s, so the equality and coercion mutants name frozen cases
+RATIONALS = CYCLOTOMIC + "test_equality_and_hash_with_rationals"
 
 MUTANTS = [
     # the one cap: each sweep yields its violations and _Recorder.finish takes the first MAX of them with islice
@@ -137,6 +140,24 @@ MUTANTS = [
     Mutant("a bool s accepted", "hopf.py",
            "if isinstance(s, bool) or not isinstance(s, int)", "if not isinstance(s, int)",
            (HOPF + "test_construct_rejects_a_bool",)),
+    # the int paths of Cyclotomic, which import no fractions, and the console entry's collector
+    Mutant("int == without its test of the irrational part", "cyclotomic.py",
+           "return self.den == 1 and self.num[0] == other and not any(self.num[1:])",
+           "return self.den == 1 and self.num[0] == other",
+           (RATIONALS,)),
+    Mutant("int == without its test of the denominator", "cyclotomic.py",
+           "return self.den == 1 and self.num[0] == other and not any(self.num[1:])",
+           "return self.num[0] == other and not any(self.num[1:])",
+           (RATIONALS,)),
+    Mutant("from_rational tags every int as q^0", "cyclotomic.py",
+           "power = 0 if f == 1 else None", "power = 0 if f == 1 or type(f) is int else None",
+           (RATIONALS, *(f"{CYCLOTOMIC}test_int_paths_agree_with_the_fraction_route[{p}]" for p in (3, 5, 7)))),
+    Mutant("a Fraction operand not coerced", "cyclotomic.py",
+           "if isinstance(other, int) or _is_fraction(other):", "if isinstance(other, int):",
+           (CYCLOTOMIC + "test_arithmetic_coerces_ints_and_fractions",)),
+    Mutant("the console entry leaves the collector on", "cli.py",
+           "    gc.disable()\n    sys.exit(main())", "    sys.exit(main())",
+           (CLI + "test_the_console_entry_runs_with_the_collector_off",)),
 ]
 
 EQUIVALENT = [
@@ -148,6 +169,10 @@ EQUIVALENT = [
             "                    if eps_ok and not bad:\n                        continue\n", "", ()),
      "a run with no bad lane reaches no Delta violation, and where the eps rows are equal every pair of entries is "
      "one object, as _Counit keeps one object per value, so the loop it skips yields nothing"),
+    (Mutant("a Fraction coefficient built again", "cyclotomic.py",
+            "c if isinstance(c, int) or _is_fraction(c) else _fraction(c)", "c if isinstance(c, int) else _fraction(c)",
+            ()),
+     "Fraction(f) of a Fraction f is an equal Fraction, and a Fraction coefficient means fractions is loaded already"),
 ]
 
 

@@ -1395,12 +1395,14 @@ def test_run_all_computes_each_verdict_once(monkeypatch, p, s):
     coassociativity, the counit and antipode laws on their step premises and sweeps only the bialgebra law, once,
     with the kernel runs that ``s0_kernel_runs`` derives from the predicates: one group per g-orbit of m1 and
     x^b2 y^c2, every orbit at p = 5, whose 3 750 violations stay below the cap, and at p = 7 only up to the orbit
-    that renders the 10 000th violation, where the sweep stops."""
-    calls = counted_calls(monkeypatch, (_Lanes, "run"), (_Lanes, "orbit"), (_Proofs, "__init__"))
+    that renders the 10 000th violation, where the sweep stops.  eps is packed once, for the counit and antipode
+    laws both."""
+    calls = counted_calls(monkeypatch, (_Lanes, "run"), (_Lanes, "orbit"), (_Proofs, "__init__"),
+                          (BookAlgebra, "counit_packed"))
     sweeps = counted_sweeps(monkeypatch)
     report = run_all(BookAlgebra(p, s, permissive=s == 0))
     assert report.passed if s else negative_control_matches(report, p)
-    assert calls["_Proofs.__init__"] == 1
+    assert calls["_Proofs.__init__"] == 1 and calls["BookAlgebra.counit_packed"] == 1
     assert sweeps == ({} if s else {"bialgebra": 1})
     if s:
         assert calls["_Lanes.run"] == 147 and not calls["_Lanes.orbit"]

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import gc
 import hashlib
 import json
 import subprocess
@@ -349,3 +350,50 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "modular pairs in involution for H(3, s)" in proc.stdout
+
+
+# -- the cyclic garbage collector ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_leaves_the_collector_as_it_finds_it(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run_cli(["table", "--p", "3"])[0] == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_the_console_entry_runs_with_the_collector_off():
+    code = """
+import gc, runpy, sys
+sys.argv = ["bookhopf", "table", "--p", "3"]
+try:
+    runpy.run_module("bookhopf.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print("exit", exc.code, "collector", "on" if gc.isenabled() else "off", file=sys.stderr)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stderr.splitlines()[-1] == "exit 0 collector off"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--p", "7", "--s", "3"], ["table", "--p", "5"], ["verify", "--p", "7", "--s", "3"],
+    ["verify", "--p", "5", "--s", "0", "--permissive"],
+], ids=["classify", "table", "verify", "verify-s0"])
+def test_a_run_leaves_no_cyclic_garbage_beyond_its_parser(argv):
+    """What the console entry rests on: with the collector off, a whole ``main`` call leaves no more objects in
+    unreachable cycles than building its argparse parser and parsing alone, so the tables of a run hold no cycle."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert run_cli(argv)[0] == 0
+        run = gc.collect()
+        cli._build_parser().parse_args(argv)
+        assert run <= gc.collect()
+    finally:
+        if was:
+            gc.enable()

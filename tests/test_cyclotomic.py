@@ -1,11 +1,16 @@
 """Exact arithmetic in Q(zeta_p): field axioms, inverses, rendering."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import bookhopf
 from bookhopf import Cyclotomic, cyc_one, cyc_zero, root_power
 
 PRIMES = [3, 5, 7]
@@ -91,6 +96,8 @@ def test_equality_and_hash_with_rationals():
     assert half == Fraction(1, 2)
     assert hash(half) == hash(Fraction(1, 2))
     assert root_power(5, 1) != 1
+    assert 1 + root_power(5, 1) != 1 and half != 1 and 3 != Cyclotomic(5, [Fraction(3, 4)])
+    assert Cyclotomic.from_rational(5, 2)._power is None and Cyclotomic.from_rational(5, 1)._power == 0
 
 
 def test_as_rational_and_coeffs():
@@ -108,6 +115,60 @@ def test_arithmetic_coerces_ints_and_fractions():
     assert 2 * q - q == q
     assert q / 2 == Fraction(1, 2) * q
     assert (q + Fraction(1, 3)) - Fraction(1, 3) == q
+
+
+def fields(c):
+    """Everything a scalar stores, its power tag included."""
+    return c.p, c.num, c.den, c._power
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@given(data=st.data())
+def test_int_paths_agree_with_the_fraction_route(p, data):
+    """An int operand of ==, hash, coercion and from_rational takes an int path; each gives what the same value as a
+    Fraction gives, on rational scalars, on scalars with the int as their constant term or numerator and on random
+    ones."""
+    k = data.draw(st.integers(min_value=-20, max_value=20))
+    f = data.draw(st.fractions(min_value=-20, max_value=20, max_denominator=6))
+    assert fields(Cyclotomic.from_rational(p, k)) == fields(Cyclotomic.from_rational(p, Fraction(k)))
+    assert (Cyclotomic.from_rational(p, k)._power == 0) == (k == 1)
+    assert fields(Cyclotomic(p, [k, 0, k])) == fields(Cyclotomic(p, [Fraction(k), 0, Fraction(k)]))
+    q = root_power(p, 1)
+    for c in (Cyclotomic.from_rational(p, k), Cyclotomic.from_rational(p, f), q + k, q ** (p - 2) * 3 + k,
+              Cyclotomic.from_rational(p, Fraction(k, 2 * abs(k) + 1)), data.draw(scalars(p)), Cyclotomic(p, [k]) * 2):
+        rational = c.as_rational()
+        assert (c == k) is (k == c) is (rational == Fraction(k)) is (c == Fraction(k))
+        assert (c != k) is (c != Fraction(k))
+        assert hash(c) == (hash((c.p, c.num, c.den)) if rational is None else hash(rational))
+        assert fields(c._coerce(k)) == fields(c._coerce(Fraction(k))) == fields(Cyclotomic.from_rational(p, k))
+        assert fields(c._coerce(f)) == fields(Cyclotomic.from_rational(p, f))
+        for result, fraction_route in ((c + k, c + Fraction(k)), (k - c, Fraction(k) - c), (c * k, Fraction(k) * c),
+                                       (c + f, c + Cyclotomic.from_rational(p, f))):
+            assert fields(result) == fields(fraction_route)
+
+
+def test_int_arithmetic_leaves_fractions_unloaded():
+    """Arithmetic, compares and hashes on int operands never import ``fractions``; a later Fraction operand works."""
+    code = """
+import sys
+from bookhopf import Cyclotomic, cyc_zero, root_power
+
+q = root_power(7, 1)
+a = (3 * q + 2) * (q - 5) - 4 + 2 * Cyclotomic(7, [1, -2, 3])
+b = sum((root_power(7, e) * e for e in range(7)), cyc_zero(7)) ** 2
+seen = [a == 4, 4 != a, a != q, q + 1 == 1 + q, Cyclotomic.from_rational(7, 1) == 1, {a: 1, b: 2, 3 * q ** 0: 3},
+        hash(q * 0 + 3) == hash(3), (q + 1) * (q ** 6 - 1), a.render(), b.render(), q ** -3, -a]
+assert "fractions" not in sys.modules, "an int operand loaded fractions"
+from fractions import Fraction
+
+assert q / 2 == Fraction(1, 2) * q and (q + Fraction(1, 3)) - Fraction(1, 3) == q and q * 0 + Fraction(3) == 3
+assert Cyclotomic.from_rational(7, Fraction(4, 2))._power is None and Cyclotomic(7, [Fraction(1, 2)]) * 2 == 1
+print("ok")
+"""
+    path = os.pathsep.join(filter(None, [str(Path(bookhopf.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
 
 # -- field axioms (hypothesis) -----------------------------------------------------

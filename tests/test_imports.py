@@ -13,6 +13,7 @@ import bookhopf
 
 PACKAGE = Path(bookhopf.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+RATIONALS = {"fractions", "decimal", "numbers"}  # every coefficient a command or the tables build is an int
 
 
 def unused_imports(tree):
@@ -79,7 +80,7 @@ def loaded_by(code):
 def test_a_command_loads_only_the_modules_it_runs(argv, runs, skips):
     loaded = loaded_by(CHILD.replace("ARGV", repr(argv)))
     assert runs in loaded and skips not in loaded
-    assert "dataclasses" not in loaded
+    assert "dataclasses" not in loaded and not loaded & RATIONALS
 
 
 def test_the_algebra_alone_loads_its_three_modules():
@@ -87,6 +88,7 @@ def test_the_algebra_alone_loads_its_three_modules():
         "import sys; before = set(sys.modules); import bookhopf; bookhopf.BookAlgebra(7, 3)\n"
         "print(*sorted(set(sys.modules) - before), file=sys.stderr)"
     )
+    assert not loaded & RATIONALS
     loaded = {name for name in loaded if name.partition(".")[0] == "bookhopf"}
     assert loaded == {"bookhopf", "bookhopf.cyclotomic", "bookhopf.pbw", "bookhopf.hopf"}
 
