@@ -36,21 +36,21 @@ proofs share, each at most once per table state:
   ``check_bialgebra_compat``: both laws hold at every pair of the table,
   and at 1;
 - *steps*: both laws hold at every step pair (t, basis[j]) of
-  ``generation()``; and the Delta law (*coassociative legs*) or the eps
-  law (*counit legs*) at the pairs of left legs and the pairs of right
-  legs of Delta(t) and Delta(basis[j]), for every step;
+  ``generation()``, at every pair of left legs and at every pair of
+  right legs of Delta(t) and Delta(basis[j]);
 - *anti-multiplicative*: S(m1 m2) = S(m2) S(m1), proved on S(t m) =
   S(m) S(t) for t in {1, g, x, y} and every m, which needs *associative*.
 
 The five proofs, each with its premises: associativity (*associative*),
-the bialgebra law (*multiplicative*), coassociativity (*steps*,
-*coassociative legs* and the law at 1, g, x and y), the counit law
-(*steps*, *counit legs* and the law at 1, g, x and y) and the antipode
-law (*steps*, *anti-multiplicative* and the law at 1, g, x and y).  Where
-*multiplicative* holds, so does every step premise, with no further work;
-at s = 0 it fails, but the step premises hold, so only the bialgebra law
-is swept, and that sweep reads the law table back to pass most of its
-runs with no kernel call.  One protocol, ``_prove_or_sweep``, runs them
+the bialgebra law (*multiplicative*), coassociativity and the counit law
+(*steps* and the law at 1, g, x and y) and the antipode law (*steps*,
+*anti-multiplicative* and the law at 1, g, x and y).  Where
+*multiplicative* holds, so does *steps*, with no further work; at s = 0
+it fails, but *steps* holds, so only the bialgebra law is swept, and
+that sweep reads the law table back to pass most of its runs with no
+kernel call.  Every lane run, of the law table or of that sweep, rests
+on *associative*; where it fails, the bialgebra law takes a per-pair
+route off the live tables.  One protocol, ``_prove_or_sweep``, runs them
 all: a proved run reports its mode and ``checked``, with no violation;
 if a premise fails, the sweep runs as if no proof had been tried.
 ``run_all`` passes one ``_Proofs`` to every check, and a check called
@@ -78,7 +78,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, islice
-from operator import getitem, itemgetter
+from operator import itemgetter
 from time import perf_counter
 from typing import NamedTuple
 
@@ -134,16 +134,10 @@ class AxiomResult(NamedTuple):
 
     @classmethod
     def from_dict(cls, d):
-        out = cls(
-            axiom=d["axiom"],
-            violations=[
-                Violation(axiom=d["axiom"], at=v["at"], lhs=v["lhs"], rhs=v["rhs"])
-                for v in d["violations"]
-            ],
-            elapsed_ms=d["elapsed_ms"],
-            checked=d["checked"],
-            mode=d["mode"],
-        )
+        if type(d["checked"]) is not int or d["checked"] < 0:  # a bool or a string would read as a count
+            raise ValueError(f"{d['axiom']}: checked must be an int >= 0, got {d['checked']!r}")
+        violations = [Violation(d["axiom"], v["at"], v["lhs"], v["rhs"]) for v in d["violations"]]
+        out = cls(d["axiom"], violations, d["elapsed_ms"], d["checked"], d["mode"])
         if out.status != d["status"]:
             raise ValueError(f"{out.axiom}: status {d['status']!r} disagrees with checked and violations")
         return out
@@ -318,11 +312,10 @@ def check_coassociativity(algebra, *, _proofs=None, **_ignored):
     indices of the three legs; a failing monomial's sides are rendered
     straight from those sums.
 
-    *Proof by generators* (see the module docstring), on the premises
-    *steps* and *coassociative legs* and this row compare at 1, g, x and y.
-    Write Delta(t) = sum t1 (x) t2 and Delta(basis[j]) = sum b1 (x) b2 over
-    their terms, and multiply in H (x) H and H (x) H (x) H leg by leg; the
-    step is
+    *Proof by generators* (see the module docstring), on the premise
+    *steps* and this row compare at 1, g, x and y.  Write Delta(t) =
+    sum t1 (x) t2 and Delta(basis[j]) = sum b1 (x) b2 over their terms, and
+    multiply in H (x) H and H (x) H (x) H leg by leg; the step is
 
         (Delta (x) id) Delta(t basis[j]) = (Delta (x) id)(Delta(t) Delta(basis[j]))        Delta law at (t, basis[j])
                                          = sum Delta(t1) Delta(b1) (x) t2 b2                 Delta law at (t1, b1)
@@ -332,9 +325,9 @@ def check_coassociativity(algebra, *, _proofs=None, **_ignored):
                                          = (id (x) Delta)(Delta(t) Delta(basis[j]))          Delta law at (t2, b2)
                                          = (id (x) Delta) Delta(t basis[j])                  Delta law at (t, basis[j])
 
-    It reads the Delta law at every step pair (*steps*) and at every pair
-    of left legs (t1, b1) and of right legs (t2, b2) (*coassociative legs*),
-    for which t1 and t2 must be 1 or a generator.  A proved run reports
+    It reads the Delta law at every step pair and at every pair of left
+    legs (t1, b1) and of right legs (t2, b2), all in *steps*, for which t1
+    and t2 must be 1 or a generator.  A proved run reports
     exhaustive with n checked; if a premise fails, the row compare runs on
     every monomial.
     """
@@ -362,15 +355,15 @@ def check_coassociativity(algebra, *, _proofs=None, **_ignored):
             if table.differs(lhs, rhs):
                 yield f"m={basis[i].render()}", table.render(lhs, legs=3), table.render(rhs, legs=3)
 
-    return _per_monomial(rec, A, _proofs or _Proofs(A), ("steps", "coassociative_legs"), law)
+    return _per_monomial(rec, A, _proofs or _Proofs(A), ("steps",), law)
 
 
 def check_counit_law(algebra, *, _proofs=None, **_ignored):
     """(eps (x) id) Delta = id = (id (x) eps) Delta on every basis monomial, off the structure table.
 
-    *Proof by generators* (see the module docstring), on the premises
-    *steps* and *counit legs* and this check at 1, g, x and y.  With the
-    notation of check_coassociativity, the step is
+    *Proof by generators* (see the module docstring), on the premise
+    *steps* and this check at 1, g, x and y.  With the notation of
+    check_coassociativity, the step is
 
         (eps (x) id) Delta(t basis[j]) = (eps (x) id)(Delta(t) Delta(basis[j]))   Delta law at (t, basis[j])
                                        = sum eps(t1) eps(b1) t2 b2                  eps law at (t1, b1)
@@ -378,9 +371,9 @@ def check_counit_law(algebra, *, _proofs=None, **_ignored):
                                        = t basis[j]                                 law at t and at basis[j]
 
     and likewise on the right leg, with the eps law at (t2, b2).  It reads
-    the Delta and eps laws at every step pair (*steps*) and the eps law at
-    every pair of left legs and of right legs (*counit legs*).  A proved
-    run reports exhaustive with n checked; if a premise fails, every
+    the Delta and eps laws at every step pair and the eps law at every
+    pair of left legs and of right legs, all in *steps*.  A proved run
+    reports exhaustive with n checked; if a premise fails, every
     monomial is checked.
     """
     A = algebra
@@ -402,7 +395,7 @@ def check_counit_law(algebra, *, _proofs=None, **_ignored):
                 if table.differs(side, {i: 1}):
                     yield f"m={basis[i].render()} (eps on {leg} leg)", table.render(side, legs=1), basis[i].render()
 
-    return _per_monomial(rec, A, proofs, ("steps", "counit_legs"), law)
+    return _per_monomial(rec, A, proofs, ("steps",), law)
 
 
 def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
@@ -410,10 +403,13 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
 
     Delta(m1 m2) = Delta(m1) Delta(m2) is checked on the structure table's
     packed coefficients, whose compare the ``hopf`` module docstring shows
-    exact, for all p monomials m2 = x^b2 y^c2 g^a2, a2 = 0..p-1, at once:
+    exact.  Where *associative* holds, the live product table is that of a
+    bilinear q-exponent phi (see check_associativity), and the lanes check
+    all p monomials m2 = x^b2 y^c2 g^a2, a2 = 0..p-1, at once:
 
-    - *a2 does not enter the twist.*  The q-exponent of m x^b y^c g^a does
-      not depend on a.  So the terms of the p rows Delta(x^b2 y^c2 g^a2),
+    - *a2 does not enter the twist.*  The q-exponent phi(m, x^b y^c g^a)
+      does not depend on a, as phi reads no g-exponent of its right
+      argument.  So the terms of the p rows Delta(x^b2 y^c2 g^a2),
       both legs moved by g^-a2, are grouped across rows; a group term
       w (x) z meets a term u (x) v of Delta(m1) with the same q^e in every
       row, read off the product-table rows of u and v, and its output
@@ -428,15 +424,17 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
       expected row adds at most R, so no digit carries into the next digit
       or lane; the fold and the biased difference run on all lanes at once.
     - *One group run per g-orbit of m1.*  With wt(w) given by g w = q^wt(w) w g
-      in the product table, ``_Lanes.orbit`` checks three premises on the live
-      tables: P1, the Delta row of x^b y^c g^a is that of x^b y^c with both
-      legs moved by g^a and the same coefficients; P2, wt(w) + wt(z) =
-      wt(x^b y^c) for every term w (x) z of Delta(x^b y^c); P3, (u g) w =
-      q^wt(w) (u w) g for every basis pair, so (u g^a) w = q^(a wt(w)) (u w) g^a.
-      *Lemma:* then at m1 = h g^a1, h = x^b1 y^c1, Delta(m1) Delta(m2) and
-      Delta(m1 m2) are both q^(a1 wt(m2)) times their values at (h, m2) with
-      both legs moved by g^a1, so all m1 of an orbit fail in the same lanes.
-      If a premise fails, every m1 is its own orbit, and the sweep runs every group.
+      in the product table, ``_Lanes.orbit`` checks two premises on the
+      structure table: P1, the Delta row of x^b y^c g^a is that of x^b y^c
+      with both legs moved by g^a and the same coefficients; P2, wt(w) +
+      wt(z) = wt(x^b y^c) for every term w (x) z of Delta(x^b y^c).  The
+      cocycle lemma gives P3, (u g) w = q^wt(w) (u w) g for every basis
+      pair, so (u g^a) w = q^(a wt(w)) (u w) g^a: phi(u + g, w) = phi(u, w)
+      + phi(g, w), phi(g, w) = wt(w) and phi(., g) = 0.  *Lemma:* then at
+      m1 = h g^a1, h = x^b1 y^c1, Delta(m1) Delta(m2) and Delta(m1 m2) are
+      both q^(a1 wt(m2)) times their values at (h, m2) with both legs moved
+      by g^a1, so all m1 of an orbit fail in the same lanes.  If P1 or P2
+      fails, every m1 is its own orbit, and the sweep runs every group.
 
     The expected side Delta(m1 m2) is read off the product table and the
     lane groups, memoized per product monomial.  Both sides of eps(m1 m2) =
@@ -467,14 +465,15 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
 
     and likewise for eps.  If every premise holds the run reports
     exhaustive with n^2 pairs checked and calls no ``_Lanes.orbit``; it
-    costs 3 p^2 group runs instead of up to p^4.  Otherwise the sweep below
-    runs as if no proof had been tried, as it does on a doctored table and
-    at s = 0, where the runs of y against x^b y^(p-1) fail.  Either way the
-    result is that of the sweep; the check ignores ``seed``,
-    ``sample_size`` and ``exhaustive``.
+    costs 3 p^2 group runs instead of up to p^4.  Otherwise one of the two
+    routes below runs as if no proof had been tried: the lane sweep where
+    *associative* holds, as at s = 0, where the runs of y against
+    x^b y^(p-1) fail, and the per-pair route where it fails.  Either way the
+    result is that of the route; the check ignores ``seed``, ``sample_size``
+    and ``exhaustive``.
 
-    The sweep takes the g-orbits of m1 in basis order.  At the first m1 of
-    an orbit, basis[first], it takes the p^2 groups (basis[first],
+    *The lane sweep* takes the g-orbits of m1 in basis order.  At the first
+    m1 of an orbit, basis[first], it takes the p^2 groups (basis[first],
     x^b2 y^c2): it reads a run of the law table back, vouches for a run
     (below) with no kernel call, or builds ``_Lanes.left`` once and runs
     it, keeping the accumulator of a run with a bad lane; it then yields
@@ -485,10 +484,9 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
     legs moved by g^(a2 + a1), at q^(e12 + a1 wt(x^b2 y^c2)).  eps values
     are compared by identity, as ``_Counit`` keeps one object per value.
 
-    *Vouching.*  Where *associative* holds, the run (basis[first],
-    x^b2 y^c2) has no bad lane, and the sweep makes no kernel call for it,
-    if basis[first] is 1 and ``_Proofs.unit`` holds (the law at 1), or if
-    all of these hold:
+    *Vouching.*  The run (basis[first], x^b2 y^c2) has no bad lane, and
+    the sweep makes no kernel call for it, if basis[first] is 1 and
+    ``_Proofs.unit`` holds (the law at 1), or if all of these hold:
 
     - ``generation()`` gives basis[first] = q^e t basis[j], and j is the
       first m1 of its own g-orbit, so that its runs are made;
@@ -524,6 +522,13 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
     The sweep is drawn from no more at the cap (see the module docstring),
     so no run is unpacked nor lane rendered past it, and the report fails
     with n^2 checked.
+
+    *The per-pair route*, where *associative* fails (a doctored product
+    table need not give u (w g^a2) off u w, nor P3), runs no lane.  Pair by
+    pair in basis order, Delta(m1 m2) is the Delta row of its product code
+    and Delta(m1) Delta(m2) a sum of term products, each leg product read off
+    the live table; they are compared, rendered and eps checked as in the
+    sweep, about 0.35 s at p = 5.
     """
     A = algebra
     p = A.p
@@ -531,9 +536,16 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
     rec = _Recorder("bialgebra")
     proofs = _proofs or _Proofs(A)
 
-    def sweep():
-        table, lanes, eps, laws = A.product_table(), proofs.lanes, proofs.counit, proofs.laws or {}
-        structure, names, moved, wt = lanes.table, lanes.table.names, lanes.moved, lanes.wt
+    table, structure, eps = A.product_table(), A.structure_table(), proofs.counit
+
+    def product_row(i1, i2):
+        """Delta(m1 m2) as a packed sum read off the product code, None for m1 m2 = 0."""
+        t, e1 = divmod(table[i1 * n + i2], p)  # m1 m2 = q^e1 basis[t], or 0 for t = -1
+        return {u * n + v: r[e1] for u, v, r in structure.delta[t]} if t >= 0 else None
+
+    def lane_sweep():
+        lanes, laws, names = proofs.lanes, proofs.laws or {}, structure.names
+        moved, wt = lanes.moved, lanes.wt
         numbers, texts = {}, {}  # unpacked lane -> its number; (number, g-move, q-exponent) -> its text
         masks = {}  # first m1 of a g-orbit -> the bad lanes of each of its runs, by x^b2 y^c2
         orbit = lanes.orbit()
@@ -579,9 +591,7 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
                     e = (e12 + a1 * wt[bc2 * p]) % p
                     for i2 in range(bc2 * p, bc2 * p + p):
                         if bad >> i2 % p & 1:
-                            t, e1 = divmod(table[i1 * n + i2], p)  # m1 m2 = q^e1 basis[t], or 0 for t = -1
-                            row = {u * n + v: r[0] for u, v, r in structure.delta[t]} if t >= 0 else None
-                            lhs = "0" if row is None else structure.render(row, e1)
+                            lhs = "0" if (row := product_row(i1, i2)) is None else structure.render(row)
                             if (run_lanes := lanes_of.get(bc2)) is None:
                                 run_lanes = lanes_of[bc2] = {a2: (numbers.setdefault(unpacked, len(numbers)), unpacked)
                                                              for a2, unpacked in lanes.unpacked(acc, bad).items()}
@@ -594,6 +604,24 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
                         if eps_lhs[i2] is not eps_rhs[i2]:
                             yield eps_at + names[i2], eps_lhs[i2].render(), eps_rhs[i2].render()
 
+    def pairs():
+        names = structure.names
+        for i1 in range(n):
+            eps_lhs, eps_rhs = eps.lhs(i1), eps.rhs(i1)
+            left = [(table[u * n:(u + 1) * n], table[v * n:(v + 1) * n], r) for u, v, r in structure.delta[i1]]
+            for i2 in range(n):
+                rhs = {}  # Delta(m1) Delta(m2), leg products off the product table
+                for row_u, row_v, rotated in left:
+                    for w, z, r in structure.delta[i2]:
+                        if (cu := row_u[w]) >= 0 and (cv := row_v[z]) >= 0:
+                            key = cu // p * n + cv // p
+                            rhs[key] = rhs.get(key, 0) + rotated[(cu + cv) % p] * r[0]
+                if structure.differs(row := product_row(i1, i2) or {}, rhs):
+                    yield f"Delta: m1={names[i1]}, m2={names[i2]}", structure.render(row), structure.render(rhs)
+                if eps_lhs[i2] is not eps_rhs[i2]:
+                    yield f"epsilon: m1={names[i1]}, m2={names[i2]}", eps_lhs[i2].render(), eps_rhs[i2].render()
+
+    sweep = lane_sweep if proofs.associative else pairs
     return _prove_or_sweep(rec, "exhaustive", n * n, lambda: proofs.multiplicative, sweep)
 
 
@@ -619,9 +647,10 @@ class _Lanes:
     Lane a of a packed value holds 2p digits of the structure table's
     ``width`` at bit a * lane_bits.  An output key t_u n + t_v stands for
     basis[t_u] (x) basis[t_v] in lane 0; in lane a2 both legs carry g^a2 more.
-    ``products[t]`` is row t of the product table, read off ``_Proofs.rows``,
-    which decodes it on its first read: ``orbit`` and the sweep read every
-    row, but the law table only those of 1, g, g^s, x and y.
+    Every run rests on ``_Proofs.associative``, which gives u (w g^a2) off
+    u w and P3.  ``products[t]`` is row t of the product table, decoded on
+    its first read by ``_Proofs.rows``: the law table reads only those of
+    1, g, g^s, x and y.
     """
 
     def __init__(self, algebra, products):
@@ -653,15 +682,11 @@ class _Lanes:
         return [(w, z, packed) for (w, z), packed in grouped.items()]
 
     def orbit(self):
-        """p if P1-P3 of check_bialgebra_compat hold on the live tables, else 1: the size of a g-orbit of m1."""
-        p, n, rows, products, moved, wt = self.p, self.n, self.rows, self.products, self.moved, self.wt
-        # after_g[k][c] is the code of q^(e+k) basis[t] g, for c that of q^e basis[t]; -1 (zero) reads -1
-        after_g = [tuple(moved[1][c // p] * p + (c + k) % p for c in range(n * p)) + (-1,) for k in range(p)]
-        columns = [after_g[k] for k in wt]
+        """p if P1 and P2 of check_bialgebra_compat hold, else 1: the size of a g-orbit of m1; *associative* gives P3."""
+        p, n, rows, moved, wt = self.p, self.n, self.rows, self.moved, self.wt
         return p if (
             all(rows[i] == [(moved[i % p][u], moved[i % p][v], r) for u, v, r in rows[i - i % p]] for i in range(n))
             and not any((wt[u] + wt[v] - wt[i]) % p for i in range(0, n, p) for u, v, _ in rows[i])
-            and all(tuple(map(getitem, columns, products[u])) == products[moved[1][u]] for u in range(n))
         ) else 1
 
     def expected(self, t):
@@ -825,11 +850,8 @@ class _Proofs:
 
     Each verdict is computed on first use, at most once per object.
     ``run_all`` builds one object and passes it to every check, a check
-    called alone builds its own, and nothing is cached on the algebra.
-    ``rows``, ``lanes``, ``counit`` and ``eps`` are built at most once:
-    ``rows`` for ``lanes`` and the associativity sweep, ``lanes`` and
-    ``counit`` for the law table and the bialgebra sweep, which reads the
-    table's runs back, and ``eps`` for the counit and antipode laws.
+    called alone builds its own, and nothing is cached on the algebra; so
+    are ``rows``, ``lanes``, ``counit`` and ``eps``, the tables they share.
     """
 
     def __init__(self, algebra):
@@ -924,42 +946,22 @@ class _Proofs:
 
     @cached_property
     def steps(self):
-        """The Delta and eps laws on every step pair (t, basis[j]) of ``generation()``, read off ``broken``: the
-        premise that the step of every per-monomial proof reads.  It holds with no further work where
-        ``multiplicative`` does."""
-        broken = self.broken
-        return self.multiplicative or broken is not None and not any(
-            j in broken[t][0] or j in broken[t][1] for t, j, _ in self.generation.values())
-
-    def _on_legs(self, law):
-        """Whether the Delta law (``law`` 0) or the eps law (1) holds on every pair (left leg of Delta(t), left leg
-        of Delta(basis[j])) and every pair of right legs, for every step (t, j, e) of ``generation()``: the pairs
-        that Delta(t) Delta(basis[j]) multiplies leg by leg.  A leg of Delta(t) other than 1 or a generator
-        refuses it, as ``broken`` holds no law there.  It holds with no further work where ``multiplicative`` does."""
-        if self.multiplicative:
-            return True
+        """The premise of every per-monomial step: the Delta and eps laws, read off ``broken``, at every step pair
+        (t, basis[j]) of ``generation()`` and at the pairs of left legs and of right legs of Delta(t) and
+        Delta(basis[j]), which Delta(t) Delta(basis[j]) multiplies; a leg of Delta(t) other than 1 or a generator,
+        where ``broken`` holds no law, refuses it.  It holds with no further work where ``multiplicative`` does."""
         broken, delta = self.broken, self.algebra.structure_table().delta
-        if broken is None:
-            return False
-        for t, j, _ in self.generation.values():
+        if self.multiplicative or broken is None:
+            return self.multiplicative
+
+        def pairs(t, j):  # (u, js): both laws must hold at (basis[u], basis[k]) for every k in js
+            yield t, (j,)
             for side in (0, 1):
                 for u in {term[side] for term in delta[t]}:
-                    if u not in broken:
-                        return False
-                    bad = broken[u][law]
-                    if bad and not bad.isdisjoint(term[side] for term in delta[j]):
-                        return False
-        return True
+                    yield u, {term[side] for term in delta[j]}
 
-    @cached_property
-    def coassociative_legs(self):
-        """The Delta law on the leg pairs of every step, the premise of the coassociativity step."""
-        return self._on_legs(0)
-
-    @cached_property
-    def counit_legs(self):
-        """The eps law on the leg pairs of every step, the premise of the counit step."""
-        return self._on_legs(1)
+        return all(u in broken and broken[u][0].isdisjoint(js) and broken[u][1].isdisjoint(js)
+                   for t, j, _ in self.generation.values() for u, js in pairs(t, j))
 
     @cached_property
     def anti_multiplicative(self):

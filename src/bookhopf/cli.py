@@ -22,7 +22,7 @@ the bialgebra proof fails, as at s = 0, its check takes the p^2 lane groups
 of one m1 per g-orbit, reading back or vouching for those the law table
 of the proof settles, and yields the violations of the whole orbit from
 those runs; coassociativity, the counit law and the antipode law stay
-proved there on their step premises.  Every report takes the first
+proved there on their step premise.  Every report takes the first
 MAX_VIOLATIONS_RENDERED = 10 000 violations of its sweep with one
 ``islice``, and the sweep, drawn from no more, stops there: past that
 nothing can change the report.  At s = 0 and p = 11 that is 462 lane

@@ -339,12 +339,9 @@ class PairReport(NamedTuple):
 
     @classmethod
     def from_dict(cls, p, payload):
-        out = cls(
-            payload["i"],
-            payload["j"],
-            payload["implements_s2"],
-            Cyclotomic.parse(p, payload["beta_l"]),
-        )
+        if any(type(payload[flag]) is not bool for flag in ("implements_s2", "stable")):  # "false" is truthy
+            raise ValueError(f"a flag of (i={payload['i']}, j={payload['j']}) is not a bool")
+        out = cls(payload["i"], payload["j"], payload["implements_s2"], Cyclotomic.parse(p, payload["beta_l"]))
         if out.stable != payload["stable"]:
             raise ValueError(f"stable flag inconsistent with beta_l at (i={out.i}, j={out.j})")
         return out

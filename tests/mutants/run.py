@@ -2,7 +2,9 @@
 
 For each mutant this script copies ``src/`` to a temporary directory,
 applies one exact (file, old, new) replacement, and runs the mutant's test
-selection against the copy with pytest, in a process of its own.  A mutant
+selection against the copy with pytest, in a process of its own, with the
+plugin ``no_shrink`` loaded: hypothesis skips its shrink phase there, so a
+property test can be named at the cost of finding a failure only.  A mutant
 fails the gate if every selected test passes (it survived), or if its
 ``old`` text is not found exactly once, so that a refactor which moves the
 mutated code must update this list.  The equivalent mutants, which change
@@ -42,8 +44,8 @@ class Mutant(NamedTuple):
 
 AXIOMS, HOPF = "tests/test_axioms.py::", "tests/test_hopf.py::"
 CLI, CYCLOTOMIC = "tests/test_cli.py::", "tests/test_cyclotomic.py::"
-# a failing hypothesis test can shrink its example for 30-125 s, so the equality and coercion mutants name frozen cases
 RATIONALS = CYCLOTOMIC + "test_equality_and_hash_with_rationals"
+INT_PATHS = CYCLOTOMIC + "test_int_paths_agree_with_the_fraction_route"  # property tests, one per p
 
 MUTANTS = [
     # the one cap: each sweep yields its violations and _Recorder.finish takes the first MAX of them with islice
@@ -94,14 +96,18 @@ MUTANTS = [
     Mutant("vouch for 1 without the unit law", "axioms.py",
            "return range(p * p) if proofs.unit else ()", "return range(p * p)",
            (AXIOMS + "test_each_base_case_is_a_premise[Delta(1) = 2]",)),
-    Mutant("coassociativity without its leg pairs", "axioms.py",
-           '("steps", "coassociative_legs")', '("steps",)',
+    Mutant("steps without its leg pairs", "axioms.py",
+           "for side in (0, 1):", "for side in ():",
            (AXIOMS + "test_the_leg_premises_refuse_a_sign_twist",
             AXIOMS + "test_on_doctored_tables_the_vouched_sweep_and_step_premises_equal_the_full_routes[sign]")),
-    Mutant("counit law without its eps leg pairs", "axioms.py",
-           '("steps", "counit_legs")', '("steps",)',
-           (AXIOMS + "test_the_leg_premises_refuse_a_sign_twist",
-            AXIOMS + "test_on_doctored_tables_the_vouched_sweep_and_step_premises_equal_the_full_routes[sign]")),
+    # every lane run rests on *associative*: where it fails the per-pair route runs, and orbit() checks P1 and P2
+    Mutant("the sweep chosen whatever associative says", "axioms.py",
+           "sweep = lane_sweep if proofs.associative else pairs", "sweep = lane_sweep",
+           (AXIOMS + "test_a_table_that_breaks_associative_gets_the_live_table_reference_with_no_lane_run[q-exponent]",
+            AXIOMS + "test_a_table_that_breaks_associative_gets_the_live_table_reference_with_no_lane_run[U]")),
+    Mutant("orbit() without P2", "axioms.py",
+           "\n            and not any((wt[u] + wt[v] - wt[i]) % p for i in range(0, n, p) for u, v, _ in rows[i])", "",
+           (AXIOMS + "test_one_run_per_g_orbit_equals_the_full_sweep_on_doctored_tables[orbit extra term]",)),
     # the g-moves of the bialgebra lanes
     Mutant("group moved by g^a2, not g^-a2", "axioms.py",
            "back = self.moved[-a2]", "back = self.moved[a2]",
@@ -144,17 +150,17 @@ MUTANTS = [
     Mutant("int == without its test of the irrational part", "cyclotomic.py",
            "return self.den == 1 and self.num[0] == other and not any(self.num[1:])",
            "return self.den == 1 and self.num[0] == other",
-           (RATIONALS,)),
+           (RATIONALS, INT_PATHS)),
     Mutant("int == without its test of the denominator", "cyclotomic.py",
            "return self.den == 1 and self.num[0] == other and not any(self.num[1:])",
            "return self.num[0] == other and not any(self.num[1:])",
-           (RATIONALS,)),
+           (RATIONALS, INT_PATHS)),
     Mutant("from_rational tags every int as q^0", "cyclotomic.py",
            "power = 0 if f == 1 else None", "power = 0 if f == 1 or type(f) is int else None",
            (RATIONALS, *(f"{CYCLOTOMIC}test_int_paths_agree_with_the_fraction_route[{p}]" for p in (3, 5, 7)))),
     Mutant("a Fraction operand not coerced", "cyclotomic.py",
            "if isinstance(other, int) or _is_fraction(other):", "if isinstance(other, int):",
-           (CYCLOTOMIC + "test_arithmetic_coerces_ints_and_fractions",)),
+           (CYCLOTOMIC + "test_arithmetic_coerces_ints_and_fractions", INT_PATHS)),
     Mutant("the console entry leaves the collector on", "cli.py",
            "    gc.disable()\n    sys.exit(main())", "    sys.exit(main())",
            (CLI + "test_the_console_entry_runs_with_the_collector_off",)),
@@ -198,9 +204,11 @@ def run(mutant, scratch):
     if not apply(tree, mutant):
         return None
     report = scratch / "report.xml"
-    env = {**os.environ, "PYTHONPATH": f"{tree}{os.pathsep}{ROOT / 'tests'}", "PYTHONDONTWRITEBYTECODE": "1"}
-    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junit-xml={report}",
-                    *mutant.tests], cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    path = os.pathsep.join(map(str, (tree, ROOT / "tests", Path(__file__).parent)))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "no_shrink",
+                    f"--junit-xml={report}", *mutant.tests], cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                   stderr=subprocess.DEVNULL)
     if not report.exists():
         return len(mutant.tests), len(mutant.tests)  # pytest could not even start: every test failed
     suite = ET.parse(report).getroot().find("testsuite")

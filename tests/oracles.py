@@ -15,6 +15,8 @@ replaced, and ``associativity_by_generators`` the generator route that the
 cocycle premise ``_Proofs.associative`` replaced.  ``bilinear_table_reference``
 fills the table of ``hopf.bilinear_rows`` one entry at a time, and ``structure_table_reference`` is the
 row-at-a-time fill that the block fill of ``BookAlgebra.structure_table`` replaced.
+``live_bialgebra_violations`` multiplies Delta(m1) Delta(m2) out in ``Cyclotomic`` arithmetic with every product
+read off the live product table, the slow route of the bialgebra check's per-pair route.
 ``lane`` reads one lane of a bialgebra accumulator per violation, and ``own_run_texts`` renders every Delta
 violation from m1's own lane group run through it, as the bialgebra sweep did before it unpacked each lane once
 and rendered each distinct text once.
@@ -31,7 +33,7 @@ from types import SimpleNamespace
 
 from bookhopf import Character, ConsistencyError, Cyclotomic, Element, Monomial, Tensor2, cyc_one, cyc_zero, root_power
 from bookhopf.hopf import StructureTable, _digits, _pack, _q_binomial_rows, _rotated, lift
-from bookhopf.pbw import basis_monomials, mono_mul_exp
+from bookhopf.pbw import accumulate, basis_monomials, mono_mul_exp
 
 _ORDER = {"x": 0, "y": 1, "g": 2}
 
@@ -268,6 +270,47 @@ def associativity_by_generators(A):
         return True
 
     return A.generation() is not None and all(r_holds(t) for t in A.generators)
+
+
+def live_bialgebra_violations(A):
+    """The bialgebra violations (at, lhs, rhs) of every basis pair, in basis order, in plain ``Cyclotomic`` arithmetic.
+
+    Every product is read off the live ``A.product_table()``: m1 m2 for Delta(m1 m2) and eps(m1 m2), and each leg
+    product u1 u2 and v1 v2 of Delta(m1) Delta(m2), multiplied out term by term.  Nothing is read off u w for a
+    product u (w g^a), so a doctored table that is not bilinear is read as it stands.
+    """
+    p, s = A.p, A.s
+    basis = A.basis()
+    n = len(basis)
+    table = A.product_table()
+    powers = [root_power(p, e) for e in range(p)]
+    delta = [[(A.basis_index(u), A.basis_index(v), c) for (u, v), c in A.coproduct_monomial(m).terms.items()]
+             for m in basis]
+    eps = [A.counit_monomial(m) for m in basis]
+
+    def times(i, j):  # basis[i] basis[j] = q^e basis[t] as (t, e), or None for 0
+        c = table[i * n + j]
+        return None if c < 0 else divmod(c, p)
+
+    out = []
+    for i1, i2 in product(range(n), repeat=2):
+        at = f"m1={basis[i1].render()}, m2={basis[i2].render()}"
+        m = times(i1, i2)
+        lhs = Tensor2.zero(p, s) if m is None else Tensor2(p, s, {
+            (basis[u], basis[v]): c * powers[m[1]] for u, v, c in delta[m[0]]})
+        terms = []
+        for u1, v1, c1 in delta[i1]:
+            for u2, v2, c2 in delta[i2]:
+                u, v = times(u1, u2), times(v1, v2)
+                if u is not None and v is not None:
+                    terms.append(((basis[u[0]], basis[v[0]]), c1 * c2 * powers[(u[1] + v[1]) % p]))
+        rhs = Tensor2(p, s, accumulate(terms))
+        if lhs != rhs:
+            out.append((f"Delta: {at}", lhs.render(), rhs.render()))
+        lhs, rhs = cyc_zero(p) if m is None else eps[m[0]] * powers[m[1]], eps[i1] * eps[i2]
+        if lhs != rhs:
+            out.append((f"epsilon: {at}", lhs.render(), rhs.render()))
+    return out
 
 
 def doctor_product(A, m1, m2, how):

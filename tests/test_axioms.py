@@ -48,6 +48,7 @@ from oracles import (
     doctor_product,
     install_delta_rows,
     lane,
+    live_bialgebra_violations,
     negate_unit_row,
     own_run_texts,
 )
@@ -187,6 +188,16 @@ def test_status_is_computed_from_checked_and_violations():
     assert AxiomResult("counit", [], 0.0, 0, "exhaustive").status == "fail"
     violation = Violation("counit", "m=x", "0", "x")
     assert AxiomResult("counit", [violation], 0.0, 1, "exhaustive").status == "fail"
+
+
+@pytest.mark.parametrize("checked", ["0", "1", -5, True, False, 1.0, None])
+def test_axiom_result_from_dict_rejects_a_checked_that_is_no_count(checked):
+    """Only an int >= 0 is a count: "0", True and -5 are truthy and would let a run that examined nothing pass."""
+    payload = check_counit_law(BookAlgebra(3, 1)).result("counit").to_dict()
+    assert AxiomResult.from_dict(payload).passed
+    assert not AxiomResult.from_dict({**payload, "checked": 0, "status": "fail"}).passed
+    with pytest.raises(ValueError, match="checked must be an int >= 0"):
+        AxiomResult.from_dict({**payload, "checked": checked})
 
 
 @pytest.mark.parametrize("axiom", ["associativity", "bialgebra"])
@@ -657,7 +668,7 @@ def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs):
     """3 p^2 runs of g, x and y on the live tables, which prove the law.  Where a premise fails the sweep reads the
     law table's runs back and vouches for every run whose lemma holds: with eps(g) = q every Delta lane is healthy,
     so the 3 p^2 runs of the table are all, and no Delta(m1) is built past them.  With the law table refused the
-    kernel runs one group per g-orbit of m1 and x^b2 y^c2 while P1-P3 hold, with Delta(m1) built once per orbit,
+    kernel runs one group per g-orbit of m1 and x^b2 y^c2 while P1 and P2 hold, with Delta(m1) built once per orbit,
     and every (m1, x^b2 y^c2) once on a doctored row."""
     p = 7
     result = check_bialgebra_compat(BookAlgebra(p, 3)).result("bialgebra")
@@ -712,16 +723,22 @@ def test_each_delta_violation_renders_as_m1s_own_group_run(p, s, how, options):
 
 
 def test_each_delta_violation_renders_as_m1s_own_group_run_on_doctored_tables():
-    """The same on every doctored table that keeps P1-P3 and fails the check."""
-    compared = []
+    """The same on every doctored table that keeps *associative*, P1 and P2 and fails the check; a table that breaks
+    *associative* runs no lane, and every one of them that fails renders what the live-table reference does."""
+    compared, live = [], []
     for how in DOCTORINGS:
         A = doctored_algebra(how)
         result = check_bialgebra_compat(A).result("bialgebra")
-        if _Proofs(A).lanes.orbit() == A.p and not result.passed:
+        if result.passed:
+            continue
+        if not _Proofs(A).associative:
+            assert found(result) == live_bialgebra_violations(A), how
+            live.append(how)
+        elif _Proofs(A).lanes.orbit() == A.p:
             rendered, own = own_run_texts(_Proofs(A).lanes, result)
             assert rendered == own, how
             compared += [how] * bool(rendered)
-    assert compared == ["orbit digit", "R on x", "R on y"]
+    assert compared == ["orbit digit"] and live == PRODUCT_DOCTORINGS
 
 
 def doctor(A, how):
@@ -781,7 +798,7 @@ def bialgebra_outcome(A, **options):
 
 
 def doctor_orbit(A, how):
-    """Doctor every row Delta(x y g^a) alike: P1 holds, and so do P2 and P3 unless ``how`` is "extra term"."""
+    """Doctor every row Delta(x y g^a) alike: P1 holds, and so does P2 unless ``how`` is "extra term"."""
     p = A.p
     rows = delta_digit_rows(A)
     for a in range(p):
@@ -792,6 +809,19 @@ def doctor_orbit(A, how):
         else:  # q g^a (x) g^a, of weight 0, in a row of weight 1 - s
             row.append((a, a, (0, 1) + (0,) * (p - 2)))
     install_delta_rows(A, rows)
+
+
+def doctored_x_yg3():
+    """H(5, 2) with its product x (y g^3) times q, which breaks *associative*."""
+    A = BookAlgebra(5, 2)
+    doctor_product(A, Monomial(1, 0, 0), Monomial(0, 1, 3), "q-exponent")
+    return A
+
+
+@functools.lru_cache(maxsize=None)
+def live_x_yg3():
+    """live_bialgebra_violations of ``doctored_x_yg3()``, about 4 s, computed once."""
+    return live_bialgebra_violations(doctored_x_yg3())
 
 
 def forced_full_sweep(monkeypatch):
@@ -810,17 +840,22 @@ def test_one_run_per_g_orbit_equals_the_full_sweep_on_the_live_tables(monkeypatc
 
 @pytest.mark.parametrize("how", ["digit", "g-exponent", "extra term", "orbit digit", "orbit extra term", "product"])
 def test_one_run_per_g_orbit_equals_the_full_sweep_on_doctored_tables(monkeypatch, how):
-    """A premise that fails falls back to the full sweep; a consistently doctored orbit keeps the premises."""
-    A = BookAlgebra(5, 2)
-    if how == "product":
-        doctor_product(A, Monomial(1, 0, 0), Monomial(0, 1, 3), "q-exponent")  # breaks P3
-    elif how.startswith("orbit "):
+    """A premise that fails falls back to the full sweep; a consistently doctored orbit keeps the premises.  A
+    doctored product breaks *associative*, which gives P3, so the per-pair route runs, with no lane, and reports
+    what the live-table reference does."""
+    A = doctored_x_yg3() if how == "product" else BookAlgebra(5, 2)
+    if how.startswith("orbit "):
         doctor_orbit(A, how[6:])
-    else:
+    elif how != "product":
         doctor(A, how)  # breaks P1
-    assert _Proofs(A).lanes.orbit() == (5 if how == "orbit digit" else 1)
-    reduced = bialgebra_outcome(A)
-    assert reduced[0]
+    assert _Proofs(A).associative == (how != "product")
+    assert _Proofs(A).lanes.orbit() == (1 if how in ("digit", "g-exponent", "extra term", "orbit extra term") else 5)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = counted_calls(patch, (_Lanes, "run"), (_Lanes, "orbit"))
+        reduced = bialgebra_outcome(A)
+    assert reduced[0] and bool(calls) == (how != "product")
+    if how == "product":
+        assert reduced == (live_x_yg3(), 5 ** 6, "exhaustive")
     if how == "orbit digit":
         assert reduced[0] == doctored_tensor_violations(A, {Monomial(1, 1, a) for a in range(5)})
     forced_full_sweep(monkeypatch)
@@ -837,16 +872,18 @@ def test_g_orbit_premises_hold_on_the_live_tables(p):
 
 
 def bialgebra_route(A, **options):
-    """The bialgebra outcome and whether the proof took it: a proved run calls no _Lanes.orbit."""
+    """The bialgebra outcome and whether the proof took it: a proved run runs no sweep, of either route."""
     with pytest.MonkeyPatch.context() as patch:
-        calls = counted_calls(patch, (_Lanes, "orbit"))
-        return bialgebra_outcome(A, **options), not calls
+        sweeps = counted_sweeps(patch)
+        return bialgebra_outcome(A, **options), not sweeps
 
 
 def swept(A, **options):
-    """The bialgebra outcome with the proof refused at its first premise: the sweep alone."""
+    """The bialgebra outcome with the proof and the law table refused, as the CI steps refuse them: the route that
+    *associative* picks, run whole, the lane sweep with every run made by the kernel where it holds."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_Proofs, "associative", False)
+        patch.setattr(_Proofs, "multiplicative", False)
+        patch.setattr(_Proofs, "laws", None)
         return bialgebra_outcome(A, **options)
 
 
@@ -909,9 +946,9 @@ def twist_right_leg(A):
 def sign_twist(A):
     """Each term u (x) v of every Delta row times (-1)^(b_u + s c_u + a_u), and eps(g^a) = (-1)^a.
 
-    Both laws hold at every step pair of ``generation()``, so *steps* holds, and coassociativity and the counit
-    law hold at 1, g, x and y; but (-1)^p = -1 breaks both laws where a g-exponent wraps past p, as at
-    (g, g^(p-1)), a pair of right legs of the step (g, x g^(p-2)).  Only the leg premises refuse the proofs."""
+    Both laws hold at every step pair of ``generation()``, and coassociativity and the counit law hold at 1, g, x
+    and y; but (-1)^p = -1 breaks both laws where a g-exponent wraps past p, as at (g, g^(p-1)), a pair of right
+    legs of the step (g, x g^(p-2)).  Only the leg pairs of *steps* refuse the proofs."""
     basis, p = A.basis(), A.p
     install_delta_rows(A, [
         [(u, v, tuple(-d for d in digits) if (basis[u].b + A.s * basis[u].c + basis[u].a) % 2 else digits)
@@ -952,18 +989,51 @@ DOCTORINGS = [
     "digit", "g-exponent", "extra term", "orbit digit", "orbit extra term", "zero", "q-exponent", "monomial",
     "S g", "S x y g^2", "S q x^2 y g", "eps(g) = q", "U", "F", "R on g", "R on x", "R on y", "twist", "sign",
 ]
+PRODUCT_DOCTORINGS = ["zero", "q-exponent", "monomial", "U", "F", "R on g", "R on x", "R on y"]  # break *associative*
 
 
 @pytest.mark.parametrize("how", DOCTORINGS)
 def test_a_doctored_table_falls_back_or_is_healthy(how):
-    """Each doctored table fails a premise and gets the sweep's own result, or is proved and healthy by Tensor2."""
+    """Each doctored table fails a premise and gets the sweep's own result, or is proved and healthy by Tensor2; a
+    doctored product table gets what the live-table reference reports."""
     A = doctored_algebra(how)
     outcome, proved = bialgebra_route(A)
     assert outcome == swept(A)
+    assert _Proofs(A).associative == (how not in PRODUCT_DOCTORINGS)
+    if how in PRODUCT_DOCTORINGS:
+        assert outcome[0] and outcome[0] == live_bialgebra_violations(A)
     if proved:
         basis = A.basis()
         assert not outcome[0] and not tensor_violations(A, [(m1, m2) for m1 in basis for m2 in basis])
     assert proved == (how.startswith("S ") or how == "twist")  # S is not read, and the twisted Delta is an algebra map
+
+
+@pytest.mark.parametrize("case", [*PRODUCT_DOCTORINGS, "x (y g^3) at 5"])
+def test_a_table_that_breaks_associative_gets_the_live_table_reference_with_no_lane_run(case):
+    """A lane reads u (w g^a2) off u w, which only a bilinear table gives.  Where *associative* fails, ``run_all``
+    makes no _Lanes.run or _Lanes.orbit call, and the bialgebra check reports every violation that plain
+    Cyclotomic arithmetic finds with each product, legs included, read off the live table."""
+    A = doctored_x_yg3() if case.endswith(" at 5") else doctored_algebra(case)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = counted_calls(patch, (_Lanes, "run"), (_Lanes, "orbit"))
+        result = run_all(A).result("bialgebra")
+    assert not _Proofs(A).associative and not calls
+    expected = live_x_yg3() if case.endswith(" at 5") else live_bialgebra_violations(A)
+    assert expected and found(result) == expected
+    assert (result.checked, result.mode) == (A.p ** 6, "exhaustive")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_the_per_pair_route_forced_on_the_s0_control_equals_the_lane_sweep(p):
+    """With *associative* refused, H(p, 0) takes the per-pair route, which runs no lane and reports the lane
+    sweep's violations byte for byte, up to the cap at p = 7, with the same checked and mode."""
+    A = BookAlgebra(p, 0, permissive=True)
+    swept_by_lanes = bialgebra_outcome(A)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Proofs, "associative", False)
+        calls = counted_calls(patch, (_Lanes, "run"), (_Lanes, "orbit"))
+        assert bialgebra_outcome(A) == swept_by_lanes and not calls
+    assert len(swept_by_lanes[0]) == len(axioms._negative_control_sites(p))  # capped at p = 7
 
 
 @pytest.mark.parametrize("case", ["Delta(1) = 0", "eps = 0", "Delta(1) = 2"])
@@ -986,13 +1056,14 @@ def test_each_base_case_is_a_premise(case):
 
 
 def test_the_leg_premises_refuse_a_sign_twist():
-    """On ``sign_twist`` the step premise holds and coassociativity and the counit law hold at 1, g, x and y, but
-    the leg pairs break both laws: the leg premises refuse the proofs, and the sweeps report what plain
+    """On ``sign_twist`` both laws hold at every step pair and coassociativity and the counit law hold at 1, g, x
+    and y, but the leg pairs break both laws: *steps* refuses the proofs, and the sweeps report what plain
     Tensor3/Element arithmetic finds, failures beyond the generators included."""
     A = doctored_algebra("sign")
     proofs = _Proofs(A)
-    assert proofs.steps and not proofs.multiplicative
-    assert not proofs.coassociative_legs and not proofs.counit_legs
+    broken = proofs.broken
+    assert not any(j in broken[t][0] or j in broken[t][1] for t, j, _ in proofs.generation.values())
+    assert not proofs.steps and not proofs.multiplicative
     generators = [A.basis()[i] for i in (0, *A.generators)]
     for check, reference in (DOCTORED_CHECKS["coassociativity"], DOCTORED_CHECKS["counit"]):
         assert not reference(A, generators)

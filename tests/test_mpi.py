@@ -457,6 +457,16 @@ def test_pair_report_from_dict_rejects_a_flipped_stable_flag(row):
         PairReport.from_dict(3, payload)
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+@pytest.mark.parametrize("flag", ["implements_s2", "stable"])
+def test_pair_report_from_dict_rejects_a_flag_that_is_no_bool(flag, value):
+    """(i=0, j=0) is stable and does not implement S^2: "false" is truthy and would make it an MPI."""
+    payload = classify(BookAlgebra(3, 1)).to_dict()["pairs"][0]
+    assert not PairReport.from_dict(3, payload).is_mpi
+    with pytest.raises(ValueError, match="is not a bool"):
+        PairReport.from_dict(3, {**payload, flag: value})
+
+
 def test_verdicts_are_computed_from_the_measured_fields():
     c = classify(BookAlgebra(5, 2))
     assert PairReport._fields == ("i", "j", "implements_s2", "stability_value")
