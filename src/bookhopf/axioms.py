@@ -27,35 +27,41 @@ proofs share, each at most once per table state:
 
 - *associative*: ``generation()`` holds and the live product table is
   that of a bilinear q-exponent, the proof of ``check_associativity``;
-- the *law table*, read only where *associative* holds: the 3 p^2 lane
-  runs of t in {g, x, y} against every x^b y^c, made with no early stop.
-  The law Delta(t m) = Delta(t) Delta(m) at a pair (t, m) is one bit of
-  it, and eps(t m) = eps(t) eps(m) is read off ``counit_monomial``; at
-  t = 1 both laws are Delta(1) = 1 (x) 1 and eps(1) = 1, with U;
+- *presented*: *associative* at (alpha, beta, gamma) = (1, -s, s), so that
+  ``Element`` multiplies as the live table does, and ``relations()`` a
+  presentation of H by g, x and y;
 - *multiplicative*: Delta and eps are algebra maps, the proof of
-  ``check_bialgebra_compat``: both laws hold at every pair of the table,
-  and at 1;
+  ``check_bialgebra_compat`` by its presentation lemma: *presented*,
+  Delta(1) = 1 (x) 1 and eps(1) = 1, the Delta and eps images of the
+  relations, and both laws at every step of ``generation()``;
 - *steps*: both laws hold at every step pair (t, basis[j]) of
   ``generation()``, at every pair of left legs and at every pair of
   right legs of Delta(t) and Delta(basis[j]);
-- *anti-multiplicative*: S(m1 m2) = S(m2) S(m1), proved on S(t m) =
-  S(m) S(t) for t in {1, g, x, y} and every m, which needs *associative*.
+- *anti-multiplicative*: S(m1 m2) = S(m2) S(m1), by the same lemma on
+  *presented*, S(1) = 1, the reversed S images of the relations and
+  S(basis[i]) = q^e S(basis[j]) S(t) at every step.
 
 The five proofs, each with its premises: associativity (*associative*),
 the bialgebra law (*multiplicative*), coassociativity and the counit law
 (*steps* and the law at 1, g, x and y) and the antipode law (*steps*,
 *anti-multiplicative* and the law at 1, g, x and y).  Where
-*multiplicative* holds, so does *steps*, with no further work; at s = 0
-it fails, but *steps* holds, so only the bialgebra law is swept, and
-that sweep reads the law table back to pass most of its runs with no
-kernel call.  Every lane run, of the law table or of that sweep, rests
-on *associative*; where it fails, the bialgebra law takes a per-pair
-route off the live tables.  One protocol, ``_prove_or_sweep``, runs them
-all: a proved run reports its mode and ``checked``, with no violation;
-if a premise fails, the sweep runs as if no proof had been tried.
-``run_all`` passes one ``_Proofs`` to every check, and a check called
-alone builds its own; nothing is cached on the algebra, whose tables a
-caller may change between checks.
+*multiplicative* holds, so does *steps*, with no further work.  At s = 0
+it fails at the relation image Delta(y)^p = 0, and the *law table*, which
+belongs to the bialgebra sweep, decides *steps*: the 3 p^2 lane runs of
+t in {g, x, y} against every x^b y^c, made with no early stop, where the
+law Delta(t m) = Delta(t) Delta(m) at a pair (t, m) is one bit, and
+eps(t m) = eps(t) eps(m) is read off ``counit_monomial``.  *steps* holds
+there, so only the bialgebra law is swept, and the sweep reads the law
+table back to pass most of its runs with no kernel call.  Only a refused
+*multiplicative* builds the law table and the lanes and eps rows of the
+``lanes`` module, which a run whose proofs hold does not load.  Every
+lane run rests on *associative*; where it fails, the bialgebra law takes
+a per-pair route off the live tables.  One protocol, ``_prove_or_sweep``,
+runs them all: a proved run reports its mode and ``checked``, with no
+violation; if a premise fails, the sweep runs as if no proof had been
+tried.  ``run_all`` passes one ``_Proofs`` to every check, and a check
+called alone builds its own; nothing is cached on the algebra, whose
+tables a caller may change between checks.
 
 *One cap.*  Every sweep, and the relations check, is a generator of
 (at, lhs, rhs) that renders a violation only as it yields it, and
@@ -82,7 +88,7 @@ from operator import itemgetter
 from time import perf_counter
 from typing import NamedTuple
 
-from .cyclotomic import cyc_zero, root_power
+from .cyclotomic import root_power
 from .hopf import bilinear_rows
 from .pbw import Element, basis_monomials
 
@@ -134,10 +140,12 @@ class AxiomResult(NamedTuple):
 
     @classmethod
     def from_dict(cls, d):
-        if type(d["checked"]) is not int or d["checked"] < 0:  # a bool or a string would read as a count
-            raise ValueError(f"{d['axiom']}: checked must be an int >= 0, got {d['checked']!r}")
+        checked, mode, elapsed_ms = d["checked"], d["mode"], d["elapsed_ms"]  # a bool is an int, a str no count
+        if type(checked) is not int or checked < 0 or type(mode) is not str or type(elapsed_ms) not in (int, float):
+            raise ValueError(f"{d['axiom']}: checked must be an int >= 0, mode a str and elapsed_ms a number, got "
+                             f"{checked!r}, {mode!r} and {elapsed_ms!r}")
         violations = [Violation(d["axiom"], v["at"], v["lhs"], v["rhs"]) for v in d["violations"]]
-        out = cls(d["axiom"], violations, d["elapsed_ms"], d["checked"], d["mode"])
+        out = cls(d["axiom"], violations, elapsed_ms, checked, mode)
         if out.status != d["status"]:
             raise ValueError(f"{out.axiom}: status {d['status']!r} disagrees with checked and violations")
         return out
@@ -223,6 +231,14 @@ def _plan(domain, sample_size, exhaustive):
 def _shifts(p, n):
     """shift[e] maps each code to the code of q^e times it and ends in -1, so that index -1 (a zero product) stays -1."""
     return [tuple(c - c % p + (c + e) % p for c in range(n * p)) + (-1,) for e in range(p)]
+
+
+def _summed(row, n, e=0):
+    """A Delta row times q^e as a packed sum {u n + v: value}, summed per key."""
+    out = {}
+    for u, v, r in row:
+        out[u * n + v] = out.get(u * n + v, 0) + r[e]
+    return out
 
 
 def check_associativity(algebra, *, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=False, _proofs=None, **_ignored):
@@ -401,10 +417,40 @@ def check_counit_law(algebra, *, _proofs=None, **_ignored):
 def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
     """Delta and eps are algebra maps: checked on every basis pair (m1, m2).
 
-    Delta(m1 m2) = Delta(m1) Delta(m2) is checked on the structure table's
-    packed coefficients, whose compare the ``hopf`` module docstring shows
-    exact.  Where *associative* holds, the live product table is that of a
-    bilinear q-exponent phi (see check_associativity), and the lanes check
+    *Proof by the presentation lemma*, the premise *multiplicative*
+    (``_Proofs.multiplicative``).  Let A be the free algebra on g, x and y
+    modulo the six relations of ``relations()``.
+
+    - *A is H.*  ``relations()`` holds one commutation relation per pair of
+      generators and one power relation per generator, so A is spanned by
+      the x^b y^c g^a with b, c, a < p.  Each relation holds in H, so g, x
+      and y give an algebra map A -> H, onto by ``generation()``, and an
+      isomorphism as dim A <= p^3 = dim H.  *associative* at (alpha, beta,
+      gamma) = (1, -s, s) makes the live table the one that ``Element``
+      multiplies the images below by (``_Proofs.presented``).
+    - *Delta extends.*  The live Delta(g), Delta(x) and Delta(y) extend to
+      an algebra map D: A -> H (x) H iff their images of the relations
+      hold, with D(1) = 1 (x) 1 = Delta(1) (``_Proofs.unit``); so do
+      eps(g), eps(x) and eps(y), to a character, with eps(1) = 1.
+    - *D is Delta* iff Delta(basis[i]) = q^e Delta(t) Delta(basis[j]) at
+      every step (t, j, e) of ``generation()``, by strong induction along
+      them; likewise for eps.
+
+    An x- or y-step is checked as a plain term product.  A g-step, h g^a =
+    q^-wt(h) g h g^(a-1) with h = x^b y^c and a >= 1, follows from P1 and
+    P2 (below) and Delta(g) = g (x) g, which P1 at g and the unit give:
+    g (w g^(a-1)) = q^wt(w) w g^a, so Delta(g) Delta(h g^(a-1)) is Delta(h)
+    moved by g^a, at q^(wt(w) + wt(z)) = q^wt(h) per term.  A proved run
+    builds no ``_Lanes``; it costs the relation images, which the
+    relations check reads back, P1, P2 and about p^4 / 2 term products.
+    If a premise fails, a route below runs as if no proof had been tried:
+    the lane sweep where *associative* holds, as at s = 0, where the image
+    Delta(y)^p = 0 fails, and the per-pair route where it fails.  The check
+    ignores ``seed``, ``sample_size`` and ``exhaustive``.
+
+    *The lane sweep* compares the structure table's packed coefficients,
+    exact by the ``hopf`` module docstring; the live product table is that
+    of a bilinear q-exponent phi (check_associativity), and the lanes check
     all p monomials m2 = x^b2 y^c2 g^a2, a2 = 0..p-1, at once:
 
     - *a2 does not enter the twist.*  The q-exponent phi(m, x^b y^c g^a)
@@ -424,7 +470,7 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
       expected row adds at most R, so no digit carries into the next digit
       or lane; the fold and the biased difference run on all lanes at once.
     - *One group run per g-orbit of m1.*  With wt(w) given by g w = q^wt(w) w g
-      in the product table, ``_Lanes.orbit`` checks two premises on the
+      in the product table, ``_Proofs.orbit`` checks two premises on the
       structure table: P1, the Delta row of x^b y^c g^a is that of x^b y^c
       with both legs moved by g^a and the same coefficients; P2, wt(w) +
       wt(z) = wt(x^b y^c) for every term w (x) z of Delta(x^b y^c).  The
@@ -441,39 +487,8 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
     eps(m1) eps(m2) are read off ``counit_monomial``, one row over all m2 per
     m1, with one object per value so that equal rows compare by identity.
 
-    *Proof by generators* (see the module docstring): the premise
-    *multiplicative*, ``_Proofs.multiplicative``.  The law at m1 is
-    Delta(m1 m2) = Delta(m1) Delta(m2) and eps(m1 m2) = eps(m1) eps(m2) for
-    every m2.  It rests on these premises:
-
-    - *associative*, which holds ``generation()``: H is associative, and so
-      is H (x) H, whose products the lanes read leg by leg;
-    - Delta(1) = 1 (x) 1 and eps(1) = 1 (``_Proofs.unit``), which with U
-      give the law at 1;
-    - eps(t m) = eps(t) eps(m) for t in {g, x, y} and every m;
-    - no bad lane in the law table, the 3 p^2 runs of m1 in {g, x, y}
-      against every x^b2 y^c2 (``_Proofs.laws``): the law at the
-      generators.  The table is made whole, with no early stop, and the
-      sweep reads its runs back.
-
-    The step, with Delta(q^e m) = q^e Delta(m) and the same for eps, is
-
-        Delta((t basis[j]) m2) = Delta(t (basis[j] m2))                 H associative
-                               = Delta(t) Delta(basis[j] m2)            the law at t
-                               = Delta(t) (Delta(basis[j]) Delta(m2))   the law at basis[j]
-                               = Delta(t basis[j]) Delta(m2)            H (x) H associative, the law at t
-
-    and likewise for eps.  If every premise holds the run reports
-    exhaustive with n^2 pairs checked and calls no ``_Lanes.orbit``; it
-    costs 3 p^2 group runs instead of up to p^4.  Otherwise one of the two
-    routes below runs as if no proof had been tried: the lane sweep where
-    *associative* holds, as at s = 0, where the runs of y against
-    x^b y^(p-1) fail, and the per-pair route where it fails.  Either way the
-    result is that of the route; the check ignores ``seed``, ``sample_size``
-    and ``exhaustive``.
-
-    *The lane sweep* takes the g-orbits of m1 in basis order.  At the first
-    m1 of an orbit, basis[first], it takes the p^2 groups (basis[first],
+    The sweep takes the g-orbits of m1 in basis order.  At the first m1 of
+    an orbit, basis[first], it takes the p^2 groups (basis[first],
     x^b2 y^c2): it reads a run of the law table back, vouches for a run
     (below) with no kernel call, or builds ``_Lanes.left`` once and runs
     it, keeping the accumulator of a run with a bad lane; it then yields
@@ -536,19 +551,19 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
     rec = _Recorder("bialgebra")
     proofs = _proofs or _Proofs(A)
 
-    table, structure, eps = A.product_table(), A.structure_table(), proofs.counit
+    table, structure = A.product_table(), A.structure_table()
 
     def product_row(i1, i2):
         """Delta(m1 m2) as a packed sum read off the product code, None for m1 m2 = 0."""
         t, e1 = divmod(table[i1 * n + i2], p)  # m1 m2 = q^e1 basis[t], or 0 for t = -1
-        return {u * n + v: r[e1] for u, v, r in structure.delta[t]} if t >= 0 else None
+        return _summed(structure.delta[t], n, e1) if t >= 0 else None
 
     def lane_sweep():
-        lanes, laws, names = proofs.lanes, proofs.laws or {}, structure.names
+        lanes, laws, names, eps = proofs.lanes, proofs.laws or {}, structure.names, proofs.counit
         moved, wt = lanes.moved, lanes.wt
         numbers, texts = {}, {}  # unpacked lane -> its number; (number, g-move, q-exponent) -> its text
         masks = {}  # first m1 of a g-orbit -> the bad lanes of each of its runs, by x^b2 y^c2
-        orbit = lanes.orbit()
+        orbit = p if proofs.orbit else 1
 
         def vouched(first):
             """The x^b2 y^c2 whose run at basis[first] the vouching lemma passes with no kernel call."""
@@ -605,18 +620,11 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
                             yield eps_at + names[i2], eps_lhs[i2].render(), eps_rhs[i2].render()
 
     def pairs():
-        names = structure.names
+        names, eps = structure.names, proofs.counit
         for i1 in range(n):
             eps_lhs, eps_rhs = eps.lhs(i1), eps.rhs(i1)
-            left = [(table[u * n:(u + 1) * n], table[v * n:(v + 1) * n], r) for u, v, r in structure.delta[i1]]
             for i2 in range(n):
-                rhs = {}  # Delta(m1) Delta(m2), leg products off the product table
-                for row_u, row_v, rotated in left:
-                    for w, z, r in structure.delta[i2]:
-                        if (cu := row_u[w]) >= 0 and (cv := row_v[z]) >= 0:
-                            key = cu // p * n + cv // p
-                            rhs[key] = rhs.get(key, 0) + rotated[(cu + cv) % p] * r[0]
-                if structure.differs(row := product_row(i1, i2) or {}, rhs):
+                if structure.differs(row := product_row(i1, i2) or {}, rhs := proofs.product(i1, i2)):
                     yield f"Delta: m1={names[i1]}, m2={names[i2]}", structure.render(row), structure.render(rhs)
                 if eps_lhs[i2] is not eps_rhs[i2]:
                     yield f"epsilon: m1={names[i1]}, m2={names[i2]}", eps_lhs[i2].render(), eps_rhs[i2].render()
@@ -639,123 +647,6 @@ class _ProductRows(dict):
         n = self.n
         row = self[t] = tuple(map(self.codes.__getitem__, self.table[t * n:(t + 1) * n]))
         return row
-
-
-class _Lanes:
-    """The packed Delta rows of check_bialgebra_compat for one algebra, p lanes per value.
-
-    Lane a of a packed value holds 2p digits of the structure table's
-    ``width`` at bit a * lane_bits.  An output key t_u n + t_v stands for
-    basis[t_u] (x) basis[t_v] in lane 0; in lane a2 both legs carry g^a2 more.
-    Every run rests on ``_Proofs.associative``, which gives u (w g^a2) off
-    u w and P3.  ``products[t]`` is row t of the product table, decoded on
-    its first read by ``_Proofs.rows``: the law table reads only those of
-    1, g, g^s, x and y.
-    """
-
-    def __init__(self, algebra, products):
-        p = self.p = algebra.p
-        n = self.n = len(algebra.basis())
-        table = self.table = algebra.structure_table()
-        self.rows, self.width, self.rep = table.delta, table.width, table.rep
-        self.lane_bits = 2 * p * self.width
-        self.lane_mask = (1 << self.lane_bits) - 1
-        lane_ones = sum(1 << a * self.lane_bits for a in range(p))
-        self.low = lane_ones * table.digit_mask  # digit 0 of every lane
-        self.fold_mask = lane_ones * table.fold_mask  # digits 0..p-1 of every lane
-        self.bias = lane_ones * table.bias
-        self.moved = [[t - t % p + (t + a) % p for t in range(n)] for a in range(p)]  # moved[a][t]: basis[t] g^a
-        self.products = products
-        self.wt = [c % p for c in self.products[1]]  # g w = q^wt(w) w g, g = basis[1]
-        self.groups = [self._group(bc) for bc in range(p * p)]
-        self.memo = {-1: {}}  # t -> self.expected(t); a zero product (t = -1) expects no term
-
-    def _group(self, bc):
-        """Terms of the p rows x^b y^c g^a2, both legs moved by g^-a2, grouped across lanes a2."""
-        p = self.p
-        grouped = {}
-        for a2 in range(p):
-            back = self.moved[-a2]
-            for u, v, rotations in self.rows[bc * p + a2]:
-                key = back[u], back[v]
-                grouped[key] = grouped.get(key, 0) + (rotations[0] << a2 * self.lane_bits)
-        return [(w, z, packed) for (w, z), packed in grouped.items()]
-
-    def orbit(self):
-        """p if P1 and P2 of check_bialgebra_compat hold, else 1: the size of a g-orbit of m1; *associative* gives P3."""
-        p, n, rows, moved, wt = self.p, self.n, self.rows, self.moved, self.wt
-        return p if (
-            all(rows[i] == [(moved[i % p][u], moved[i % p][v], r) for u, v, r in rows[i - i % p]] for i in range(n))
-            and not any((wt[u] + wt[v] - wt[i]) % p for i in range(0, n, p) for u, v, _ in rows[i])
-        ) else 1
-
-    def expected(self, t):
-        """Biased packed Delta(x^B y^C g^(a + a2)) in lane a2, for t the index of x^B y^C g^a:
-        group t // p with both legs moved by g^a and lane a + a2 rotated down to lane a2."""
-        p, n, a = self.p, self.n, t % self.p
-        move, low, high = self.moved[a], a * self.lane_bits, (p - a) * self.lane_bits
-        return {
-            move[w] * n + move[z]:
-                self.bias - (packed >> low | (packed & (1 << low) - 1) << high)
-            for w, z, packed in self.groups[t // p]
-        }
-
-    def run(self, i1, bc2, left):
-        """(accumulator, mask of the bad lanes, e12) of group (basis[i1], x^b2 y^c2), for left = self.left(i1)."""
-        # m1 x^b2 y^c2 = q^e12 basis[t12], or 0 for t12 = -1, where any e12 serves
-        t12, e12 = divmod(self.products[i1][bc2 * self.p], self.p)
-        expected = self.memo.get(t12)
-        if expected is None:
-            expected = self.memo[t12] = self.expected(t12)
-        return (*self.group(left, bc2, e12, expected), e12)
-
-    def left(self, i1):
-        """The terms of Delta(basis[i1]): the product-table rows of both legs, and the rotated lifts."""
-        products = self.products
-        return [(products[u], products[v], rotations) for u, v, rotations in self.rows[i1]]
-
-    def group(self, left, bc2, e12, expected):
-        """Accumulate Delta(m1) times group bc2 and compare with ``expected``.
-
-        Returns the accumulator and the mask of the lanes a2 (bit a2) where
-        Delta(m1) Delta(m2) differs from Delta(m1 m2).  The products are
-        taken at q^(e - e12), so the accumulator is q^-e12 times
-        Delta(m1) Delta(m2) and compares with the unscaled Delta rows.
-        """
-        p, n = self.p, self.n
-        acc = {}
-        get = acc.get
-        terms = self.groups[bc2]
-        for row_u, row_v, rotated in left:
-            for w, z, packed in terms:
-                cu = row_u[w]
-                if cu < 0:
-                    continue
-                cv = row_v[z]
-                if cv < 0:
-                    continue
-                key = cu // p * n + cv // p
-                acc[key] = get(key, 0) + rotated[(cu + cv - e12) % p] * packed
-        half, fold_mask, low, rep, bias = p * self.width, self.fold_mask, self.low, self.rep, self.bias
-        rest = dict(expected)
-        bad = 0
-        for key, v in acc.items():
-            d = (v & fold_mask) + (v >> half & fold_mask) + rest.pop(key, bias)
-            bad |= d ^ (d & low) * rep
-        for d in rest.values():
-            bad |= d ^ (d & low) * rep
-        return acc, sum(1 << a for a in range(p) if bad >> a * self.lane_bits & self.lane_mask)
-
-    def unpacked(self, acc, bad):
-        """Every bad lane a2 (bit a2 of ``bad``) of an accumulator, {a2: sorted tuple of (key, packed value)} with
-        keys t_u n + t_v as in lane 0, in one pass over the sorted accumulator."""
-        mask, shifts = self.lane_mask, [(a2, a2 * self.lane_bits) for a2 in range(self.p) if bad >> a2 & 1]
-        lanes = {a2: [] for a2, _ in shifts}
-        for key, v in sorted(acc.items()):
-            for a2, shift in shifts:
-                if w := v >> shift & mask:
-                    lanes[a2].append((key, w))
-        return {a2: tuple(terms) for a2, terms in lanes.items()}
 
 
 def check_antipode_law(algebra, *, _proofs=None, **_ignored):
@@ -808,41 +699,23 @@ def check_antipode_law(algebra, *, _proofs=None, **_ignored):
     return _per_monomial(rec, A, proofs, ("steps", "anti_multiplicative"), law)
 
 
-def check_relations(algebra, **_ignored):
+def check_relations(algebra, *, _proofs=None, **_ignored):
     """Each defining relation of ``BookAlgebra.relations`` holds after applying Delta and after applying S.
 
-    Delta and S are read through ``coproduct`` and ``antipode``, as every
-    other check reads them.  Delta is multiplicative, so a relation u = c v
-    is checked as Delta-images multiplied in order; S is anti-multiplicative,
-    so both products are reversed (same scalar).  A pass means the images of
-    x, y and g extend to a well-defined algebra map.  That it is Delta on
-    the whole basis is the bialgebra check's: proved on the generators
-    where its premises hold, and otherwise swept over the pairs.  At s = 0
-    this check fails at y^p = 0, and the bialgebra proof at its runs of y
-    against x^b y^(p-1), so the sweep runs there.
+    Both sides are read back from ``_Proofs.images``, which reads Delta and
+    S through ``coproduct`` and ``antipode``, as every other check reads
+    them: a relation u = c v is checked as Delta-images multiplied in order,
+    and as S-images with both products reversed (same scalar), as S is
+    anti-multiplicative.  A pass means the images of x, y and g extend to an
+    algebra map and an anti-algebra map, the first step of the presentation
+    lemma of check_bialgebra_compat.  At s = 0 this check fails at y^p = 0,
+    and with it the proof that Delta is multiplicative.
     """
-    A = algebra
-    p, s = A.p, A.s
     rec = _Recorder("relations")
-    q = root_power(p, 1)
-    letters = {"x": A.x, "y": A.y, "g": A.g}
-    relations = A.relations()
-
-    def word_image(structure_map, word, step):
-        out = structure_map(A.one)
-        for letter in word[::step]:
-            out = out * structure_map(letters[letter])
-        return out
-
-    def sweep():
-        for name, lhs_word, e, rhs_word in relations:
-            for label, f, step in (("Delta", A.coproduct, 1), ("S", A.antipode, -1)):
-                lhs = word_image(f, lhs_word, step)
-                rhs = type(lhs).zero(p, s) if rhs_word is None else word_image(f, rhs_word, step).scale(q ** e)
-                if lhs != rhs:
-                    yield f"{label}: {name}", lhs.render(), rhs.render()
-
-    return AxiomReport([rec.finish("exhaustive", 2 * len(relations), sweep())])
+    images = [(f"{label}: {name}", lhs, rhs)
+              for label, name, lhs, rhs in (_proofs or _Proofs(algebra)).images if label in ("Delta", "S")]
+    found = ((at, lhs.render(), rhs.render()) for at, lhs, rhs in images if lhs != rhs)
+    return AxiomReport([rec.finish("exhaustive", len(images), found)])
 
 
 class _Proofs:
@@ -851,7 +724,9 @@ class _Proofs:
     Each verdict is computed on first use, at most once per object.
     ``run_all`` builds one object and passes it to every check, a check
     called alone builds its own, and nothing is cached on the algebra; so
-    are ``rows``, ``lanes``, ``counit`` and ``eps``, the tables they share.
+    are the tables they share, ``rows``, ``eps`` and ``images``, and the
+    failure-path state ``lanes``, ``counit``, ``laws`` and ``broken``, which
+    only a refused proof builds.
     """
 
     def __init__(self, algebra):
@@ -863,11 +738,24 @@ class _Proofs:
         return _ProductRows(A.product_table(), len(A.basis()), A.p)
 
     @cached_property
+    def moved(self):  # moved[a][t]: basis[t] g^a
+        p, n = self.algebra.p, len(self.algebra.basis())
+        return [[t - t % p + (t + a) % p for t in range(n)] for a in range(p)]
+
+    @cached_property
+    def wt(self):  # g w = q^wt(w) w g, read off the product-table row of g = basis[1]
+        return [c % self.algebra.p for c in self.rows[1]]
+
+    @cached_property
     def lanes(self):
-        return _Lanes(self.algebra, self.rows)
+        from .lanes import _Lanes  # failure-path state: a run whose proofs hold loads no lane code
+
+        return _Lanes(self.algebra, self)
 
     @cached_property
     def counit(self):
+        from .lanes import _Counit
+
         return _Counit(self.algebra)
 
     @cached_property
@@ -880,27 +768,107 @@ class _Proofs:
         return self.algebra.generation()
 
     @cached_property
-    def associative(self):
-        """Every basis triple is associative: ``generation()`` holds and the live table is ``bilinear_rows`` at the
-        q-exponents of its entries g x, g y and y x, by the cocycle lemma of check_associativity.  The tables are
-        compared a row at a time, as bytes, so no second table is kept."""
+    def exponents(self):
+        """(alpha, beta, gamma) read off the live entries g x, g y and y x, or None if one of them is 0 or
+        ``generation()`` fails."""
         A = self.algebra
-        p, n, table = A.p, len(A.basis()), A.product_table()
-        g, x, y = A.generators
+        n, table, (g, x, y) = len(A.basis()), A.product_table(), A.generators
         codes = table[g * n + x], table[g * n + y], table[y * n + x]
-        if self.generation is None or min(codes) < 0:
-            return False
-        rows = bilinear_rows(p, *(c % p for c in codes))
-        return all(table[i * n:(i + 1) * n].tobytes() == row for i, row in enumerate(rows))
+        return None if self.generation is None or min(codes) < 0 else tuple(c % A.p for c in codes)
+
+    @cached_property
+    def associative(self):
+        """Every basis triple is associative: ``exponents`` is not None and the live table is ``bilinear_rows`` at
+        them, by the cocycle lemma of check_associativity.  The tables are compared a row at a time, as bytes, so no
+        second table is kept."""
+        A = self.algebra
+        n, table = len(A.basis()), A.product_table()
+        return self.exponents is not None and all(
+            table[i * n:(i + 1) * n].tobytes() == row for i, row in enumerate(bilinear_rows(A.p, *self.exponents)))
+
+    @cached_property
+    def images(self):
+        """Both sides of each relation u = q^e v of ``relations()`` (v None for 0) in H and under Delta, S and eps,
+        as (map, name, lhs, rhs), made once for the premises and check_relations: each map is read off the live
+        tables, through ``coproduct``, ``antipode`` and ``counit``, and multiplied as ``Element`` multiplies, S in
+        reverse order."""
+        A, q = self.algebra, root_power(self.algebra.p, 1)
+        maps = [(label, f(A.one), {c: f(getattr(A, c)) for c in "gxy"}, step)  # each generator read once
+                for label, f, step in (("H", lambda h: h, 1), ("Delta", A.coproduct, 1), ("S", A.antipode, -1),
+                                       ("eps", A.counit, 1))]
+
+        def image(out, letters, word):
+            for letter in word:
+                out = out * letters[letter]
+            return out
+
+        return [(label, name, lhs := image(one, letters, u[::step]),
+                 lhs * 0 if v is None else image(one, letters, v[::step]) * q ** e)
+                for name, u, e, v in A.relations() for label, one, letters, step in maps]
+
+    def holds(self, label):
+        """Every relation holds under the map ``label`` of ``images``."""
+        return all(lhs == rhs for at, _, lhs, rhs in self.images if at == label)
+
+    @cached_property
+    def presented(self):
+        """The premise of the presentation lemma (check_bialgebra_compat): ``relations()`` holds one commutation
+        relation per pair of generators and one power relation per generator, each true in H, and the live table
+        multiplies as ``Element`` does: *associative* at (alpha, beta, gamma) = (1, -s, s)."""
+        p, s = self.algebra.p, self.algebra.s
+
+        def shape(u, v):  # "gx" for a commutation relation of g and x, "g" for g^p = c, "?" for anything else
+            if len(u) == 2 and v == u[::-1] != u:
+                return "".join(sorted(u))
+            return u[:1] if u == u[:1] * p and v in (None, "") else "?"
+
+        return (self.associative and self.exponents == (1, -s % p, s % p) and self.holds("H")
+                and sorted(shape(u, v) for _, u, _, v in self.algebra.relations()) == ["g", "gx", "gy", "x", "xy", "y"])
 
     @cached_property
     def unit(self):
         """Delta(1) = 1 (x) 1 and eps(1) = 1, which with U give the Delta and eps laws at (1, m) for every m."""
         structure, n = self.algebra.structure_table(), len(self.algebra.basis())
-        unit = {}  # Delta(1), summed per key
-        for u, v, r in structure.delta[0]:
-            unit[u * n + v] = unit.get(u * n + v, 0) + r[0]
-        return not structure.differs(unit, {0: 1}) and self.counit.values[0] == 1
+        return not structure.differs(_summed(structure.delta[0], n), {0: 1}) and self.eps[0] == 1
+
+    @cached_property
+    def orbit(self):
+        """P1 and P2 of check_bialgebra_compat on the structure table, which *associative* completes with P3: the
+        g-steps of ``multiplicative``, and the one group run per g-orbit of m1 of the lane sweep."""
+        p, n, moved, wt = self.algebra.p, len(self.algebra.basis()), self.moved, self.wt
+        delta = self.algebra.structure_table().delta
+        return all(delta[i] == [(moved[i % p][u], moved[i % p][v], r) for u, v, r in delta[i - i % p]]
+                   for i in range(n)) and not any(
+            (wt[u] + wt[v] - wt[i]) % p for i in range(0, n, p) for u, v, _ in delta[i])
+
+    @cached_property
+    def multiplicative(self):
+        """Delta and eps are algebra maps, by the presentation lemma of check_bialgebra_compat: ``presented``,
+        ``unit``, the Delta and eps images, and the step laws at every step (t, j, e) of ``generation()``, for Delta
+        by ``orbit`` at a g-step and a term product off ``rows`` at an x- or y-step, for eps as q^-e eps(basis[i])
+        (eps moved -e mod p digits up, which the fold of ``differs`` wraps) against eps(t) eps(basis[j])."""
+        if not (self.presented and self.unit and self.holds("Delta") and self.holds("eps")):
+            return False
+        A, eps = self.algebra, self.eps
+        p, n, table = A.p, len(A.basis()), A.structure_table()
+        steps, g = self.generation.items(), A.generators[0]
+        return (not any(table.differs({0: eps[t] * eps[j]}, {0: eps[i] << -e % p * table.width})
+                        for i, (t, j, e) in steps)
+                and self.orbit
+                and not any(table.differs(self.product(t, j, e), _summed(table.delta[i], n))
+                            for i, (t, j, e) in steps if t != g))
+
+    def product(self, i1, i2, e=0):
+        """q^e Delta(basis[i1]) Delta(basis[i2]) as a packed sum, each leg product read off ``rows``."""
+        A, rows, out = self.algebra, self.rows, {}
+        p, n, delta = A.p, len(A.basis()), A.structure_table().delta
+        for u, v, r in delta[i1]:
+            row_u, row_v = rows[u], rows[v]
+            for w, z, d in delta[i2]:
+                if (cu := row_u[w]) >= 0 and (cv := row_v[z]) >= 0:
+                    key = cu // p * n + cv // p
+                    out[key] = out.get(key, 0) + r[(cu + cv + e) % p] * d[0]
+        return out
 
     @cached_property
     def laws(self):
@@ -909,7 +877,7 @@ class _Proofs:
 
         Bit a of the bad lanes is set where Delta(t m) != Delta(t) Delta(m), m = x^b y^c g^a, so that law is one
         bit.  The lanes read a product u (w g^a) off u w, which a bilinear table guarantees: the table is None
-        unless ``associative``.
+        unless ``associative``.  Only a refused ``multiplicative`` reads it, through ``steps`` and the sweep.
         """
         if not self.associative:
             return None
@@ -940,19 +908,14 @@ class _Proofs:
         return broken
 
     @cached_property
-    def multiplicative(self):
-        """Delta and eps are algebra maps: the proof of check_bialgebra_compat, ``broken`` empty at 1, g, x and y."""
-        return self.broken is not None and not any(chain.from_iterable(self.broken.values()))
-
-    @cached_property
     def steps(self):
         """The premise of every per-monomial step: the Delta and eps laws, read off ``broken``, at every step pair
         (t, basis[j]) of ``generation()`` and at the pairs of left legs and of right legs of Delta(t) and
         Delta(basis[j]), which Delta(t) Delta(basis[j]) multiplies; a leg of Delta(t) other than 1 or a generator,
         where ``broken`` holds no law, refuses it.  It holds with no further work where ``multiplicative`` does."""
-        broken, delta = self.broken, self.algebra.structure_table().delta
-        if self.multiplicative or broken is None:
+        if self.multiplicative or self.broken is None:
             return self.multiplicative
+        broken, delta = self.broken, self.algebra.structure_table().delta
 
         def pairs(t, j):  # (u, js): both laws must hold at (basis[u], basis[k]) for every k in js
             yield t, (j,)
@@ -965,68 +928,22 @@ class _Proofs:
 
     @cached_property
     def anti_multiplicative(self):
-        """S(m1 m2) = S(m2) S(m1) for every basis pair, on the premise ``associative``.
-
-        The law at m1 is S(m1 m2) = S(m2) S(m1) for every m2, checked at
-        m1 in {1, g, x, y} on unit codes off the S rows and the product
-        table, 4 n compares; the step is S((t basis[j]) m2) = S(t (basis[j] m2))
-        = S(basis[j] m2) S(t) = (S(m2) S(basis[j])) S(t) = S(m2) S(t basis[j]).
-        A code k < p is +q^k and k + p is -q^k, as in the S rows.
-        """
-        if not self.associative:
+        """S(m1 m2) = S(m2) S(m1) for every basis pair, by the presentation lemma of check_bialgebra_compat for an
+        algebra map to the opposite algebra: ``presented``, S(1) = 1, the (reversed) S images and S(basis[i]) =
+        q^e S(basis[j]) S(t) at every step (t, j, e) of ``generation()``, n - 4 compares of unit codes off the S
+        rows and the product table, a code k < p for +q^k and k + p for -q^k."""
+        if not (self.presented and self.holds("S")):
             return False
         A = self.algebra
         p, n = A.p, len(A.basis())
         products, S = A.product_table(), A.structure_table().antipode
 
-        def image(t, j):  # S(basis[t] basis[j])
-            c = products[t * n + j]
-            if c < 0:
-                return None
-            u, code = S[c // p]
-            return u, code - code % p + (code + c) % p
-
-        def reversed_product(t, j):  # S(basis[j]) S(basis[t])
+        def step(t, j, e):  # q^e S(basis[j]) S(t), or None for 0
             (u, a), (v, b) = S[j], S[t]
             c = products[u * n + v]
-            return None if c < 0 else (c // p, (a + b + c) % p + p * ((a >= p) != (b >= p)))
+            return None if c < 0 else (c // p, (a + b + c + e) % p + p * ((a >= p) != (b >= p)))
 
-        return all(image(t, j) == reversed_product(t, j) for t in (0, *A.generators) for j in range(n))
-
-
-class _Counit:
-    """Both sides of eps(m1 m2) = eps(m1) eps(m2) over all m2, one tuple per m1, read off ``counit_monomial``.
-
-    One object per value, so that equal tuples compare by identity.
-    """
-
-    def __init__(self, algebra):
-        p = algebra.p
-        n = self.n = len(algebra.basis())
-        self.table = algebra.product_table()
-        canon = {}
-
-        def value(c):
-            return canon.setdefault((c.num, c.den), c)
-
-        values = self.values = [value(algebra.counit_monomial(m)) for m in algebra.basis()]
-        distinct = {id(e): e for e in values}
-        scaled = {k: [value(e * root_power(p, j)) for j in range(p)] for k, e in distinct.items()}  # e q^j
-        # eps of q^e basis[t] at the product code t * p + e; code -1 (a zero product) reads the last entry
-        self.of_code = [scaled[id(values[c // p])][c % p] for c in range(n * p)] + [value(cyc_zero(p))]
-        self.rows = {}  # id(e) -> eps(m1) eps(m2) over all m2, for eps(m1) = e
-        for k, e in distinct.items():
-            times = {id(f): value(e * f) for f in distinct.values()}
-            self.rows[k] = tuple([times[id(f)] for f in values])
-
-    def lhs(self, i1):
-        """eps(m1 m2) over all m2, m1 = basis[i1]."""
-        n = self.n
-        return tuple(map(self.of_code.__getitem__, self.table[i1 * n:(i1 + 1) * n]))
-
-    def rhs(self, i1):
-        """eps(m1) eps(m2) over all m2."""
-        return self.rows[id(self.values[i1])]
+        return S[0] == (0, 0) and all(S[i] == step(t, j, e) for i, (t, j, e) in self.generation.items())
 
 
 _CHECKS = (

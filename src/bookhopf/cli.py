@@ -12,15 +12,15 @@ prime); a larger p is a usage error, as the checks grow like p^6.  The bound
 limits the input size, not the run time.  Every check is proved where its
 premises hold (see the ``axioms`` module) and swept whole where they fail,
 and no check draws: per s a verify process takes about 0.1 s at p = 7,
-most of it start-up, 0.35 s at p = 11 and 0.6 s at p = 13, most of it there
-in the premise that Delta and eps are multiplicative.  The console entry
+most of it start-up, 0.2-0.3 s at p = 11 and 0.3-0.4 s at p = 13, most of it
+there in the fills of the product and structure tables.  The console entry
 runs with the cyclic garbage collector off (see ``entry``).
 ``--sample-size`` and ``--exhaustive`` set only the label that a proved
 associativity run reports, and ``--seed`` reaches nothing; associativity
 is proved on every H(p, s) the CLI builds.  Where
 the bialgebra proof fails, as at s = 0, its check takes the p^2 lane groups
-of one m1 per g-orbit, reading back or vouching for those the law table
-of the proof settles, and yields the violations of the whole orbit from
+of one m1 per g-orbit, reading back or vouching for those that the law
+table of its sweep settles, and yields the violations of the whole orbit from
 those runs; coassociativity, the counit law and the antipode law stay
 proved there on their step premise.  Every report takes the first
 MAX_VIOLATIONS_RENDERED = 10 000 violations of its sweep with one

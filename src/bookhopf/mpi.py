@@ -339,9 +339,11 @@ class PairReport(NamedTuple):
 
     @classmethod
     def from_dict(cls, p, payload):
-        if any(type(payload[flag]) is not bool for flag in ("implements_s2", "stable")):  # "false" is truthy
-            raise ValueError(f"a flag of (i={payload['i']}, j={payload['j']}) is not a bool")
-        out = cls(payload["i"], payload["j"], payload["implements_s2"], Cyclotomic.parse(p, payload["beta_l"]))
+        i, j = payload["i"], payload["j"]  # "0" or a bool would read as an index, and "false" is truthy
+        if not (type(i) is type(j) is int and 0 <= i < p and 0 <= j < p) or any(
+                type(payload[flag]) is not bool for flag in ("implements_s2", "stable")):
+            raise ValueError(f"(i={i!r}, j={j!r}) needs ints in range({p}) and flags that are bools")
+        out = cls(i, j, payload["implements_s2"], Cyclotomic.parse(p, payload["beta_l"]))
         if out.stable != payload["stable"]:
             raise ValueError(f"stable flag inconsistent with beta_l at (i={out.i}, j={out.j})")
         return out

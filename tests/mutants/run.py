@@ -100,24 +100,47 @@ MUTANTS = [
            "for side in (0, 1):", "for side in ():",
            (AXIOMS + "test_the_leg_premises_refuse_a_sign_twist",
             AXIOMS + "test_on_doctored_tables_the_vouched_sweep_and_step_premises_equal_the_full_routes[sign]")),
-    # every lane run rests on *associative*: where it fails the per-pair route runs, and orbit() checks P1 and P2
+    # every lane run rests on *associative*: where it fails the per-pair route runs
     Mutant("the sweep chosen whatever associative says", "axioms.py",
            "sweep = lane_sweep if proofs.associative else pairs", "sweep = lane_sweep",
            (AXIOMS + "test_a_table_that_breaks_associative_gets_the_live_table_reference_with_no_lane_run[q-exponent]",
             AXIOMS + "test_a_table_that_breaks_associative_gets_the_live_table_reference_with_no_lane_run[U]")),
-    Mutant("orbit() without P2", "axioms.py",
-           "\n            and not any((wt[u] + wt[v] - wt[i]) % p for i in range(0, n, p) for u, v, _ in rows[i])", "",
+    # the presentation lemma: _Proofs.presented, unit, the relation images and the step laws; _Proofs.orbit holds
+    # P1 and P2, which give the g-steps and the sweep's one run per g-orbit
+    Mutant("y^p = 0 dropped from relations()", "hopf.py",
+           '            (f"y^{p} = 0", "y" * p, 0, None),\n', "",
+           (AXIOMS + "test_the_presentation_premise_needs_one_relation_per_pair_and_per_power[drop y^3 = 0]",
+            AXIOMS + "test_relation_inventory")),
+    Mutant("the Delta step compare skipped", "axioms.py",
+           "table.differs(self.product(t, j, e), _summed(table.delta[i], n))", "False",
+           (AXIOMS + "test_the_presentation_premises_equal_the_law_table_and_the_4n_compare[orbit digit]",
+            AXIOMS + "test_the_presentation_premises_equal_the_law_table_and_the_4n_compare[orbit digit at 7]")),
+    Mutant("the eps step compare skipped", "axioms.py",
+           "table.differs({0: eps[t] * eps[j]}, {0: eps[i] << -e % p * table.width})", "False",
+           (AXIOMS + "test_the_presentation_premises_equal_the_law_table_and_the_4n_compare[eps(g) = q]",
+            AXIOMS + "test_a_doctored_table_falls_back_or_is_healthy[eps(g) = q]")),
+    Mutant("unit skipped", "axioms.py",
+           "if not (self.presented and self.unit and", "if not (self.presented and",
+           (AXIOMS + "test_each_base_case_is_a_premise[eps = 0]",)),
+    Mutant("the (1, -s, s) test dropped", "axioms.py",
+           "self.associative and self.exponents == (1, -s % p, s % p) and", "self.associative and",
+           (AXIOMS + "test_the_presentation_premise_reads_the_live_exponents",)),
+    Mutant("P2 dropped from the shared g-orbit premise", "axioms.py",
+           " and not any(\n            (wt[u] + wt[v] - wt[i]) % p for i in range(0, n, p) for u, v, _ in delta[i])", "",
            (AXIOMS + "test_one_run_per_g_orbit_equals_the_full_sweep_on_doctored_tables[orbit extra term]",)),
+    Mutant("the S step compare skipped", "axioms.py",
+           "all(S[i] == step(t, j, e) for i, (t, j, e) in self.generation.items())", "True",
+           (AXIOMS + "test_a_doctored_s_row_off_the_generators_fails_anti_multiplicativity",
+            AXIOMS + "test_the_presentation_premises_equal_the_law_table_and_the_4n_compare[S q x^2 y g]")),
     # the g-moves of the bialgebra lanes
-    Mutant("group moved by g^a2, not g^-a2", "axioms.py",
+    Mutant("group moved by g^a2, not g^-a2", "lanes.py",
            "back = self.moved[-a2]", "back = self.moved[a2]",
            (AXIOMS + "test_bialgebra_lane_kernel_flags_a_doctored_row[3-digit]",
-            AXIOMS + "test_g_orbit_premises_hold_on_the_live_tables[5]",
-            AXIOMS + "test_a_proved_bialgebra_run_equals_the_sweep[3]")),
-    Mutant("expected side never moved", "axioms.py",
+            AXIOMS + "test_one_run_per_g_orbit_equals_the_full_sweep_on_the_live_tables[3-1]")),
+    Mutant("expected side never moved", "lanes.py",
            "move, low, high = self.moved[a],", "move, low, high = self.moved[0],",
-           (AXIOMS + "test_g_orbit_premises_hold_on_the_live_tables[5]",
-            AXIOMS + "test_a_proved_bialgebra_run_equals_the_sweep[3]")),
+           (AXIOMS + "test_one_run_per_g_orbit_equals_the_full_sweep_on_the_live_tables[3-1]",
+            AXIOMS + "test_exhaustive_bialgebra_runs_every_lane_group_once")),
     # the rendering of the bialgebra sweep, one memoized text per (lane, g-move, q-exponent)
     Mutant("render without a1 in the g-move", "axioms.py",
            "key := (lane[0], (i2 + a1) % p, e)", "key := (lane[0], i2 % p, e)",
@@ -168,7 +191,7 @@ MUTANTS = [
 
 EQUIVALENT = [
     (Mutant("associative premise without generation()", "axioms.py",
-            "if self.generation is None or min(codes) < 0:", "if min(codes) < 0:", ()),
+            "None if self.generation is None or min(codes) < 0 else", "None if min(codes) < 0 else", ()),
      "a table equal to bilinear_rows at any (alpha, beta, gamma) satisfies premises U and F, so generation() holds "
      "wherever the row compare does"),
     (Mutant("bialgebra sweep without its skip of a clean run", "axioms.py",

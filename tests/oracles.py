@@ -17,6 +17,9 @@ fills the table of ``hopf.bilinear_rows`` one entry at a time, and ``structure_t
 row-at-a-time fill that the block fill of ``BookAlgebra.structure_table`` replaced.
 ``live_bialgebra_violations`` multiplies Delta(m1) Delta(m2) out in ``Cyclotomic`` arithmetic with every product
 read off the live product table, the slow route of the bialgebra check's per-pair route.
+``law_table_multiplicative`` is the law-table verdict that the presentation premise
+``_Proofs.multiplicative`` replaced, and ``anti_multiplicative_reference`` the 4 n compare that
+``_Proofs.anti_multiplicative`` replaced.
 ``lane`` reads one lane of a bialgebra accumulator per violation, and ``own_run_texts`` renders every Delta
 violation from m1's own lane group run through it, as the bialgebra sweep did before it unpacked each lane once
 and rendered each distinct text once.
@@ -26,12 +29,13 @@ that the tests can show the fast checks notice.
 """
 
 from array import array
-from itertools import product
+from itertools import chain, product
 from math import comb
 from operator import itemgetter
 from types import SimpleNamespace
 
 from bookhopf import Character, ConsistencyError, Cyclotomic, Element, Monomial, Tensor2, cyc_one, cyc_zero, root_power
+from bookhopf.axioms import _Proofs
 from bookhopf.hopf import StructureTable, _digits, _pack, _q_binomial_rows, _rotated, lift
 from bookhopf.pbw import accumulate, basis_monomials, mono_mul_exp
 
@@ -311,6 +315,37 @@ def live_bialgebra_violations(A):
         if lhs != rhs:
             out.append((f"epsilon: {at}", lhs.render(), rhs.render()))
     return out
+
+
+def law_table_multiplicative(A):
+    """Whether Delta and eps are algebra maps, read off the law table: no index in ``_Proofs.broken`` at 1, g, x
+    and y, the laws at 1 and at every generator against every basis monomial, which carry to every pair along
+    ``generation()`` where the product table is associative.  False where the table is not, as it is then None."""
+    broken = _Proofs(A).broken
+    return broken is not None and not any(chain(*broken.values()))
+
+
+def anti_multiplicative_reference(A):
+    """Whether S(m1 m2) = S(m2) S(m1) for every basis pair, by S(t m) = S(m) S(t) at t in {1, g, x, y} and every m,
+    4 n compares of unit codes off the S rows and the product table, on an associative product table."""
+    if not _Proofs(A).associative:
+        return False
+    p, n = A.p, len(A.basis())
+    products, S = A.product_table(), A.structure_table().antipode
+
+    def image(t, j):  # S(basis[t] basis[j])
+        c = products[t * n + j]
+        if c < 0:
+            return None
+        u, code = S[c // p]
+        return u, code - code % p + (code + c) % p
+
+    def reversed_product(t, j):  # S(basis[j]) S(basis[t])
+        (u, a), (v, b) = S[j], S[t]
+        c = products[u * n + v]
+        return None if c < 0 else (c // p, (a + b + c) % p + p * ((a >= p) != (b >= p)))
+
+    return all(image(t, j) == reversed_product(t, j) for t in (0, *A.generators) for j in range(n))
 
 
 def doctor_product(A, m1, m2, how):

@@ -35,9 +35,10 @@ from bookhopf import (
     run_all,
 )
 from bookhopf import axioms
-from bookhopf.axioms import MAX_VIOLATIONS_RENDERED, _Lanes, _Proofs
+from bookhopf.axioms import MAX_VIOLATIONS_RENDERED, _Proofs
+from bookhopf.lanes import _Counit, _Lanes
 from bookhopf.hopf import StructureTable
-from bookhopf.pbw import ONE, accumulate
+from bookhopf.pbw import ONE, accumulate, basis_monomials
 from bookhopf.hopf import bilinear_rows
 from oracles import (
     associativity_by_generators,
@@ -47,7 +48,9 @@ from oracles import (
     doctor_delta,
     doctor_product,
     install_delta_rows,
+    anti_multiplicative_reference,
     lane,
+    law_table_multiplicative,
     live_bialgebra_violations,
     negate_unit_row,
     own_run_texts,
@@ -198,6 +201,23 @@ def test_axiom_result_from_dict_rejects_a_checked_that_is_no_count(checked):
     assert not AxiomResult.from_dict({**payload, "checked": 0, "status": "fail"}).passed
     with pytest.raises(ValueError, match="checked must be an int >= 0"):
         AxiomResult.from_dict({**payload, "checked": checked})
+
+
+@pytest.mark.parametrize("mode", [7, None, True, ["exhaustive"], b"exhaustive"])
+def test_axiom_result_from_dict_rejects_a_mode_that_is_no_str(mode):
+    payload = check_counit_law(BookAlgebra(3, 1)).result("counit").to_dict()
+    assert AxiomResult.from_dict(payload).passed
+    with pytest.raises(ValueError, match="mode a str"):
+        AxiomResult.from_dict({**payload, "mode": mode})
+
+
+@pytest.mark.parametrize("elapsed_ms", ["x", "1.5", None, True, False, [1.0]])
+def test_axiom_result_from_dict_rejects_an_elapsed_ms_that_is_no_number(elapsed_ms):
+    """An int or a float, as JSON gives it; a bool is an int but no number of milliseconds."""
+    payload = check_counit_law(BookAlgebra(3, 1)).result("counit").to_dict()
+    assert AxiomResult.from_dict({**payload, "elapsed_ms": 0}).passed
+    with pytest.raises(ValueError, match="elapsed_ms a number"):
+        AxiomResult.from_dict({**payload, "elapsed_ms": elapsed_ms})
 
 
 @pytest.mark.parametrize("axiom", ["associativity", "bialgebra"])
@@ -665,21 +685,21 @@ def group_runs(monkeypatch):
 
 
 def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs):
-    """3 p^2 runs of g, x and y on the live tables, which prove the law.  Where a premise fails the sweep reads the
-    law table's runs back and vouches for every run whose lemma holds: with eps(g) = q every Delta lane is healthy,
-    so the 3 p^2 runs of the table are all, and no Delta(m1) is built past them.  With the law table refused the
-    kernel runs one group per g-orbit of m1 and x^b2 y^c2 while P1 and P2 hold, with Delta(m1) built once per orbit,
-    and every (m1, x^b2 y^c2) once on a doctored row."""
+    """No run on the live tables, where the presentation lemma proves the law.  Where a premise fails the sweep reads
+    the law table's 3 p^2 runs of g, x and y back and vouches for every run whose lemma holds: with eps(g) = q every
+    Delta lane is healthy, so the 3 p^2 runs of the table are all, and no Delta(m1) is built past them.  With the law
+    table refused the kernel runs one group per g-orbit of m1 and x^b2 y^c2 while P1 and P2 hold, with Delta(m1) built
+    once per orbit, and every (m1, x^b2 y^c2) once on a doctored row."""
     p = 7
     result = check_bialgebra_compat(BookAlgebra(p, 3)).result("bialgebra")
     assert result.mode == "exhaustive" and result.checked == p ** 6 and result.passed
-    assert len(group_runs) == 3 * p ** 2 == 147
+    assert not group_runs
 
     def eps_doctored():
         A = BookAlgebra(p, 3)
         healthy = A.counit_monomial
         A.counit_monomial = lambda m: A.q if m == Monomial(0, 0, 1) else healthy(m)  # fails eps(g g) = eps(g) eps(g)
-        assert _Proofs(A).lanes.orbit() == p
+        assert _Proofs(A).orbit
         return A
 
     for refused, runs in ((False, 3 * p ** 2), (True, p ** 4)):
@@ -719,7 +739,7 @@ def test_each_delta_violation_renders_as_m1s_own_group_run(p, s, how, options):
     m1s = {v.at.split(", ")[0] for v in result.violations}
     assert any(" g" in m1 for m1 in m1s)  # an m1 that is not first in its orbit
     if how:
-        assert _Proofs(A).lanes.orbit() == p and not _Proofs(A).multiplicative
+        assert _Proofs(A).orbit and not _Proofs(A).multiplicative
 
 
 def test_each_delta_violation_renders_as_m1s_own_group_run_on_doctored_tables():
@@ -734,7 +754,7 @@ def test_each_delta_violation_renders_as_m1s_own_group_run_on_doctored_tables():
         if not _Proofs(A).associative:
             assert found(result) == live_bialgebra_violations(A), how
             live.append(how)
-        elif _Proofs(A).lanes.orbit() == A.p:
+        elif _Proofs(A).orbit:
             rendered, own = own_run_texts(_Proofs(A).lanes, result)
             assert rendered == own, how
             compared += [how] * bool(rendered)
@@ -760,22 +780,26 @@ def doctor(A, how):
 
 
 @functools.lru_cache(maxsize=None)
-def healthy_tensor_violations(p, s):
-    """tensor_violations of the undoctored H(p, s), per basis pair, computed once."""
-    A = BookAlgebra(p, s)
-    return {(m1, m2): tensor_violations(A, [(m1, m2)]) for m1 in A.basis() for m2 in A.basis()}
+def healthy_violations(p, s):
+    """The bialgebra violations of the undoctored H(p, s) by the live-table reference, which shares nothing with
+    the lane kernel, keyed by basis pair and computed once: none for s != 0."""
+    by_name, out = {m.render(): m for m in basis_monomials(p)}, collections.defaultdict(list)
+    for v in live_bialgebra_violations(BookAlgebra(p, s, permissive=s == 0)):
+        m1, m2 = (by_name[part.split("=", 1)[1]] for part in v[0].split(": ", 1)[1].split(", "))
+        out[m1, m2].append(v)
+    return out
 
 
 def doctored_tensor_violations(A, doctored):
     """tensor_violations over all basis pairs of A, whose Delta rows of the monomials ``doctored`` differ from
     H(p, s)'s: Delta(m1 m2) and Delta(m1) Delta(m2) read only the Delta rows of m1, m2 and m1 m2."""
     p, s = A.p, A.s
-    healthy = healthy_tensor_violations(p, s)
+    healthy = healthy_violations(p, s)
 
     def reference(m1, m2):
         if doctored & {m1, m2, *(Element.monomial(p, s, m1) * Element.monomial(p, s, m2)).terms}:
             return tensor_violations(A, [(m1, m2)])
-        return healthy[m1, m2]
+        return healthy.get((m1, m2), [])
 
     return [v for m1 in A.basis() for m2 in A.basis() for v in reference(m1, m2)]
 
@@ -825,13 +849,14 @@ def live_x_yg3():
 
 
 def forced_full_sweep(monkeypatch):
-    monkeypatch.setattr(_Lanes, "orbit", lambda self: 1)
+    """Refuse P1 and P2, so that the sweep runs every m1 as its own orbit; with them the presentation lemma goes."""
+    monkeypatch.setattr(_Proofs, "orbit", False)
 
 
 @pytest.mark.parametrize("p,s", [(3, 1), (3, 0), (5, 2), (5, 0), (7, 3), (7, 0), (11, 0)])
 def test_one_run_per_g_orbit_equals_the_full_sweep_on_the_live_tables(monkeypatch, p, s):
     A = BookAlgebra(p, s, permissive=True)
-    assert _Proofs(A).lanes.orbit() == p
+    assert _Proofs(A).orbit
     reduced = bialgebra_outcome(A)
     forced_full_sweep(monkeypatch)
     assert bialgebra_outcome(A) == reduced
@@ -849,9 +874,9 @@ def test_one_run_per_g_orbit_equals_the_full_sweep_on_doctored_tables(monkeypatc
     elif how != "product":
         doctor(A, how)  # breaks P1
     assert _Proofs(A).associative == (how != "product")
-    assert _Proofs(A).lanes.orbit() == (1 if how in ("digit", "g-exponent", "extra term", "orbit extra term") else 5)
+    assert _Proofs(A).orbit == (how not in ("digit", "g-exponent", "extra term", "orbit extra term"))
     with pytest.MonkeyPatch.context() as patch:
-        calls = counted_calls(patch, (_Lanes, "run"), (_Lanes, "orbit"))
+        calls = counted_calls(patch, (_Lanes, "run"), (_Lanes, "__init__"))
         reduced = bialgebra_outcome(A)
     assert reduced[0] and bool(calls) == (how != "product")
     if how == "product":
@@ -865,7 +890,7 @@ def test_one_run_per_g_orbit_equals_the_full_sweep_on_doctored_tables(monkeypatc
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_g_orbit_premises_hold_on_the_live_tables(p):
     for s in sorted({0, 1, p - 1}):
-        assert _Proofs(BookAlgebra(p, s, permissive=True)).lanes.orbit() == p
+        assert _Proofs(BookAlgebra(p, s, permissive=True)).orbit
 
 
 # -- the bialgebra law proved on the generators ---------------------------------------
@@ -1011,11 +1036,11 @@ def test_a_doctored_table_falls_back_or_is_healthy(how):
 @pytest.mark.parametrize("case", [*PRODUCT_DOCTORINGS, "x (y g^3) at 5"])
 def test_a_table_that_breaks_associative_gets_the_live_table_reference_with_no_lane_run(case):
     """A lane reads u (w g^a2) off u w, which only a bilinear table gives.  Where *associative* fails, ``run_all``
-    makes no _Lanes.run or _Lanes.orbit call, and the bialgebra check reports every violation that plain
+    builds no _Lanes and makes no _Lanes.run call, and the bialgebra check reports every violation that plain
     Cyclotomic arithmetic finds with each product, legs included, read off the live table."""
     A = doctored_x_yg3() if case.endswith(" at 5") else doctored_algebra(case)
     with pytest.MonkeyPatch.context() as patch:
-        calls = counted_calls(patch, (_Lanes, "run"), (_Lanes, "orbit"))
+        calls = counted_calls(patch, (_Lanes, "run"), (_Lanes, "__init__"))
         result = run_all(A).result("bialgebra")
     assert not _Proofs(A).associative and not calls
     expected = live_x_yg3() if case.endswith(" at 5") else live_bialgebra_violations(A)
@@ -1031,7 +1056,7 @@ def test_the_per_pair_route_forced_on_the_s0_control_equals_the_lane_sweep(p):
     swept_by_lanes = bialgebra_outcome(A)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Proofs, "associative", False)
-        calls = counted_calls(patch, (_Lanes, "run"), (_Lanes, "orbit"))
+        calls = counted_calls(patch, (_Lanes, "run"), (_Lanes, "__init__"))
         assert bialgebra_outcome(A) == swept_by_lanes and not calls
     assert len(swept_by_lanes[0]) == len(axioms._negative_control_sites(p))  # capped at p = 7
 
@@ -1376,12 +1401,15 @@ def test_a_failed_per_monomial_proof_stops_at_its_first_violation(monkeypatch):
 def law_route(check, A, refuse=False):
     """The outcome of a per-monomial check and whether the proof took it; ``refuse`` fails *steps*, the step
     premise that every one of these proofs needs, so the sweep runs.  A proved run compares at 1, g, x and y only,
-    so it calls ``StructureTable.differs`` fewer than n times, and a sweep at least n times."""
+    so it calls ``StructureTable.differs`` fewer than n times, and a sweep at least n times; the shared premises,
+    which compare too, are made before the count."""
     with pytest.MonkeyPatch.context() as patch:
         if refuse:
             patch.setattr(_Proofs, "steps", False)
+        proofs = _Proofs(A)
+        assert proofs.steps in (True, False) and proofs.anti_multiplicative in (True, False)
         calls = counted_calls(patch, (StructureTable, "differs"))
-        (result,) = check(A).results
+        (result,) = check(A, _proofs=proofs).results
     return (found(result), result.checked, result.mode), calls["StructureTable.differs"] < len(A.basis())
 
 
@@ -1462,13 +1490,13 @@ def s0_kernel_runs(p):
 @pytest.mark.parametrize("p,s", [(7, 3), (5, 0), (7, 0)])
 def test_run_all_computes_each_verdict_once(monkeypatch, p, s):
     """One _Proofs serves the six checks, and associativity never sweeps, as *associative* is proved; a healthy
-    H(7, 3) runs the 3 p^2 = 147 generator lane groups of the law table and no sweep, and the s = 0 control proves
+    H(7, 3) builds no _Lanes, runs no lane group and no sweep, and the s = 0 control proves
     coassociativity, the counit and antipode laws on their step premises and sweeps only the bialgebra law, once,
     with the kernel runs that ``s0_kernel_runs`` derives from the predicates: one group per g-orbit of m1 and
     x^b2 y^c2, every orbit at p = 5, whose 3 750 violations stay below the cap, and at p = 7 only up to the orbit
     that renders the 10 000th violation, where the sweep stops.  eps is packed once, for the counit and antipode
     laws both."""
-    calls = counted_calls(monkeypatch, (_Lanes, "run"), (_Lanes, "orbit"), (_Proofs, "__init__"),
+    calls = counted_calls(monkeypatch, (_Lanes, "run"), (_Lanes, "__init__"), (_Proofs, "__init__"),
                           (BookAlgebra, "counit_packed"))
     sweeps = counted_sweeps(monkeypatch)
     report = run_all(BookAlgebra(p, s, permissive=s == 0))
@@ -1476,9 +1504,100 @@ def test_run_all_computes_each_verdict_once(monkeypatch, p, s):
     assert calls["_Proofs.__init__"] == 1 and calls["BookAlgebra.counit_packed"] == 1
     assert sweeps == ({} if s else {"bialgebra": 1})
     if s:
-        assert calls["_Lanes.run"] == 147 and not calls["_Lanes.orbit"]
+        assert not calls["_Lanes.run"] and not calls["_Lanes.__init__"]
     else:
-        assert calls["_Lanes.orbit"] == 1 and calls["_Lanes.run"] == s0_kernel_runs(p) < 3 * p * p + p ** 4
+        assert calls["_Lanes.__init__"] == 1 and calls["_Lanes.run"] == s0_kernel_runs(p) < 3 * p * p + p ** 4
+
+
+# -- the presentation lemma against the law table and the 4 n compare -------------------
+
+
+@pytest.mark.parametrize("case", [*(f"H({p}, {s})" for p in (3, 5, 7) for s in range(p)), *DOCTORINGS,
+                                  *(f"{how} at {p}" for how in ("orbit digit", "orbit extra term") for p in (5, 7))])
+def test_the_presentation_premises_equal_the_law_table_and_the_4n_compare(case):
+    """*multiplicative* by the presentation lemma reads what the law table's verdict reads, and
+    *anti-multiplicative* what the 4 n compare of S(t m) = S(m) S(t) reads, for every s at p <= 7, on every
+    doctored table and on the doctored orbits at p = 5 and 7; the twisted Delta stays proved, the sign twist
+    refused."""
+    if case.startswith("H("):
+        p, s = map(int, case[2:-1].split(", "))
+        A = BookAlgebra(p, s, permissive=True)
+    else:
+        how, _, p = case.partition(" at ")
+        A = BookAlgebra(int(p), 2 if p == "5" else 3) if p else doctored_algebra(how)
+        if p:
+            doctor_orbit(A, how[6:])
+    proofs = _Proofs(A)
+    assert proofs.multiplicative == law_table_multiplicative(A)
+    assert proofs.anti_multiplicative == anti_multiplicative_reference(A)
+    if case in ("twist", "sign"):
+        assert proofs.multiplicative == (case == "twist")
+    if case.startswith("H("):
+        assert proofs.multiplicative == (s != 0) and proofs.anti_multiplicative
+
+
+def test_a_healthy_run_builds_no_law_table(monkeypatch):
+    """A healthy run_all(H(7, s)) proves every law with no _Lanes, no law table and no eps rows built."""
+
+    def refused(self, *args):
+        raise AssertionError(f"{type(self).__name__} built on a healthy run")
+
+    monkeypatch.setattr(_Lanes, "__init__", refused)
+    monkeypatch.setattr(_Counit, "__init__", refused)
+    for s in range(1, 7):
+        report = run_all(BookAlgebra(7, s))
+        assert report.passed and [r.checked for r in report.results] == [10 ** 6, 343, 343, 7 ** 6, 343, 12]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_at_s0_the_presentation_proof_stops_at_the_image_of_y_to_the_p(monkeypatch, p):
+    """The image Delta(y)^p = 0 is the only relation image that fails at s = 0, and *multiplicative* fails there,
+    before it reads a step, P1 or P2."""
+    calls = counted_calls(monkeypatch, (_Proofs, "product"))
+    proofs = _Proofs(BookAlgebra(p, 0, permissive=True))
+    assert not proofs.multiplicative and not calls and "orbit" not in vars(proofs)
+    assert [(label, name) for label, name, lhs, rhs in proofs.images if lhs != rhs] == [("Delta", f"y^{p} = 0")]
+
+
+def test_the_presentation_premise_reads_the_live_exponents():
+    """H(5, 2) with the product table of H(5, 3): associative, and every relation holds as ``Element`` multiplies,
+    but the live table reads (alpha, beta, gamma) = (1, -3, 3), not (1, -2, 2), so it is not the table the relation
+    images were multiplied with, and the proofs are refused; the sweeps report what the live table gives."""
+    A = BookAlgebra(5, 2)
+    A._products = BookAlgebra(5, 3).product_table()
+    proofs = _Proofs(A)
+    assert proofs.associative and proofs.exponents == (1, 2, 3) and check_relations(A).passed
+    assert not proofs.presented and not proofs.multiplicative and not proofs.anti_multiplicative
+    assert not law_table_multiplicative(A) and not anti_multiplicative_reference(A)
+    outcome, proved = bialgebra_route(A)
+    assert not proved and outcome == swept(A) and outcome[0]
+
+
+@pytest.mark.parametrize("change", ["drop g x = q x g", "drop g y", "drop g^3 = 1", "drop x^3 = 0", "drop y^3 = 0",
+                                    "drop x y", "add g = 1", "x y = q y x x", "g x = q^2 x g"])
+def test_the_presentation_premise_needs_one_relation_per_pair_and_per_power(change):
+    """``relations()`` must hold one commutation relation per pair of generators and one power relation per
+    generator, each true in H: a dropped or an extra relation, or one of another shape or scalar, refuses both
+    proofs, and every check reports what its sweep does."""
+    A = BookAlgebra(3, 2)
+    assert _Proofs(A).presented
+    healthy = [r._replace(elapsed_ms=0) for r in run_all(A).results]
+    six = A.relations()
+    name = change.removeprefix("drop ")
+    if change.startswith("drop "):
+        A.relations = lambda: [r for r in six if not r[0].startswith(name)]
+    elif change == "add g = 1":
+        A.relations = lambda: [*six, ("g = 1", "g", 0, "")]
+    elif change == "x y = q y x x":  # an x y relation that is no commutation
+        A.relations = lambda: [r if r[1] != "xy" else (change, "xy", 1, "yxx") for r in six]
+    else:  # a commutation relation that is false in H
+        A.relations = lambda: [r if r[1] != "gx" else (change, "gx", 2, "xg") for r in six]
+    assert len(A.relations()) == 6 - change.startswith("drop ") + (change == "add g = 1")
+    proofs = _Proofs(A)
+    assert not proofs.presented and not proofs.multiplicative and not proofs.anti_multiplicative
+    results = [r._replace(elapsed_ms=0) for r in run_all(A).results]
+    assert results[:5] == healthy[:5]
+    assert results[5].checked == 2 * len(A.relations())
 
 
 # -- the law table: vouched runs and step premises against the full routes ------------
@@ -1488,11 +1607,12 @@ def law_table_routes(A):
     """[(outcomes, kernel runs, swept axioms)] of the two routes of the four checks that read the law table, each
     outcome (violations, checked, mode) with one ``_Proofs`` shared.  The first refuses *multiplicative*, so the
     bialgebra sweep vouches and reads the table back, and the other three laws take their step premises; the
-    second refuses the law table itself, so the kernel makes every run and every law is swept."""
+    second refuses the law table too, so the kernel makes every run and every law is swept."""
     routes = []
-    for refused, value in (("multiplicative", False), ("laws", None)):
+    for refused in ({"multiplicative": False}, {"multiplicative": False, "laws": None}):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_Proofs, refused, value)
+            for name, value in refused.items():
+                patch.setattr(_Proofs, name, value)
             calls = counted_calls(patch, (_Lanes, "run"))
             sweeps = counted_sweeps(patch)
             proofs = _Proofs(A)

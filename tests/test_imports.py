@@ -76,7 +76,9 @@ def loaded_by(code):
     (["table", "--p", "3"], "bookhopf.mpi", "bookhopf.axioms"),
     (["verify", "--p", "3", "--s", "1"], "bookhopf.axioms", "bookhopf.mpi"),
     (["verify", "--p", "3", "--s", "0", "--permissive"], "bookhopf.axioms", "bookhopf.mpi"),
-], ids=["classify", "table", "verify", "verify-s0"])
+    (["verify", "--p", "3", "--all-s"], "bookhopf.axioms", "bookhopf.lanes"),  # every proof holds: no lane code
+    (["verify", "--p", "3", "--s", "0", "--permissive"], "bookhopf.lanes", "bookhopf.mpi"),
+], ids=["classify", "table", "verify", "verify-s0", "verify-proved", "verify-s0-lanes"])
 def test_a_command_loads_only_the_modules_it_runs(argv, runs, skips):
     loaded = loaded_by(CHILD.replace("ARGV", repr(argv)))
     assert runs in loaded and skips not in loaded

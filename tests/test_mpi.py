@@ -463,8 +463,26 @@ def test_pair_report_from_dict_rejects_a_flag_that_is_no_bool(flag, value):
     """(i=0, j=0) is stable and does not implement S^2: "false" is truthy and would make it an MPI."""
     payload = classify(BookAlgebra(3, 1)).to_dict()["pairs"][0]
     assert not PairReport.from_dict(3, payload).is_mpi
-    with pytest.raises(ValueError, match="is not a bool"):
+    with pytest.raises(ValueError, match="flags that are bools"):
         PairReport.from_dict(3, {**payload, flag: value})
+
+
+def pair_row_with(field, value):
+    payload = classify(BookAlgebra(3, 1)).to_dict()["pairs"][4]  # (i=1, j=1)
+    assert PairReport.from_dict(3, payload)[:2] == (1, 1)
+    return {**payload, field: value}
+
+
+@pytest.mark.parametrize("value", ["0", None, 1.0, True, -1, 3])
+def test_pair_report_from_dict_rejects_an_i_that_is_no_index(value):
+    with pytest.raises(ValueError, match=r"needs ints in range\(3\)"):
+        PairReport.from_dict(3, pair_row_with("i", value))
+
+
+@pytest.mark.parametrize("value", ["0", None, 1.0, False, -1, 3])
+def test_pair_report_from_dict_rejects_a_j_that_is_no_index(value):
+    with pytest.raises(ValueError, match=r"needs ints in range\(3\)"):
+        PairReport.from_dict(3, pair_row_with("j", value))
 
 
 def test_verdicts_are_computed_from_the_measured_fields():
