@@ -23,11 +23,11 @@ from importlib import import_module
 _OWNER = {
     **dict.fromkeys((
         "AxiomReport", "AxiomResult", "Violation", "check_antipode_law", "check_associativity",
-        "check_bialgebra_compat", "check_coassociativity", "check_counit_law", "check_relations",
-        "negative_control_matches", "run_all",
+        "check_bialgebra_compat", "check_coassociativity", "check_counit_law", "check_relations", "run_all",
     ), "axioms"),
     **dict.fromkeys(("Cyclotomic", "cyc_one", "cyc_zero", "is_odd_prime", "root_power"), "cyclotomic"),
     "BookAlgebra": "hopf",
+    "negative_control_matches": "lanes",
     **dict.fromkeys((
         "Character", "Classification", "ConsistencyError", "GroupLike", "PairReport", "check_convolution_inverse",
         "classify", "closed_form_predicate", "enumerate_characters", "enumerate_group_likes",

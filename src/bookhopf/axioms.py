@@ -46,17 +46,13 @@ the bialgebra law (*multiplicative*), coassociativity and the counit law
 (*steps* and the law at 1, g, x and y) and the antipode law (*steps*,
 *anti-multiplicative* and the law at 1, g, x and y).  Where
 *multiplicative* holds, so does *steps*, with no further work.  At s = 0
-it fails at the relation image Delta(y)^p = 0, and the *law table*, which
-belongs to the bialgebra sweep, decides *steps*: the 3 p^2 lane runs of
-t in {g, x, y} against every x^b y^c, made with no early stop, where the
-law Delta(t m) = Delta(t) Delta(m) at a pair (t, m) is one bit, and
-eps(t m) = eps(t) eps(m) is read off ``counit_monomial``.  *steps* holds
-there, so only the bialgebra law is swept, and the sweep reads the law
-table back to pass most of its runs with no kernel call.  Only a refused
-*multiplicative* builds the law table and the lanes and eps rows of the
-``lanes`` module, which a run whose proofs hold does not load.  Every
-lane run rests on *associative*; where it fails, the bialgebra law takes
-a per-pair route off the live tables.  One protocol, ``_prove_or_sweep``,
+it fails at the relation image Delta(y)^p = 0, and the *law table* decides
+*steps*: the 3 p^2 lane runs of t in {g, x, y} against every x^b y^c,
+where the law Delta(t m) = Delta(t) Delta(m) at a pair (t, m) is one bit.
+*steps* holds there, so only the bialgebra law is swept, and the sweep
+reads the law table back.  The ``lanes`` module holds that whole failure
+path, the law table, the sweep and its lane kernel, and a run whose
+proofs hold does not load it.  One protocol, ``_prove_or_sweep``,
 runs them all: a proved run reports its mode and ``checked``, with no
 violation; if a premise fails, the sweep runs as if no proof had been
 tried.  ``run_all`` passes one ``_Proofs`` to every check, and a check
@@ -90,12 +86,12 @@ from typing import NamedTuple
 
 from .cyclotomic import root_power
 from .hopf import bilinear_rows
-from .pbw import Element, basis_monomials
+from .pbw import Element
 
 __all__ = [
     "Violation", "AxiomResult", "AxiomReport", "check_associativity", "check_coassociativity",
     "check_counit_law", "check_bialgebra_compat", "check_antipode_law", "check_relations", "run_all",
-    "negative_control_matches", "TRIPLE_EXHAUSTIVE_LIMIT", "DEFAULT_SAMPLE_SIZE",
+    "TRIPLE_EXHAUSTIVE_LIMIT", "DEFAULT_SAMPLE_SIZE",
 ]
 
 TRIPLE_EXHAUSTIVE_LIMIT = 2_000_000
@@ -140,12 +136,18 @@ class AxiomResult(NamedTuple):
 
     @classmethod
     def from_dict(cls, d):
+        axiom, found = d["axiom"], d["violations"]
+        if type(axiom) is not str:
+            raise ValueError(f"axiom must be a str, got {axiom!r}")
         checked, mode, elapsed_ms = d["checked"], d["mode"], d["elapsed_ms"]  # a bool is an int, a str no count
         if type(checked) is not int or checked < 0 or type(mode) is not str or type(elapsed_ms) not in (int, float):
-            raise ValueError(f"{d['axiom']}: checked must be an int >= 0, mode a str and elapsed_ms a number, got "
+            raise ValueError(f"{axiom}: checked must be an int >= 0, mode a str and elapsed_ms a number, got "
                              f"{checked!r}, {mode!r} and {elapsed_ms!r}")
-        violations = [Violation(d["axiom"], v["at"], v["lhs"], v["rhs"]) for v in d["violations"]]
-        out = cls(d["axiom"], violations, elapsed_ms, checked, mode)
+        if type(found) is not list or not all(
+                type(v) is dict and all(type(v.get(k)) is str for k in ("at", "lhs", "rhs")) for v in found):
+            raise ValueError(f"{axiom}: violations must be a list of dicts whose at, lhs and rhs are strs")
+        violations = [Violation(axiom, v["at"], v["lhs"], v["rhs"]) for v in found]
+        out = cls(axiom, violations, elapsed_ms, checked, mode)
         if out.status != d["status"]:
             raise ValueError(f"{out.axiom}: status {d['status']!r} disagrees with checked and violations")
         return out
@@ -438,198 +440,34 @@ def check_bialgebra_compat(algebra, *, _proofs=None, **_ignored):
 
     An x- or y-step is checked as a plain term product.  A g-step, h g^a =
     q^-wt(h) g h g^(a-1) with h = x^b y^c and a >= 1, follows from P1 and
-    P2 (below) and Delta(g) = g (x) g, which P1 at g and the unit give:
+    P2 and Delta(g) = g (x) g, which P1 at g and the unit give:
     g (w g^(a-1)) = q^wt(w) w g^a, so Delta(g) Delta(h g^(a-1)) is Delta(h)
-    moved by g^a, at q^(wt(w) + wt(z)) = q^wt(h) per term.  A proved run
-    builds no ``_Lanes``; it costs the relation images, which the
+    moved by g^a, at q^(wt(w) + wt(z)) = q^wt(h) per term.  Here wt(w) is
+    given by g w = q^wt(w) w g in the product table, and ``_Proofs.orbit``
+    checks P1, the Delta row of x^b y^c g^a is that of x^b y^c with both
+    legs moved by g^a and the same coefficients, and P2, wt(w) + wt(z) =
+    wt(x^b y^c) for every term w (x) z of Delta(x^b y^c), on the structure
+    table.  The cocycle lemma gives P3, (u g) w = q^wt(w) (u w) g for every
+    basis pair, so (u g^a) w = q^(a wt(w)) (u w) g^a: phi(u + g, w) =
+    phi(u, w) + phi(g, w), phi(g, w) = wt(w) and phi(., g) = 0.  A proved
+    run loads no ``lanes`` module; it costs the relation images, which the
     relations check reads back, P1, P2 and about p^4 / 2 term products.
-    If a premise fails, a route below runs as if no proof had been tried:
-    the lane sweep where *associative* holds, as at s = 0, where the image
-    Delta(y)^p = 0 fails, and the per-pair route where it fails.  The check
-    ignores ``seed``, ``sample_size`` and ``exhaustive``.
 
-    *The lane sweep* compares the structure table's packed coefficients,
-    exact by the ``hopf`` module docstring; the live product table is that
-    of a bilinear q-exponent phi (check_associativity), and the lanes check
-    all p monomials m2 = x^b2 y^c2 g^a2, a2 = 0..p-1, at once:
-
-    - *a2 does not enter the twist.*  The q-exponent phi(m, x^b y^c g^a)
-      does not depend on a, as phi reads no g-exponent of its right
-      argument.  So the terms of the p rows Delta(x^b2 y^c2 g^a2),
-      both legs moved by g^-a2, are grouped across rows; a group term
-      w (x) z meets a term u (x) v of Delta(m1) with the same q^e in every
-      row, read off the product-table rows of u and v, and its output
-      monomials differ from row to row only by g^a2 on both legs; so does
-      m1 m2.  No shape of Delta is assumed: a row with a wrong coefficient,
-      g-exponent or term lands in its own lane or group.
-    - *Lanes.*  A packed value holds p lanes of 2p digits; lane a2 of a
-      group term holds its coefficient in row a2.  One int product of a
-      q^e-rotated Delta(m1) coefficient with a group term is the p lane
-      products at once.  A lane sums products of the coefficients of
-      Delta(m1) with those of one row, at most R^2 per digit, and the
-      expected row adds at most R, so no digit carries into the next digit
-      or lane; the fold and the biased difference run on all lanes at once.
-    - *One group run per g-orbit of m1.*  With wt(w) given by g w = q^wt(w) w g
-      in the product table, ``_Proofs.orbit`` checks two premises on the
-      structure table: P1, the Delta row of x^b y^c g^a is that of x^b y^c
-      with both legs moved by g^a and the same coefficients; P2, wt(w) +
-      wt(z) = wt(x^b y^c) for every term w (x) z of Delta(x^b y^c).  The
-      cocycle lemma gives P3, (u g) w = q^wt(w) (u w) g for every basis
-      pair, so (u g^a) w = q^(a wt(w)) (u w) g^a: phi(u + g, w) = phi(u, w)
-      + phi(g, w), phi(g, w) = wt(w) and phi(., g) = 0.  *Lemma:* then at
-      m1 = h g^a1, h = x^b1 y^c1, Delta(m1) Delta(m2) and Delta(m1 m2) are
-      both q^(a1 wt(m2)) times their values at (h, m2) with both legs moved
-      by g^a1, so all m1 of an orbit fail in the same lanes.  If P1 or P2
-      fails, every m1 is its own orbit, and the sweep runs every group.
-
-    The expected side Delta(m1 m2) is read off the product table and the
-    lane groups, memoized per product monomial.  Both sides of eps(m1 m2) =
-    eps(m1) eps(m2) are read off ``counit_monomial``, one row over all m2 per
-    m1, with one object per value so that equal rows compare by identity.
-
-    The sweep takes the g-orbits of m1 in basis order.  At the first m1 of
-    an orbit, basis[first], it takes the p^2 groups (basis[first],
-    x^b2 y^c2): it reads a run of the law table back, vouches for a run
-    (below) with no kernel call, or builds ``_Lanes.left`` once and runs
-    it, keeping the accumulator of a run with a bad lane; it then yields
-    the violations of every m1 of the orbit in basis order, each rendered
-    as it is yielded, with no Tensor2 built: Delta(m1 m2) from its Delta
-    row at q^e1 for m1 m2 = q^e1 basis[t], and by the lemma, at basis[i1] =
-    basis[first] g^a1, Delta(m1) Delta(m2) as lane a2 of the run with both
-    legs moved by g^(a2 + a1), at q^(e12 + a1 wt(x^b2 y^c2)).  eps values
-    are compared by identity, as ``_Counit`` keeps one object per value.
-
-    *Vouching.*  The run (basis[first], x^b2 y^c2) has no bad lane, and
-    the sweep makes no kernel call for it, if basis[first] is 1 and
-    ``_Proofs.unit`` holds (the law at 1), or if all of these hold:
-
-    - ``generation()`` gives basis[first] = q^e t basis[j], and j is the
-      first m1 of its own g-orbit, so that its runs are made;
-    - the law table holds law(t, basis[j]);
-    - the run (basis[j], x^b2 y^c2) had no bad lane;
-    - for every a2, basis[j] x^b2 y^c2 g^a2 is 0 or q^e' basis[k] with
-      law(t, basis[k]) in the law table.
-
-    Then, with m2 = x^b2 y^c2 g^a2, in every lane,
-
-        Delta(t basis[j] m2) = Delta(t) Delta(basis[j] m2)             law(t, basis[k]), H associative
-                             = Delta(t) Delta(basis[j]) Delta(m2)      the run of basis[j], H (x) H associative
-                             = Delta(t basis[j]) Delta(m2)             law(t, basis[j])
-
-    where a zero product makes both sides 0.  At H(5, 0) the law table's
-    75 runs and 185 of the sweep's 625 are kernel calls; where it stops at
-    the cap, ``run_all`` calls the kernel 357 times at H(7, 0) and 462 at
-    H(11, 0).
-
-    *Each piece of work once.*  Every bad lane of a run is unpacked in one
-    pass, on the first violation that reads the run in its orbit, as a
-    sorted tuple of (key, packed value) with keys as in lane 0
-    (``_Lanes.unpacked``); equal tuples get one number.  A memo local to
-    the sweep maps (lane number, g-move (a2 + a1) mod p, q-exponent
-    (e12 + a1 wt(x^b2 y^c2)) mod p) to the rendered text, so each distinct
-    key is rendered once and equal texts share one str object.  The memo is
-    exact: ``StructureTable.render`` is a pure function of the packed sum it
-    is given and of its exponent mod p, the sorted tuple and the g-move fix
-    that sum (the tuple its values and unmoved keys, the move its keys),
-    and the key holds the exponent.  At s = 0 the 3 750 violations of
-    p = 5 take 620 renders.
-
-    The sweep is drawn from no more at the cap (see the module docstring),
-    so no run is unpacked nor lane rendered past it, and the report fails
-    with n^2 checked.
-
-    *The per-pair route*, where *associative* fails (a doctored product
-    table need not give u (w g^a2) off u w, nor P3), runs no lane.  Pair by
-    pair in basis order, Delta(m1 m2) is the Delta row of its product code
-    and Delta(m1) Delta(m2) a sum of term products, each leg product read off
-    the live table; they are compared, rendered and eps checked as in the
-    sweep, about 0.35 s at p = 5.
+    If a premise fails, ``lanes.bialgebra_sweep`` runs as if no proof had
+    been tried: the lane sweep where *associative* holds, as at s = 0, where
+    the image Delta(y)^p = 0 fails, and the per-pair route where it fails;
+    its docstring states their lemmas.  The check ignores ``seed``,
+    ``sample_size`` and ``exhaustive``.
     """
-    A = algebra
-    p = A.p
-    n = len(A.basis())
+    n = len(algebra.basis())
     rec = _Recorder("bialgebra")
-    proofs = _proofs or _Proofs(A)
+    proofs = _proofs or _Proofs(algebra)
 
-    table, structure = A.product_table(), A.structure_table()
+    def sweep():
+        from .lanes import bialgebra_sweep  # the failure path: a run whose proofs hold loads no lane code
 
-    def product_row(i1, i2):
-        """Delta(m1 m2) as a packed sum read off the product code, None for m1 m2 = 0."""
-        t, e1 = divmod(table[i1 * n + i2], p)  # m1 m2 = q^e1 basis[t], or 0 for t = -1
-        return _summed(structure.delta[t], n, e1) if t >= 0 else None
+        return bialgebra_sweep(algebra, proofs)
 
-    def lane_sweep():
-        lanes, laws, names, eps = proofs.lanes, proofs.laws or {}, structure.names, proofs.counit
-        moved, wt = lanes.moved, lanes.wt
-        numbers, texts = {}, {}  # unpacked lane -> its number; (number, g-move, q-exponent) -> its text
-        masks = {}  # first m1 of a g-orbit -> the bad lanes of each of its runs, by x^b2 y^c2
-        orbit = p if proofs.orbit else 1
-
-        def vouched(first):
-            """The x^b2 y^c2 whose run at basis[first] the vouching lemma passes with no kernel call."""
-            broken, steps = proofs.broken, proofs.generation
-            if broken is None:
-                return ()
-            if first == 0:  # basis[0] = 1: the law at 1, by unit and U, which associative holds
-                return range(p * p) if proofs.unit else ()
-            if first not in steps:
-                return ()
-            t, j, _ = steps[first]
-            delta_broken, healthy = broken[t][0], masks.get(j)  # j's runs, if j is the first m1 of its g-orbit
-            if healthy is None or j in delta_broken:
-                return ()
-            row = proofs.rows[j]
-            return {bc2 for bc2, bad in enumerate(healthy)
-                    if not bad and all(c < 0 or c // p not in delta_broken for c in row[bc2 * p:bc2 * p + p])}
-
-        for first in range(0, n, orbit):
-            skip, left = vouched(first), None
-            runs = []  # per x^b2 y^c2: (accumulator if a lane is bad, bad lanes, e12)
-            for bc2 in range(p * p):
-                if bc2 in skip:
-                    run = None, 0, 0
-                elif (run := laws.get((first, bc2))) is None:
-                    if left is None:
-                        left = lanes.left(first)
-                    acc, bad, e12 = lanes.run(first, bc2, left)
-                    run = acc if bad else None, bad, e12
-                runs.append(run)
-            masks[first] = [bad for _, bad, _ in runs]
-            lanes_of = {}  # bc2 -> {a2: (number, lane a2 of run bc2)}, unpacked on the run's first violation
-            for a1, i1 in enumerate(range(first, first + orbit)):  # basis[i1] = basis[first] g^a1
-                eps_lhs, eps_rhs = eps.lhs(i1), eps.rhs(i1)
-                eps_ok = eps_lhs == eps_rhs
-                delta_at, eps_at = f"Delta: m1={names[i1]}, m2=", f"epsilon: m1={names[i1]}, m2="
-                for bc2, (acc, bad, e12) in enumerate(runs):
-                    if eps_ok and not bad:
-                        continue
-                    e = (e12 + a1 * wt[bc2 * p]) % p
-                    for i2 in range(bc2 * p, bc2 * p + p):
-                        if bad >> i2 % p & 1:
-                            lhs = "0" if (row := product_row(i1, i2)) is None else structure.render(row)
-                            if (run_lanes := lanes_of.get(bc2)) is None:
-                                run_lanes = lanes_of[bc2] = {a2: (numbers.setdefault(unpacked, len(numbers)), unpacked)
-                                                             for a2, unpacked in lanes.unpacked(acc, bad).items()}
-                            lane = run_lanes[i2 % p]
-                            if (rhs := texts.get(key := (lane[0], (i2 + a1) % p, e))) is None:
-                                move = moved[key[1]]
-                                rhs = texts[key] = structure.render(
-                                    {move[k // n] * n + move[k % n]: w for k, w in lane[1]}, e)
-                            yield delta_at + names[i2], lhs, rhs
-                        if eps_lhs[i2] is not eps_rhs[i2]:
-                            yield eps_at + names[i2], eps_lhs[i2].render(), eps_rhs[i2].render()
-
-    def pairs():
-        names, eps = structure.names, proofs.counit
-        for i1 in range(n):
-            eps_lhs, eps_rhs = eps.lhs(i1), eps.rhs(i1)
-            for i2 in range(n):
-                if structure.differs(row := product_row(i1, i2) or {}, rhs := proofs.product(i1, i2)):
-                    yield f"Delta: m1={names[i1]}, m2={names[i2]}", structure.render(row), structure.render(rhs)
-                if eps_lhs[i2] is not eps_rhs[i2]:
-                    yield f"epsilon: m1={names[i1]}, m2={names[i2]}", eps_lhs[i2].render(), eps_rhs[i2].render()
-
-    sweep = lane_sweep if proofs.associative else pairs
     return _prove_or_sweep(rec, "exhaustive", n * n, lambda: proofs.multiplicative, sweep)
 
 
@@ -726,7 +564,8 @@ class _Proofs:
     called alone builds its own, and nothing is cached on the algebra; so
     are the tables they share, ``rows``, ``eps`` and ``images``, and the
     failure-path state ``lanes``, ``counit``, ``laws`` and ``broken``, which
-    only a refused proof builds.
+    only a refused proof builds, each off the ``lanes`` module, imported on
+    first use.
     """
 
     def __init__(self, algebra):
@@ -872,40 +711,15 @@ class _Proofs:
 
     @cached_property
     def laws(self):
-        """The law table: the run ``_Lanes.run(t, x^b y^c)`` of every generator t and every x^b y^c, made with no
-        early stop, as {(t, b p + c): (accumulator if a lane is bad, else None, bad lanes, e12)}.
+        from .lanes import law_table
 
-        Bit a of the bad lanes is set where Delta(t m) != Delta(t) Delta(m), m = x^b y^c g^a, so that law is one
-        bit.  The lanes read a product u (w g^a) off u w, which a bilinear table guarantees: the table is None
-        unless ``associative``.  Only a refused ``multiplicative`` reads it, through ``steps`` and the sweep.
-        """
-        if not self.associative:
-            return None
-        lanes, p, runs = self.lanes, self.algebra.p, {}
-        for t in self.algebra.generators:
-            left = lanes.left(t)
-            for bc in range(p * p):
-                acc, bad, e12 = lanes.run(t, bc, left)
-                runs[t, bc] = acc if bad else None, bad, e12
-        return runs
+        return law_table(self)
 
     @cached_property
     def broken(self):
-        """{t: (Delta, eps)} for t = 0 (the index of 1) and each generator: the indices i where Delta(t basis[i])
-        != Delta(t) Delta(basis[i]), read off ``laws``, and where eps(t basis[i]) != eps(t) eps(basis[i]).  At 1
-        both are empty if ``unit`` holds and every index if not.  None where ``laws`` is."""
-        if self.laws is None:
-            return None
-        A, eps = self.algebra, self.counit
-        p, n = A.p, len(A.basis())
-        everything = frozenset(range(n))
-        broken = {0: (frozenset(), frozenset()) if self.unit else (everything, everything)}
-        for t in A.generators:
-            lhs, rhs = eps.lhs(t), eps.rhs(t)
-            masks = [(bc, run[1]) for bc in range(p * p) if (run := self.laws[t, bc])[1]]
-            broken[t] = (frozenset(bc * p + a for bc, mask in masks for a in range(p) if mask >> a & 1),
-                         frozenset() if lhs == rhs else frozenset(i for i in range(n) if lhs[i] is not rhs[i]))
-        return broken
+        from .lanes import broken_laws
+
+        return broken_laws(self)
 
     @cached_property
     def steps(self):
@@ -964,37 +778,3 @@ def run_all(algebra, *, sample_size=DEFAULT_SAMPLE_SIZE, exhaustive=False, **_ig
         results.extend(check(algebra, sample_size=sample_size, exhaustive=exhaustive, _proofs=proofs).results)
     return AxiomReport(results)
 
-
-def negative_control_matches(report, p):
-    """True iff the failure pattern is exactly the predicted s = 0 breakdown.
-
-    At s = 0 the only broken relation image is Delta(y)^p != 0; the bialgebra
-    compatibility check necessarily fails with it, but only on pairs whose
-    y-exponents overflow (c1 + c2 >= p) while the x-exponents do not.  All
-    other axioms must pass, and the bialgebra check must report exactly
-    those pairs, in basis order, up to MAX_VIOLATIONS_RENDERED of them.
-    """
-    results = {r.axiom: r for r in report.results}
-    healthy = ("associativity", "coassociativity", "counit", "antipode")
-    if not all(a in results for a in (*healthy, "bialgebra", "relations")):
-        return False
-    if [v.at for v in results["relations"].violations] != [f"Delta: y^{p} = 0"]:
-        return False
-    if not all(results[a].passed for a in healthy):
-        return False
-    return [v.at for v in results["bialgebra"].violations] == _negative_control_sites(p)
-
-
-def _negative_control_sites(p):
-    """The ``at`` of the predicted s = 0 bialgebra violations, in basis order, up to MAX_VIOLATIONS_RENDERED: every
-    (m1, m2) with c1 + c2 >= p and b1 + b2 < p, read off the basis index (b p + c) p + a with no pair tested."""
-    names = [m.render() for m in basis_monomials(p)]
-    sites = (
-        f"Delta: m1={names[i1]}, m2={names[i2]}"
-        for i1 in range(p ** 3)
-        for b1, c1 in [divmod(i1 // p, p)]
-        for b2 in range(p - b1)
-        for c2 in range(p - c1, p)
-        for i2 in range((b2 * p + c2) * p, (b2 * p + c2 + 1) * p)
-    )
-    return list(islice(sites, MAX_VIOLATIONS_RENDERED))

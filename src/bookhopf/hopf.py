@@ -408,13 +408,18 @@ class BookAlgebra:
 
     def counit_packed(self):
         """eps of every basis monomial, packed like the structure table; a digit sum of at most R keeps every reader
-        within the width."""
+        within the width.  Each distinct value object is lifted and packed once: ``counit_monomial`` returns one of
+        two shared scalars."""
         table = self.structure_table()
         values = [self.counit_monomial(m) for m in self.basis()]
-        assert all(e.den == 1 for e in values), "eps is integral"
-        lifts = [lift(e.num + (0,)) for e in values]
-        assert max(map(sum, lifts)) <= table.root, "eps must stay within the table's width"
-        return [table.pack(d) for d in lifts]
+        packed = {}  # id of each distinct value -> its packed lift; ``values`` keeps every object alive
+        for e in values:
+            if id(e) not in packed:
+                assert e.den == 1, "eps is integral"
+                d = lift(e.num + (0,))
+                assert sum(d) <= table.root, "eps must stay within the table's width"
+                packed[id(e)] = table.pack(d)
+        return [packed[id(e)] for e in values]
 
     def _unit_row(self, memo, rows, mono):
         el = memo.get(mono)

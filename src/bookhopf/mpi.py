@@ -25,7 +25,7 @@ from itertools import chain
 from math import prod
 from typing import NamedTuple
 
-from .cyclotomic import Cyclotomic, cyc_one, cyc_zero, root_power
+from .cyclotomic import Cyclotomic, cyc_one, cyc_zero, is_odd_prime, root_power
 from .pbw import Element, Monomial, Tensor2
 
 
@@ -376,8 +376,10 @@ class Classification(NamedTuple("Classification", [("p", int), ("s", int), ("pai
 
     @classmethod
     def from_dict(cls, payload):
-        p = payload["p"]
-        out = cls(p, payload["s"], [PairReport.from_dict(p, row) for row in payload["pairs"]])
+        p, s = payload["p"], payload["s"]  # a str or a bool is neither, and 7 is no s of H(3, s)
+        if not (type(p) is type(s) is int and is_odd_prime(p) and 0 <= s < p):
+            raise ValueError(f"(p={p!r}, s={s!r}) needs an odd prime p and an int s in range(p)")
+        out = cls(p, s, [PairReport.from_dict(p, row) for row in payload["pairs"]])
         if out.mpi != tuple((row["i"], row["j"]) for row in payload["mpi"]):
             raise ValueError("mpi subset inconsistent with pair flags")
         if out.implements != tuple((row["i"], row["j"]) for row in payload["implements"]):

@@ -64,8 +64,8 @@ MUTANTS = [
     Mutant("associativity row sweep drawn whole", "axioms.py",
            "lambda: proofs.associative, sweep)", "lambda: proofs.associative, lambda: iter(list(sweep())))",
            (AXIOMS + "test_associativity_renders_nothing_past_the_cap",)),
-    Mutant("bialgebra sweep drawn whole", "axioms.py",
-           "lambda: proofs.multiplicative, sweep)", "lambda: proofs.multiplicative, lambda: iter(list(sweep())))",
+    Mutant("bialgebra sweep drawn whole", "lanes.py",
+           "    return sweep()\n", "    return iter(list(sweep()))\n",
            (AXIOMS + "test_bialgebra_renders_nothing_past_the_cap",
             AXIOMS + "test_run_all_computes_each_verdict_once[7-0]")),
     # the proofs by generators
@@ -77,23 +77,23 @@ MUTANTS = [
            "table[y * n + x]", "table[x * n + y]",
            (AXIOMS + "test_a_proved_default_run_makes_no_draw",
             AXIOMS + "test_associativity_proof_holds_on_the_live_tables[5]")),
-    Mutant("sweep runs the law table's runs again", "axioms.py",
+    Mutant("sweep runs the law table's runs again", "lanes.py",
            "elif (run := laws.get((first, bc2))) is None:", "elif (run := None) is None:",
            (AXIOMS + "test_run_all_computes_each_verdict_once[5-0]",)),
     # the law table: the sweep's vouching lemma and the step premises of the per-monomial proofs
-    Mutant("vouch without law(t, basis[j])", "axioms.py",
+    Mutant("vouch without law(t, basis[j])", "lanes.py",
            "if healthy is None or j in delta_broken:", "if healthy is None:",
            (AXIOMS + "test_on_doctored_tables_the_vouched_sweep_and_step_premises_equal_the_full_routes[orbit digit]",
             AXIOMS + "test_on_doctored_tables_the_vouched_sweep_and_step_premises_equal_the_full_routes[orbit digit at 5]")),
-    Mutant("vouch without the run of basis[j]", "axioms.py",
+    Mutant("vouch without the run of basis[j]", "lanes.py",
            "if not bad and all(c < 0", "if all(c < 0",
            (AXIOMS + "test_at_s0_the_vouched_sweep_and_step_premises_equal_the_full_routes[5]",
             AXIOMS + "test_negative_control_fails_exactly_as_predicted[5]")),
-    Mutant("vouch without law(t, basis[k])", "axioms.py",
+    Mutant("vouch without law(t, basis[k])", "lanes.py",
            "if not bad and all(c < 0 or c // p not in delta_broken for c in row[bc2 * p:bc2 * p + p])}", "if not bad}",
            (AXIOMS + "test_at_s0_the_vouched_sweep_and_step_premises_equal_the_full_routes[5]",
             AXIOMS + "test_negative_control_fails_exactly_as_predicted[5]")),
-    Mutant("vouch for 1 without the unit law", "axioms.py",
+    Mutant("vouch for 1 without the unit law", "lanes.py",
            "return range(p * p) if proofs.unit else ()", "return range(p * p)",
            (AXIOMS + "test_each_base_case_is_a_premise[Delta(1) = 2]",)),
     Mutant("steps without its leg pairs", "axioms.py",
@@ -101,7 +101,7 @@ MUTANTS = [
            (AXIOMS + "test_the_leg_premises_refuse_a_sign_twist",
             AXIOMS + "test_on_doctored_tables_the_vouched_sweep_and_step_premises_equal_the_full_routes[sign]")),
     # every lane run rests on *associative*: where it fails the per-pair route runs
-    Mutant("the sweep chosen whatever associative says", "axioms.py",
+    Mutant("the sweep chosen whatever associative says", "lanes.py",
            "sweep = lane_sweep if proofs.associative else pairs", "sweep = lane_sweep",
            (AXIOMS + "test_a_table_that_breaks_associative_gets_the_live_table_reference_with_no_lane_run[q-exponent]",
             AXIOMS + "test_a_table_that_breaks_associative_gets_the_live_table_reference_with_no_lane_run[U]")),
@@ -142,19 +142,19 @@ MUTANTS = [
            (AXIOMS + "test_one_run_per_g_orbit_equals_the_full_sweep_on_the_live_tables[3-1]",
             AXIOMS + "test_exhaustive_bialgebra_runs_every_lane_group_once")),
     # the rendering of the bialgebra sweep, one memoized text per (lane, g-move, q-exponent)
-    Mutant("render without a1 in the g-move", "axioms.py",
+    Mutant("render without a1 in the g-move", "lanes.py",
            "key := (lane[0], (i2 + a1) % p, e)", "key := (lane[0], i2 % p, e)",
            (AXIOMS + "test_each_delta_violation_renders_as_m1s_own_group_run[p5]",
             AXIOMS + "test_bialgebra_renders_nothing_past_the_cap")),
-    Mutant("render without the orbit's q-weight", "axioms.py",
+    Mutant("render without the orbit's q-weight", "lanes.py",
            "e = (e12 + a1 * wt[bc2 * p]) % p", "e = e12 % p",
            (AXIOMS + "test_each_delta_violation_renders_as_m1s_own_group_run[p5]",
             AXIOMS + "test_each_delta_violation_renders_as_m1s_own_group_run[p7-s3-orbit-digit]")),
-    Mutant("text memo key without its q-exponent", "axioms.py",
+    Mutant("text memo key without its q-exponent", "lanes.py",
            "key := (lane[0], (i2 + a1) % p, e)", "key := (lane[0], (i2 + a1) % p)",
            (AXIOMS + "test_each_delta_violation_renders_as_m1s_own_group_run[p5]",
             AXIOMS + "test_each_delta_violation_renders_as_m1s_own_group_run[p7-s3-orbit-digit]")),
-    Mutant("text memo key without its g-move", "axioms.py",
+    Mutant("text memo key without its g-move", "lanes.py",
            "texts.get(key := (lane[0], (i2 + a1) % p, e))) is None:\n"
            "                                move = moved[key[1]]",
            "texts.get(key := (lane[0], e))) is None:\n"
@@ -169,7 +169,7 @@ MUTANTS = [
     Mutant("a bool s accepted", "hopf.py",
            "if isinstance(s, bool) or not isinstance(s, int)", "if not isinstance(s, int)",
            (HOPF + "test_construct_rejects_a_bool",)),
-    # the int paths of Cyclotomic, which import no fractions, and the console entry's collector
+    # the int paths of Cyclotomic, which import no fractions, and the console entry's collector and frozen heap
     Mutant("int == without its test of the irrational part", "cyclotomic.py",
            "return self.den == 1 and self.num[0] == other and not any(self.num[1:])",
            "return self.den == 1 and self.num[0] == other",
@@ -185,7 +185,10 @@ MUTANTS = [
            "if isinstance(other, int) or _is_fraction(other):", "if isinstance(other, int):",
            (CYCLOTOMIC + "test_arithmetic_coerces_ints_and_fractions", INT_PATHS)),
     Mutant("the console entry leaves the collector on", "cli.py",
-           "    gc.disable()\n    sys.exit(main())", "    sys.exit(main())",
+           "    gc.disable()\n", "",
+           (CLI + "test_the_console_entry_runs_with_the_collector_off",)),
+    Mutant("the console entry skips the freeze", "cli.py",
+           "    gc.freeze()\n", "",
            (CLI + "test_the_console_entry_runs_with_the_collector_off",)),
 ]
 
@@ -194,7 +197,7 @@ EQUIVALENT = [
             "None if self.generation is None or min(codes) < 0 else", "None if min(codes) < 0 else", ()),
      "a table equal to bilinear_rows at any (alpha, beta, gamma) satisfies premises U and F, so generation() holds "
      "wherever the row compare does"),
-    (Mutant("bialgebra sweep without its skip of a clean run", "axioms.py",
+    (Mutant("bialgebra sweep without its skip of a clean run", "lanes.py",
             "                    if eps_ok and not bad:\n                        continue\n", "", ()),
      "a run with no bad lane reaches no Delta violation, and where the eps rows are equal every pair of entries is "
      "one object, as _Counit keeps one object per value, so the loop it skips yields nothing"),

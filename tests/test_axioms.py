@@ -36,7 +36,7 @@ from bookhopf import (
 )
 from bookhopf import axioms
 from bookhopf.axioms import MAX_VIOLATIONS_RENDERED, _Proofs
-from bookhopf.lanes import _Counit, _Lanes
+from bookhopf.lanes import _Counit, _Lanes, _negative_control_sites
 from bookhopf.hopf import StructureTable
 from bookhopf.pbw import ONE, accumulate, basis_monomials
 from bookhopf.hopf import bilinear_rows
@@ -218,6 +218,32 @@ def test_axiom_result_from_dict_rejects_an_elapsed_ms_that_is_no_number(elapsed_
     assert AxiomResult.from_dict({**payload, "elapsed_ms": 0}).passed
     with pytest.raises(ValueError, match="elapsed_ms a number"):
         AxiomResult.from_dict({**payload, "elapsed_ms": elapsed_ms})
+
+
+@pytest.mark.parametrize("axiom", [3, None, True, b"counit", ["counit"]])
+def test_axiom_result_from_dict_rejects_an_axiom_that_is_no_str(axiom):
+    payload = check_counit_law(BookAlgebra(3, 1)).result("counit").to_dict()
+    with pytest.raises(ValueError, match="axiom must be a str"):
+        AxiomResult.from_dict({**payload, "axiom": axiom})
+
+
+@pytest.mark.parametrize("field,value", [("at", 5), ("lhs", None), ("rhs", b"0"), ("at", ["m=x"]), ("lhs", 0)])
+def test_axiom_result_from_dict_rejects_a_violation_whose_text_is_no_str(field, value):
+    payload = run_all(BookAlgebra(3, 0, permissive=True)).result("bialgebra").to_dict()
+    assert AxiomResult.from_dict(payload).violations
+    payload["violations"][0] = {**payload["violations"][0], field: value}
+    with pytest.raises(ValueError, match="violations must be a list of dicts whose at, lhs and rhs are strs"):
+        AxiomResult.from_dict(payload)
+
+
+@pytest.mark.parametrize("violations", [
+    "", "[]", None, {}, ({"at": "m=x", "lhs": "0", "rhs": "x"},), [["m=x", "0", "x"]], [{"at": "m=x", "lhs": "0"}],
+], ids=["empty-str", "str", "None", "dict", "tuple", "list-of-lists", "missing-rhs"])
+def test_axiom_result_from_dict_rejects_violations_that_are_no_list_of_dicts(violations):
+    """An empty str would read as no violation, and a str or a list of lists raised TypeError."""
+    payload = check_counit_law(BookAlgebra(3, 1)).result("counit").to_dict()
+    with pytest.raises(ValueError, match="violations must be a list of dicts"):
+        AxiomResult.from_dict({**payload, "violations": violations})
 
 
 @pytest.mark.parametrize("axiom", ["associativity", "bialgebra"])
@@ -1058,7 +1084,7 @@ def test_the_per_pair_route_forced_on_the_s0_control_equals_the_lane_sweep(p):
         patch.setattr(_Proofs, "associative", False)
         calls = counted_calls(patch, (_Lanes, "run"), (_Lanes, "__init__"))
         assert bialgebra_outcome(A) == swept_by_lanes and not calls
-    assert len(swept_by_lanes[0]) == len(axioms._negative_control_sites(p))  # capped at p = 7
+    assert len(swept_by_lanes[0]) == len(_negative_control_sites(p))  # capped at p = 7
 
 
 @pytest.mark.parametrize("case", ["Delta(1) = 0", "eps = 0", "Delta(1) = 2"])
@@ -1741,7 +1767,7 @@ def test_negative_control_sites_equal_the_pair_predicate(p):
         f"Delta: m1={m1.render()}, m2={m2.render()}"
         for m1 in basis for m2 in basis if m1.c + m2.c >= p and m1.b + m2.b < p
     )
-    assert axioms._negative_control_sites(p) == list(itertools.islice(predicted, MAX_VIOLATIONS_RENDERED))
+    assert _negative_control_sites(p) == list(itertools.islice(predicted, MAX_VIOLATIONS_RENDERED))
 
 
 def test_violation_payload_shape():

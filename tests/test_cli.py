@@ -357,26 +357,30 @@ def test_console_entry_point():
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
 def test_main_leaves_the_collector_as_it_finds_it(enabled):
-    was = gc.isenabled()
+    """On or off, and with the heap unfrozen: only the console entry freezes, at exit."""
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
     (gc.enable if enabled else gc.disable)()
     try:
         assert run_cli(["table", "--p", "3"])[0] == 0
-        assert gc.isenabled() is enabled
+        assert gc.isenabled() is enabled and gc.get_freeze_count() == frozen
     finally:
         (gc.enable if was else gc.disable)()
 
 
 def test_the_console_entry_runs_with_the_collector_off():
+    """The collector is off, and the heap that ``main`` leaves is frozen before the exit, out of the reach of the
+    interpreter's shutdown collections."""
     code = """
 import gc, runpy, sys
 sys.argv = ["bookhopf", "table", "--p", "3"]
 try:
     runpy.run_module("bookhopf.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
-    print("exit", exc.code, "collector", "on" if gc.isenabled() else "off", file=sys.stderr)
+    print("exit", exc.code, "collector", "on" if gc.isenabled() else "off", "frozen", gc.get_freeze_count() > 0,
+          file=sys.stderr)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.stderr.splitlines()[-1] == "exit 0 collector off"
+    assert proc.stderr.splitlines()[-1] == "exit 0 collector off frozen True"
 
 
 @pytest.mark.parametrize("argv", [

@@ -448,6 +448,22 @@ def test_classification_from_dict_rejects_inconsistent_subsets():
         Classification.from_dict(payload)
 
 
+@pytest.mark.parametrize("s", ["1", 7, 3, -1, True, 1.0, None])
+def test_classification_from_dict_rejects_an_s_that_is_no_index(s):
+    payload = classify(BookAlgebra(3, 1)).to_dict()
+    assert Classification.from_dict(payload).s == 1
+    with pytest.raises(ValueError, match=r"an int s in range\(p\)"):
+        Classification.from_dict({**payload, "s": s})
+
+
+@pytest.mark.parametrize("p", ["3", 3.0, True, None, 1, 2, 9])
+def test_classification_from_dict_rejects_a_p_that_is_no_odd_prime(p):
+    """A str p raised TypeError from the pair rows, and 9 is no p of H(p, s)."""
+    payload = classify(BookAlgebra(3, 1)).to_dict()
+    with pytest.raises(ValueError, match="needs an odd prime p"):
+        Classification.from_dict({**payload, "p": p})
+
+
 @pytest.mark.parametrize("row", [0, 3])  # (i=0, j=0) is stable, (i=1, j=0) is the MPI
 def test_pair_report_from_dict_rejects_a_flipped_stable_flag(row):
     payload = classify(BookAlgebra(3, 1)).to_dict()["pairs"][row]
