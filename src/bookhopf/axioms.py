@@ -46,13 +46,13 @@ the bialgebra law (*multiplicative*), coassociativity and the counit law
 (*steps* and the law at 1, g, x and y) and the antipode law (*steps*,
 *anti-multiplicative* and the law at 1, g, x and y).  Where
 *multiplicative* holds, so does *steps*, with no further work.  At s = 0
-it fails at the relation image Delta(y)^p = 0, and the *law table* decides
-*steps*: the 3 p^2 lane runs of t in {g, x, y} against every x^b y^c,
-where the law Delta(t m) = Delta(t) Delta(m) at a pair (t, m) is one bit.
-*steps* holds there, so only the bialgebra law is swept, and the sweep
-reads the law table back.  The ``lanes`` module holds that whole failure
-path, the law table, the sweep and its lane kernel, and a run whose
-proofs hold does not load it.  One protocol, ``_prove_or_sweep``,
+it fails at the relation image Delta(y)^p = 0, and ``_Proofs.broken``
+decides *steps* off the run memo of ``lanes._Lanes``: the 3 p^2 lane runs
+of t in {g, x, y} against every x^b y^c, where the law Delta(t m) =
+Delta(t) Delta(m) at a pair (t, m) is one bit.  *steps* holds there, so
+only the bialgebra law is swept, and the sweep reads every run off that
+memo too.  The ``lanes`` module holds that whole failure path, and a run
+whose proofs hold does not load it.  One protocol, ``_prove_or_sweep``,
 runs them all: a proved run reports its mode and ``checked``, with no
 violation; if a premise fails, the sweep runs as if no proof had been
 tried.  ``run_all`` passes one ``_Proofs`` to every check, and a check
@@ -140,8 +140,9 @@ class AxiomResult(NamedTuple):
         if type(axiom) is not str:
             raise ValueError(f"axiom must be a str, got {axiom!r}")
         checked, mode, elapsed_ms = d["checked"], d["mode"], d["elapsed_ms"]  # a bool is an int, a str no count
-        if type(checked) is not int or checked < 0 or type(mode) is not str or type(elapsed_ms) not in (int, float):
-            raise ValueError(f"{axiom}: checked must be an int >= 0, mode a str and elapsed_ms a number, got "
+        if type(checked) is not int or checked < 0 or type(mode) is not str or not (
+                type(elapsed_ms) in (int, float) and 0 <= elapsed_ms < float("inf")):  # NaN is not >= 0
+            raise ValueError(f"{axiom}: checked must be an int >= 0, mode a str and elapsed_ms a number >= 0, got "
                              f"{checked!r}, {mode!r} and {elapsed_ms!r}")
         if type(found) is not list or not all(
                 type(v) is dict and all(type(v.get(k)) is str for k in ("at", "lhs", "rhs")) for v in found):
@@ -221,8 +222,10 @@ def _plan(domain, sample_size, exhaustive):
     (f"sampled(n={sample_size})", sample_size) past TRIPLE_EXHAUSTIVE_LIMIT triples for a sample size below the
     domain, unless ``exhaustive``.
 
-    Raises ValueError for a sample size below 1, which would check nothing.
+    Raises ValueError for a sample size that is not an int (a bool included) or below 1, which would check nothing.
     """
+    if type(sample_size) is not int:  # 2.5 or True would label a pass with no count, "5" would not compare
+        raise ValueError(f"sample size must be an int, got {sample_size!r}")
     if sample_size < 1:
         raise ValueError(f"sample size must be at least 1, got {sample_size}")
     if exhaustive or domain <= TRIPLE_EXHAUSTIVE_LIMIT or sample_size >= domain:
@@ -563,9 +566,10 @@ class _Proofs:
     ``run_all`` builds one object and passes it to every check, a check
     called alone builds its own, and nothing is cached on the algebra; so
     are the tables they share, ``rows``, ``eps`` and ``images``, and the
-    failure-path state ``lanes``, ``counit``, ``laws`` and ``broken``, which
-    only a refused proof builds, each off the ``lanes`` module, imported on
-    first use.
+    failure-path state ``lanes`` (with its memo of lane runs), ``counit``
+    and ``broken``, which only a refused proof builds, each off the
+    ``lanes`` module, imported on first use.  ``broken`` set to None
+    refuses both *steps* and the sweep's vouching lemma.
     """
 
     def __init__(self, algebra):
@@ -710,12 +714,6 @@ class _Proofs:
         return out
 
     @cached_property
-    def laws(self):
-        from .lanes import law_table
-
-        return law_table(self)
-
-    @cached_property
     def broken(self):
         from .lanes import broken_laws
 
@@ -723,10 +721,11 @@ class _Proofs:
 
     @cached_property
     def steps(self):
-        """The premise of every per-monomial step: the Delta and eps laws, read off ``broken``, at every step pair
-        (t, basis[j]) of ``generation()`` and at the pairs of left legs and of right legs of Delta(t) and
-        Delta(basis[j]), which Delta(t) Delta(basis[j]) multiplies; a leg of Delta(t) other than 1 or a generator,
-        where ``broken`` holds no law, refuses it.  It holds with no further work where ``multiplicative`` does."""
+        """The premise of every per-monomial step: the Delta and eps laws, read off ``broken`` (the runs of g, x and y
+        in the run memo, and the eps rows), at every step pair (t, basis[j]) of ``generation()`` and at the pairs of
+        left legs and of right legs of Delta(t) and Delta(basis[j]), which Delta(t) Delta(basis[j]) multiplies; a leg
+        of Delta(t) other than 1 or a generator, where ``broken`` holds no law, refuses it.  It holds with no further
+        work where ``multiplicative`` does."""
         if self.multiplicative or self.broken is None:
             return self.multiplicative
         broken, delta = self.broken, self.algebra.structure_table().delta

@@ -20,14 +20,14 @@ that shutdown does not walk it (see ``entry``).
 associativity run reports, and ``--seed`` reaches nothing; associativity
 is proved on every H(p, s) the CLI builds.  Where
 the bialgebra proof fails, as at s = 0, its check takes the p^2 lane groups
-of one m1 per g-orbit, reading back or vouching for those that the law
-table of its sweep settles, and yields the violations of the whole orbit from
-those runs; coassociativity, the counit law and the antipode law stay
-proved there on their step premise.  Every report takes the first
+of one m1 per g-orbit off one memo of lane runs, each made at most once or
+vouched for, and yields the violations of the whole orbit from those runs;
+coassociativity, the counit law and the antipode law stay proved there on
+their step premise.  Every report takes the first
 MAX_VIOLATIONS_RENDERED = 10 000 violations of its sweep with one
 ``islice``, and the sweep, drawn from no more, stops there: past that
 nothing can change the report.  At s = 0 and p = 11 that is 462 lane
-kernel runs in all, 363 of them the law table's, of the 14 641 groups.
+kernel runs in all, 363 of them those of g, x and y, of the 14 641 groups.
 Exit codes: 0 = all checks pass / classification consistent, 1 = an axiom
 violation or a brute-force/closed-form disagreement, 2 = usage error.  The
 text and JSON renderings of a run carry the same data: each subcommand

@@ -3,11 +3,10 @@
 Where ``axioms.check_bialgebra_compat`` cannot prove Delta and eps
 multiplicative, as at s = 0 or on a doctored table, it runs
 ``bialgebra_sweep``: the lane sweep with its vouching lemma, or the
-per-pair route.  Here too are the law table (``law_table`` and
-``broken_laws``, which the ``_Proofs`` properties ``laws`` and ``broken``
-import on first use), the lane kernel ``_Lanes``, the eps rows ``_Counit``
-and ``negative_control_matches``, which ``verify`` runs at s = 0 alone.  A
-process compiles this code only where it runs it.
+per-pair route.  Here too are ``broken_laws``, which ``_Proofs.broken``
+imports on first use, the lane kernel ``_Lanes`` and its memo of lane runs,
+the eps rows ``_Counit`` and ``negative_control_matches``, which ``verify``
+runs at s = 0 alone.  A process compiles this code only where it runs it.
 """
 
 from itertools import islice
@@ -56,27 +55,28 @@ def bialgebra_sweep(algebra, proofs):
     m1, with one object per value so that equal rows compare by identity.
 
     The sweep takes the g-orbits of m1 in basis order.  At the first m1 of
-    an orbit, basis[first], it takes the p^2 groups (basis[first],
-    x^b2 y^c2): it reads a run of the law table back, vouches for a run
-    (below) with no kernel call, or builds ``_Lanes.left`` once and runs
-    it, keeping the accumulator of a run with a bad lane; it then yields
-    the violations of every m1 of the orbit in basis order, each rendered
-    as it is yielded, with no Tensor2 built: Delta(m1 m2) from its Delta
-    row at q^e1 for m1 m2 = q^e1 basis[t], and by the lemma, at basis[i1] =
-    basis[first] g^a1, Delta(m1) Delta(m2) as lane a2 of the run with both
-    legs moved by g^(a2 + a1), at q^(e12 + a1 wt(x^b2 y^c2)).  eps values
-    are compared by identity, as ``_Counit`` keeps one object per value.
+    an orbit, basis[first], it reads the p^2 runs (basis[first], x^b2 y^c2)
+    off the run memo of ``_Lanes``: it records there each run it vouches for
+    (below), with no kernel call, and ``_Lanes.made`` makes each run not yet
+    made.  It then yields the violations of every m1 of the orbit in basis
+    order, each rendered as it is yielded, with no Tensor2 built:
+    Delta(m1 m2) from its Delta row at q^e1 for m1 m2 = q^e1 basis[t], and
+    by the lemma, at basis[i1] = basis[first] g^a1, Delta(m1) Delta(m2) as
+    lane a2 of the run with both legs moved by g^(a2 + a1), at
+    q^(e12 + a1 wt(x^b2 y^c2)).  eps values are compared by identity, as
+    ``_Counit`` keeps one object per value.  Last, it drops the accumulators
+    of the orbit's runs from the memo.
 
     *Vouching.*  The run (basis[first], x^b2 y^c2) has no bad lane, and
     the sweep makes no kernel call for it, if basis[first] is 1 and
     ``_Proofs.unit`` holds (the law at 1), or if all of these hold:
 
-    - ``generation()`` gives basis[first] = q^e t basis[j], and j is the
-      first m1 of its own g-orbit, so that its runs are made;
-    - the law table holds law(t, basis[j]);
+    - ``generation()`` gives basis[first] = q^e t basis[j], and the memo
+      holds the runs of basis[j], the first m1 of a g-orbit swept before;
+    - ``_Proofs.broken`` holds law(t, basis[j]);
     - the run (basis[j], x^b2 y^c2) had no bad lane;
     - for every a2, basis[j] x^b2 y^c2 g^a2 is 0 or q^e' basis[k] with
-      law(t, basis[k]) in the law table.
+      law(t, basis[k]) in ``_Proofs.broken``.
 
     Then, with m2 = x^b2 y^c2 g^a2, in every lane,
 
@@ -84,8 +84,8 @@ def bialgebra_sweep(algebra, proofs):
                              = Delta(t) Delta(basis[j]) Delta(m2)      the run of basis[j], H (x) H associative
                              = Delta(t basis[j]) Delta(m2)             law(t, basis[j])
 
-    where a zero product makes both sides 0.  At H(5, 0) the law table's
-    75 runs and 185 of the sweep's 625 are kernel calls; where it stops at
+    where a zero product makes both sides 0.  At H(5, 0) ``broken_laws``
+    makes 75 runs and the sweep 185 of the 625 it reads; where it stops at
     the cap, ``run_all`` calls the kernel 357 times at H(7, 0) and 462 at
     H(11, 0).
 
@@ -125,42 +125,29 @@ def bialgebra_sweep(algebra, proofs):
         return _summed(structure.delta[t], n, e1) if t >= 0 else None
 
     def lane_sweep():
-        lanes, laws, names, eps = proofs.lanes, proofs.laws or {}, structure.names, proofs.counit
-        moved, wt = lanes.moved, lanes.wt
+        lanes, names, eps = proofs.lanes, structure.names, proofs.counit
+        moved, wt, memo = lanes.moved, lanes.wt, lanes.runs
         numbers, texts = {}, {}  # unpacked lane -> its number; (number, g-move, q-exponent) -> its text
-        masks = {}  # first m1 of a g-orbit -> the bad lanes of each of its runs, by x^b2 y^c2
         orbit = p if proofs.orbit else 1
 
         def vouched(first):
             """The x^b2 y^c2 whose run at basis[first] the vouching lemma passes with no kernel call."""
             broken, steps = proofs.broken, proofs.generation
-            if broken is None:
+            if broken is None or first and first not in steps:
                 return ()
             if first == 0:  # basis[0] = 1: the law at 1, by unit and U, which associative holds
                 return range(p * p) if proofs.unit else ()
-            if first not in steps:
-                return ()
             t, j, _ = steps[first]
-            delta_broken, healthy = broken[t][0], masks.get(j)  # j's runs, if j is the first m1 of its g-orbit
-            if healthy is None or j in delta_broken:
+            delta_broken = broken[t][0]
+            if (j, 0) not in memo or j in delta_broken:  # j's runs are in the memo once its g-orbit is swept
                 return ()
-            row = proofs.rows[j]
-            return {bc2 for bc2, bad in enumerate(healthy)
-                    if not bad and all(c < 0 or c // p not in delta_broken for c in row[bc2 * p:bc2 * p + p])}
+            return [bc2 for bc2 in range(p * p) if not memo[j, bc2][1]
+                    and all(c < 0 or c // p not in delta_broken for c in proofs.rows[j][bc2 * p:bc2 * p + p])]
 
         for first in range(0, n, orbit):
-            skip, left = vouched(first), None
-            runs = []  # per x^b2 y^c2: (accumulator if a lane is bad, bad lanes, e12)
-            for bc2 in range(p * p):
-                if bc2 in skip:
-                    run = None, 0, 0
-                elif (run := laws.get((first, bc2))) is None:
-                    if left is None:
-                        left = lanes.left(first)
-                    acc, bad, e12 = lanes.run(first, bc2, left)
-                    run = acc if bad else None, bad, e12
-                runs.append(run)
-            masks[first] = [bad for _, bad, _ in runs]
+            for bc2 in vouched(first):
+                memo[first, bc2] = None, 0, 0
+            runs = [lanes.made(first, bc2) for bc2 in range(p * p)]  # per x^b2 y^c2
             lanes_of = {}  # bc2 -> {a2: (number, lane a2 of run bc2)}, unpacked on the run's first violation
             for a1, i1 in enumerate(range(first, first + orbit)):  # basis[i1] = basis[first] g^a1
                 eps_lhs, eps_rhs = eps.lhs(i1), eps.rhs(i1)
@@ -184,6 +171,7 @@ def bialgebra_sweep(algebra, proofs):
                             yield delta_at + names[i2], lhs, rhs
                         if eps_lhs[i2] is not eps_rhs[i2]:
                             yield eps_at + names[i2], eps_lhs[i2].render(), eps_rhs[i2].render()
+            memo.update(((first, bc2), (None, bad, e12)) for bc2, (acc, bad, e12) in enumerate(runs) if acc is not None)
 
     def pairs():
         names, eps = structure.names, proofs.counit
@@ -199,39 +187,21 @@ def bialgebra_sweep(algebra, proofs):
     return sweep()
 
 
-def law_table(proofs):
-    """``_Proofs.laws``, the law table: the run ``_Lanes.run(t, x^b y^c)`` of every generator t and every x^b y^c,
-    made with no early stop, as {(t, b p + c): (accumulator if a lane is bad, else None, bad lanes, e12)}.
-
-    Bit a of the bad lanes is set where Delta(t m) != Delta(t) Delta(m), m = x^b y^c g^a, so that law is one
-    bit.  The lanes read a product u (w g^a) off u w, which a bilinear table guarantees: the table is None
-    unless ``associative``.  Only a refused ``multiplicative`` reads it, through ``steps`` and the sweep.
-    """
-    if not proofs.associative:
-        return None
-    lanes, p, runs = proofs.lanes, proofs.algebra.p, {}
-    for t in proofs.algebra.generators:
-        left = lanes.left(t)
-        for bc in range(p * p):
-            acc, bad, e12 = lanes.run(t, bc, left)
-            runs[t, bc] = acc if bad else None, bad, e12
-    return runs
-
-
 def broken_laws(proofs):
     """``_Proofs.broken``, {t: (Delta, eps)} for t = 0 (the index of 1) and each generator: the indices i where
-    Delta(t basis[i]) != Delta(t) Delta(basis[i]), read off ``laws``, and where eps(t basis[i]) != eps(t)
-    eps(basis[i]).  At 1 both are empty if ``unit`` holds and every index if not.  None where ``laws`` is."""
-    if proofs.laws is None:
+    Delta(t basis[i]) != Delta(t) Delta(basis[i]), bit a of the bad lanes of run (t, x^b y^c) for i the index of
+    x^b y^c g^a, and where eps(t basis[i]) != eps(t) eps(basis[i]).  At 1 both are empty if ``unit`` holds and every
+    index if not.  The 3 p^2 runs are made here, into the run memo, and only a refused ``multiplicative`` reads this,
+    through ``steps`` and the sweep.  None unless ``associative``, on which every lane run rests."""
+    if not proofs.associative:
         return None
-    A, eps = proofs.algebra, proofs.counit
+    A, eps, lanes = proofs.algebra, proofs.counit, proofs.lanes
     p, n = A.p, len(A.basis())
-    everything = frozenset(range(n))
-    broken = {0: (frozenset(), frozenset()) if proofs.unit else (everything, everything)}
+    broken = {0: (frozenset(),) * 2 if proofs.unit else (frozenset(range(n)),) * 2}
     for t in A.generators:
         lhs, rhs = eps.lhs(t), eps.rhs(t)
-        masks = [(bc, run[1]) for bc in range(p * p) if (run := proofs.laws[t, bc])[1]]
-        broken[t] = (frozenset(bc * p + a for bc, mask in masks for a in range(p) if mask >> a & 1),
+        bad = [lanes.made(t, bc)[1] for bc in range(p * p)]
+        broken[t] = (frozenset(i for i in range(n) if bad[i // p] >> i % p & 1),
                      frozenset() if lhs == rhs else frozenset(i for i in range(n) if lhs[i] is not rhs[i]))
     return broken
 
@@ -244,8 +214,9 @@ class _Lanes:
     basis[t_u] (x) basis[t_v] in lane 0; in lane a2 both legs carry g^a2 more.
     Every run rests on ``_Proofs.associative``, which gives u (w g^a2) off
     u w and P3.  ``products[t]`` is row t of the product table, decoded on
-    its first read by ``_Proofs.rows``: the law table reads only those of
-    1, g, g^s, x and y.
+    its first read by ``_Proofs.rows``: ``broken_laws`` reads only those of
+    1, g, g^s, x and y.  ``made`` makes each run into the run memo ``runs``
+    at most once, and the sweep records its vouched runs there.
     """
 
     def __init__(self, algebra, proofs):
@@ -262,6 +233,8 @@ class _Lanes:
         self.moved, self.wt, self.products = proofs.moved, proofs.wt, proofs.rows
         self.groups = [self._group(bc) for bc in range(p * p)]
         self.memo = {-1: {}}  # t -> self.expected(t); a zero product (t = -1) expects no term
+        self.runs = {}  # the run memo: (i1, bc2) -> (accumulator if a lane is bad, else None, bad lanes, e12)
+        self.last = None, None  # (i1, self.left(i1)) of the last run made
 
     def _group(self, bc):
         """Terms of the p rows x^b y^c g^a2, both legs moved by g^-a2, grouped across lanes a2."""
@@ -285,12 +258,20 @@ class _Lanes:
             for w, z, packed in self.groups[t // p]
         }
 
+    def made(self, i1, bc2):
+        """Run (basis[i1], x^b2 y^c2) read off ``runs``, where ``run`` makes it on its first read."""
+        if (out := self.runs.get((i1, bc2))) is None:
+            if self.last[0] != i1:
+                self.last = i1, self.left(i1)
+            acc, bad, e12 = self.run(i1, bc2, self.last[1])
+            out = self.runs[i1, bc2] = acc if bad else None, bad, e12
+        return out
+
     def run(self, i1, bc2, left):
         """(accumulator, mask of the bad lanes, e12) of group (basis[i1], x^b2 y^c2), for left = self.left(i1)."""
         # m1 x^b2 y^c2 = q^e12 basis[t12], or 0 for t12 = -1, where any e12 serves
         t12, e12 = divmod(self.products[i1][bc2 * self.p], self.p)
-        expected = self.memo.get(t12)
-        if expected is None:
+        if (expected := self.memo.get(t12)) is None:
             expected = self.memo[t12] = self.expected(t12)
         return (*self.group(left, bc2, e12, expected), e12)
 

@@ -343,6 +343,8 @@ class PairReport(NamedTuple):
         if not (type(i) is type(j) is int and 0 <= i < p and 0 <= j < p) or any(
                 type(payload[flag]) is not bool for flag in ("implements_s2", "stable")):
             raise ValueError(f"(i={i!r}, j={j!r}) needs ints in range({p}) and flags that are bools")
+        if type(payload["beta_l"]) is not str:
+            raise ValueError(f"beta_l at (i={i}, j={j}) must be a str, got {payload['beta_l']!r}")
         out = cls(i, j, payload["implements_s2"], Cyclotomic.parse(p, payload["beta_l"]))
         if out.stable != payload["stable"]:
             raise ValueError(f"stable flag inconsistent with beta_l at (i={out.i}, j={out.j})")
@@ -380,10 +382,11 @@ class Classification(NamedTuple("Classification", [("p", int), ("s", int), ("pai
         if not (type(p) is type(s) is int and is_odd_prime(p) and 0 <= s < p):
             raise ValueError(f"(p={p!r}, s={s!r}) needs an odd prime p and an int s in range(p)")
         out = cls(p, s, [PairReport.from_dict(p, row) for row in payload["pairs"]])
-        if out.mpi != tuple((row["i"], row["j"]) for row in payload["mpi"]):
-            raise ValueError("mpi subset inconsistent with pair flags")
-        if out.implements != tuple((row["i"], row["j"]) for row in payload["implements"]):
-            raise ValueError("implements subset inconsistent with pair flags")
+        if [(r.i, r.j) for r in out.pairs] != [(i, j) for i in range(p) for j in range(p)]:
+            raise ValueError(f"pairs must be the {p * p} pairs (i, j) in order")
+        for subset in ("mpi", "implements"):
+            if payload[subset] != [{"i": i, "j": j} for i, j in getattr(out, subset)]:
+                raise ValueError(f"{subset} subset inconsistent with pair flags")
         return out
 
 

@@ -77,20 +77,35 @@ MUTANTS = [
            "table[y * n + x]", "table[x * n + y]",
            (AXIOMS + "test_a_proved_default_run_makes_no_draw",
             AXIOMS + "test_associativity_proof_holds_on_the_live_tables[5]")),
-    Mutant("sweep runs the law table's runs again", "lanes.py",
-           "elif (run := laws.get((first, bc2))) is None:", "elif (run := None) is None:",
-           (AXIOMS + "test_run_all_computes_each_verdict_once[5-0]",)),
-    # the law table: the sweep's vouching lemma and the step premises of the per-monomial proofs
+    # the run memo of _Lanes, which broken_laws fills for g, x and y and the sweep reads every run from
+    Mutant("a run made again past the memo", "lanes.py",
+           "if (out := self.runs.get((i1, bc2))) is None:", "if (out := None) is None:",
+           (AXIOMS + "test_run_all_computes_each_verdict_once[5-0]",
+            AXIOMS + "test_run_all_makes_each_lane_run_once_and_keeps_no_accumulator[5]")),
+    Mutant("Delta(m1) built again for every run", "lanes.py",
+           "if self.last[0] != i1:", "if True:",
+           (AXIOMS + "test_exhaustive_bialgebra_runs_every_lane_group_once",
+            AXIOMS + "test_run_all_makes_each_lane_run_once_and_keeps_no_accumulator[5]")),
+    Mutant("a vouched run recorded with a bad lane", "lanes.py",
+           "memo[first, bc2] = None, 0, 0", "memo[first, bc2] = None, 1, 0",
+           (AXIOMS + "test_run_all_computes_each_verdict_once[5-0]",
+            AXIOMS + "test_negative_control_fails_exactly_as_predicted[5]")),
+    Mutant("an orbit's accumulators kept in the memo", "lanes.py",
+           "((first, bc2), (None, bad, e12))", "((first, bc2), (acc, bad, e12))",
+           (AXIOMS + "test_run_all_makes_each_lane_run_once_and_keeps_no_accumulator[3]",
+            AXIOMS + "test_run_all_makes_each_lane_run_once_and_keeps_no_accumulator[5]")),
+    # the sweep's vouching lemma and the step premises of the per-monomial proofs, both read off _Proofs.broken
     Mutant("vouch without law(t, basis[j])", "lanes.py",
-           "if healthy is None or j in delta_broken:", "if healthy is None:",
+           "if (j, 0) not in memo or j in delta_broken:", "if (j, 0) not in memo:",
            (AXIOMS + "test_on_doctored_tables_the_vouched_sweep_and_step_premises_equal_the_full_routes[orbit digit]",
             AXIOMS + "test_on_doctored_tables_the_vouched_sweep_and_step_premises_equal_the_full_routes[orbit digit at 5]")),
     Mutant("vouch without the run of basis[j]", "lanes.py",
-           "if not bad and all(c < 0", "if all(c < 0",
+           "if not memo[j, bc2][1]\n                    and all(c < 0", "if all(c < 0",
            (AXIOMS + "test_at_s0_the_vouched_sweep_and_step_premises_equal_the_full_routes[5]",
             AXIOMS + "test_negative_control_fails_exactly_as_predicted[5]")),
     Mutant("vouch without law(t, basis[k])", "lanes.py",
-           "if not bad and all(c < 0 or c // p not in delta_broken for c in row[bc2 * p:bc2 * p + p])}", "if not bad}",
+           "\n                    and all(c < 0 or c // p not in delta_broken"
+           " for c in proofs.rows[j][bc2 * p:bc2 * p + p])]", "]",
            (AXIOMS + "test_at_s0_the_vouched_sweep_and_step_premises_equal_the_full_routes[5]",
             AXIOMS + "test_negative_control_fails_exactly_as_predicted[5]")),
     Mutant("vouch for 1 without the unit law", "lanes.py",

@@ -17,7 +17,7 @@ fills the table of ``hopf.bilinear_rows`` one entry at a time, and ``structure_t
 row-at-a-time fill that the block fill of ``BookAlgebra.structure_table`` replaced.
 ``live_bialgebra_violations`` multiplies Delta(m1) Delta(m2) out in ``Cyclotomic`` arithmetic with every product
 read off the live product table, the slow route of the bialgebra check's per-pair route.
-``law_table_multiplicative`` is the law-table verdict that the presentation premise
+``law_table_multiplicative`` is the verdict of the generator laws (``_Proofs.broken``) that the presentation premise
 ``_Proofs.multiplicative`` replaced, and ``anti_multiplicative_reference`` the 4 n compare that
 ``_Proofs.anti_multiplicative`` replaced.
 ``lane`` reads one lane of a bialgebra accumulator per violation, and ``own_run_texts`` renders every Delta
@@ -318,7 +318,7 @@ def live_bialgebra_violations(A):
 
 
 def law_table_multiplicative(A):
-    """Whether Delta and eps are algebra maps, read off the law table: no index in ``_Proofs.broken`` at 1, g, x
+    """Whether Delta and eps are algebra maps, read off the generator laws: no index in ``_Proofs.broken`` at 1, g, x
     and y, the laws at 1 and at every generator against every basis monomial, which carry to every pair along
     ``generation()`` where the product table is associative.  False where the table is not, as it is then None."""
     broken = _Proofs(A).broken

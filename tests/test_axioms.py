@@ -162,6 +162,16 @@ def test_sample_size_below_one_is_rejected(check, sample_size):
         check(BookAlgebra(3, 1), sample_size=sample_size)
 
 
+@pytest.mark.parametrize("entry", [check_associativity, run_all])
+@pytest.mark.parametrize("sample_size", [2.5, True, "5", 5.0, None])
+def test_a_sample_size_that_is_no_int_is_rejected(entry, sample_size):
+    """2.5 and True were taken as a count: each labelled a pass sampled(n=2.5) or sampled(n=True), with that value
+    as ``checked``, which AxiomResult.from_dict refuses; "5" raised TypeError."""
+    assert entry(BookAlgebra(3, 1), sample_size=5).passed
+    with pytest.raises(ValueError, match="sample size must be an int"):
+        entry(BookAlgebra(3, 1), sample_size=sample_size)
+
+
 @pytest.mark.parametrize(
     "p,s,sample_size",
     [(3, 1, 1_000_000), (3, 0, 1_000_000), (7, 3, 50)],
@@ -217,6 +227,15 @@ def test_axiom_result_from_dict_rejects_an_elapsed_ms_that_is_no_number(elapsed_
     payload = check_counit_law(BookAlgebra(3, 1)).result("counit").to_dict()
     assert AxiomResult.from_dict({**payload, "elapsed_ms": 0}).passed
     with pytest.raises(ValueError, match="elapsed_ms a number"):
+        AxiomResult.from_dict({**payload, "elapsed_ms": elapsed_ms})
+
+
+@pytest.mark.parametrize("elapsed_ms", [float("nan"), float("inf"), -float("inf"), -0.5, -1])
+def test_axiom_result_from_dict_rejects_an_elapsed_ms_that_no_run_writes(elapsed_ms):
+    """A time is finite and never negative: NaN, an infinity or a negative time were read back."""
+    payload = check_counit_law(BookAlgebra(3, 1)).result("counit").to_dict()
+    assert AxiomResult.from_dict({**payload, "elapsed_ms": 0.0}).passed
+    with pytest.raises(ValueError, match="elapsed_ms a number >= 0"):
         AxiomResult.from_dict({**payload, "elapsed_ms": elapsed_ms})
 
 
@@ -712,10 +731,10 @@ def group_runs(monkeypatch):
 
 def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs):
     """No run on the live tables, where the presentation lemma proves the law.  Where a premise fails the sweep reads
-    the law table's 3 p^2 runs of g, x and y back and vouches for every run whose lemma holds: with eps(g) = q every
-    Delta lane is healthy, so the 3 p^2 runs of the table are all, and no Delta(m1) is built past them.  With the law
-    table refused the kernel runs one group per g-orbit of m1 and x^b2 y^c2 while P1 and P2 hold, with Delta(m1) built
-    once per orbit, and every (m1, x^b2 y^c2) once on a doctored row."""
+    the 3 p^2 runs of g, x and y that ``broken_laws`` made back from the run memo and vouches for every run whose
+    lemma holds: with eps(g) = q every Delta lane is healthy, so those 3 p^2 runs are all, and no Delta(m1) is built
+    past them.  With ``_Proofs.broken`` refused the kernel runs one group per g-orbit of m1 and x^b2 y^c2 while P1 and
+    P2 hold, with Delta(m1) built once per orbit, and every (m1, x^b2 y^c2) once on a doctored row."""
     p = 7
     result = check_bialgebra_compat(BookAlgebra(p, 3)).result("bialgebra")
     assert result.mode == "exhaustive" and result.checked == p ** 6 and result.passed
@@ -732,7 +751,7 @@ def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs):
         group_runs.clear()
         with pytest.MonkeyPatch.context() as patch:
             if refused:
-                patch.setattr(_Proofs, "laws", None)
+                patch.setattr(_Proofs, "broken", None)
             lefts = counted_calls(patch, (_Lanes, "left"))
             assert not check_bialgebra_compat(eps_doctored()).passed
         assert len(group_runs) == runs and lefts["_Lanes.left"] == runs // p ** 2
@@ -740,7 +759,7 @@ def test_exhaustive_bialgebra_runs_every_lane_group_once(group_runs):
     A = BookAlgebra(p, 3)
     doctor(A, "digit")  # breaks P1, so every m1 is its own orbit and no group is run twice to render
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_Proofs, "laws", None)
+        patch.setattr(_Proofs, "broken", None)
         assert not check_bialgebra_compat(A).passed
     assert len(group_runs) == p ** 3 * p ** 2 == 16_807
 
@@ -930,11 +949,11 @@ def bialgebra_route(A, **options):
 
 
 def swept(A, **options):
-    """The bialgebra outcome with the proof and the law table refused, as the CI steps refuse them: the route that
+    """The bialgebra outcome with the proof and ``_Proofs.broken`` refused, as the CI steps refuse them: the route that
     *associative* picks, run whole, the lane sweep with every run made by the kernel where it holds."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Proofs, "multiplicative", False)
-        patch.setattr(_Proofs, "laws", None)
+        patch.setattr(_Proofs, "broken", None)
         return bialgebra_outcome(A, **options)
 
 
@@ -1488,7 +1507,7 @@ def s0_kernel_runs(p):
     """The ``_Lanes.run`` calls of ``run_all`` on H(p, 0), derived from the negative control's predicates.
 
     Run (x^b1 y^c1, x^b2 y^c2) is bad, in all p lanes, iff c1 + c2 >= p and b1 + b2 < p, so law(t, x^b y^c g^a)
-    fails only at t = y, c = p - 1, and the eps laws all hold.  The law table makes 3 p^2 runs.  The sweep takes
+    fails only at t = y, c = p - 1, and the eps laws all hold.  ``broken_laws`` makes 3 p^2 runs.  The sweep takes
     the g-orbits x^b1 y^c1 in basis order, each yielding p^2 violations per bad run, up to the one that yields the
     cap-th; it vouches for 1 by the unit law, reads back x and y, and runs the kernel wherever the vouching lemma
     fails at the step x^b1 y^c1 = x x^(b1-1) y^c1, or y y^(c1-1) at b1 = 0.
@@ -1535,13 +1554,32 @@ def test_run_all_computes_each_verdict_once(monkeypatch, p, s):
         assert calls["_Lanes.__init__"] == 1 and calls["_Lanes.run"] == s0_kernel_runs(p) < 3 * p * p + p ** 4
 
 
-# -- the presentation lemma against the law table and the 4 n compare -------------------
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_run_all_makes_each_lane_run_once_and_keeps_no_accumulator(monkeypatch, p):
+    """Every lane run that ``broken_laws`` and the bialgebra sweep read comes from the run memo: one run_all on
+    H(p, 0) passes no (i1, x^b2 y^c2) to _Lanes.run twice, and builds Delta(basis[i1]) once per i1 that it runs.
+    Where the sweep runs whole, below the cap at p <= 5, no memo entry holds an accumulator once it has run."""
+    made, lefts, built = [], [], []
+    run, left, init = _Lanes.run, _Lanes.left, _Lanes.__init__
+    monkeypatch.setattr(_Lanes, "run", lambda self, i1, bc2, *rest: made.append((i1, bc2)) or run(self, i1, bc2, *rest))
+    monkeypatch.setattr(_Lanes, "left", lambda self, i1: lefts.append(i1) or left(self, i1))
+    monkeypatch.setattr(_Lanes, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    assert negative_control_matches(run_all(BookAlgebra(p, 0, permissive=True)), p)
+    assert len(made) == len(set(made)) == s0_kernel_runs(p)
+    assert len(lefts) == len(set(lefts)) and set(lefts) == {i1 for i1, _ in made}
+    (lanes,) = built
+    assert set(made) <= set(lanes.runs)
+    if p <= 5:
+        assert not [key for key, (acc, _, _) in lanes.runs.items() if acc is not None]
+
+
+# -- the presentation lemma against the generator laws and the 4 n compare --------------
 
 
 @pytest.mark.parametrize("case", [*(f"H({p}, {s})" for p in (3, 5, 7) for s in range(p)), *DOCTORINGS,
                                   *(f"{how} at {p}" for how in ("orbit digit", "orbit extra term") for p in (5, 7))])
 def test_the_presentation_premises_equal_the_law_table_and_the_4n_compare(case):
-    """*multiplicative* by the presentation lemma reads what the law table's verdict reads, and
+    """*multiplicative* by the presentation lemma reads what the verdict of the generator laws reads, and
     *anti-multiplicative* what the 4 n compare of S(t m) = S(m) S(t) reads, for every s at p <= 7, on every
     doctored table and on the doctored orbits at p = 5 and 7; the twisted Delta stays proved, the sign twist
     refused."""
@@ -1563,7 +1601,7 @@ def test_the_presentation_premises_equal_the_law_table_and_the_4n_compare(case):
 
 
 def test_a_healthy_run_builds_no_law_table(monkeypatch):
-    """A healthy run_all(H(7, s)) proves every law with no _Lanes, no law table and no eps rows built."""
+    """A healthy run_all(H(7, s)) proves every law with no _Lanes, no lane run and no eps rows built."""
 
     def refused(self, *args):
         raise AssertionError(f"{type(self).__name__} built on a healthy run")
@@ -1626,16 +1664,16 @@ def test_the_presentation_premise_needs_one_relation_per_pair_and_per_power(chan
     assert results[5].checked == 2 * len(A.relations())
 
 
-# -- the law table: vouched runs and step premises against the full routes ------------
+# -- the generator laws: vouched runs and step premises against the full routes -------
 
 
 def law_table_routes(A):
-    """[(outcomes, kernel runs, swept axioms)] of the two routes of the four checks that read the law table, each
-    outcome (violations, checked, mode) with one ``_Proofs`` shared.  The first refuses *multiplicative*, so the
-    bialgebra sweep vouches and reads the table back, and the other three laws take their step premises; the
-    second refuses the law table too, so the kernel makes every run and every law is swept."""
+    """[(outcomes, kernel runs, swept axioms)] of the two routes of the four checks that read ``_Proofs.broken``,
+    each outcome (violations, checked, mode) with one ``_Proofs`` shared.  The first refuses *multiplicative*, so the
+    bialgebra sweep vouches and reads the runs of g, x and y back from the run memo, and the other three laws take
+    their step premises; the second refuses ``broken`` too, so the kernel makes every run and every law is swept."""
     routes = []
-    for refused in ({"multiplicative": False}, {"multiplicative": False, "laws": None}):
+    for refused in ({"multiplicative": False}, {"multiplicative": False, "broken": None}):
         with pytest.MonkeyPatch.context() as patch:
             for name, value in refused.items():
                 patch.setattr(_Proofs, name, value)

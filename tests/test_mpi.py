@@ -448,6 +448,28 @@ def test_classification_from_dict_rejects_inconsistent_subsets():
         Classification.from_dict(payload)
 
 
+@pytest.mark.parametrize("how", ["reversed", "first pair repeated", "cut to 4", "p set to 5"])
+def test_classification_from_dict_rejects_pairs_that_are_not_the_p2_pairs_in_order(how):
+    """The H(3, 1) payload read back with its pairs reversed, with its first pair repeated (10 pairs), cut to its
+    first 4 pairs, or as a payload of H(5, 1) with 9 pairs."""
+    payload = classify(BookAlgebra(3, 1)).to_dict()
+    pairs = {"reversed": payload["pairs"][::-1], "first pair repeated": [payload["pairs"][0], *payload["pairs"]],
+             "cut to 4": payload["pairs"][:4], "p set to 5": payload["pairs"]}[how]
+    p = 5 if how == "p set to 5" else 3
+    with pytest.raises(ValueError, match=rf"the {p * p} pairs \(i, j\) in order"):
+        Classification.from_dict({**payload, "p": p, "pairs": pairs})
+
+
+@pytest.mark.parametrize("subset", ["mpi", "implements"])
+@pytest.mark.parametrize("value", ["ab", None, 5, [[1, 0]]])
+def test_classification_from_dict_rejects_a_subset_that_is_no_list_of_pairs(subset, value):
+    """A str mpi such as "ab" raised TypeError."""
+    payload = classify(BookAlgebra(3, 1)).to_dict()
+    assert Classification.from_dict(payload).mpi == ((1, 0),)
+    with pytest.raises(ValueError, match=f"{subset} subset"):
+        Classification.from_dict({**payload, subset: value})
+
+
 @pytest.mark.parametrize("s", ["1", 7, 3, -1, True, 1.0, None])
 def test_classification_from_dict_rejects_an_s_that_is_no_index(s):
     payload = classify(BookAlgebra(3, 1)).to_dict()
@@ -487,6 +509,13 @@ def pair_row_with(field, value):
     payload = classify(BookAlgebra(3, 1)).to_dict()["pairs"][4]  # (i=1, j=1)
     assert PairReport.from_dict(3, payload)[:2] == (1, 1)
     return {**payload, field: value}
+
+
+@pytest.mark.parametrize("value", [5, None, 1.5, ["1"]])
+def test_pair_report_from_dict_rejects_a_beta_l_that_is_no_str(value):
+    """A non-str beta_l such as 5 raised AttributeError."""
+    with pytest.raises(ValueError, match="beta_l at \\(i=1, j=1\\) must be a str"):
+        PairReport.from_dict(3, pair_row_with("beta_l", value))
 
 
 @pytest.mark.parametrize("value", ["0", None, 1.0, True, -1, 3])
